@@ -20,7 +20,7 @@ from .fields import field_of
 from .linear_system import PointedLinearSystem
 from .matrix import Matrix, rank, solve
 from .automaton import WeightedAutomaton
-from .ratstream import RationalStream, valuation
+from .ratstream import RationalStream, berlekamp_massey, valuation
 
 
 @dataclass(frozen=True)
@@ -134,28 +134,27 @@ def fit_recurrence(prefix: Sequence, max_order: int) -> Optional[Tuple]:
     """Minimal linear recurrence satisfied by the whole prefix, if any.
 
     Returns coefficients (c_0, ..., c_{n-1}) with
-    prefix[t+n] = sum_i c_i * prefix[t+i] for every window, scanning orders
-    0..max_order and solving the windowed linear system exactly.  Meaningful
-    as an oracle when the prefix has length >= 2 * max_order.  Independent of
-    the symbolic derivative chain by design.
+    prefix[t+n] = sum_i c_i * prefix[t+i] for every window, where the order n
+    is the prefix's linear complexity L (from Berlekamp-Massey).  Returns ()
+    for an all-zero prefix and None when L exceeds ``max_order`` or leaves no
+    window (L >= len(prefix)).  When the prefix is shorter than 2L the
+    coefficients are not unique; the one returned is ``solve``'s particular
+    solution of the windowed system at order L, with free variables set to 0.
+    Independent of the symbolic derivative chain by design.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
     if not prefix:
         return ()
     field = field_of(prefix[0])
-    zero = field.zero()
-    for order in range(0, max_order + 1):
-        if order == 0:
-            if all(c == zero for c in prefix):
-                return ()
-            continue
-        window_count = len(prefix) - order
-        if window_count < 1:
-            return None
-        rows = [[prefix[t + i] for i in range(order)] for t in range(window_count)]
-        rhs = [prefix[t + order] for t in range(window_count)]
-        solution = solve(Matrix(field, rows, cols=order), rhs)
-        if solution is not None:
-            return solution
-    return None
+    _, order = berlekamp_massey(field, prefix)
+    if order == 0:
+        return ()
+    if order > max_order or order >= len(prefix):
+        return None
+    window_count = len(prefix) - order
+    rows = [[prefix[t + i] for i in range(order)] for t in range(window_count)]
+    rhs = [prefix[t + order] for t in range(window_count)]
+    solution = solve(Matrix(field, rows, cols=order), rhs)
+    assert solution is not None, "the Berlekamp-Massey recurrence solves the windows"
+    return solution

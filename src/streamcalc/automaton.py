@@ -3,9 +3,12 @@
 States carry scalar outputs and weighted transitions (weight 0 means the
 transition is absent).  The stream represented by a state has, at index k,
 the sum over all length-k transition paths of the product of the weights
-times the output of the final state.  The same streams fall out in closed
-form from the resolvent of the weight matrix, and a linear system with a
-standard-basis initial state converts to an automaton by transposition.
+times the output of the final state, which is entry q of W^k o for the weight
+matrix W and the output vector o.  In closed form the streams are the
+resolvent (I - X W)^-1 applied to o; they are computed from the first 2n
+vectors W^k o through Berlekamp-Massey, with no arithmetic over k(X).  A
+linear system with a standard-basis initial state converts to an automaton by
+transposition.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
 )
 from .fields import Field, field_from_spec
 from .linear_system import LinearSystem, PointedLinearSystem, is_first_basis_vector
-from .matrix import Matrix, resolvent_streams
+from .matrix import Matrix
 from .ratstream import RationalStream
 
 
@@ -78,8 +81,20 @@ class WeightedAutomaton:
         return total
 
     def behaviour(self) -> Tuple[RationalStream, ...]:
-        """Closed form for every state: resolvent of the weights at the outputs."""
-        return resolvent_streams(self.weights, self.outputs)
+        """Closed form for every state: resolvent of the weights at the outputs.
+
+        State q's stream has coefficients (W^k o)_q and linear complexity at
+        most ``size``, so the first 2 * size iterates determine every state.
+        """
+        iterates = []
+        vector = self.outputs
+        for _ in range(2 * self.size):
+            iterates.append(vector)
+            vector = self.weights.apply(vector)
+        return tuple(
+            RationalStream.from_sequence(self.field, [v[q] for v in iterates])
+            for q in range(self.size)
+        )
 
     @classmethod
     def from_linear_system(cls, pointed: PointedLinearSystem) -> "WeightedAutomaton":

@@ -34,6 +34,23 @@ from .linear_system import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _field(args) -> Field:
     return field_from_spec(args.field)
 
@@ -190,7 +207,7 @@ def _add_field_option(parser: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="streamcalc",
         description="Exact stream calculus: rational streams and their finite representations.",
     )
@@ -198,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("eval", help="expand an expression and show its closed form")
     p.add_argument("expr")
-    p.add_argument("--n", type=int, required=True, help="number of coefficients")
+    p.add_argument("--n", type=_count, required=True, help="number of coefficients")
     _add_field_option(p)
     p.set_defaults(func=_cmd_eval)
 
     p = commands.add_parser("derive", help="k-th stream derivative in closed form")
     p.add_argument("expr")
-    p.add_argument("--k", type=int, required=True, help="derivative order")
+    p.add_argument("--k", type=_count, required=True, help="derivative order")
     _add_field_option(p)
     p.set_defaults(func=_cmd_derive)
 
@@ -221,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_circuit_synth)
     p = circuit_sub.add_parser("sim", help="simulate a circuit file")
     p.add_argument("--file", required=True)
-    p.add_argument("--n", type=int, required=True, help="number of ticks")
+    p.add_argument("--n", type=_count, required=True, help="number of ticks")
     p.set_defaults(func=_cmd_circuit_sim)
 
     automaton = commands.add_parser("automaton", help="weighted automaton commands")
@@ -232,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_automaton_synth)
     p = automaton_sub.add_parser("eval", help="expand the stream of a state")
     p.add_argument("--file", required=True)
-    p.add_argument("--state", type=int, required=True, help="1-based state index")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--state", type=_count, required=True, help="1-based state index")
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--method", choices=("path", "closed"), default="closed")
     p.set_defaults(func=_cmd_automaton_eval)
 
@@ -247,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prefix", help="comma-separated scalars")
     group.add_argument("--expr")
-    p.add_argument("--m", type=int, required=True, help="Hankel matrix size")
+    p.add_argument("--m", type=_count, required=True, help="Hankel matrix size")
     _add_field_option(p)
     p.set_defaults(func=_cmd_rank)
 
@@ -255,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prefix", help="comma-separated scalars")
     group.add_argument("--expr")
-    p.add_argument("--d", type=int, required=True, help="claimed degree bound")
+    p.add_argument("--d", type=_count, required=True, help="claimed degree bound")
     _add_field_option(p)
     p.set_defaults(func=_cmd_probe)
 

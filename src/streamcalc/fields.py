@@ -17,11 +17,17 @@ from .errors import FieldMismatch, FormatError
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _INTEGER_RE = re.compile(r"[+-]?\d+\Z")
 
-# Witness set making Miller-Rabin deterministic for n < 3.3e24.
+# The first 12 primes as Miller-Rabin witnesses decide primality exactly below
+# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441, the least
+# composite that is a strong pseudoprime to all of them (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < MR_BOUND; larger n raise ValueError."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin bound")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -89,6 +95,10 @@ class Field:
         """The CLI/file syntax naming this field (``q`` or ``gf:p``)."""
         raise NotImplementedError
 
+    @property
+    def characteristic(self) -> int:
+        raise NotImplementedError
+
 
 class Rationals(Field):
     """The field of arbitrary-precision rationals."""
@@ -129,6 +139,10 @@ class Rationals(Field):
 
     def spec(self):
         return "q"
+
+    @property
+    def characteristic(self):
+        return 0
 
     def __repr__(self):
         return "Rationals()"
@@ -237,6 +251,11 @@ class PrimeField(Field):
     """GF(p) for a prime modulus, checked at construction."""
 
     def __init__(self, modulus: int):
+        if modulus >= MR_BOUND:
+            raise FormatError(
+                f"prime field modulus {modulus} cannot be certified prime "
+                f"(moduli must be below {MR_BOUND})"
+            )
         if not is_prime(modulus):
             raise FormatError(f"prime field modulus must be prime, got {modulus}")
         self.modulus = modulus
@@ -278,6 +297,10 @@ class PrimeField(Field):
 
     def spec(self):
         return f"gf:{self.modulus}"
+
+    @property
+    def characteristic(self):
+        return self.modulus
 
     def __repr__(self):
         return f"PrimeField({self.modulus})"

@@ -3,9 +3,13 @@
 A system is a state space k^n with an n x n transition matrix and an m x n
 output matrix.  Its behaviour at a state is the vector of rational streams
 obtained by iterating the dynamics and observing outputs; symbolically that is
-the output matrix times the transition's resolvent.  This module also builds
-the minimal realization of a vector of rational streams out of its derivative
-chain, and minimizes a given system through its observability matrix.
+the output matrix times the transition's resolvent (I - X F)^-1.  The closed
+form is computed without arithmetic over k(X): by Cayley-Hamilton each output
+stream has linear complexity at most n, so its first 2n coefficients, found by
+matrix-vector products over k, determine it through Berlekamp-Massey.  This
+module also builds the minimal realization of a vector of rational streams out
+of its derivative chain, and minimizes a given system through its
+observability matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .matrix import (
     parse_matrix,
     parse_vector,
     rank,
-    resolvent_streams,
     rref,
     vstack,
 )
@@ -65,15 +68,18 @@ class LinearSystem:
         return self.output.rows
 
     def behaviour(self, state: Sequence) -> Tuple[RationalStream, ...]:
-        """The stream vector emitted from ``state``: output o resolvent o state."""
-        inner = resolvent_streams(self.dynamics, state)
-        out = []
-        for i in range(self.num_outputs):
-            acc = RationalStream.zero(self.field)
-            for j in range(self.dim):
-                acc = acc + inner[j].scale(self.output.entries[i][j])
-            out.append(acc)
-        return tuple(out)
+        """The stream vector emitted from ``state``: output o resolvent o state.
+
+        Each output stream has linear complexity at most ``dim``, so its first
+        2 * dim coefficients H F^t state determine it.
+        """
+        if len(state) != self.dim:
+            raise ShapeMismatch("state length must equal the dimension")
+        outputs = self.step_outputs(state, 2 * self.dim)
+        return tuple(
+            RationalStream.from_sequence(self.field, [o[i] for o in outputs])
+            for i in range(self.num_outputs)
+        )
 
     def step_outputs(self, state: Sequence, steps: int) -> List[Tuple]:
         """First ``steps`` output vectors by iterated matrix-vector products."""

@@ -300,6 +300,9 @@ def resolvent_streams(transition: Matrix, vector: Sequence) -> Tuple[RationalStr
     """(I - X*F)^-1 applied to a constant vector, as rational streams.
 
     Solves the single linear system instead of inverting the whole matrix.
+    Elimination over k(X) is far slower than ``LinearSystem.behaviour``'s
+    Berlekamp-Massey path, which gives the same streams; this stays as the
+    paper's definition and as the independent oracle in the tests.
     """
     system = _shifted_complement(transition)
     kx = system.domain

@@ -123,9 +123,27 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.field)
-        for _ in range(k):
-            result = result * self
+        field, p, d = self.field, self.coeffs, self.degree
+        zero = field.zero()
+        char = field.characteristic
+        if d > 0 and p[0] != zero and (char == 0 or k * d < char):
+            # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: each
+            # coefficient costs d operations, and n * p(0) is invertible for
+            # every n <= k * d under the characteristic condition above
+            out = [p[0] ** k]
+            for n in range(1, k * d + 1):
+                acc = zero
+                for i in range(1, min(n, d) + 1):
+                    acc = acc + field.from_int((k + 1) * i - n) * p[i] * out[n - i]
+                out.append(acc * field.inv(field.from_int(n) * p[0]))
+            return Polynomial._make(field, out)
+        result, base = Polynomial.one(field), self
+        while k:  # square-and-multiply
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __divmod__(self, other):

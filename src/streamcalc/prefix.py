@@ -40,7 +40,16 @@ class StreamPrefix:
 
     @classmethod
     def from_rational(cls, stream) -> "StreamPrefix":
-        return cls(stream.field, lambda i: stream.coefficient(i))
+        """Coefficients from one expansion buffer, doubled whenever outgrown."""
+        buffer: List = []
+
+        def produce(i):
+            nonlocal buffer
+            if i >= len(buffer):
+                buffer = stream.expand(max(2 * len(buffer), i + 1))
+            return buffer[i]
+
+        return cls(stream.field, produce)
 
     @classmethod
     def constant(cls, field, c):

@@ -5,11 +5,15 @@ is invertible at 0.  Normalizing the denominator's constant term to 1 (always
 possible) makes the representation unique, so equality is structural, the
 coefficient expansion is a direct linear recurrence, and the stream derivative
 has a closed form that keeps the denominator fixed.
+
+:func:`berlekamp_massey` is the one recurrence kernel: every finite
+representation reaches its closed form by computing enough coefficients over
+k and handing them to :meth:`RationalStream.from_sequence`.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from .errors import FieldMismatch, NotInvertibleAtZero
 from .fields import Field
@@ -38,6 +42,14 @@ class RationalStream:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _make(cls, num: Polynomial, den: Polynomial) -> "RationalStream":
+        # internal fast path: num/den already reduced with den(0) = 1
+        s = object.__new__(cls)
+        s.num = num
+        s.den = den
+        return s
+
     @property
     def field(self) -> Field:
         return self.num.field
@@ -61,6 +73,29 @@ class RationalStream:
     @classmethod
     def from_polynomial(cls, p: Polynomial):
         return cls(p, Polynomial.one(p.field))
+
+    @classmethod
+    def from_sequence(cls, field: Field, terms: Sequence) -> "RationalStream":
+        """The rational stream whose first coefficients are ``terms``.
+
+        Precondition: the stream has linear complexity at most
+        ``len(terms) / 2``, i.e. max(deg q, deg p + 1) <= len(terms) / 2 for
+        its reduced form p/q.  Then Berlekamp-Massey's connection polynomial C
+        is q, the numerator is (C * S) mod X^L for the prefix S, and the result
+        is exact.  Without the precondition the result merely agrees with
+        ``terms``.
+        """
+        terms = [field.coerce(t) for t in terms]
+        connection, length = berlekamp_massey(field, terms)
+        c = connection.coeffs
+        zero = field.zero()
+        num = []
+        for k in range(length):
+            acc = zero
+            for i in range(min(k, len(c) - 1) + 1):
+                acc = acc + c[i] * terms[k - i]
+            num.append(acc)
+        return cls(Polynomial._make(field, num), connection)
 
     @classmethod
     def from_fraction(cls, rf: RationalFunction):
@@ -114,10 +149,8 @@ class RationalStream:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative stream power; use inverse() explicitly")
-        result = RationalStream.one(self.field)
-        for _ in range(k):
-            result = result * self
-        return result
+        # p^k / q^k stays reduced and q^k(0) = 1, so no gcd is needed
+        return RationalStream._make(self.num ** k, self.den ** k)
 
     def initial_value(self):
         """The head coefficient; num(0) since the denominator is 1 at 0."""
@@ -175,6 +208,40 @@ class RationalStream:
         if self.den == Polynomial.one(self.field):
             return format_terms(self.num)
         return f"({format_terms(self.num)})/({format_terms(self.den)})"
+
+
+def berlekamp_massey(field: Field, terms: Sequence) -> Tuple[Polynomial, int]:
+    """Shortest linear recurrence generating ``terms``: (C, L) with C(0) = 1.
+
+    C = 1 + c_1 X + ... + c_L X^L (deg C may fall short of L) satisfies
+    sum_{i=0..L} c_i * terms[n-i] = 0 for every L <= n < len(terms), and L is
+    the least length with that property.  Uses O(len(terms) * L) field
+    operations over k and no polynomial arithmetic.
+    """
+    zero = field.zero()
+    terms = [field.coerce(t) for t in terms]
+    current = [field.one()]  # C
+    previous = [field.one()]  # C before the last change of length
+    length, gap, last = 0, 1, field.one()
+    for n, term in enumerate(terms):
+        discrepancy = term
+        for i in range(1, len(current)):
+            discrepancy = discrepancy + current[i] * terms[n - i]
+        if discrepancy == zero:
+            gap += 1
+            continue
+        factor = discrepancy * field.inv(last)
+        updated = current + [zero] * (gap + len(previous) - len(current))
+        for i, b in enumerate(previous):
+            updated[i + gap] = updated[i + gap] - factor * b
+        while updated[-1] == zero:
+            updated.pop()
+        if 2 * length <= n:
+            previous, length, last, gap = current, n + 1 - length, discrepancy, 1
+        else:
+            gap += 1
+        current = updated
+    return Polynomial._make(field, current), length
 
 
 def valuation(s: RationalStream) -> int:

@@ -162,3 +162,37 @@ def test_field_mismatch_is_domain_error(tmp_path, capsys):
         capsys, "equal", f"system:{system_path}", "expr:1/(1-X)", "--field", "gf:7"
     )
     assert code == 1
+
+
+def test_negative_counts_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "a.automaton"
+    path.write_text("field q\nstates 1\nout 1 1\n")
+    cases = (
+        ("rank", "--expr", "1/(1-X)^2", "--m", "-1"),
+        ("probe", "--prefix", "1,1,0,1", "--d", "-1"),
+        ("derive", "1/(1-X)", "--k", "-2"),
+        ("eval", "1/(1-X)", "--n", "-3"),
+        ("automaton", "eval", "--file", str(path), "--state", "-1", "--n", "2"),
+        ("automaton", "eval", "--file", str(path), "--state", "1", "--n", "-1"),
+        ("circuit", "sim", "--file", str(path), "--n", "-1"),
+    )
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "must be nonnegative" in err, argv
+        assert "Traceback" not in err
+
+
+def test_large_power_finishes(capsys):
+    code, out, _ = run(capsys, "eval", "1/(1-X)^3000", "--n", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "1, 3000"
+
+
+def test_uncertifiable_modulus_rejected(capsys):
+    code, _, err = run(
+        capsys, "eval", "1/(1-X)", "--n", "2", "--field", "gf:318665857834031151167461"
+    )
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "cannot be certified prime" in err

@@ -61,6 +61,26 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(91)  # 7 * 13
 
 
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases, beyond which fixed-base Miller-Rabin certifies nothing
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_prime_field_rejects_uncertifiable_moduli():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for modulus in (PSI_12, PSI_13):
+        with pytest.raises(FormatError, match="cannot be certified prime"):
+            PrimeField(modulus)
+        with pytest.raises(FormatError, match="cannot be certified prime"):
+            field_from_spec(f"gf:{modulus}")
+        with pytest.raises(ValueError):
+            is_prime(modulus)
+    assert PrimeField(2**61 - 1).modulus == 2**61 - 1
+    assert not is_prime(PSI_12 - 2)  # even, just below the bound
+
+
 def test_is_prime_desk_scale():
     assert is_prime(2) and is_prime(101) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(2**32 + 1)

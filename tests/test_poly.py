@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from streamcalc import Polynomial, PrimeField, QQ, RationalFunction
 from util import poly
@@ -108,3 +110,18 @@ def test_rational_function_arithmetic():
 def test_rational_function_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         RationalFunction.one(QQ) / RationalFunction.zero(QQ)
+
+
+@given(
+    st.sampled_from((QQ, PrimeField(2), PrimeField(7), PrimeField(101))),
+    st.lists(st.integers(-5, 5), min_size=0, max_size=4),
+    st.integers(min_value=0, max_value=12),
+)
+def test_power_matches_repeated_product(field, coeffs, k):
+    # covers Miller's recurrence (p(0) != 0 and k * deg < char) and the
+    # square-and-multiply fallback (p(0) = 0 or small characteristic)
+    p = Polynomial(field, coeffs)
+    expected = Polynomial.one(field)
+    for _ in range(k):
+        expected = expected * p
+    assert p**k == expected

@@ -101,3 +101,8 @@ def test_inverse_agrees_with_symbolic_division():
         lhs = StreamPrefix.from_rational(s).inverse()
         assert lhs.take(16) == (s.inverse()).expand(16)
         checked += 1
+
+
+def test_long_bridge_matches_expansion():
+    s = evaluate_text("(1+2*X)/(1-X-3*X^2)")
+    assert StreamPrefix.from_rational(s).take(300) == s.expand(300)

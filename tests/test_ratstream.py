@@ -162,3 +162,27 @@ def test_derivative_degree_bound_and_fixed_denominator(s):
     assert d.num.degree <= max(s.num.degree, s.den.degree) - 1
     if not d.is_zero:
         assert d.den == s.den  # differentiation never grows the denominator
+
+
+GF_FIELDS = (QQ, PrimeField(2), GF7, PrimeField(101), PrimeField(2**61 - 1))
+
+
+@given(
+    st.sampled_from(GF_FIELDS),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.lists(st.integers(-9, 9), min_size=0, max_size=3),
+    st.integers(min_value=0, max_value=12),
+)
+def test_power_matches_repeated_product(field, num, den, k):
+    s = RationalStream(Polynomial(field, num), Polynomial(field, [1] + den))
+    expected = RationalStream.one(field)
+    for _ in range(k):
+        expected = expected * s
+    assert s**k == expected
+
+
+def test_large_power_is_reduced_closed_form():
+    s = evaluate_text("1/(1-X)^3000")
+    assert s.num == poly(QQ, 1)
+    assert s.den.degree == 3000
+    assert s.expand(3) == [1, 3000, 3000 * 3001 // 2]
