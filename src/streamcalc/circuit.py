@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
     FormatError,
     IllFormedCircuit,
     ShapeMismatch,
@@ -226,18 +225,13 @@ class CanonicalCircuit:
     initial: Tuple
 
     def __post_init__(self):
-        if self.feedback.rows != self.feedback.cols:
-            raise ShapeMismatch("feedback matrix must be square")
-        if self.feedback.rows < 1:
+        # shapes, fields and the seed length are the pointed system's checks
+        pointed = self.to_linear_system()
+        if self.registers < 1:
             raise DimensionMismatch("canonical form needs at least one register")
-        if self.feedforward.rows != 1 or self.feedforward.cols != self.feedback.rows:
+        if self.feedforward.rows != 1:
             raise ShapeMismatch("feedforward must be a 1 x n row")
-        if self.feedforward.domain != self.feedback.domain:
-            raise FieldMismatch("feedback and feedforward fields differ")
-        coerced = tuple(self.field.coerce(v) for v in self.initial)
-        if len(coerced) != self.feedback.rows:
-            raise ShapeMismatch("register seed vector length must equal n")
-        object.__setattr__(self, "initial", coerced)
+        object.__setattr__(self, "initial", pointed.initial)
 
     @property
     def field(self) -> Field:

@@ -19,6 +19,7 @@ exists for programmatic use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
@@ -133,11 +134,29 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+# Deepest nesting of parentheses and unary minus that the recursive descent
+# accepts; one level of parentheses costs six Python frames.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], field: Field):
         self.tokens = tokens
         self.pos = 0
         self.field = field
+        self.depth = 0
+
+    def nested(self, parse):
+        """Run ``parse`` one level below the token just read, within _MAX_NESTING."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than {_MAX_NESTING} levels",
+                self.tokens[self.pos - 1][2],
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -175,7 +194,7 @@ class _Parser:
     def parse_unary(self) -> Expr:
         if self.peek()[0] == "MINUS":
             self.advance()
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary)
             if isinstance(operand, Scalar):
                 return Scalar(-operand.value)  # fold literal negation
             return Neg(operand)
@@ -208,7 +227,7 @@ class _Parser:
             return VarX()
         if kind == "LPAREN":
             self.advance()
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr)
             self.expect("RPAREN")
             return node
         self.fail("expected a scalar, 'X' or '('", {"INT", "RAT", "X", "LPAREN"})
@@ -275,27 +294,39 @@ def to_text(node: Expr, field: Field = QQ) -> str:
     return render(node)
 
 
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
 def evaluate(node: Expr, field: Field = QQ) -> RationalStream:
-    """Fold an AST into a rational stream over ``field``."""
-    if isinstance(node, Scalar):
-        return RationalStream.constant(field, field.coerce(node.value))
-    if isinstance(node, VarX):
-        return RationalStream.x(field)
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, field)
-    if isinstance(node, Add):
-        return evaluate(node.left, field) + evaluate(node.right, field)
-    if isinstance(node, Sub):
-        return evaluate(node.left, field) - evaluate(node.right, field)
-    if isinstance(node, Mul):
-        return evaluate(node.left, field) * evaluate(node.right, field)
-    if isinstance(node, Div):
-        return evaluate(node.left, field) / evaluate(node.right, field)
-    if isinstance(node, Pow):
-        return evaluate(node.base, field) ** node.exponent
-    if isinstance(node, Inv):
-        return evaluate(node.operand, field).inverse()
-    raise TypeError(f"not an expression node: {node!r}")
+    """Fold an AST into a rational stream over ``field``.
+
+    The fold runs post-order on an explicit stack, so a long operator chain
+    (a sum of thousands of terms parses left-deep) needs no recursion.
+    """
+    values: List[RationalStream] = []
+    pending: List = [node]
+    while pending:
+        n = pending.pop()
+        if isinstance(n, tuple):  # (operation, arity) once its operands are done
+            operation, arity = n
+            operands = values[-arity:]
+            del values[-arity:]
+            values.append(operation(*operands))
+        elif isinstance(n, Scalar):
+            values.append(RationalStream.constant(field, field.coerce(n.value)))
+        elif isinstance(n, VarX):
+            values.append(RationalStream.x(field))
+        elif type(n) in _BINARY:
+            pending += [(_BINARY[type(n)], 2), n.right, n.left]
+        elif isinstance(n, Neg):
+            pending += [(operator.neg, 1), n.operand]
+        elif isinstance(n, Pow):
+            pending += [(lambda s, k=n.exponent: s ** k, 1), n.base]
+        elif isinstance(n, Inv):
+            pending += [(RationalStream.inverse, 1), n.operand]
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+    return values[0]
 
 
 def evaluate_text(text: str, field: Field = QQ) -> RationalStream:

@@ -234,11 +234,13 @@ class PrimeFieldElement:
         if isinstance(other, PrimeFieldElement):
             return self.field == other.field and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.field.modulus
+            # like Fraction(3) == 3: equal only to the residue itself, so
+            # equal values hash alike
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.modulus, self.value))
+        return hash(self.value)
 
     def __repr__(self):
         return f"GF{self.field.modulus}({self.value})"

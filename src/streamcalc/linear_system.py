@@ -7,9 +7,9 @@ the output matrix times the transition's resolvent (I - X F)^-1.  The closed
 form is computed without arithmetic over k(X): by Cayley-Hamilton each output
 stream has linear complexity at most n, so its first 2n coefficients, found by
 matrix-vector products over k, determine it through Berlekamp-Massey.  This
-module also builds the minimal realization of a vector of rational streams out
-of its derivative chain, and minimizes a given system through its
-observability matrix.
+module also reads the minimal realization of a vector of rational streams off
+their closed forms, as the companion matrix of the derivative's minimal
+polynomial, and minimizes a given system through its observability matrix.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .matrix import (
     inverse,
     parse_matrix,
     parse_vector,
-    rank,
     rref,
     vstack,
 )
+from .poly import Polynomial
 from .ratstream import RationalStream
 
 
@@ -119,23 +119,16 @@ class PointedLinearSystem:
         return self.system.step_outputs(self.initial, steps)
 
 
-def _embedding_widths(streams: Sequence[RationalStream]) -> List[int]:
-    # Differentiation keeps each (reduced) denominator fixed, and no iterated
-    # numerator exceeds max(deg num, deg den) in degree, so every derivative
-    # vector embeds into a fixed product of coefficient spaces.
-    return [max(s.num.degree, s.den.degree) + 1 for s in streams]
-
-
 def realize(streams: Sequence[RationalStream]) -> PointedLinearSystem:
     """Minimal linear representation of a vector of rational streams.
 
-    Iterates the componentwise stream derivative, embedding each derivative
-    vector as numerator coefficients over the fixed denominators, and runs an
-    incremental Gaussian elimination that tracks how each reduced row combines
-    the chain.  The first dependent derivative yields the companion-form
-    transition matrix (subdiagonal 1s, dependence coefficients in the last
-    column); the output matrix collects initial values columnwise; the initial
-    state is the first standard basis vector.
+    The states are the derivative vectors s, s', ..., s^(n-1), a basis of the
+    span of all derivatives.  The derivative acts on that span with minimal
+    polynomial ``minimal``: the lcm over the components p/q of
+    X^(L - deg q) * rev(q) with L = max(deg q, deg p + 1), monic because
+    q(0) = 1.  So n = deg ``minimal``, the transition is its companion matrix
+    (subdiagonal 1s, -minimal_i in the last column), output row i holds the
+    first n coefficients of stream i, and the initial state is e_1.
     """
     streams = tuple(streams)
     if not streams:
@@ -144,63 +137,24 @@ def realize(streams: Sequence[RationalStream]) -> PointedLinearSystem:
     for s in streams:
         if s.field != field:
             raise FieldMismatch("streams over different fields")
-    widths = _embedding_widths(streams)
-    total = sum(widths)
-    zero = field.zero()
-
-    def embed(vector: Tuple[RationalStream, ...]) -> List:
-        coords: List = []
-        for s, width in zip(vector, widths):
-            assert s.num.degree < width, "derivative numerator outgrew its space"
-            coords.extend(s.num.coefficient(i) for i in range(width))
-        return coords
-
-    chain: List[Tuple[RationalStream, ...]] = []
-    # rows: (reduced coordinates with unit pivot, pivot index,
-    #        combination of chain elements producing those coordinates)
-    rows: List[Tuple[List, int, List]] = []
-    current = streams
-    dependence: List = []
-    while True:
-        residual = embed(current)
-        used = [zero] * len(chain)
-        for row, pivot, combo in rows:
-            factor = residual[pivot]
-            if factor == zero:
-                continue
-            residual = [a - factor * b for a, b in zip(residual, row)]
-            for j, c in enumerate(combo):
-                used[j] = used[j] + factor * c
-        pivot = next((i for i, v in enumerate(residual) if v != zero), None)
-        if pivot is None:
-            dependence = used
-            break
-        assert len(chain) < total, "derivative chain exceeded its dimension bound"
-        inv = field.inv(residual[pivot])
-        row = [inv * v for v in residual]
-        combo = [-inv * u for u in used] + [inv]
-        chain.append(current)
-        rows.append((row, pivot, combo))
-        current = tuple(s.derivative() for s in current)
-
-    n = len(chain)
-    one = field.one()
-    transition_rows = []
-    for i in range(n):
-        row = [zero] * n
-        if i >= 1:
-            row[i - 1] = one  # derivative sends basis element i-1 to i
-        row[n - 1] = dependence[i]  # last column: the dependence coefficients
-        transition_rows.append(row)
-    transition = Matrix(field, transition_rows, cols=n)
-    output = Matrix(
+    zero, one = field.zero(), field.one()
+    minimal = Polynomial.one(field)
+    for s in streams:
+        length = max(s.den.degree, s.num.degree + 1)
+        annihilator = Polynomial._make(
+            field, [zero] * (length - s.den.degree) + list(reversed(s.den.coeffs))
+        )
+        minimal = minimal * (annihilator // minimal.gcd(annihilator))
+    n = minimal.degree
+    transition = Matrix(
         field,
         (
-            (chain[j][i].initial_value() for j in range(n))
-            for i in range(len(streams))
+            [one if j == i - 1 else zero for j in range(n - 1)] + [-minimal.coeffs[i]]
+            for i in range(n)
         ),
         cols=n,
     )
+    output = Matrix(field, (s.expand(n) for s in streams), cols=n)
     initial = tuple(one if i == 0 else zero for i in range(n))
     return PointedLinearSystem(LinearSystem(transition, output), initial)
 
@@ -285,7 +239,11 @@ def is_first_basis_vector(field: Field, vector: Sequence) -> bool:
 
 
 def standardize_initial_state(pointed: PointedLinearSystem) -> PointedLinearSystem:
-    """Change basis so the initial state becomes (1, 0, ..., 0)."""
+    """Change basis so the initial state becomes (1, 0, ..., 0).
+
+    The new basis is the initial state v followed by the standard vectors at
+    the pivot columns of (v | I): the greedy completion of v to a basis.
+    """
     field = pointed.field
     if is_first_basis_vector(field, pointed.initial):
         return pointed
@@ -293,17 +251,11 @@ def standardize_initial_state(pointed: PointedLinearSystem) -> PointedLinearSyst
     if all(v == zero for v in pointed.initial):
         raise UnsupportedInitialVector("zero initial state spans no direction")
     n = pointed.dim
-    # complete the initial state to a basis, greedily adding standard vectors
-    columns: List[Tuple] = [pointed.initial]
-    for i in range(n):
-        if len(columns) == n:
-            break
-        candidate = tuple(
-            field.one() if j == i else zero for j in range(n)
-        )
-        trial = Matrix(field, zip(*(columns + [candidate])), cols=len(columns) + 1)
-        if rank(trial) == len(columns) + 1:
-            columns.append(candidate)
+    identity = Matrix.identity(field, n).entries
+    _, pivots = rref(
+        Matrix(field, ((v,) + row for v, row in zip(pointed.initial, identity)), cols=n + 1)
+    )
+    columns = [pointed.initial] + [identity[p - 1] for p in pivots[1:]]
     basis = Matrix(field, zip(*columns), cols=n)
     return change_basis(pointed, inverse(basis))
 

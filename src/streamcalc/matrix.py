@@ -64,12 +64,6 @@ class Matrix:
         i, j = index
         return self.entries[i][j]
 
-    def row(self, i: int) -> Tuple:
-        return self.entries[i]
-
-    def column_tuple(self, j: int) -> Tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def _check(self, other: "Matrix"):
         if other.domain != self.domain:
             raise FieldMismatch("matrices over different domains")
@@ -136,10 +130,6 @@ class Matrix:
                 acc = acc + self.entries[i][j] * vec[j]
             out.append(acc)
         return tuple(out)
-
-    def map_to(self, domain) -> "Matrix":
-        """Re-coerce every entry into another domain (e.g. k into k(X))."""
-        return Matrix(domain, self.entries, cols=self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -83,7 +83,7 @@ class RationalStream:
         its reduced form p/q.  Then Berlekamp-Massey's connection polynomial C
         is q, the numerator is (C * S) mod X^L for the prefix S, and the result
         is exact.  Without the precondition the result merely agrees with
-        ``terms``.
+        ``terms``.  Either way it is reduced.
         """
         terms = [field.coerce(t) for t in terms]
         connection, length = berlekamp_massey(field, terms)
@@ -95,15 +95,13 @@ class RationalStream:
             for i in range(min(k, len(c) - 1) + 1):
                 acc = acc + c[i] * terms[k - i]
             num.append(acc)
-        return cls(Polynomial._make(field, num), connection)
+        # a common factor of num and C would give a shorter recurrence; C(0) = 1
+        return cls._make(Polynomial._make(field, num), connection)
 
     @classmethod
     def from_fraction(cls, rf: RationalFunction):
         """Reinterpret an element of k(X); requires den(0) != 0."""
         return cls(rf.num, rf.den)
-
-    def as_fraction(self) -> RationalFunction:
-        return RationalFunction(self.num, self.den)
 
     @property
     def is_zero(self) -> bool:
@@ -164,7 +162,8 @@ class RationalStream:
         derivative over the *same* denominator.
         """
         shifted = self.num - self.den.scale(self.initial_value())
-        return RationalStream(shifted.shifted_down(), self.den)
+        # gcd(p - p0 q, q) = gcd(p, q) = 1 and X does not divide q
+        return RationalStream._make(shifted.shifted_down(), self.den)
 
     def iterated_derivative(self, k: int) -> "RationalStream":
         s = self

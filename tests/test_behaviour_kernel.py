@@ -14,6 +14,7 @@ from streamcalc import (
     RationalStream,
     ShapeMismatch,
     fit_recurrence,
+    realize,
     resolvent_streams,
 )
 from streamcalc import analysis, matrix, poly
@@ -131,3 +132,15 @@ def test_hot_paths_avoid_the_kx_oracle(monkeypatch):
     assert analysis.to_rational(circuit) == naturals
     assert analysis.first_difference(pointed, stream([1], [1, -1])) == 1
     assert fit_recurrence(naturals.expand(8), 4) == (-1, 2)
+
+
+def test_realize_neither_differentiates_nor_eliminates(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("realize differentiated or eliminated")
+
+    monkeypatch.setattr(RationalStream, "derivative", forbidden)
+    monkeypatch.setattr(matrix, "_eliminate", forbidden)
+
+    pointed = realize([stream([1], [1, -2]), stream([1], [1, -2, 1])])
+    assert pointed.system.dynamics == Matrix(QQ, [[0, 0, 2], [1, 0, -5], [0, 1, 4]])
+    assert pointed.system.output == Matrix(QQ, [[1, 2, 4], [1, 2, 3]])

@@ -184,6 +184,22 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    text = "(" * 2000 + "X" + ")" * 2000
+    code, out, err = run(capsys, "eval", text, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "nests deeper" in err
+    assert "Traceback" not in err
+
+
+def test_long_sum_evaluates_exactly(capsys):
+    code, out, err = run(capsys, "eval", "+".join(["X"] * 3000), "--n", "2")
+    assert code == 0
+    assert out == "0, 3000\n3000*X\n"
+    assert "Traceback" not in err
+
+
 def test_large_power_finishes(capsys):
     code, out, _ = run(capsys, "eval", "1/(1-X)^3000", "--n", "2")
     assert code == 0

@@ -135,3 +135,23 @@ def test_prime_field_axioms(a, b, c):
     assert a + (-a) == GF101.zero()
     if a != GF101.zero():
         assert a * GF101.inv(a) == GF101.one()
+
+
+def test_prime_field_element_equals_only_its_residue():
+    three = GF101.from_int(3)
+    assert three == 3 and three != 104 and three != -98
+    assert len({three, 3}) == 1
+    assert GF101.from_int(-1) == 100 and GF101.from_int(-1) != -1
+
+
+scalars = st.one_of(
+    st.integers(-300, 300),
+    st.integers(-300, 300).map(GF7.from_int),
+    st.integers(-300, 300).map(GF101.from_int),
+)
+
+
+@given(scalars, scalars)
+def test_equal_scalars_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b)

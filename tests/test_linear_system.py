@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from streamcalc import (
     LinearSystem,
     Matrix,
     PointedLinearSystem,
+    Polynomial,
     QQ,
     RationalStream,
     ShapeMismatch,
@@ -209,3 +212,62 @@ def test_shape_validation():
         LinearSystem(Matrix(QQ, [[1, 0]]), Matrix(QQ, [[1, 0]]))
     with pytest.raises(ShapeMismatch):
         PointedLinearSystem(SHIFT_SUM, (1,))
+
+
+REALIZE_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7), GF101)
+
+
+@st.composite
+def stream_vectors(draw):
+    """(field, 1-4 streams): zero, polynomial, general, or all over one shared
+    denominator."""
+    field = draw(st.sampled_from(REALIZE_FIELDS))
+    coeffs = st.lists(st.integers(-9, 9), max_size=6)
+    shared = [1] + draw(coeffs) if draw(st.booleans()) else None
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("zero", "polynomial", "general")))
+        num = [] if kind == "zero" else draw(coeffs)
+        den = [1] if kind == "polynomial" else shared or [1] + draw(coeffs)
+        streams.append(RationalStream(Polynomial(field, num), Polynomial(field, den)))
+    return field, tuple(streams)
+
+
+@given(stream_vectors())
+def test_realize_states_are_the_derivative_vectors(case):
+    field, streams = case
+    pointed = realize(streams)
+    system, n = pointed.system, pointed.dim
+    basis = Matrix.identity(field, n).entries
+    for i in range(n):
+        derivatives = tuple(s.iterated_derivative(i) for s in streams)
+        assert system.behaviour(basis[i]) == derivatives
+    if n:
+        following = system.dynamics.apply(basis[n - 1])
+        assert system.behaviour(following) == tuple(
+            s.iterated_derivative(n) for s in streams
+        )
+    assert pointed.initial == (basis[0] if n else ())
+    assert minimize(pointed).dim == n
+
+
+@st.composite
+def pointed_systems(draw):
+    field = draw(st.sampled_from(REALIZE_FIELDS))
+    n = draw(st.integers(1, 5))
+    square = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    dynamics = Matrix(field, draw(st.lists(square, min_size=n, max_size=n)))
+    output = Matrix(field, draw(st.lists(square, min_size=1, max_size=2)))
+    initial = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2)), min_size=n, max_size=n))
+    return PointedLinearSystem(LinearSystem(dynamics, output), initial)
+
+
+@given(pointed_systems())
+def test_standardize_initial_state_keeps_behaviour(pointed):
+    if all(v == 0 for v in pointed.initial):
+        with pytest.raises(UnsupportedInitialVector):
+            standardize_initial_state(pointed)
+        return
+    standard = standardize_initial_state(pointed)
+    assert standard.initial == Matrix.identity(pointed.field, pointed.dim).entries[0]
+    assert standard.behaviour() == pointed.behaviour()

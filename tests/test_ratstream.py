@@ -186,3 +186,25 @@ def test_large_power_is_reduced_closed_form():
     assert s.num == poly(QQ, 1)
     assert s.den.degree == 3000
     assert s.expand(3) == [1, 3000, 3000 * 3001 // 2]
+
+
+TRUSTED_FIELDS = (QQ, PrimeField(2), PrimeField(101))
+
+
+@given(st.sampled_from(TRUSTED_FIELDS), st.lists(st.integers(-9, 9), max_size=12))
+def test_from_sequence_is_already_reduced(field, terms):
+    s = RationalStream.from_sequence(field, terms)
+    assert s == RationalStream(s.num, s.den)
+    assert s.expand(len(terms)) == [field.coerce(t) for t in terms]
+
+
+@given(
+    st.sampled_from(TRUSTED_FIELDS),
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.lists(st.integers(-9, 9), max_size=6),
+)
+def test_derivative_is_already_reduced(field, num, den):
+    s = RationalStream(Polynomial(field, num), Polynomial(field, [1] + den))
+    for _ in range(3):
+        s = s.derivative()
+        assert s == RationalStream(s.num, s.den)
