@@ -26,6 +26,7 @@ from .fields import Field, field_from_spec
 from .linear_system import LinearSystem, PointedLinearSystem, is_first_basis_vector
 from .matrix import Matrix
 from .ratstream import RationalStream
+from .records import read_dimension, read_records
 
 
 @dataclass(frozen=True)
@@ -142,57 +143,29 @@ def format_automaton(automaton: WeightedAutomaton) -> str:
 
 
 def parse_automaton(text: str) -> WeightedAutomaton:
-    field: Field = field_from_spec("q")
-    size = None
-    outputs: Dict[int, object] = {}
-    edges: Dict[Tuple[int, int], object] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
-        parts = rest.split()
-        if head == "field":
-            field = field_from_spec(rest.strip())
-        elif head == "states":
-            if size is not None:
-                raise FormatError("duplicate states line")
-            if len(parts) != 1 or not parts[0].isdigit():
-                raise FormatError(f"bad states line: {line!r}")
-            size = int(parts[0])
-        elif head == "out":
-            if len(parts) != 2:
-                raise FormatError(f"bad out line: {line!r}")
-            index = _state_index(parts[0], size)
-            if index in outputs:
-                raise FormatError(f"duplicate out line for state {parts[0]}")
-            outputs[index] = field.parse(parts[1])
-        elif head == "edge":
-            if len(parts) != 3:
-                raise FormatError(f"bad edge line: {line!r}")
-            src = _state_index(parts[0], size)
-            dst = _state_index(parts[1], size)
-            if (src, dst) in edges:
-                raise FormatError(f"duplicate edge {parts[0]} -> {parts[1]}")
-            edges[(src, dst)] = field.parse(parts[2])
-        else:
-            raise FormatError(f"unknown automaton line: {line!r}")
-    if size is None:
-        raise FormatError("automaton file has no states line")
+    header, lines = read_records(text, ("states",), ("field",), ("out", "edge"))
+    line, spec = header.get("field", (None, "q"))
+    try:
+        field = field_from_spec(spec)
+        line, value = header["states"]
+        states_line = line
+        size = read_dimension("states", value)
+        state_of = {str(q + 1): q for q in range(size)}
+        entries: Dict[Tuple, object] = {}
+        for line, key, value in lines:
+            if line < states_line:
+                raise FormatError(f"{key} line before the states line")
+            parts = value.split()
+            index = (key, *[state_of.get(i.lstrip("0"), -1) for i in parts[:-1]])
+            if len(index) != (2 if key == "out" else 3) or -1 in index:
+                raise FormatError(f"bad {key} line: {key} {value} (states are 1..{size})")
+            if index in entries:
+                raise FormatError(f"repeated {key} {' '.join(parts[:-1])}")
+            entries[index] = field.parse(parts[-1])
+    except FormatError as exc:
+        raise exc.at(line)
     zero = field.zero()
-    out_vec = tuple(outputs.get(i, zero) for i in range(size))
-    weight_rows = [
-        [edges.get((i, j), zero) for j in range(size)] for i in range(size)
-    ]
-    return WeightedAutomaton(out_vec, Matrix(field, weight_rows, cols=size))
+    outputs = tuple(entries.get(("out", i), zero) for i in range(size))
+    weights = ([entries.get(("edge", i, j), zero) for j in range(size)] for i in range(size))
+    return WeightedAutomaton(outputs, Matrix(field, weights, cols=size))
 
-
-def _state_index(token: str, size) -> int:
-    if not token.isdigit() or int(token) < 1:
-        raise FormatError(f"state indices are 1-based integers, got {token!r}")
-    index = int(token) - 1
-    if size is None:
-        raise FormatError("out/edge line before the states line")
-    if index >= size:
-        raise FormatError(f"state {token} exceeds the declared state count")
-    return index

@@ -12,7 +12,7 @@ feedforward row applied to the resolvent of the feedback matrix at the seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -20,10 +20,11 @@ from .errors import (
     IllFormedCircuit,
     ShapeMismatch,
 )
-from .fields import Field, field_from_spec
+from .fields import Field, field_from_spec, is_ascii_digits
 from .linear_system import LinearSystem, PointedLinearSystem
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix, parse_vector
 from .ratstream import RationalStream
+from .records import content_lines, read_records
 
 
 @dataclass(frozen=True)
@@ -377,65 +378,47 @@ def format_netlist(netlist: Netlist) -> str:
 
 def _parse_port(text: str, direction: str) -> Port:
     gid, dot, port = text.partition(".")
-    if not dot or not port.startswith(direction) or not port[len(direction):].isdigit():
+    if not dot or not port.startswith(direction) or not is_ascii_digits(port[len(direction):]):
         raise FormatError(f"bad {direction}put port: {text!r}")
     return gid, int(port[len(direction):])
 
 
 def parse_netlist(text: str) -> Netlist:
-    field: Field = field_from_spec("q")
+    header, lines = read_records(text, ("output",), ("field",), ("gate", "wire"))
     gates: Dict[str, Gate] = {}
     wires: List[Wire] = []
-    output: Optional[Port] = None
-    pending: List[Tuple[str, str, str]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "field":
-            field = field_from_spec(rest)
-        elif head == "gate":
-            parts = rest.split()
+    line, spec = header.get("field", (None, "q"))
+    try:
+        field = field_from_spec(spec)
+        line, value = header["output"]
+        output = _parse_port(value, "out")
+        for line, key, value in lines:
+            if key == "wire":
+                src, arrow, dst = value.partition("->")
+                if not arrow:
+                    raise FormatError(f"bad wire line: wire {value}")
+                wires.append((_parse_port(src.strip(), "out"), _parse_port(dst.strip(), "in")))
+                continue
+            parts = value.split()
             if len(parts) != 3:
-                raise FormatError(f"bad gate line: {line!r}")
+                raise FormatError(f"bad gate line: gate {value}")
             name, kind, param = parts
-            if name in gates or any(p[0] == name for p in pending):
+            if name in gates:
                 raise FormatError(f"duplicate gate id: {name}")
             if kind not in _GATE_KEYWORDS:
                 raise FormatError(f"unknown gate kind: {kind!r}")
-            pending.append((name, kind, param))
-        elif head == "wire":
-            src_text, arrow, dst_text = rest.partition("->")
-            if not arrow:
-                raise FormatError(f"bad wire line: {line!r}")
-            wires.append(
-                (
-                    _parse_port(src_text.strip(), "out"),
-                    _parse_port(dst_text.strip(), "in"),
-                )
-            )
-        elif head == "output":
-            if output is not None:
-                raise FormatError("duplicate output declaration")
-            output = _parse_port(rest, "out")
-        else:
-            raise FormatError(f"unknown netlist line: {line!r}")
-    for name, kind, param in pending:
-        cls, key = _GATE_KEYWORDS[kind]
-        prefix = key + "="
-        if not param.startswith(prefix):
-            raise FormatError(f"gate {name} expects parameter {key}=...")
-        value = param[len(prefix):]
-        if kind in ("adder", "copier"):
-            if not value.isdigit():
-                raise FormatError(f"gate {name}: {key} must be an integer")
-            gates[name] = cls(int(value))
-        else:
-            gates[name] = cls(field.parse(value))
-    if output is None:
-        raise FormatError("netlist file has no output declaration")
+            cls, param_key = _GATE_KEYWORDS[kind]
+            label, eq, param_value = param.partition("=")
+            if label != param_key or not eq:
+                raise FormatError(f"gate {name} expects parameter {param_key}=...")
+            if cls in (Adder, Copier):
+                if not is_ascii_digits(param_value):
+                    raise FormatError(f"gate {name}: {param_key} must be an integer")
+                gates[name] = cls(int(param_value))
+            else:
+                gates[name] = cls(field.parse(param_value))
+    except FormatError as exc:
+        raise exc.at(line)
     return Netlist(field, gates, wires, output)
 
 
@@ -450,43 +433,23 @@ def format_canonical(circuit: CanonicalCircuit) -> str:
 
 
 def parse_canonical(text: str) -> CanonicalCircuit:
-    import re
-
-    chunks: List[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        # the compact form may also pack key=value pairs on one line
-        chunks.extend(
-            part.strip() for part in re.split(r";\s*(?=\w+\s*=)", line) if part.strip()
-        )
-    entries = {}
-    for chunk in chunks:
-        key, eq, value = chunk.partition("=")
-        if not eq:
-            raise FormatError(f"bad canonical circuit chunk: {chunk!r}")
-        key = key.strip()
-        if key in entries:
-            raise FormatError(f"duplicate canonical circuit key: {key}")
-        entries[key] = value.strip()
-    for needed in ("M", "N", "r"):
-        if needed not in entries:
-            raise FormatError(f"canonical circuit missing {needed}=")
-    field = field_from_spec(entries.get("field", "q"))
-    feedback = parse_matrix(field, entries["M"])
-    feedforward = parse_matrix(field, entries["N"])
-    initial = parse_vector(field, entries["r"])
+    entries, _ = read_records(text, ("M", "N", "r"), ("field",), separator="=")
+    line, spec = entries.get("field", (None, "q"))
+    try:
+        field = field_from_spec(spec)
+        line, value = entries["M"]
+        feedback = parse_matrix(field, value)
+        line, value = entries["N"]
+        feedforward = parse_matrix(field, value)
+        line, value = entries["r"]
+        initial = parse_vector(field, value)
+    except FormatError as exc:
+        raise exc.at(line)
     return CanonicalCircuit(feedback, feedforward, initial)
 
 
 def parse_circuit_file(text: str) -> Union[Netlist, CanonicalCircuit]:
-    """Accept either a netlist file or the compact canonical form."""
-    stripped = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if any(line.split(" ", 1)[0] in ("gate", "wire", "output") for line in stripped):
+    """A netlist file if a line starts with a netlist keyword, else the canonical form."""
+    if any(line.split(" ", 1)[0] in ("gate", "wire", "output") for _, line in content_lines(text)):
         return parse_netlist(text)
     return parse_canonical(text)

@@ -25,13 +25,14 @@ from .errors import (
     ParseError,
     StreamCalcError,
 )
-from .fields import Field, field_from_spec
+from .fields import Field, field_from_spec, is_ascii_digits
 from .linear_system import (
     PointedLinearSystem,
     format_system,
     parse_system,
     realize,
 )
+from .matrix import parse_vector
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +50,14 @@ def _count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+def _read(path: str, parse):
+    """Parse the file at ``path``; a format error names the file and line."""
+    try:
+        return parse(Path(path).read_text())
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _field(args) -> Field:
@@ -90,7 +99,7 @@ def _cmd_circuit_synth(args) -> int:
 
 
 def _cmd_circuit_sim(args) -> int:
-    loaded = parse_circuit_file(Path(args.file).read_text())
+    loaded = _read(args.file, parse_circuit_file)
     netlist = loaded if isinstance(loaded, Netlist) else loaded.to_netlist()
     print(_prefix_line(netlist.field, netlist.simulate(args.n)))
     return 0
@@ -105,7 +114,7 @@ def _cmd_automaton_synth(args) -> int:
 
 
 def _cmd_automaton_eval(args) -> int:
-    automaton = parse_automaton(Path(args.file).read_text())
+    automaton = _read(args.file, parse_automaton)
     state = _automaton_state(automaton, args.state)
     if args.method == "path":
         values = [automaton.path_sum(state, k) for k in range(args.n)]
@@ -133,10 +142,8 @@ def _load_representation(spec: str, field: Field):
         return expr.evaluate_text(rest, field)
     if kind == "system":
         path, at, vector_text = rest.partition("@")
-        loaded = parse_system(Path(path).read_text())
+        loaded = _read(path, parse_system)
         if at:
-            from .matrix import parse_vector
-
             if isinstance(loaded, PointedLinearSystem):
                 loaded = loaded.system
             initial = parse_vector(loaded.field, vector_text)
@@ -145,7 +152,7 @@ def _load_representation(spec: str, field: Field):
             raise FormatError(f"system file {path} has no v0; pass system:{path}@v")
         return loaded
     if kind == "circuit":
-        loaded = parse_circuit_file(Path(rest).read_text())
+        loaded = _read(rest, parse_circuit_file)
         if isinstance(loaded, Netlist):
             raise FormatError(
                 "equality needs a canonical circuit file (M=/N=/r=); "
@@ -154,9 +161,9 @@ def _load_representation(spec: str, field: Field):
         return loaded
     if kind == "automaton":
         path, at, state_text = rest.partition("@")
-        if not at or not state_text.isdigit():
+        if not at or not is_ascii_digits(state_text):
             raise FormatError("automaton representation needs @<state>, 1-based")
-        automaton = parse_automaton(Path(path).read_text())
+        automaton = _read(path, parse_automaton)
         return analysis.AutomatonState(
             automaton, _automaton_state(automaton, int(state_text))
         )

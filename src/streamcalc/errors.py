@@ -54,4 +54,14 @@ class ParseError(StreamCalcError):
 
 
 class FormatError(StreamCalcError):
-    """Malformed scalar, matrix, or file content."""
+    """Malformed scalar, matrix, or file content; ``line`` is the 1-based file line."""
+
+    line = None
+
+    def at(self, line):
+        """Attribute the error to file line ``line`` unless it names one already."""
+        self.line = self.line or line
+        return self
+
+    def __str__(self):
+        return f"line {self.line}: {self.args[0]}" if self.line else self.args[0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .errors import ParseError
-from .fields import QQ, Field
+from .fields import QQ, Field, is_ascii_digits
 from .ratstream import RationalStream
 
 
@@ -106,16 +106,16 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if is_ascii_digits(ch):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and is_ascii_digits(text[i]):
                 i += 1
             numerator = int(text[start:i])
             # 'a/b' with no whitespace is one scalar literal token
-            if i + 1 < n and text[i] == "/" and text[i + 1].isdigit():
+            if i + 1 < n and text[i] == "/" and is_ascii_digits(text[i + 1]):
                 i += 1
                 den_start = i
-                while i < n and text[i].isdigit():
+                while i < n and is_ascii_digits(text[i]):
                     i += 1
                 tokens.append(("RAT", (numerator, int(text[den_start:i])), start))
             else:
@@ -259,39 +259,52 @@ def _precedence(node: Expr, field: Field) -> int:
     return _ATOM_PREC
 
 
+# Compound nodes: the template joining their rendered children, and per child
+# the attribute and the least precedence that it shows without parentheses.
+_SHAPES = {
+    Neg: ("-{}", ("operand", _NEG_PREC)),
+    Add: ("{} + {}", ("left", _ADD_PREC), ("right", _ADD_PREC + 1)),
+    Sub: ("{} - {}", ("left", _ADD_PREC), ("right", _ADD_PREC + 1)),
+    Mul: ("{}*{}", ("left", _MUL_PREC), ("right", _MUL_PREC + 1)),
+    Div: ("{}/{}", ("left", _MUL_PREC), ("right", _MUL_PREC + 1)),
+    Pow: ("{}^{}", ("base", _ATOM_PREC)),
+    Inv: ("1/{}", ("operand", _MUL_PREC + 1)),
+}
+
+
 def to_text(node: Expr, field: Field = QQ) -> str:
-    """Render an AST so that parsing the text gives the AST back."""
+    """Render an AST so that parsing the text gives the AST back.
 
-    def wrap(child: Expr, minimum: int) -> str:
-        text = render(child)
-        return f"({text})" if _precedence(child, field) < minimum else text
-
-    def render(n: Expr) -> str:
-        if isinstance(n, Scalar):
-            return field.format(n.value)
-        if isinstance(n, VarX):
-            return "X"
-        if isinstance(n, Neg):
-            return "-" + wrap(n.operand, _NEG_PREC)
-        if isinstance(n, Add):
-            return f"{wrap(n.left, _ADD_PREC)} + {wrap(n.right, _ADD_PREC + 1)}"
-        if isinstance(n, Sub):
-            return f"{wrap(n.left, _ADD_PREC)} - {wrap(n.right, _ADD_PREC + 1)}"
-        if isinstance(n, Mul):
-            return f"{wrap(n.left, _MUL_PREC)}*{wrap(n.right, _MUL_PREC + 1)}"
-        if isinstance(n, Div):
-            left = wrap(n.left, _MUL_PREC)
-            right = wrap(n.right, _MUL_PREC + 1)
-            # keep digit/digit from lexing as a scalar literal
-            joiner = " / " if left[-1].isdigit() and right[0].isdigit() else "/"
-            return left + joiner + right
-        if isinstance(n, Pow):
-            return f"{wrap(n.base, _ATOM_PREC)}^{n.exponent}"
-        if isinstance(n, Inv):
-            return "1/" + wrap(n.operand, _MUL_PREC + 1)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return render(node)
+    Like ``evaluate``, it works post-order on an explicit stack, so a long
+    operator chain needs no recursion.
+    """
+    texts: List[str] = []
+    pending: List = [node]
+    while pending:
+        n = pending.pop()
+        if isinstance(n, tuple):  # (node,) once the node's children are rendered
+            n = n[0]
+            template, *slots = _SHAPES[type(n)]
+            parts = texts[-len(slots):]
+            del texts[-len(slots):]
+            for i, (name, least) in enumerate(slots):
+                if _precedence(getattr(n, name), field) < least:
+                    parts[i] = f"({parts[i]})"
+            if isinstance(n, Pow):
+                parts.append(n.exponent)
+            elif isinstance(n, Div) and is_ascii_digits(parts[0][-1] + parts[1][0]):
+                template = "{} / {}"  # keep digit/digit from lexing as a scalar literal
+            texts.append(template.format(*parts))
+        elif isinstance(n, Scalar):
+            texts.append(field.format(n.value))
+        elif isinstance(n, VarX):
+            texts.append("X")
+        elif type(n) in _SHAPES:
+            pending.append((n,))
+            pending += [getattr(n, name) for name, _ in reversed(_SHAPES[type(n)][1:])]
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+    return texts[0]
 
 
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}

@@ -24,6 +24,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_BOUND = 318665857834031151167461
 
 
+def is_ascii_digits(text: str) -> bool:
+    """Whether ``text`` is a nonempty run of 0-9 (``str.isdigit`` also takes ``²``)."""
+    return text.isascii() and text.isdigit()
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality for n < MR_BOUND; larger n raise ValueError."""
     if n >= MR_BOUND:
@@ -321,7 +326,7 @@ def field_from_spec(text: str) -> Field:
         return QQ
     if text.startswith("gf:"):
         body = text[3:]
-        if not body.isdigit():
+        if not is_ascii_digits(body):
             raise FormatError(f"bad field spec: {text!r}")
         return PrimeField(int(body))
     raise FormatError(f"bad field spec: {text!r} (use 'q' or 'gf:<prime>')")

@@ -36,6 +36,7 @@ from .matrix import (
 )
 from .poly import Polynomial
 from .ratstream import RationalStream
+from .records import read_dimension, read_records
 
 
 @dataclass(frozen=True)
@@ -283,45 +284,35 @@ def format_system(obj: SystemLike) -> str:
 
 
 def parse_system(text: str) -> SystemLike:
-    entries = {}
-    order = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if key in entries:
-            raise FormatError(f"duplicate key in system file: {key}")
-        entries[key] = value.strip()
-        order.append(key)
-    for needed in ("field", "n", "m"):
-        if needed not in entries:
-            raise FormatError(f"system file missing key: {needed}")
-    field = field_from_spec(entries["field"])
+    entries, _ = read_records(text, ("field", "n", "m"), ("F", "H", "v0"))
+    line, spec = entries["field"]
     try:
-        n = int(entries["n"])
-        m = int(entries["m"])
-    except ValueError as exc:
-        raise FormatError(f"bad dimension in system file: {exc}") from None
-    if n < 0 or m < 1:
-        raise FormatError("system file needs n >= 0 and m >= 1")
-    if n == 0:
-        dynamics = Matrix.zero(field, 0, 0)
-        output = Matrix.zero(field, m, 0)
-    else:
-        if "F" not in entries or "H" not in entries:
-            raise FormatError("system file missing F or H")
-        dynamics = parse_matrix(field, entries["F"])
-        output = parse_matrix(field, entries["H"])
-        if dynamics.rows != n or dynamics.cols != n:
-            raise FormatError("F dimensions disagree with n")
-        if output.rows != m or output.cols != n:
-            raise FormatError("H dimensions disagree with n, m")
-    system = LinearSystem(dynamics, output)
-    if "v0" not in entries:
-        return system
-    value = entries["v0"]
-    initial = parse_vector(field, value) if value else ()
-    if len(initial) != n:
-        raise FormatError("v0 length disagrees with n")
+        field = field_from_spec(spec)
+        line, value = entries["n"]
+        n = read_dimension("n", value)
+        if n and ("F" not in entries or "H" not in entries):
+            raise FormatError(f"n {n} needs F and H lines")
+        line, value = entries["m"]
+        m = read_dimension("m", value, least=1)
+        if n == 0:
+            dynamics = Matrix.zero(field, 0, 0)
+            output = Matrix.zero(field, m, 0)
+        else:
+            line, value = entries["F"]
+            dynamics = parse_matrix(field, value)
+            if dynamics.rows != n or dynamics.cols != n:
+                raise FormatError("F dimensions disagree with n")
+            line, value = entries["H"]
+            output = parse_matrix(field, value)
+            if output.rows != m or output.cols != n:
+                raise FormatError("H dimensions disagree with n, m")
+        system = LinearSystem(dynamics, output)
+        if "v0" not in entries:
+            return system
+        line, value = entries["v0"]
+        initial = parse_vector(field, value) if value else ()
+        if len(initial) != n:
+            raise FormatError("v0 length disagrees with n")
+    except FormatError as exc:
+        raise exc.at(line)
     return PointedLinearSystem(system, initial)

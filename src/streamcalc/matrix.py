@@ -315,6 +315,8 @@ def parse_matrix(field: Field, text: str) -> Matrix:
         cells = row_text.split(",")
         if cells == [""]:
             raise FormatError("empty matrix row")
+        if rows and len(cells) != len(rows[0]):
+            raise FormatError("matrix rows of unequal length")
         rows.append([field.parse(cell) for cell in cells])
     return Matrix(field, rows)
 
