@@ -3,8 +3,9 @@
 Every finite representation (closed form, pointed linear system, canonical
 circuit, automaton state) denotes exactly one rational stream, so equivalence
 reduces to equality of closed forms.  For raw coefficient prefixes, the rank
-of the Hankel matrix H[i][j] = prefix[i+j] lower-bounds the dimension of the
-derivative-generated subspace; a rank exceeding d rules out every rational
+of the Hankel matrix H[i][j] = prefix[i+j], read off the linear complexity
+with no elimination, lower-bounds the dimension of the derivative-generated
+subspace; a rank exceeding d rules out every rational
 representation p/q with max(deg p, deg q) <= d.  Finite data never proves
 non-rationality outright, so the prober reports a bounded verdict only.
 """
@@ -18,7 +19,7 @@ from .circuit import CanonicalCircuit
 from .errors import DimensionMismatch, FieldMismatch, InsufficientPrefix
 from .fields import field_of
 from .linear_system import PointedLinearSystem
-from .matrix import Matrix, rank, solve
+from .matrix import Matrix, solve
 from .automaton import WeightedAutomaton
 from .ratstream import RationalStream, berlekamp_massey, valuation
 
@@ -92,7 +93,10 @@ def hankel_rank(prefix: Sequence, size: int) -> int:
 
     This lower-bounds the dimension of the smallest derivative-closed
     subspace containing the stream, and equals it for rational streams once
-    the size is large enough.
+    the size is large enough.  The matrix is never built: for the m x m
+    Hankel matrix of s_0..s_{2m-2}, rank = min(L, 2m - L), where L is the
+    linear complexity of those 2m - 1 terms (Iohvidov's theory of Hankel
+    ranks; Heinig and Rost), and Berlekamp-Massey gives L.
     """
     if size < 0:
         raise ValueError("hankel size must be nonnegative")
@@ -103,9 +107,8 @@ def hankel_rank(prefix: Sequence, size: int) -> int:
             f"hankel size {size} needs at least {2 * size - 1} coefficients, "
             f"got {len(prefix)}"
         )
-    field = field_of(prefix[0])
-    rows = [[prefix[i + j] for j in range(size)] for i in range(size)]
-    return rank(Matrix(field, rows, cols=size))
+    _, length = berlekamp_massey(field_of(prefix[0]), prefix[: 2 * size - 1])
+    return min(length, 2 * size - length)
 
 
 def nonrationality_probe(prefix: Sequence, bound: int) -> RankReport:

@@ -20,7 +20,7 @@ from .errors import (
     IllFormedCircuit,
     ShapeMismatch,
 )
-from .fields import Field, field_from_spec, is_ascii_digits
+from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
 from .linear_system import LinearSystem, PointedLinearSystem
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix, parse_vector
 from .ratstream import RationalStream
@@ -380,7 +380,7 @@ def _parse_port(text: str, direction: str) -> Port:
     gid, dot, port = text.partition(".")
     if not dot or not port.startswith(direction) or not is_ascii_digits(port[len(direction):]):
         raise FormatError(f"bad {direction}put port: {text!r}")
-    return gid, int(port[len(direction):])
+    return gid, parse_integer(port[len(direction):])
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -414,7 +414,7 @@ def parse_netlist(text: str) -> Netlist:
             if cls in (Adder, Copier):
                 if not is_ascii_digits(param_value):
                     raise FormatError(f"gate {name}: {param_key} must be an integer")
-                gates[name] = cls(int(param_value))
+                gates[name] = cls(parse_integer(param_value))
             else:
                 gates[name] = cls(field.parse(param_value))
     except FormatError as exc:

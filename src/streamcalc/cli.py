@@ -25,9 +25,10 @@ from .errors import (
     ParseError,
     StreamCalcError,
 )
-from .fields import Field, field_from_spec, is_ascii_digits
+from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
 from .linear_system import (
     PointedLinearSystem,
+    at_least_one_state,
     format_system,
     parse_system,
     realize,
@@ -93,7 +94,7 @@ def _cmd_realize(args) -> int:
 def _cmd_circuit_synth(args) -> int:
     field = _field(args)
     stream = expr.evaluate_text(args.expr, field)
-    circuit = CanonicalCircuit.from_linear_system(realize([stream]))
+    circuit = CanonicalCircuit.from_linear_system(at_least_one_state(realize([stream])))
     print(format_canonical(circuit), end="")
     return 0
 
@@ -108,7 +109,7 @@ def _cmd_circuit_sim(args) -> int:
 def _cmd_automaton_synth(args) -> int:
     field = _field(args)
     stream = expr.evaluate_text(args.expr, field)
-    automaton = WeightedAutomaton.from_linear_system(realize([stream]))
+    automaton = WeightedAutomaton.from_linear_system(at_least_one_state(realize([stream])))
     print(format_automaton(automaton), end="")
     return 0
 
@@ -165,7 +166,7 @@ def _load_representation(spec: str, field: Field):
             raise FormatError("automaton representation needs @<state>, 1-based")
         automaton = _read(path, parse_automaton)
         return analysis.AutomatonState(
-            automaton, _automaton_state(automaton, int(state_text))
+            automaton, _automaton_state(automaton, parse_integer(state_text))
         )
     raise FormatError(f"unknown representation kind {kind!r}")
 

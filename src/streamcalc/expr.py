@@ -23,8 +23,8 @@ import operator
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
-from .errors import ParseError
-from .fields import QQ, Field, is_ascii_digits
+from .errors import FormatError, ParseError
+from .fields import QQ, Field, is_ascii_digits, parse_integer
 from .ratstream import RationalStream
 
 
@@ -97,6 +97,13 @@ _PUNCT = {
 }
 
 
+def _literal(digits: str, position: int) -> int:
+    try:
+        return parse_integer(digits)
+    except FormatError as exc:
+        raise ParseError(str(exc), position) from None
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     i = 0
@@ -110,14 +117,15 @@ def _tokenize(text: str) -> List[_Token]:
             start = i
             while i < n and is_ascii_digits(text[i]):
                 i += 1
-            numerator = int(text[start:i])
+            numerator = _literal(text[start:i], start)
             # 'a/b' with no whitespace is one scalar literal token
             if i + 1 < n and text[i] == "/" and is_ascii_digits(text[i + 1]):
                 i += 1
                 den_start = i
                 while i < n and is_ascii_digits(text[i]):
                     i += 1
-                tokens.append(("RAT", (numerator, int(text[den_start:i])), start))
+                denominator = _literal(text[den_start:i], den_start)
+                tokens.append(("RAT", (numerator, denominator), start))
             else:
                 tokens.append(("INT", numerator, start))
             continue

@@ -4,18 +4,23 @@ Rational scalars are plain ``fractions.Fraction`` values (always in lowest
 terms with positive denominator).  Prime-field scalars are
 :class:`PrimeFieldElement` residues.  A field descriptor object
 (:data:`QQ` or a :class:`PrimeField`) supplies identities, coercion,
-inversion and the text syntax used by matrices, files and the CLI.
+inversion and the text syntax used by matrices, files and the CLI.  It also
+owns the raw values that inner loops compute with: the ``Fraction`` itself
+over Q and the bare ``int`` residue over GF(p).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FieldMismatch, FormatError
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_INTEGER_RE = re.compile(r"[+-]?\d+\Z")
+# [0-9], not \d: \d also matches other scripts' digits such as '٣'
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 # The first 12 primes as Miller-Rabin witnesses decide primality exactly below
 # psi_12 = 318665857834031151167461 = 399165290221 * 798330580441, the least
@@ -27,6 +32,21 @@ MR_BOUND = 318665857834031151167461
 def is_ascii_digits(text: str) -> bool:
     """Whether ``text`` is a nonempty run of 0-9 (``str.isdigit`` also takes ``²``)."""
     return text.isascii() and text.isdigit()
+
+
+def parse_integer(text: str) -> int:
+    """``int(text)`` for a literal already checked to be signed ASCII digits.
+
+    ``int`` refuses literals of more than ``sys.get_int_max_str_digits()``
+    digits (4300 by default); those raise a FormatError instead.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(
+            f"integer literal of {len(text.lstrip('+-'))} digits is too long "
+            f"(at most {sys.get_int_max_str_digits()})"
+        ) from None
 
 
 def is_prime(n: int) -> bool:
@@ -56,20 +76,20 @@ def is_prime(n: int) -> bool:
 
 
 def _invmod(a: int, p: int) -> int:
-    # extended Euclid; works uniformly for any prime size
-    old_r, r = a % p, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise ZeroDivisionError("inversion of zero in prime field")
-    return old_s % p
+    try:
+        return pow(a, -1, p)
+    except ValueError:
+        raise ZeroDivisionError("inversion of zero in prime field") from None
 
 
 class Field:
-    """Descriptor of a scalar field: identities, coercion, text syntax."""
+    """Descriptor of a scalar field: identities, coercion, text syntax.
+
+    Raw values are what kernels compute with between one ``to_raw`` on entry
+    and one ``from_raw`` on exit: sums and products of raw values, passed
+    through ``reduce``, are raw values again, and a reduced raw value is
+    zero exactly when it is falsy.
+    """
 
     def zero(self):
         raise NotImplementedError
@@ -84,6 +104,22 @@ class Field:
         raise NotImplementedError
 
     def inv(self, a):
+        raise NotImplementedError
+
+    def to_raw(self, a):
+        """The raw value of ``a`` (anything ``coerce`` accepts)."""
+        raise NotImplementedError
+
+    def from_raw(self, r):
+        """The field element of a reduced raw value."""
+        raise NotImplementedError
+
+    def reduce(self, r):
+        """The reduced raw value of a sum or product of raw values."""
+        raise NotImplementedError
+
+    def raw_inv(self, r):
+        """The reduced raw inverse of a nonzero reduced raw value."""
         raise NotImplementedError
 
     def is_negative(self, a) -> bool:
@@ -127,6 +163,18 @@ class Rationals(Field):
     def inv(self, a):
         return 1 / self.coerce(a)
 
+    # raw values over Q are the Fractions themselves, always in lowest terms
+    to_raw = coerce
+
+    def from_raw(self, r):
+        return r
+
+    def reduce(self, r):
+        return r
+
+    def raw_inv(self, r):
+        return 1 / r
+
     def is_negative(self, a):
         return a < 0
 
@@ -135,9 +183,10 @@ class Rationals(Field):
         if not _RATIONAL_RE.match(text):
             raise FormatError(f"bad rational scalar: {text!r}")
         num, slash, den = text.partition("/")
-        if slash and int(den) == 0:
+        denominator = parse_integer(den) if slash else 1
+        if denominator == 0:
             raise FormatError(f"zero denominator in scalar: {text!r}")
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(parse_integer(num), denominator)
 
     def format(self, a):
         return str(a)
@@ -290,6 +339,18 @@ class PrimeField(Field):
     def inv(self, a):
         return self.coerce(a).inverse()
 
+    def to_raw(self, a):
+        return self.coerce(a).value
+
+    def from_raw(self, r):
+        return PrimeFieldElement(r, self)
+
+    def reduce(self, r):
+        return r % self.modulus
+
+    def raw_inv(self, r):
+        return _invmod(r, self.modulus)
+
     def is_negative(self, a):
         return False
 
@@ -297,7 +358,7 @@ class PrimeField(Field):
         text = text.strip()
         if not _INTEGER_RE.match(text):
             raise FormatError(f"bad GF({self.modulus}) scalar: {text!r}")
-        return PrimeFieldElement(int(text), self)
+        return PrimeFieldElement(parse_integer(text), self)
 
     def format(self, a):
         return str(self.coerce(a).value)
@@ -328,8 +389,15 @@ def field_from_spec(text: str) -> Field:
         body = text[3:]
         if not is_ascii_digits(body):
             raise FormatError(f"bad field spec: {text!r}")
-        return PrimeField(int(body))
+        return _prime_field(parse_integer(body))
     raise FormatError(f"bad field spec: {text!r} (use 'q' or 'gf:<prime>')")
+
+
+@lru_cache(maxsize=64)
+def _prime_field(modulus: int) -> PrimeField:
+    # a field is immutable, so one per modulus runs Miller-Rabin once; a
+    # rejected modulus raises, which lru_cache never stores
+    return PrimeField(modulus)
 
 
 def field_of(element) -> Field:

@@ -120,6 +120,21 @@ class PointedLinearSystem:
         return self.system.step_outputs(self.initial, steps)
 
 
+def at_least_one_state(pointed: PointedLinearSystem) -> PointedLinearSystem:
+    """``pointed``, or for a stateless system (its streams are all 0) the
+    one-state system with transition 0, outputs 0 and initial state e_1.
+
+    Canonical circuits and automata need a state, so the zero stream is
+    synthesized from the latter.
+    """
+    if pointed.dim:
+        return pointed
+    field = pointed.field
+    zero = [field.zero()]
+    output = Matrix(field, [zero] * pointed.system.num_outputs, cols=1)
+    return PointedLinearSystem(LinearSystem(Matrix(field, [zero]), output), (field.one(),))
+
+
 def realize(streams: Sequence[RationalStream]) -> PointedLinearSystem:
     """Minimal linear representation of a vector of rational streams.
 

@@ -13,6 +13,7 @@ k and handing them to :meth:`RationalStream.from_sequence`.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import FieldMismatch, NotInvertibleAtZero
@@ -85,18 +86,15 @@ class RationalStream:
         is exact.  Without the precondition the result merely agrees with
         ``terms``.  Either way it is reduced.
         """
-        terms = [field.coerce(t) for t in terms]
-        connection, length = berlekamp_massey(field, terms)
-        c = connection.coeffs
-        zero = field.zero()
-        num = []
-        for k in range(length):
-            acc = zero
-            for i in range(min(k, len(c) - 1) + 1):
-                acc = acc + c[i] * terms[k - i]
-            num.append(acc)
+        terms = [field.to_raw(t) for t in terms]
+        connection, length = _berlekamp_massey(field, terms)
+        reduce = field.reduce
+        num = [
+            reduce(sum(map(mul, connection[: k + 1], reversed(terms[: k + 1]))))
+            for k in range(length)
+        ]
         # a common factor of num and C would give a shorter recurrence; C(0) = 1
-        return cls._make(Polynomial._make(field, num), connection)
+        return cls._make(_polynomial(field, num), _polynomial(field, connection))
 
     @classmethod
     def from_fraction(cls, rf: RationalFunction):
@@ -214,33 +212,43 @@ def berlekamp_massey(field: Field, terms: Sequence) -> Tuple[Polynomial, int]:
 
     C = 1 + c_1 X + ... + c_L X^L (deg C may fall short of L) satisfies
     sum_{i=0..L} c_i * terms[n-i] = 0 for every L <= n < len(terms), and L is
-    the least length with that property.  Uses O(len(terms) * L) field
-    operations over k and no polynomial arithmetic.
+    the least length with that property.  Uses O(len(terms) * L) operations
+    on the field's raw values and no polynomial arithmetic.
     """
-    zero = field.zero()
-    terms = [field.coerce(t) for t in terms]
-    current = [field.one()]  # C
-    previous = [field.one()]  # C before the last change of length
-    length, gap, last = 0, 1, field.one()
+    connection, length = _berlekamp_massey(field, [field.to_raw(t) for t in terms])
+    return _polynomial(field, connection), length
+
+
+def _berlekamp_massey(field: Field, terms: List) -> Tuple[List, int]:
+    # the kernel of berlekamp_massey on raw values, C as a raw coefficient list
+    reduce, raw_inv = field.reduce, field.raw_inv
+    zero, one = field.to_raw(field.zero()), field.to_raw(field.one())
+    current = [one]  # C
+    previous = [one]  # C before the last change of length
+    length, gap, scale = 0, 1, one  # scale: 1 / discrepancy at that change
     for n, term in enumerate(terms):
-        discrepancy = term
-        for i in range(1, len(current)):
-            discrepancy = discrepancy + current[i] * terms[n - i]
-        if discrepancy == zero:
+        # deg C <= L <= n, so the window terms[n+1-len(C) .. n-1] exists
+        window = terms[n + 1 - len(current) : n]
+        discrepancy = reduce(sum(map(mul, current[1:], reversed(window)), term))
+        if not discrepancy:
             gap += 1
             continue
-        factor = discrepancy * field.inv(last)
+        factor = reduce(discrepancy * scale)
         updated = current + [zero] * (gap + len(previous) - len(current))
-        for i, b in enumerate(previous):
-            updated[i + gap] = updated[i + gap] - factor * b
-        while updated[-1] == zero:
+        for i, b in enumerate(previous, gap):
+            updated[i] = reduce(updated[i] - factor * b)
+        while not updated[-1]:
             updated.pop()
         if 2 * length <= n:
-            previous, length, last, gap = current, n + 1 - length, discrepancy, 1
+            previous, length, scale, gap = current, n + 1 - length, raw_inv(discrepancy), 1
         else:
             gap += 1
         current = updated
-    return Polynomial._make(field, current), length
+    return current, length
+
+
+def _polynomial(field: Field, raw: List) -> Polynomial:
+    return Polynomial._make(field, [field.from_raw(r) for r in raw])
 
 
 def valuation(s: RationalStream) -> int:

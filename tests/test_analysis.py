@@ -1,14 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcalc import (
     AutomatonState,
     CanonicalCircuit,
     InsufficientPrefix,
     Matrix,
+    Polynomial,
+    PrimeField,
     QQ,
+    RationalStream,
     WeightedAutomaton,
     equivalent,
     first_difference,
@@ -18,8 +24,12 @@ from streamcalc import (
     realize,
     to_rational,
 )
+from streamcalc import matrix
 from streamcalc.expr import evaluate_text
-from util import random_stream, triangular_prefix
+from streamcalc.fields import field_of
+from streamcalc.matrix import rank
+from streamcalc.ratstream import berlekamp_massey
+from util import boxed_berlekamp_massey, random_stream, triangular_prefix
 
 NATURALS = evaluate_text("1/(1-X)^2")
 NATURALS_CIRCUIT = CanonicalCircuit(
@@ -167,3 +177,121 @@ def test_fit_recurrence_matches_companion_column():
             pointed.system.dynamics.entries[i][n - 1] for i in range(n)
         )
         assert fitted == last_column
+
+
+# --- hankel_rank = min(L, 2m - L) against elimination ----------------------
+
+
+def oracle_rank(prefix, size):
+    """Rank of the size x size Hankel matrix by Gaussian elimination."""
+    field = field_of(prefix[0])
+    rows = [[prefix[i + j] for j in range(size)] for i in range(size)]
+    return rank(Matrix(field, rows, cols=size))
+
+
+@pytest.mark.parametrize("modulus, max_size", [(2, 5), (3, 4)])
+def test_hankel_rank_exhaustive_over_small_fields(modulus, max_size):
+    field = PrimeField(modulus)
+    for size in range(1, max_size + 1):
+        for values in itertools.product(range(modulus), repeat=2 * size - 1):
+            prefix = [field.from_int(v) for v in values]
+            assert hankel_rank(prefix, size) == oracle_rank(prefix, size), values
+
+
+ORACLE_FIELDS = (QQ, PrimeField(7), PrimeField(101))
+
+
+@st.composite
+def hankel_cases(draw):
+    """(prefix, size): entries in {0, +-1, 2} so that deficient ranks occur,
+    with leading zeros, all-zero prefixes and prefixes longer than 2m - 1."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    size = draw(st.integers(1, 8))
+    length = 2 * size - 1 + draw(st.integers(0, 3))
+    shape = draw(st.sampled_from(("random", "leading zeros", "zero")))
+    values = draw(st.lists(st.sampled_from((0, 1, -1, 2)), min_size=length, max_size=length))
+    if shape == "leading zeros":
+        zeros = draw(st.integers(1, length))
+        values = [0] * zeros + values[zeros:]
+    elif shape == "zero":
+        values = [0] * length
+    return [field.from_int(v) for v in values], size
+
+
+@settings(max_examples=300)
+@given(hankel_cases())
+def test_hankel_rank_matches_elimination(case):
+    prefix, size = case
+    assert hankel_rank(prefix, size) == oracle_rank(prefix, size)
+
+
+@settings(max_examples=200)
+@given(hankel_cases())
+def test_probe_verdicts_match_elimination(case):
+    prefix, size = case
+    bound = size - 1
+    observed = oracle_rank(prefix, size)
+    report = nonrationality_probe(prefix, bound)
+    assert report.rank == observed
+    if observed > bound:
+        assert report.verdict == f"NotRationalBelowBound({bound})"
+    else:
+        assert report.verdict == "RationalWitnessConsistent"
+
+
+def test_rank_and_probe_never_eliminate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hankel_rank or the probe reached matrix._eliminate")
+
+    monkeypatch.setattr(matrix, "_eliminate", forbidden)
+    for field in ORACLE_FIELDS:
+        triangular = triangular_prefix(field, 41)
+        assert hankel_rank(triangular, 20) == 20
+        assert nonrationality_probe(triangular, 10).rank == 11
+        naturals = [field.from_int(k + 1) for k in range(19)]
+        assert hankel_rank(naturals, 10) == 2
+        assert nonrationality_probe(naturals, 5).verdict == "RationalWitnessConsistent"
+        assert hankel_rank([field.zero()] * 9, 5) == 0
+
+
+# --- the raw-value Berlekamp-Massey kernel against the boxed reference -----
+
+KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(2**61 - 1))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(field, terms): free terms (Fractions over Q), or a prefix of a random
+    rational stream, so that both long and short recurrences occur."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    if draw(st.booleans()):
+        if field == QQ:
+            scalar = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        else:
+            scalar = st.integers(-(2**70), 2**70)
+        return field, draw(st.lists(scalar, max_size=24))
+    num = draw(st.lists(st.integers(-5, 5), max_size=5))
+    den = draw(st.lists(st.integers(-5, 5), max_size=5))
+    s = RationalStream(Polynomial(field, num), Polynomial(field, [1] + den))
+    return field, s.expand(draw(st.integers(0, 24)))
+
+
+@settings(max_examples=300)
+@given(kernel_cases())
+def test_berlekamp_massey_matches_boxed_reference(case):
+    field, terms = case
+    connection, length = berlekamp_massey(field, terms)
+    assert (connection, length) == boxed_berlekamp_massey(field, terms)
+    # field elements on exit, not raw values that merely compare equal
+    assert all(field_of(c) == field for c in connection.coeffs)
+
+
+@settings(max_examples=150)
+@given(kernel_cases())
+def test_from_sequence_matches_boxed_reference(case):
+    field, terms = case
+    s = RationalStream.from_sequence(field, terms)
+    connection, length = boxed_berlekamp_massey(field, terms)
+    assert s.den == connection
+    assert s.num.degree < max(length, 1)
+    assert s.expand(len(terms)) == [field.coerce(t) for t in terms]

@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from streamcalc.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -212,3 +221,70 @@ def test_uncertifiable_modulus_rejected(capsys):
     )
     assert code == 2
     assert len(err.splitlines()) == 1 and "cannot be certified prime" in err
+
+
+def _one_line_error(err):
+    return len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_overlong_literals_are_one_line_errors(tmp_path, capsys):
+    digits = "1" * 5000
+    automaton = tmp_path / "a.automaton"
+    automaton.write_text("field q\nstates 1\nout 1 1\n")
+    long_output = tmp_path / "long.automaton"
+    long_output.write_text(f"field q\nstates 1\nout 1 {digits}\n")
+    long_port = tmp_path / "port.netlist"
+    long_port.write_text(f"field q\ngate r register init=0\noutput r.out{digits}\n")
+    long_arity = tmp_path / "arity.netlist"
+    long_arity.write_text(f"field q\ngate a adder arity={digits}\noutput a.out0\n")
+    cases = (
+        ("eval", digits, "--n", "1"),
+        ("eval", f"1/{digits}", "--n", "1"),
+        ("eval", "1/(1-X)", "--n", "1", "--field", f"gf:{digits}"),
+        ("rank", "--prefix", f"1,{digits},1", "--m", "2"),
+        ("rank", "--prefix", f"1,1/{digits},1", "--m", "2"),
+        ("rank", "--prefix", f"1,{digits},1", "--m", "2", "--field", "gf:7"),
+        ("automaton", "eval", "--file", str(long_output), "--state", "1", "--n", "2"),
+        ("equal", f"automaton:{automaton}@{digits}", "expr:1"),
+        ("circuit", "sim", "--file", str(long_port), "--n", "2"),
+        ("circuit", "sim", "--file", str(long_arity), "--n", "2"),
+    )
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[:2]
+        assert out == ""
+        assert _one_line_error(err) and "5000 digits is too long" in err, argv[:2]
+
+
+def test_overlong_literal_in_a_subprocess(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "streamcalc", "eval", "1" * 5000, "--n", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert _one_line_error(result.stderr)
+
+
+@pytest.mark.parametrize("field", ["q", "gf:7"])
+def test_zero_stream_synthesis_round_trips(tmp_path, capsys, field):
+    code, out, err = run(capsys, "circuit", "synth", "0", "--field", field)
+    assert code == 0, err
+    assert out == f"field={field}\nM=0\nN=0\nr=1\n"
+    circuit = tmp_path / "zero.circuit"
+    circuit.write_text(out)
+    code, out, err = run(capsys, "automaton", "synth", "0", "--field", field)
+    assert code == 0, err
+    assert out == f"field {field}\nstates 1\n"
+    automaton = tmp_path / "zero.automaton"
+    automaton.write_text(out)
+    for representation in (f"circuit:{circuit}", f"automaton:{automaton}@1"):
+        code, out, _ = run(capsys, "equal", representation, "expr:0", "--field", field)
+        assert (code, out) == (0, "equal\n")
+        code, out, _ = run(capsys, "equal", representation, "expr:X^3", "--field", field)
+        assert (code, out) == (0, "not-equal\ndiffers-at 3\n")
+    code, out, _ = run(capsys, "circuit", "sim", "--file", str(circuit), "--n", "3")
+    assert (code, out) == (0, "0, 0, 0\n")

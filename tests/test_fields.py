@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamcalc import QQ, FieldMismatch, FormatError, PrimeField, field_from_spec, is_prime
+from streamcalc.fields import MR_BOUND
 
 GF7 = PrimeField(7)
 GF101 = PrimeField(101)
@@ -155,3 +156,38 @@ scalars = st.one_of(
 def test_equal_scalars_hash_alike(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+def test_field_from_spec_reuses_one_field_per_modulus():
+    for spec in ("gf:7", "gf:2305843009213693951", " GF:101 "):
+        assert field_from_spec(spec) is field_from_spec(spec)
+    assert field_from_spec("gf:007") is field_from_spec("gf:7")
+
+
+def test_field_from_spec_rejects_bad_moduli_on_every_call():
+    # a rejected modulus must not be cached as if it were a field
+    for spec in ("gf:91", "gf:1", f"gf:{MR_BOUND}", f"gf:{PSI_13}"):
+        for _ in range(3):
+            with pytest.raises(FormatError):
+                field_from_spec(spec)
+
+
+@pytest.mark.parametrize("text", ["٣", "1/٣", "٣/2", "-٣", "１"])
+def test_scalars_take_ascii_digits_only(text):
+    with pytest.raises(FormatError):
+        QQ.parse(text)
+    if "/" not in text:
+        with pytest.raises(FormatError):
+            GF7.parse(text)
+
+
+def test_overlong_literals_are_format_errors():
+    digits = "1" * 5000
+    for text in (digits, f"-{digits}", f"1/{digits}", f"{digits}/3"):
+        with pytest.raises(FormatError, match="5000 digits is too long"):
+            QQ.parse(text)
+    with pytest.raises(FormatError, match="5000 digits is too long"):
+        GF7.parse(digits)
+    with pytest.raises(FormatError, match="5000 digits is too long"):
+        field_from_spec(f"gf:{digits}")
+    assert QQ.parse("9" * 4000) == 10**4000 - 1

@@ -55,3 +55,35 @@ def triangular_prefix(field, length):
         triangles.add(k * (k + 1) // 2)
         k += 1
     return [field.from_int(1 if i in triangles else 0) for i in range(length)]
+
+
+def boxed_berlekamp_massey(field, terms):
+    """Berlekamp-Massey on field elements, one boxed operation at a time.
+
+    The reference for the raw-value kernel ``ratstream.berlekamp_massey``:
+    same (C, L), computed with the field's own scalar arithmetic.
+    """
+    zero = field.zero()
+    terms = [field.coerce(t) for t in terms]
+    current = [field.one()]
+    previous = [field.one()]
+    length, gap, last = 0, 1, field.one()
+    for n, term in enumerate(terms):
+        discrepancy = term
+        for i in range(1, len(current)):
+            discrepancy = discrepancy + current[i] * terms[n - i]
+        if discrepancy == zero:
+            gap += 1
+            continue
+        factor = discrepancy * field.inv(last)
+        updated = current + [zero] * (gap + len(previous) - len(current))
+        for i, b in enumerate(previous):
+            updated[i + gap] = updated[i + gap] - factor * b
+        while updated[-1] == zero:
+            updated.pop()
+        if 2 * length <= n:
+            previous, length, last, gap = current, n + 1 - length, discrepancy, 1
+        else:
+            gap += 1
+        current = updated
+    return Polynomial(field, current), length
