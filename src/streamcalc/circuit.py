@@ -4,14 +4,24 @@ A netlist is a closed synchronous circuit built from multipliers, registers,
 adders and copiers.  Each tick, registers emit their stored values, the
 combinational gates are evaluated in topological order, the designated output
 port is sampled, and then every register latches its freshly computed input
-simultaneously.  A canonical circuit is the dense description (feedback
-matrix, feedforward row, register seeds); its closed-form behaviour is the
-feedforward row applied to the resolvent of the feedback matrix at the seeds.
+simultaneously.  A netlist derives one evaluation plan when it is built: its
+multipliers and adders in topological order, each with the value slots of its
+drivers and its factor already coerced (copiers only alias slots), so a tick
+is one walk over that plan.
+
+A canonical circuit is the dense description (feedback matrix, feedforward
+row, register seeds); its closed-form behaviour is the feedforward row applied
+to the resolvent of the feedback matrix at the seeds.  It expands to a netlist
+from one table of weighted edges with one multiplier per edge; zero-weight
+fix-up edges keep every register driven and read and the output tapped.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add, mul
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import (
@@ -64,6 +74,10 @@ def output_count(gate: Gate) -> int:
     return 1
 
 
+def _total(*values):
+    return reduce(add, values)
+
+
 class Netlist:
     """A closed, well-formed gate graph with one designated output port.
 
@@ -80,7 +94,7 @@ class Netlist:
         self.output = tuple(output)
         self._drivers: Dict[Port, Port] = {}
         self._validate()
-        self._order = self._topological_order()
+        self._seeds, self._plan, self._output_slot, self._latches = self._make_plan()
 
     def _validate(self):
         for name, gate in self.gates.items():
@@ -125,69 +139,60 @@ class Netlist:
                         f"output port {name}.out{idx} must feed exactly one input"
                     )
 
-    def _topological_order(self) -> List[str]:
-        # registers are cut: their outputs are sources within a tick
-        combinational = [
-            name for name, gate in self.gates.items() if not isinstance(gate, Register)
+    def _make_plan(self):
+        """Seeds, plan, output slot and latch slots for :meth:`simulate`.
+
+        A tick's values are one list: register outputs, then one slot per
+        multiplier or adder in topological order; copier outputs alias their
+        input's slot.  A gate whose drivers are not ready waits on the stack,
+        and meeting it again while it waits closes a register-free loop.
+        """
+        registers = [name for name, gate in self.gates.items() if isinstance(gate, Register)]
+        slots: Dict[Port, int] = {(name, 0): k for k, name in enumerate(registers)}
+        order: List[Tuple[Gate, List[int]]] = []
+        waiting = set()
+        for root in self.gates:
+            stack = [root]
+            while stack:
+                name = stack[-1]
+                if (name, 0) in slots:
+                    stack.pop()
+                    continue
+                gate = self.gates[name]
+                sources = [self._drivers[(name, idx)] for idx in range(input_count(gate))]
+                blocked = [src[0] for src in sources if src not in slots]
+                if blocked:
+                    if name in waiting:
+                        raise IllFormedCircuit("combinational cycle (a loop must pass a register)")
+                    waiting.add(name)
+                    stack.extend(blocked)
+                    continue
+                stack.pop()
+                inputs = [slots[src] for src in sources]
+                if isinstance(gate, Copier):
+                    slots.update(((name, idx), inputs[0]) for idx in range(gate.fanout))
+                else:
+                    slots[(name, 0)] = len(registers) + len(order)
+                    order.append((gate, inputs))
+        coerce = self.field.coerce
+        seeds = [coerce(self.gates[name].initial) for name in registers]
+        plan = [
+            (partial(mul, coerce(gate.factor)) if isinstance(gate, Multiplier) else _total, inputs)
+            for gate, inputs in order
         ]
-        dependents: Dict[str, List[str]] = {name: [] for name in combinational}
-        indegree = {name: 0 for name in combinational}
-        for src, dst in self.wires:
-            src_gid, dst_gid = src[0], dst[0]
-            if isinstance(self.gates[src_gid], Register):
-                continue
-            if dst_gid in indegree:
-                dependents[src_gid].append(dst_gid)
-                indegree[dst_gid] += 1
-        ready = [name for name, deg in indegree.items() if deg == 0]
-        order = []
-        while ready:
-            name = ready.pop()
-            order.append(name)
-            for nxt in dependents[name]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != len(combinational):
-            raise IllFormedCircuit("combinational cycle (a loop must pass a register)")
-        return order
+        latches = [slots[self._drivers[(name, 0)]] for name in registers]
+        return seeds, plan, slots[self.output], latches
 
     def simulate(self, steps: int) -> List:
         """Sample the designated output for ``steps`` synchronous ticks."""
-        state = {
-            name: self.field.coerce(gate.initial)
-            for name, gate in self.gates.items()
-            if isinstance(gate, Register)
-        }
-        samples = []
+        state, samples = self._seeds, []
         for _ in range(steps):
-            values: Dict[Port, object] = {}
-            for name in state:
-                values[(name, 0)] = state[name]
-            for name in self._order:
-                gate = self.gates[name]
-                inputs = [
-                    values[self._drivers[(name, idx)]]
-                    for idx in range(input_count(gate))
-                ]
-                if isinstance(gate, Multiplier):
-                    result = self.field.coerce(gate.factor) * inputs[0]
-                    values[(name, 0)] = result
-                elif isinstance(gate, Adder):
-                    acc = inputs[0]
-                    for v in inputs[1:]:
-                        acc = acc + v
-                    values[(name, 0)] = acc
-                elif isinstance(gate, Copier):
-                    for idx in range(gate.fanout):
-                        values[(name, idx)] = inputs[0]
-                else:  # pragma: no cover - registers are not in the order
-                    raise AssertionError
-            samples.append(values[self.output])
+            values = list(state)
+            for operation, inputs in self._plan:
+                values.append(operation(*[values[k] for k in inputs]))
+            samples.append(values[self._output_slot])
             # all registers latch simultaneously at tick end
-            state = {
-                name: values[self._drivers[(name, 0)]] for name in state
-            }
+            state = [values[k] for k in self._latches]
         return samples
 
     def with_output_register(self, initial) -> "Netlist":
@@ -260,95 +265,54 @@ class CanonicalCircuit:
         return cls(pointed.system.dynamics, pointed.system.output, pointed.initial)
 
     def to_netlist(self) -> Netlist:
-        """Expand to gates: registers, copiers, multiplier/adder rows.
+        """Expand to gates: registers, copiers, multipliers, adders.
 
-        Zero matrix entries produce no multiplier (a 0-weighted edge is
-        absence).  Degenerate shapes stay well formed: an all-zero feedback
-        row or an unread register gets a 0-multiplier self-edge, and an
-        all-zero feedforward row taps register 1 through a 0-multiplier.
+        One edge table {(destination, source register): weight} holds the
+        nonzero entries of M and N, with N as destination n (the output); a
+        zero entry is no edge.  Zero-weight fix-up edges keep the netlist
+        closed: (i, i) for a destination with no edge ((n, 0) for the output)
+        and (j, j) for a register nobody reads.  One sweep then emits the
+        registers, a copier per register read more than once, one multiplier
+        per edge in key order, and an adder a{i} or aout per destination with
+        several edges.
         """
-        field = self.field
-        zero = field.zero()
-        n = self.registers
-        # feedback edges (row, source register, weight), plus fixups
-        edges = [
-            (i, j, self.feedback.entries[i][j])
-            for i in range(n)
-            for j in range(n)
-            if self.feedback.entries[i][j] != zero
-        ]
-        for i in range(n):
-            if not any(row == i for row, _, _ in edges):
-                edges.append((i, i, zero))
-        forward = [
-            (j, self.feedforward.entries[0][j])
-            for j in range(n)
-            if self.feedforward.entries[0][j] != zero
-        ]
-        if not forward:
-            forward = [(0, zero)]
+        zero, n = self.field.zero(), self.registers
+        rows = self.feedback.entries + self.feedforward.entries
+        edges = {(i, j): w for i, row in enumerate(rows) for j, w in enumerate(row) if w != zero}
+        driven = {i for i, _ in edges}
+        for i in range(n + 1):
+            if i not in driven:
+                edges[(i, i if i < n else 0)] = zero
+        reads = Counter(j for _, j in edges)
         for j in range(n):
-            used = any(src == j for _, src, _ in edges) or any(
-                src == j for src, _ in forward
-            )
-            if not used:
-                edges.append((j, j, zero))
-        edges.sort(key=lambda e: (e[0], e[1]))
+            if not reads[j]:
+                edges[(j, j)] = zero
+                reads[j] = 1
 
-        gates: Dict[str, Gate] = {}
+        gates: Dict[str, Gate] = {f"r{j + 1}": Register(v) for j, v in enumerate(self.initial)}
         wires: List[Wire] = []
-        for i in range(n):
-            gates[f"r{i + 1}"] = Register(self.initial[i])
-        # hand out register output branches, through copiers where needed
-        taps: Dict[int, List[Port]] = {}
+        taps = {}
         for j in range(n):
-            uses = sum(1 for _, src, _ in edges if src == j) + sum(
-                1 for src, _ in forward if src == j
-            )
-            if uses == 1:
-                taps[j] = [(f"r{j + 1}", 0)]
+            if reads[j] == 1:
+                taps[j] = iter([(f"r{j + 1}", 0)])
             else:
-                gates[f"c{j + 1}"] = Copier(uses)
+                gates[f"c{j + 1}"] = Copier(reads[j])
                 wires.append(((f"r{j + 1}", 0), (f"c{j + 1}", 0)))
-                taps[j] = [(f"c{j + 1}", k) for k in range(uses)]
-
-        def next_tap(j: int) -> Port:
-            return taps[j].pop(0)
-
-        counter = 0
-        row_inputs: Dict[int, List[Port]] = {i: [] for i in range(n)}
-        for row, src, weight in edges:
-            counter += 1
-            name = f"m{counter}"
-            gates[name] = Multiplier(weight)
-            wires.append((next_tap(src), (name, 0)))
-            row_inputs[row].append((name, 0))
-        forward_inputs: List[Port] = []
-        for src, weight in forward:
-            counter += 1
-            name = f"m{counter}"
-            gates[name] = Multiplier(weight)
-            wires.append((next_tap(src), (name, 0)))
-            forward_inputs.append((name, 0))
-
-        for i in range(n):
-            inputs = row_inputs[i]
-            if len(inputs) == 1:
-                wires.append((inputs[0], (f"r{i + 1}", 0)))
-            else:
-                name = f"a{i + 1}"
-                gates[name] = Adder(len(inputs))
-                for idx, port in enumerate(inputs):
-                    wires.append((port, (name, idx)))
-                wires.append(((name, 0), (f"r{i + 1}", 0)))
-        if len(forward_inputs) == 1:
-            output = forward_inputs[0]
-        else:
-            gates["aout"] = Adder(len(forward_inputs))
-            for idx, port in enumerate(forward_inputs):
-                wires.append((port, ("aout", idx)))
-            output = ("aout", 0)
-        return Netlist(field, gates, wires, output)
+                taps[j] = iter([(f"c{j + 1}", k) for k in range(reads[j])])
+        inputs: List[List[Port]] = [[] for _ in range(n + 1)]
+        for k, ((i, j), weight) in enumerate(sorted(edges.items()), 1):
+            gates[f"m{k}"] = Multiplier(weight)
+            wires.append((next(taps[j]), (f"m{k}", 0)))
+            inputs[i].append((f"m{k}", 0))
+        for i, ports in enumerate(inputs):
+            if len(ports) > 1:
+                name = f"a{i + 1}" if i < n else "aout"
+                gates[name] = Adder(len(ports))
+                wires.extend((port, (name, idx)) for idx, port in enumerate(ports))
+                ports = [(name, 0)]
+            if i < n:
+                wires.append((ports[0], (f"r{i + 1}", 0)))
+        return Netlist(self.field, gates, wires, ports[0])
 
 
 _GATE_KEYWORDS = {

@@ -44,12 +44,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
+    """A count option: ASCII digits (a sign only to be told it is negative)."""
+    shown = text if len(text) <= 20 else f"{text[:20]}..."
+    if not is_ascii_digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"not a count of ASCII digits: {shown!r}")
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        value = parse_integer(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {shown}")
     return value
 
 

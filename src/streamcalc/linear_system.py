@@ -273,7 +273,12 @@ def standardize_initial_state(pointed: PointedLinearSystem) -> PointedLinearSyst
     )
     columns = [pointed.initial] + [identity[p - 1] for p in pivots[1:]]
     basis = Matrix(field, zip(*columns), cols=n)
-    return change_basis(pointed, inverse(basis))
+    # conjugate by B directly: change_basis(pointed, B^-1) would invert B^-1 back
+    inv, system = inverse(basis), pointed.system
+    return PointedLinearSystem(
+        LinearSystem(inv * system.dynamics * basis, system.output * basis),
+        inv.apply(pointed.initial),
+    )
 
 
 SystemLike = Union[LinearSystem, PointedLinearSystem]

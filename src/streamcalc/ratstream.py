@@ -122,7 +122,7 @@ class RationalStream:
         )
 
     def __neg__(self):
-        return RationalStream(-self.num, self.den)
+        return RationalStream._make(-self.num, self.den)
 
     def __mul__(self, other):
         self._check(other)
@@ -140,7 +140,10 @@ class RationalStream:
         return RationalStream.one(self.field) / self
 
     def scale(self, c):
-        return RationalStream(self.num.scale(c), self.den)
+        # a nonzero c changes no common factor and keeps den(0) = 1
+        if self.field.coerce(c) == self.field.zero():
+            return RationalStream.zero(self.field)
+        return RationalStream._make(self.num.scale(c), self.den)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -150,7 +153,7 @@ class RationalStream:
 
     def initial_value(self):
         """The head coefficient; num(0) since the denominator is 1 at 0."""
-        return self.num.constant_term / self.den.constant_term
+        return self.num.constant_term
 
     def derivative(self) -> "RationalStream":
         """Stream derivative (tail), computed symbolically.

@@ -2,12 +2,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcalc import (
     Adder,
     CanonicalCircuit,
     Copier,
     DimensionMismatch,
+    FieldMismatch,
     IllFormedCircuit,
     LinearSystem,
     Matrix,
@@ -24,6 +27,7 @@ from streamcalc import (
     realize,
 )
 from streamcalc.expr import evaluate_text
+from streamcalc.fields import PrimeField
 from util import random_stream
 
 NATURALS_CANONICAL = CanonicalCircuit(
@@ -204,3 +208,134 @@ def test_small_arity_gates_rejected():
         Netlist(QQ, {"a": Adder(1), "r": Register(QQ.zero())}, [], ("a", 0))
     with pytest.raises(IllFormedCircuit):
         Netlist(QQ, {"c": Copier(1), "r": Register(QQ.zero())}, [], ("c", 0))
+
+
+SPARSE_FIELDS = (QQ, PrimeField(2), PrimeField(101))
+
+
+@st.composite
+def sparse_circuits(draw):
+    """Canonical circuits that are mostly zeros: zero rows, zero columns, N = 0."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, 3))
+    row = st.lists(entry, min_size=n, max_size=n)
+    feedback = draw(st.lists(row, min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        feedback[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for r in feedback:
+            r[j] = 0
+    feedforward = draw(st.one_of(st.just([0] * n), row))
+    seeds = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return CanonicalCircuit(Matrix(field, feedback), Matrix(field, [feedforward]), tuple(seeds))
+
+
+def fix_up_count(circuit):
+    """Zero-weight edges to_netlist adds: undriven rows, an untapped output,
+    and registers read by no edge (nor by those fix-ups)."""
+    zero, n = circuit.field.zero(), circuit.registers
+    rows = [list(r) for r in circuit.feedback.entries]
+    forward = list(circuit.feedforward.entries[0])
+    zero_rows = {i for i in range(n) if all(v == zero for v in rows[i])}
+    silent = all(v == zero for v in forward)
+    read = {j for i in range(n) for j in range(n) if rows[i][j] != zero}
+    read |= {j for j in range(n) if forward[j] != zero} | zero_rows | ({0} if silent else set())
+    return len(zero_rows) + silent + (n - len(read))
+
+
+@settings(max_examples=200)
+@given(sparse_circuits())
+def test_sparse_circuit_netlists(circuit):
+    net = circuit.to_netlist()
+    steps = 2 * circuit.registers + 2
+    assert net.simulate(steps) == circuit.behaviour().expand(steps)
+    assert parse_netlist(format_netlist(net)) == net
+    zero = circuit.field.zero()
+    entries = [v for row in circuit.feedback.entries + circuit.feedforward.entries for v in row]
+    expected = Counter(v for v in entries if v != zero)
+    expected[zero] += fix_up_count(circuit)
+    weights = Counter(g.factor for g in net.gates.values() if isinstance(g, Multiplier))
+    assert weights == +expected
+
+
+# format_netlist text of a circuit with a zero row (r2), an unread register
+# (r3) and an all-zero N, as the netlist expansion has always produced it
+FIX_UP_GOLDEN = """\
+field q
+gate r1 register init=1
+gate r2 register init=2
+gate r3 register init=3
+gate c1 copier fanout=2
+gate c2 copier fanout=3
+gate m1 multiplier r=2
+gate m2 multiplier r=0
+gate m3 multiplier r=1
+gate m4 multiplier r=3
+gate m5 multiplier r=0
+gate m6 multiplier r=0
+gate a3 adder arity=3
+wire r1.out0 -> c1.in0
+wire r2.out0 -> c2.in0
+wire c2.out0 -> m1.in0
+wire c2.out1 -> m2.in0
+wire c1.out0 -> m3.in0
+wire c2.out2 -> m4.in0
+wire r3.out0 -> m5.in0
+wire c1.out1 -> m6.in0
+wire m1.out0 -> r1.in0
+wire m2.out0 -> r2.in0
+wire m3.out0 -> a3.in0
+wire m4.out0 -> a3.in1
+wire m5.out0 -> a3.in2
+wire a3.out0 -> r3.in0
+output m6.out0
+"""
+
+
+def test_fix_up_netlist_golden():
+    c = CanonicalCircuit(
+        Matrix(QQ, [[0, 2, 0], [0, 0, 0], [1, 3, 0]]), Matrix(QQ, [[0, 0, 0]]), (1, 2, 3)
+    )
+    assert format_netlist(c.to_netlist()) == FIX_UP_GOLDEN
+    assert c.to_netlist().simulate(6) == [0] * 6
+
+
+def test_hand_written_netlist():
+    # x doubles itself, y flips its sign; the output is x + y + x through a
+    # 3-way copier and a chain of two adders: 2*2^t + 2*(-1)^t
+    gates = {
+        "sum2": Adder(2),
+        "sum1": Adder(2),
+        "y": Register(QQ.from_int(2)),
+        "fan": Copier(3),
+        "flip": Multiplier(QQ.from_int(-1)),
+        "twice": Multiplier(QQ.from_int(2)),
+        "yfan": Copier(2),
+        "x": Register(QQ.from_int(1)),
+    }
+    wires = [
+        (("sum1", 0), ("sum2", 0)),
+        (("fan", 2), ("sum2", 1)),
+        (("fan", 1), ("sum1", 0)),
+        (("yfan", 1), ("sum1", 1)),
+        (("flip", 0), ("y", 0)),
+        (("yfan", 0), ("flip", 0)),
+        (("y", 0), ("yfan", 0)),
+        (("twice", 0), ("x", 0)),
+        (("fan", 0), ("twice", 0)),
+        (("x", 0), ("fan", 0)),
+    ]
+    net = Netlist(QQ, gates, wires, ("sum2", 0))
+    assert net.simulate(6) == [4, 2, 10, 14, 34, 62]
+    assert net.with_output_register(5).simulate(4) == [5, 4, 2, 10]
+    assert parse_netlist(format_netlist(net)).simulate(6) == [4, 2, 10, 14, 34, 62]
+
+
+def test_gate_parameter_outside_the_field_fails_at_construction():
+    gf7 = PrimeField(7)
+    gates = {"r1": Register(gf7.from_int(1)), "m1": Multiplier(gf7.from_int(3)), "c1": Copier(2)}
+    wires = [(("r1", 0), ("c1", 0)), (("c1", 0), ("m1", 0)), (("m1", 0), ("r1", 0))]
+    assert Netlist(gf7, gates, wires, ("c1", 1)).simulate(3) == [1, 3, 2]
+    with pytest.raises(FieldMismatch):
+        Netlist(QQ, gates, wires, ("c1", 1))

@@ -288,3 +288,60 @@ def test_zero_stream_synthesis_round_trips(tmp_path, capsys, field):
         assert (code, out) == (0, "not-equal\ndiffers-at 3\n")
     code, out, _ = run(capsys, "circuit", "sim", "--file", str(circuit), "--n", "3")
     assert (code, out) == (0, "0, 0, 0\n")
+
+
+def test_counts_take_ascii_digits_only(capsys):
+    cases = (
+        ("٣", "ASCII digits"),
+        (" 1_0", "ASCII digits"),
+        ("+3", "ASCII digits"),
+        ("٣" * 5000, "ASCII digits"),
+        ("1" * 5000, "5000 digits is too long"),
+    )
+    for count, message in cases:
+        code, out, err = run(capsys, "eval", "1/(1-X)", "--n", count)
+        assert code == 2, count[:5]
+        assert out == ""
+        assert _one_line_error(err) and message in err, count[:5]
+        assert len(err) < 200
+
+
+@pytest.mark.parametrize("field", ["q", "gf:101"])
+def test_commands_stay_off_the_oracles(tmp_path, capsys, monkeypatch, field):
+    from streamcalc import Netlist, StreamPrefix, WeightedAutomaton, matrix
+
+    stream = "(1+X)/(1-X-X^2)"
+    system, circuit, automaton = (tmp_path / name for name in ("s", "c", "a"))
+    for path, argv in (
+        (system, ("realize", stream)),
+        (circuit, ("circuit", "synth", stream)),
+        (automaton, ("automaton", "synth", stream)),
+    ):
+        path.write_text(run(capsys, *argv, "--field", field)[1])
+    commands = (
+        ("eval", stream, "--n", "8"),
+        ("derive", stream, "--k", "3"),
+        ("realize", stream, "1/(1-2*X)"),
+        ("circuit", "synth", stream),
+        ("automaton", "synth", stream),
+        ("equal", f"expr:{stream}", "expr:1/(1-X)"),
+        ("equal", f"system:{system}", f"circuit:{circuit}"),
+        ("equal", f"automaton:{automaton}@1", f"expr:{stream}"),
+        ("rank", "--expr", stream, "--m", "6"),
+        ("probe", "--expr", stream, "--d", "4"),
+    )
+    commands = [argv + ("--field", field) for argv in commands]
+    commands.append(("automaton", "eval", "--file", str(automaton), "--state", "1",
+                     "--n", "8", "--method", "closed"))
+    expected = [run(capsys, *argv) for argv in commands]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command reached an oracle")
+
+    monkeypatch.setattr(WeightedAutomaton, "path_sum", forbidden)
+    monkeypatch.setattr(matrix, "_shifted_complement", forbidden)
+    monkeypatch.setattr(StreamPrefix, "at", forbidden)
+    monkeypatch.setattr(Netlist, "simulate", forbidden)
+    for argv, (code, out, _) in zip(commands, expected):
+        assert code == 0 and out, argv
+        assert run(capsys, *argv)[:2] == (0, out), argv

@@ -271,3 +271,22 @@ def test_standardize_initial_state_keeps_behaviour(pointed):
     standard = standardize_initial_state(pointed)
     assert standard.initial == Matrix.identity(pointed.field, pointed.dim).entries[0]
     assert standard.behaviour() == pointed.behaviour()
+
+
+def test_standardize_initial_state_eliminates_twice(monkeypatch):
+    # one rref for the basis completion and one inverse, nothing more
+    from streamcalc import matrix
+
+    calls = []
+    eliminate = matrix._eliminate
+
+    def counted(m):
+        calls.append(m.rows)
+        return eliminate(m)
+
+    monkeypatch.setattr(matrix, "_eliminate", counted)
+    for initial in ((0, 1), (2, 3), (1, 1)):
+        calls.clear()
+        standard = standardize_initial_state(PointedLinearSystem(NATURALS, initial))
+        assert standard.initial == (1, 0)
+        assert len(calls) == 2

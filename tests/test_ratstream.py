@@ -208,3 +208,18 @@ def test_derivative_is_already_reduced(field, num, den):
     for _ in range(3):
         s = s.derivative()
         assert s == RationalStream(s.num, s.den)
+
+
+@given(
+    st.sampled_from(TRUSTED_FIELDS),
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.integers(-9, 9),
+)
+def test_negation_and_scaling_are_already_reduced(field, num, den, c):
+    s = RationalStream(Polynomial(field, num), Polynomial(field, [1] + den))
+    for t in (-s, s.scale(c)):
+        assert t == RationalStream(t.num, t.den)
+    assert -s == RationalStream(-s.num, s.den)
+    assert s.scale(c) == RationalStream(s.num.scale(c), s.den)
+    assert s.initial_value() == s.expand(1)[0]
