@@ -1,13 +1,17 @@
 """Cross-representation equivalence and the Hankel-rank rationality prober.
 
 Every finite representation (closed form, pointed linear system, canonical
-circuit, automaton state) denotes exactly one rational stream, so equivalence
-reduces to equality of closed forms.  For raw coefficient prefixes, the rank
-of the Hankel matrix H[i][j] = prefix[i+j], read off the linear complexity
-with no elimination, lower-bounds the dimension of the derivative-generated
-subspace; a rank exceeding d rules out every rational
-representation p/q with max(deg p, deg q) <= d.  Finite data never proves
-non-rationality outright, so the prober reports a bounded verdict only.
+circuit, netlist, automaton state) denotes exactly one rational stream, so
+equivalence reduces to equality of closed forms.  There is one path to that
+stream: each representation other than a stream gives its pointed linear
+system (``to_linear_system``), whose single-output behaviour is the stream.
+
+For raw coefficient prefixes, the rank of the Hankel matrix
+H[i][j] = prefix[i+j], read off the linear complexity with no elimination,
+lower-bounds the dimension of the derivative-generated subspace; a rank
+exceeding d rules out every rational representation p/q with
+max(deg p, deg q) <= d.  Finite data never proves non-rationality outright,
+so the prober reports a bounded verdict only.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .circuit import CanonicalCircuit
+from .circuit import CanonicalCircuit, Netlist
 from .errors import DimensionMismatch, FieldMismatch, InsufficientPrefix
 from .fields import field_of
 from .linear_system import PointedLinearSystem
@@ -31,27 +35,25 @@ class AutomatonState:
     automaton: WeightedAutomaton
     state: int
 
+    def to_linear_system(self) -> PointedLinearSystem:
+        return self.automaton.to_linear_system(self.state)
+
 
 Representation = Union[
-    RationalStream, PointedLinearSystem, CanonicalCircuit, AutomatonState
+    RationalStream, PointedLinearSystem, CanonicalCircuit, Netlist, AutomatonState
 ]
 
 
 def to_rational(representation: Representation) -> RationalStream:
-    """The unique rational stream a representation denotes."""
+    """The unique rational stream a representation denotes: a stream itself,
+    else the single-output behaviour of its pointed linear system."""
     if isinstance(representation, RationalStream):
         return representation
-    if isinstance(representation, PointedLinearSystem):
-        if representation.system.num_outputs != 1:
-            raise DimensionMismatch(
-                "a stream representation needs a single-output system"
-            )
-        return representation.behaviour()[0]
-    if isinstance(representation, CanonicalCircuit):
-        return representation.behaviour()
-    if isinstance(representation, AutomatonState):
-        return representation.automaton.behaviour()[representation.state]
-    raise TypeError(f"not a stream representation: {representation!r}")
+    if not isinstance(representation, PointedLinearSystem):
+        representation = representation.to_linear_system()
+    if representation.system.num_outputs != 1:
+        raise DimensionMismatch("a stream representation needs a single-output system")
+    return representation.behaviour()[0]
 
 
 def equivalent(first: Representation, second: Representation) -> bool:

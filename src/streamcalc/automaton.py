@@ -6,9 +6,12 @@ the sum over all length-k transition paths of the product of the weights
 times the output of the final state, which is entry q of W^k o for the weight
 matrix W and the output vector o.  In closed form the streams are the
 resolvent (I - X W)^-1 applied to o; they are computed from the first 2n
-vectors W^k o through Berlekamp-Massey, with no arithmetic over k(X).  A
-linear system with a standard-basis initial state converts to an automaton by
-transposition.
+vectors W^k o, o's orbit under W (``Matrix.orbit``), through Berlekamp-Massey,
+with no arithmetic over k(X).  A linear system with a standard-basis initial
+state converts to an automaton by transposition, and back:
+``to_linear_system(q)`` is the pointed system through which one state's
+stream is found alone.  ``path_sum`` enumerates paths on an explicit stack
+and stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
 from .fields import Field, field_from_spec
 from .linear_system import LinearSystem, PointedLinearSystem, is_first_basis_vector
 from .matrix import Matrix
-from .ratstream import RationalStream
+from .ratstream import RationalStream, coordinate_streams
 from .records import read_dimension, read_records
 
 
@@ -67,18 +70,17 @@ class WeightedAutomaton:
             raise ValueError("path length must be nonnegative")
         zero = self.field.zero()
         total = zero
-
-        def walk(q: int, remaining: int, acc):
-            nonlocal total
+        # (state, steps left, weight so far) of each path prefix still to extend
+        pending = [(state, length, self.field.one())]
+        while pending:
+            q, remaining, acc = pending.pop()
             if remaining == 0:
                 total = total + acc * self.outputs[q]
-                return
-            for q2 in range(self.size):
+                continue
+            for q2 in reversed(range(self.size)):
                 weight = self.weights.entries[q][q2]
                 if weight != zero:
-                    walk(q2, remaining - 1, acc * weight)
-
-        walk(state, length, self.field.one())
+                    pending.append((q2, remaining - 1, acc * weight))
         return total
 
     def behaviour(self) -> Tuple[RationalStream, ...]:
@@ -87,15 +89,8 @@ class WeightedAutomaton:
         State q's stream has coefficients (W^k o)_q and linear complexity at
         most ``size``, so the first 2 * size iterates determine every state.
         """
-        iterates = []
-        vector = self.outputs
-        for _ in range(2 * self.size):
-            iterates.append(vector)
-            vector = self.weights.apply(vector)
-        return tuple(
-            RationalStream.from_sequence(self.field, [v[q] for v in iterates])
-            for q in range(self.size)
-        )
+        iterates = self.weights.orbit(self.outputs, 2 * self.size)
+        return coordinate_streams(self.field, iterates, self.size)
 
     @classmethod
     def from_linear_system(cls, pointed: PointedLinearSystem) -> "WeightedAutomaton":

@@ -7,13 +7,17 @@ port is sampled, and then every register latches its freshly computed input
 simultaneously.  A netlist derives one evaluation plan when it is built: its
 multipliers and adders in topological order, each with the value slots of its
 drivers and its factor already coerced (copiers only alias slots), so a tick
-is one walk over that plan.
+is one walk over that plan.  ``simulate`` walks it tick after tick, in time
+linear in the gates.  A tick is linear in the register values, so one walk
+from each unit state reads off the netlist's pointed linear system
+(``to_linear_system``), through which its closed form is found.
 
 A canonical circuit is the dense description (feedback matrix, feedforward
-row, register seeds); its closed-form behaviour is the feedforward row applied
-to the resolvent of the feedback matrix at the seeds.  It expands to a netlist
-from one table of weighted edges with one multiplier per edge; zero-weight
-fix-up edges keep every register driven and read and the output tapped.
+row, register seeds), itself a pointed linear system; its closed-form
+behaviour is the feedforward row applied to the resolvent of the feedback
+matrix at the seeds.  It expands to a netlist from one table of weighted
+edges with one multiplier per edge; zero-weight fix-up edges keep every
+register driven and read and the output tapped.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
 from .linear_system import LinearSystem, PointedLinearSystem
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix, parse_vector
 from .ratstream import RationalStream
-from .records import content_lines, read_records
+from .records import MAX_DIMENSION, content_lines, read_records
 
 
 @dataclass(frozen=True)
@@ -183,17 +187,32 @@ class Netlist:
         latches = [slots[self._drivers[(name, 0)]] for name in registers]
         return seeds, plan, slots[self.output], latches
 
+    def _tick(self, state: List) -> List:
+        values = list(state)
+        for operation, inputs in self._plan:
+            values.append(operation(*[values[k] for k in inputs]))
+        return values
+
     def simulate(self, steps: int) -> List:
         """Sample the designated output for ``steps`` synchronous ticks."""
         state, samples = self._seeds, []
         for _ in range(steps):
-            values = list(state)
-            for operation, inputs in self._plan:
-                values.append(operation(*[values[k] for k in inputs]))
+            values = self._tick(state)
             samples.append(values[self._output_slot])
             # all registers latch simultaneously at tick end
             state = [values[k] for k in self._latches]
         return samples
+
+    def to_linear_system(self) -> PointedLinearSystem:
+        """The pointed system of the register values: the tick from unit state j
+        gives column j of F at the latch slots and of H at the output slot."""
+        r = len(self._seeds)
+        if r > MAX_DIMENSION:
+            raise DimensionMismatch(f"{r} registers; a linear system has at most {MAX_DIMENSION}")
+        columns = [self._tick(unit) for unit in Matrix.identity(self.field, r).entries]
+        dynamics = Matrix(self.field, ([c[k] for c in columns] for k in self._latches), cols=r)
+        output = Matrix(self.field, [[c[self._output_slot] for c in columns]], cols=r)
+        return PointedLinearSystem(LinearSystem(dynamics, output), self._seeds)
 
     def with_output_register(self, initial) -> "Netlist":
         """Insert one register in front of the output (delays the stream)."""

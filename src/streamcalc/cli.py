@@ -124,7 +124,7 @@ def _cmd_automaton_eval(args) -> int:
     if args.method == "path":
         values = [automaton.path_sum(state, k) for k in range(args.n)]
     else:
-        values = automaton.behaviour()[state].expand(args.n)
+        values = automaton.to_linear_system(state).behaviour()[0].expand(args.n)
     print(_prefix_line(automaton.field, values))
     return 0
 
@@ -157,13 +157,7 @@ def _load_representation(spec: str, field: Field):
             raise FormatError(f"system file {path} has no v0; pass system:{path}@v")
         return loaded
     if kind == "circuit":
-        loaded = _read(rest, parse_circuit_file)
-        if isinstance(loaded, Netlist):
-            raise FormatError(
-                "equality needs a canonical circuit file (M=/N=/r=); "
-                "general netlists have no closed form here"
-            )
-        return loaded
+        return _read(rest, parse_circuit_file)
     if kind == "automaton":
         path, at, state_text = rest.partition("@")
         if not at or not is_ascii_digits(state_text):
@@ -297,6 +291,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    # exact answers may have any number of digits; literals are bounded by
+    # fields.parse_integer instead
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ParseError, FormatError) as exc:
@@ -308,6 +306,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

@@ -12,7 +12,6 @@ over Q and the bare ``int`` residue over GF(p).
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,6 +20,10 @@ from .errors import FieldMismatch, FormatError
 # [0-9], not \d: \d also matches other scripts' digits such as '٣'
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+
+# Bound on the digits of an integer literal in any input: converting a
+# decimal string costs time quadratic in its length.
+MAX_LITERAL_DIGITS = 4300
 
 # The first 12 primes as Miller-Rabin witnesses decide primality exactly below
 # psi_12 = 318665857834031151167461 = 399165290221 * 798330580441, the least
@@ -37,16 +40,16 @@ def is_ascii_digits(text: str) -> bool:
 def parse_integer(text: str) -> int:
     """``int(text)`` for a literal already checked to be signed ASCII digits.
 
-    ``int`` refuses literals of more than ``sys.get_int_max_str_digits()``
-    digits (4300 by default); those raise a FormatError instead.
+    A literal of more than MAX_LITERAL_DIGITS digits raises a FormatError.
+    This stays the input bound where the interpreter's own limit on ``int``
+    is lifted, as ``cli.main`` lifts it while a command runs.
     """
-    try:
-        return int(text)
-    except ValueError:
+    digits = len(text.lstrip("+-"))
+    if digits > MAX_LITERAL_DIGITS:
         raise FormatError(
-            f"integer literal of {len(text.lstrip('+-'))} digits is too long "
-            f"(at most {sys.get_int_max_str_digits()})"
-        ) from None
+            f"integer literal of {digits} digits is too long (at most {MAX_LITERAL_DIGITS})"
+        )
+    return int(text)
 
 
 def is_prime(n: int) -> bool:

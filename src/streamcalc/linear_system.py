@@ -5,11 +5,18 @@ output matrix.  Its behaviour at a state is the vector of rational streams
 obtained by iterating the dynamics and observing outputs; symbolically that is
 the output matrix times the transition's resolvent (I - X F)^-1.  The closed
 form is computed without arithmetic over k(X): by Cayley-Hamilton each output
-stream has linear complexity at most n, so its first 2n coefficients, found by
-matrix-vector products over k, determine it through Berlekamp-Massey.  This
-module also reads the minimal realization of a vector of rational streams off
-their closed forms, as the companion matrix of the derivative's minimal
-polynomial, and minimizes a given system through its observability matrix.
+stream has linear complexity at most n, so its first 2n coefficients H F^t v
+determine it through Berlekamp-Massey (``coordinate_streams``).
+
+Every iteration of a matrix goes through the one kernel
+:meth:`Matrix.orbit`: the outputs are H on F's orbit, the observability
+matrix stacks the orbits of H's rows under F transposed, and state
+equivalence checks the outputs of a difference of states.  Every other
+finite representation reaches its stream through this module's pointed
+systems (``to_linear_system``).  This module also reads the minimal
+realization of a vector of rational streams off their closed forms, as the
+companion matrix of the derivative's minimal polynomial, and minimizes a
+given system through its observability matrix.
 """
 
 from __future__ import annotations
@@ -32,10 +39,9 @@ from .matrix import (
     parse_matrix,
     parse_vector,
     rref,
-    vstack,
 )
 from .poly import Polynomial
-from .ratstream import RationalStream
+from .ratstream import RationalStream, coordinate_streams
 from .records import read_dimension, read_records
 
 
@@ -74,22 +80,12 @@ class LinearSystem:
         Each output stream has linear complexity at most ``dim``, so its first
         2 * dim coefficients H F^t state determine it.
         """
-        if len(state) != self.dim:
-            raise ShapeMismatch("state length must equal the dimension")
         outputs = self.step_outputs(state, 2 * self.dim)
-        return tuple(
-            RationalStream.from_sequence(self.field, [o[i] for o in outputs])
-            for i in range(self.num_outputs)
-        )
+        return coordinate_streams(self.field, outputs, self.num_outputs)
 
     def step_outputs(self, state: Sequence, steps: int) -> List[Tuple]:
-        """First ``steps`` output vectors by iterated matrix-vector products."""
-        current = tuple(self.field.coerce(v) for v in state)
-        outputs = []
-        for _ in range(steps):
-            outputs.append(self.output.apply(current))
-            current = self.dynamics.apply(current)
-        return outputs
+        """The first ``steps`` output vectors H F^t state: H on F's orbit."""
+        return [self.output.apply(x) for x in self.dynamics.orbit(state, steps)]
 
 
 @dataclass(frozen=True)
@@ -176,27 +172,21 @@ def realize(streams: Sequence[RationalStream]) -> PointedLinearSystem:
 
 
 def observability_matrix(system: LinearSystem) -> Matrix:
-    """Stack of output * dynamics^i for i < dim; its kernel is unobservability."""
-    blocks = []
-    block = system.output
-    for _ in range(system.dim):
-        blocks.append(block)
-        block = block * system.dynamics
-    if not blocks:
-        return Matrix.zero(system.field, 0, 0)
-    return vstack(*blocks)
+    """Blocks H F^t for t < dim, each row step t of an orbit under F transposed."""
+    n, transposed = system.dim, system.dynamics.transpose()
+    orbits = [transposed.orbit(row, n) for row in system.output.entries]
+    return Matrix(system.field, (orbit[t] for t in range(n) for orbit in orbits), cols=n)
 
 
 def states_equivalent(system: LinearSystem, first: Sequence, second: Sequence) -> bool:
-    """Whether two states have the same behaviour (difference in the kernel)."""
-    obs = observability_matrix(system)
+    """Whether two states have the same behaviour: H F^t (a - b) = 0 for t < dim."""
     a = tuple(system.field.coerce(v) for v in first)
     b = tuple(system.field.coerce(v) for v in second)
     if len(a) != system.dim or len(b) != system.dim:
         raise ShapeMismatch("state vectors must match the dimension")
     diff = tuple(x - y for x, y in zip(a, b))
     zero = system.field.zero()
-    return all(v == zero for v in obs.apply(diff))
+    return all(v == zero for out in system.step_outputs(diff, system.dim) for v in out)
 
 
 def minimize(pointed: PointedLinearSystem) -> PointedLinearSystem:

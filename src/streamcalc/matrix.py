@@ -119,9 +119,25 @@ class Matrix:
 
     def apply(self, vector: Sequence) -> Tuple:
         """Matrix-vector product, on plain tuples."""
+        return self._times(self._vector(vector))
+
+    def orbit(self, vector: Sequence, steps: int) -> List[Tuple]:
+        """v, Mv, ..., M^(steps-1) v for this square M: the one loop that applies
+        a matrix to its own result, coercing v once and stopping at the last term."""
+        if self.rows != self.cols:
+            raise ShapeMismatch("an orbit needs a square matrix")
+        terms = [self._vector(vector)]
+        while len(terms) < steps:
+            terms.append(self._times(terms[-1]))
+        return terms[:steps]
+
+    def _vector(self, vector: Sequence) -> Tuple:
         vec = tuple(self.domain.coerce(v) for v in vector)
         if len(vec) != self.cols:
             raise ShapeMismatch(f"vector of length {len(vec)} for {self.cols} columns")
+        return vec
+
+    def _times(self, vec: Tuple) -> Tuple:
         zero = self.domain.zero()
         out = []
         for i in range(self.rows):
@@ -148,16 +164,6 @@ class Matrix:
 
     def __str__(self):
         return format_matrix(self)
-
-
-def vstack(top: Matrix, *rest: Matrix) -> Matrix:
-    rows = list(top.entries)
-    for m in rest:
-        top._check(m)
-        if m.cols != top.cols:
-            raise ShapeMismatch("stacked matrices must share a column count")
-        rows.extend(m.entries)
-    return Matrix(top.domain, rows, cols=top.cols)
 
 
 def _eliminate(matrix: Matrix):

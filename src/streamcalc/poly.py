@@ -126,6 +126,14 @@ class Polynomial:
         field, p, d = self.field, self.coeffs, self.degree
         zero = field.zero()
         char = field.characteristic
+        if d > 0 and char and k >= char:
+            # Frobenius: f^char = f(X^char) in characteristic char, so
+            # f^k = f^(k mod char) * (f^(k div char))(X^char)
+            high = (self ** (k // char)).coeffs
+            spread = [zero] * (char * (len(high) - 1) + 1)
+            spread[::char] = high
+            # the sparse factor goes first: ``*`` skips its zero coefficients
+            return Polynomial._make(field, spread) * self ** (k % char)
         if d > 0 and p[0] != zero and (char == 0 or k * d < char):
             # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: each
             # coefficient costs d operations, and n * p(0) is invertible for

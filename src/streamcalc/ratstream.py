@@ -210,6 +210,13 @@ class RationalStream:
         return f"({format_terms(self.num)})/({format_terms(self.den)})"
 
 
+def coordinate_streams(field: Field, vectors: Sequence[Tuple], width: int):
+    """``from_sequence`` of each of the ``width`` coordinates of ``vectors``."""
+    return tuple(
+        RationalStream.from_sequence(field, [v[i] for v in vectors]) for i in range(width)
+    )
+
+
 def berlekamp_massey(field: Field, terms: Sequence) -> Tuple[Polynomial, int]:
     """Shortest linear recurrence generating ``terms``: (C, L) with C(0) = 1.
 

@@ -56,7 +56,7 @@ def read_dimension(key: str, text: str, least: int = 0) -> int:
     """A declared n, m or state count: least..MAX_DIMENSION in ASCII digits."""
     if not is_ascii_digits(text):
         raise FormatError(f"{key} must be a nonnegative integer, got {text!r}")
-    value = text.lstrip("0") or "0"  # int() refuses strings of over 4300 digits
+    value = text.lstrip("0") or "0"  # so the length check bounds int()'s input
     if len(value) > len(str(MAX_DIMENSION)) or not least <= int(value) <= MAX_DIMENSION:
         raise FormatError(f"{key} {value} is outside {least}..{MAX_DIMENSION}")
     return int(value)

@@ -135,3 +135,9 @@ def test_file_rejects_bad_indices():
         parse_automaton("states 1\nedge 1 1 1\nedge 1 1 2\n")
     with pytest.raises(FormatError):
         parse_automaton("out 1 1\nstates 1\n")
+
+
+def test_path_sum_walks_long_paths():
+    # one recursion frame per step would overflow the interpreter's stack
+    loop = WeightedAutomaton((1,), Matrix(QQ, [[1]]))
+    assert loop.path_sum(0, 5000) == 1

@@ -14,8 +14,11 @@ from streamcalc import (
     RationalStream,
     ShapeMismatch,
     fit_recurrence,
+    kernel_basis,
+    observability_matrix,
     realize,
     resolvent_streams,
+    states_equivalent,
 )
 from streamcalc import analysis, matrix, poly
 from streamcalc.automaton import WeightedAutomaton
@@ -144,3 +147,61 @@ def test_realize_neither_differentiates_nor_eliminates(monkeypatch):
     pointed = realize([stream([1], [1, -2]), stream([1], [1, -2, 1])])
     assert pointed.system.dynamics == Matrix(QQ, [[0, 0, 2], [1, 0, -5], [0, 1, 4]])
     assert pointed.system.output == Matrix(QQ, [[1, 2, 4], [1, 2, 3]])
+
+
+@given(systems())
+def test_orbit_matches_repeated_apply(case):
+    _, dynamics, _, state = case
+    n = dynamics.rows
+    expected, vector = [], state
+    for _ in range(2 * n + 3):
+        expected.append(vector)
+        vector = dynamics.apply(vector)
+    for steps in range(2 * n + 4):
+        assert dynamics.orbit(state, steps) == expected[:steps]
+
+
+def test_orbit_needs_a_square_matrix():
+    with pytest.raises(ShapeMismatch):
+        Matrix(QQ, [[1, 2]]).orbit((1, 2), 3)
+
+
+@settings(max_examples=100)
+@given(systems(), st.data())
+def test_states_equivalent_iff_same_behaviour(case, data):
+    field, dynamics, output, first = case
+    n = dynamics.rows
+    system = LinearSystem(dynamics, output)
+    if data.draw(st.booleans()):
+        # first plus a random unobservable vector: an equivalent state
+        second = first
+        for kernel_vector in kernel_basis(observability_matrix(system)):
+            c = field.from_int(data.draw(st.integers(-2, 2)))
+            second = tuple(a + c * b for a, b in zip(second, kernel_vector))
+    else:
+        second = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    same = system.behaviour(first) == system.behaviour(second)
+    assert states_equivalent(system, first, second) == same
+
+
+def test_iterations_reach_the_orbit_kernel(monkeypatch):
+    calls = []
+    orbit = Matrix.orbit
+
+    def counted(self, vector, steps):
+        calls.append(steps)
+        return orbit(self, vector, steps)
+
+    monkeypatch.setattr(Matrix, "orbit", counted)
+    system = LinearSystem(Matrix(QQ, [[0, -1], [1, 2]]), Matrix(QQ, [[1, 2]]))
+    automaton = WeightedAutomaton((1, 2), Matrix(QQ, [[0, 1], [-1, 2]]))
+    runs = {
+        "LinearSystem.behaviour": lambda: system.behaviour((1, 0)),
+        "WeightedAutomaton.behaviour": automaton.behaviour,
+        "observability_matrix": lambda: observability_matrix(system),
+        "states_equivalent": lambda: states_equivalent(system, (1, 0), (0, 1)),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, name

@@ -25,6 +25,7 @@ from streamcalc import (
     parse_circuit_file,
     parse_netlist,
     realize,
+    to_rational,
 )
 from streamcalc.expr import evaluate_text
 from streamcalc.fields import PrimeField
@@ -339,3 +340,100 @@ def test_gate_parameter_outside_the_field_fails_at_construction():
     assert Netlist(gf7, gates, wires, ("c1", 1)).simulate(3) == [1, 3, 2]
     with pytest.raises(FieldMismatch):
         Netlist(QQ, gates, wires, ("c1", 1))
+
+
+@st.composite
+def netlists(draw):
+    """Well-formed netlists grown gate by gate, unlike ``to_netlist``'s layout.
+
+    Gates take still-unwired output ports, so the combinational part is
+    acyclic and every loop passes a register.  The ports left over drive the
+    registers and the output in a random order, so registers feed registers
+    directly, loops overlap, and the output may be a register's.
+    """
+    field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(101))))
+    scalar = st.integers(-3, 3).map(field.from_int)
+    r = draw(st.integers(1, 4))
+    gates = {f"r{j}": Register(draw(scalar)) for j in range(r)}
+    wires = []
+    free = [(f"r{j}", 0) for j in range(r)]
+
+    def take():
+        return free.pop(draw(st.integers(0, len(free) - 1)))
+
+    def add(gate, inputs):
+        name = f"g{len(gates)}"
+        gates[name] = gate
+        wires.extend((src, (name, i)) for i, src in enumerate(inputs))
+        free.extend((name, i) for i in range(gate.fanout if isinstance(gate, Copier) else 1))
+
+    for kind in draw(st.lists(st.sampled_from(("multiplier", "adder", "copier")), max_size=10)):
+        if kind == "adder" and len(free) >= 2:
+            arity = draw(st.integers(2, min(3, len(free))))
+            add(Adder(arity), [take() for _ in range(arity)])
+        elif kind == "copier":
+            add(Copier(draw(st.integers(2, 3))), [take()])
+        else:
+            add(Multiplier(draw(scalar)), [take()])
+    while len(free) > r + 1:
+        add(Adder(2), [take(), take()])
+    while len(free) < r + 1:
+        add(Copier(2), [take()])
+    ports = draw(st.permutations(free))
+    wires.extend((ports[j], (f"r{j}", 0)) for j in range(r))
+    order = draw(st.permutations(list(gates)))
+    return Netlist(field, {name: gates[name] for name in order}, wires, ports[r])
+
+
+@settings(max_examples=200)
+@given(netlists())
+def test_netlist_closed_form_matches_simulation(net):
+    r = sum(isinstance(gate, Register) for gate in net.gates.values())
+    assert to_rational(net).expand(2 * r + 5) == net.simulate(2 * r + 5)
+
+
+def square_plus_two_rows(n):
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return st.lists(row, min_size=n + 2, max_size=n + 2)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(square_plus_two_rows), st.sampled_from((QQ, PrimeField(7))))
+def test_to_netlist_reads_back_its_own_system(rows, field):
+    *feedback, feedforward, seeds = rows
+    circuit = CanonicalCircuit(Matrix(field, feedback), Matrix(field, [feedforward]), tuple(seeds))
+    assert circuit.to_netlist().to_linear_system() == circuit.to_linear_system()
+    delayed = circuit.to_netlist().with_output_register(5)
+    n = len(seeds)
+    assert to_rational(delayed).expand(2 * n + 7) == delayed.simulate(2 * n + 7)
+
+
+HAND_WRITTEN = """\
+# x doubles itself, y flips its sign; the output is x + y + x through a
+# 3-way copier and a chain of two adders: 2*2^t + 2*(-1)^t
+gate sum2 adder arity=2
+gate sum1 adder arity=2
+gate y register init=2
+gate fan copier fanout=3
+gate flip multiplier r=-1
+gate twice multiplier r=2
+gate yfan copier fanout=2
+gate x register init=1
+wire sum1.out0 -> sum2.in0
+wire fan.out2 -> sum2.in1
+wire fan.out1 -> sum1.in0
+wire yfan.out1 -> sum1.in1
+wire flip.out0 -> y.in0
+wire yfan.out0 -> flip.in0
+wire y.out0 -> yfan.in0
+wire twice.out0 -> x.in0
+wire fan.out0 -> twice.in0
+wire x.out0 -> fan.in0
+output sum2.out0
+"""
+
+
+def test_hand_written_netlist_closed_form():
+    net = parse_netlist(HAND_WRITTEN)
+    assert to_rational(net) == evaluate_text("2/(1-2*X) + 2/(1+X)")
+    assert to_rational(net.with_output_register(5)) == evaluate_text("5 + X*(2/(1-2*X) + 2/(1+X))")

@@ -345,3 +345,73 @@ def test_commands_stay_off_the_oracles(tmp_path, capsys, monkeypatch, field):
     for argv, (code, out, _) in zip(commands, expected):
         assert code == 0 and out, argv
         assert run(capsys, *argv)[:2] == (0, out), argv
+
+
+# one register feeding a x10 multiplier: 1, 10, 100, ...
+TENFOLD = """\
+gate r register init=1
+gate c copier fanout=2
+gate m multiplier r=10
+wire r.out0 -> c.in0
+wire c.out0 -> m.in0
+wire m.out0 -> r.in0
+output c.out1
+"""
+
+
+def test_equal_reads_netlists(tmp_path, capsys):
+    path = tmp_path / "tenfold.netlist"
+    path.write_text(TENFOLD)
+    code, out, _ = run(capsys, "equal", f"circuit:{path}", "expr:1/(1-10*X)")
+    assert (code, out) == (0, "equal\n")
+    code, out, _ = run(capsys, "equal", f"circuit:{path}", "expr:1/(1-10*X) + X^3")
+    assert (code, out) == (0, "not-equal\ndiffers-at 3\n")
+
+
+def test_equal_bounds_netlist_registers(tmp_path, capsys):
+    # a ring of 1025 registers, one more than a linear system may have
+    n = 1025
+    lines = [f"gate r{j} register init=1" for j in range(n)] + ["gate c copier fanout=2"]
+    lines += [f"wire r{j}.out0 -> r{j + 1}.in0" for j in range(n - 1)]
+    lines += [f"wire r{n - 1}.out0 -> c.in0", "wire c.out0 -> r0.in0", "output c.out1"]
+    path = tmp_path / "ring.netlist"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "equal", f"circuit:{path}", "expr:1")
+    assert (code, out) == (1, "")
+    assert _one_line_error(err) and "1025 registers" in err
+
+
+def test_exact_answers_of_any_length(tmp_path, capsys):
+    power = "1" + "0" * 4399  # 10^4399, 4400 digits
+    code, out, err = run(capsys, "eval", "10^4400", "--n", "1")
+    assert (code, err) == (0, "") and out.splitlines()[0] == power + "0"
+    code, out, err = run(capsys, "eval", "1/(1-10*X)", "--n", "4400")
+    assert (code, err) == (0, "") and out.splitlines()[0].split(", ")[-1] == power
+    # a short prefix line, then a closed form too long for str(); the same
+    # shape as (1+X)^20000, whose 60 MB of output would slow the suite
+    code, out, err = run(capsys, "eval", "1+10^4400*X", "--n", "1")
+    assert (code, err) == (0, "") and out == f"1\n1 + {power}0*X\n"
+    path = tmp_path / "tenfold.netlist"
+    path.write_text(TENFOLD)
+    code, out, err = run(capsys, "circuit", "sim", "--file", str(path), "--n", "4400")
+    assert (code, err) == (0, "") and out.strip().split(", ")[-1] == power
+
+
+def test_main_restores_the_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for expression in ("10^6000", "1/0", "("):
+            run(capsys, "eval", expression, "--n", "1")
+            assert sys.get_int_max_str_digits() == 5000, expression
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_path_method_has_no_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "loop.automaton"
+    path.write_text("states 1\nout 1 1\nedge 1 1 1\n")
+    code, out, err = run(capsys, "automaton", "eval", "--file", str(path), "--state", "1",
+                         "--n", "1100", "--method", "path")
+    assert (code, err) == (0, "")
+    assert out == ", ".join(["1"] * 1100) + "\n"

@@ -125,3 +125,15 @@ def test_power_matches_repeated_product(field, coeffs, k):
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
+
+
+@given(st.sampled_from((2, 3, 7)), st.booleans(),
+       st.lists(st.integers(0, 6), max_size=5), st.integers(0, 60))
+def test_power_in_small_characteristic_matches_repeated_products(p, divisible_by_x, coeffs, k):
+    # f^k with k >= p goes through f^p = f(X^p); p(0) = 0 is covered too
+    field = PrimeField(p)
+    f = Polynomial(field, ([0] if divisible_by_x else []) + coeffs)
+    expected = Polynomial.one(field)
+    for _ in range(k):
+        expected = expected * f
+    assert f ** k == expected
