@@ -4,8 +4,8 @@
 # Every representation denotes one rational stream, so equivalence reduces to
 # comparing closed forms; the first differing coefficient is a finite
 # certificate of inequality.  For raw prefixes, Hankel-matrix ranks bound the
-# dimension any realization must have: a rank above d rules out every
-# rational form with numerator and denominator degrees at most d.
+# dimension any realization must have: a rank above d rules out every linear
+# system of dimension at most d, i.e. every p/q with max(deg q, deg p + 1) <= d.
 
 from streamcalc import (
     CanonicalCircuit,

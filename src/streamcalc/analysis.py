@@ -9,9 +9,11 @@ system (``to_linear_system``), whose single-output behaviour is the stream.
 For raw coefficient prefixes, the rank of the Hankel matrix
 H[i][j] = prefix[i+j], read off the linear complexity with no elimination,
 lower-bounds the dimension of the derivative-generated subspace; a rank
-exceeding d rules out every rational representation p/q with
-max(deg p, deg q) <= d.  Finite data never proves non-rationality outright,
-so the prober reports a bounded verdict only.
+exceeding d rules out every linear system of dimension <= d, that is every
+reduced p/q with linear complexity max(deg q, deg p + 1) <= d.  It does not
+rule out every p/q with max(deg p, deg q) <= d: 1 + X = (1 + X)/1 has
+linear complexity 2 and gets the verdict at d = 1.  Finite data never proves
+non-rationality outright, so the prober reports a bounded verdict only.
 """
 
 from __future__ import annotations
@@ -116,9 +118,12 @@ def hankel_rank(prefix: Sequence, size: int) -> int:
 def nonrationality_probe(prefix: Sequence, bound: int) -> RankReport:
     """Check whether the prefix is consistent with rationality of degree <= bound.
 
-    The verdict ``NotRationalBelowBound(d)`` means no rational stream p/q with
-    max(deg p, deg q) <= d produces this prefix; it is finite evidence, never
-    a full non-rationality proof.
+    The verdict ``NotRationalBelowBound(d)`` means no linear system of
+    dimension <= d produces this prefix: no reduced p/q with linear
+    complexity max(deg q, deg p + 1) <= d does.  It is finite evidence, never
+    a full non-rationality proof, and it is one-sided: a stream of linear
+    complexity above d may still get ``RationalWitnessConsistent`` (X^2 at
+    d = 1, whose first three coefficients 0, 0, 1 give a Hankel rank of 1).
     """
     if bound < 0:
         raise ValueError("claimed bound must be nonnegative")

@@ -11,7 +11,7 @@ with no arithmetic over k(X).  A linear system with a standard-basis initial
 state converts to an automaton by transposition, and back:
 ``to_linear_system(q)`` is the pointed system through which one state's
 stream is found alone.  ``path_sum`` enumerates paths on an explicit stack
-and stays the independent oracle.
+and stays the independent oracle, capped at ``MAX_PATHS`` path prefixes.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     ShapeMismatch,
+    StreamCalcError,
     UnsupportedInitialVector,
 )
 from .fields import Field, field_from_spec
@@ -30,6 +31,10 @@ from .linear_system import LinearSystem, PointedLinearSystem, is_first_basis_vec
 from .matrix import Matrix
 from .ratstream import RationalStream, coordinate_streams
 from .records import read_dimension, read_records
+
+# path prefixes ``path_sum`` pops before it gives up: well above the few
+# thousand its uses as an oracle need, and a fraction of a second of work
+MAX_PATHS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,9 @@ class WeightedAutomaton:
         """Brute-force semantics: enumerate every length-k path explicitly.
 
         Exponential in ``length``; intended as an oracle at desk scale.
-        Zero-weight edges contribute nothing and are skipped.
+        Zero-weight edges contribute nothing and are skipped.  Past
+        ``MAX_PATHS`` path prefixes it raises :class:`StreamCalcError`
+        instead of running on; the closed form has the same coefficients.
         """
         self._check_state(state)
         if length < 0:
@@ -72,7 +79,14 @@ class WeightedAutomaton:
         total = zero
         # (state, steps left, weight so far) of each path prefix still to extend
         pending = [(state, length, self.field.one())]
+        popped = 0
         while pending:
+            popped += 1
+            if popped > MAX_PATHS:
+                raise StreamCalcError(
+                    f"path enumeration stopped after {MAX_PATHS} path prefixes; "
+                    "the closed form gives the same coefficients"
+                )
             q, remaining, acc = pending.pop()
             if remaining == 0:
                 total = total + acc * self.outputs[q]

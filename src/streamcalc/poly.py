@@ -2,10 +2,16 @@
 
 :class:`Polynomial` stores coefficients ascending by degree with no trailing
 zeros (the zero polynomial is the empty tuple, degree -1).
-:class:`RationalFunction` is a reduced quotient with monic denominator; its
-denominator may vanish at 0, which is needed transiently during Gaussian
-elimination over k(X).  The stream-valued quotient that additionally demands a
-unit at 0 lives in :mod:`streamcalc.ratstream`.
+
+:class:`Quotient` is the one reduced quotient p/q: one checked constructor
+(gcd, then normalization), one trusted ``_make`` for values already reduced,
+and the field arithmetic.  Its two kinds differ in three hooks only: which
+denominators and which divisors they accept, and which coefficient of the
+denominator they scale to 1.  :class:`RationalFunction`, an element of k(X),
+takes any nonzero denominator and makes it monic; its denominator may vanish
+at 0, which is needed transiently during Gaussian elimination over k(X).
+:class:`~streamcalc.ratstream.RationalStream` takes only denominators with
+q(0) != 0 and scales q(0) to 1.
 """
 
 from __future__ import annotations
@@ -252,37 +258,55 @@ def format_terms(p: Polynomial) -> str:
     return "".join(parts)
 
 
-class RationalFunction:
-    """Element of k(X): reduced quotient of polynomials with monic denominator."""
+class Quotient:
+    """Reduced quotient num/den of polynomials, normalized by one coefficient of den.
+
+    The arithmetic shared by :class:`RationalFunction` and
+    :class:`~streamcalc.ratstream.RationalStream`.  A subclass supplies three
+    hooks: ``_check_denominator`` rejects the denominators it does not accept,
+    ``_check_divisor`` the divisors, and ``_normalizer`` picks the coefficient
+    of den that is scaled to 1.  Results are built with ``type(self)``, and
+    only objects of the same type compare equal, since the two normalizations
+    differ.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if num.field != den.field:
             raise FieldMismatch("numerator and denominator over different fields")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in rational function")
+        self._check_denominator(den)
         if num.is_zero:
-            num, den = num, Polynomial.one(num.field)
+            den = Polynomial.one(num.field)
         else:
             # gcd is trivial when either side is constant; skip Euclid then
             if num.degree > 0 and den.degree > 0:
                 g = num.gcd(den)
                 if g.degree > 0:
                     num, den = num // g, den // g
-            if den.leading != num.field.one():
-                lead_inv = num.field.inv(den.leading)
-                num, den = num.scale(lead_inv), den.scale(lead_inv)
+            unit = self._normalizer(den)
+            if unit != num.field.one():
+                inverse = num.field.inv(unit)
+                num, den = num.scale(inverse), den.scale(inverse)
         self.num = num
         self.den = den
 
+    @classmethod
+    def _make(cls, num: Polynomial, den: Polynomial):
+        # internal fast path: num/den already reduced and normalized
+        q = object.__new__(cls)
+        q.num = num
+        q.den = den
+        return q
+
     @property
-    def field(self):
+    def field(self) -> Field:
         return self.num.field
 
     @classmethod
     def from_polynomial(cls, p: Polynomial):
-        return cls(p, Polynomial.one(p.field))
+        # p/1 is reduced, and 1 is both monic and 1 at 0
+        return cls._make(p, Polynomial.one(p.field))
 
     @classmethod
     def constant(cls, field, c):
@@ -301,44 +325,47 @@ class RationalFunction:
         return cls.from_polynomial(Polynomial.one(field))
 
     @property
-    def is_zero(self):
+    def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def _check(self, other):
+        # k(X) leaves operands over different fields to the polynomial arithmetic
+        pass
+
     def __add__(self, other):
+        self._check(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
+        self._check(other)
         if other.is_zero:
             return self
         if self.is_zero:
             return -other
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return type(self)(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return self._make(-self.num, self.den)
 
     def __mul__(self, other):
+        self._check(other)
         if self.is_zero or other.is_zero:
-            return RationalFunction.zero(self.field)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+            return self.zero(self.field)
+        return type(self)(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
+        self._check(other)
+        self._check_divisor(other)
         if self.is_zero:
             return self
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return type(self)(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
+        if type(other) is not type(self):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -346,7 +373,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+        return f"{type(self).__name__}({self.num!r}, {self.den!r})"
 
     def __str__(self):
         num, den = self.num, self.den
@@ -358,6 +385,26 @@ class RationalFunction:
         if den == Polynomial.one(self.field):
             return format_terms(num)
         return f"({format_terms(num)})/({format_terms(den)})"
+
+
+class RationalFunction(Quotient):
+    """Element of k(X): reduced quotient of polynomials with monic denominator."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_denominator(den: Polynomial):
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator in rational function")
+
+    @staticmethod
+    def _check_divisor(divisor: "RationalFunction"):
+        if divisor.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+
+    @staticmethod
+    def _normalizer(den: Polynomial):
+        return den.leading
 
 
 class FractionField:

@@ -1,10 +1,14 @@
 """Rational streams in closed form: reduced quotients p/q with q(0) = 1.
 
 A rational stream is the quotient of two polynomial streams whose denominator
-is invertible at 0.  Normalizing the denominator's constant term to 1 (always
-possible) makes the representation unique, so equality is structural, the
-coefficient expansion is a direct linear recurrence, and the stream derivative
-has a closed form that keeps the denominator fixed.
+is invertible at 0: the element of k(X) that is defined at 0.  It is the one
+reduced quotient of :class:`~streamcalc.poly.Quotient`, with the three hooks
+set for streams: a denominator must have q(0) != 0
+(:class:`NotInvertibleAtZero` otherwise), a divisor must have initial value
+p(0) != 0, and q(0) is the coefficient scaled to 1.  That normalization makes
+the representation unique, so equality is structural, the coefficient
+expansion is a direct linear recurrence, and the stream derivative has a
+closed form that keeps the denominator fixed.
 
 :func:`berlekamp_massey` is the one recurrence kernel: every finite
 representation reaches its closed form by computing enough coefficients over
@@ -18,62 +22,35 @@ from typing import List, Sequence, Tuple
 
 from .errors import FieldMismatch, NotInvertibleAtZero
 from .fields import Field
-from .poly import Polynomial, RationalFunction, format_terms
+from .poly import Polynomial, Quotient, RationalFunction
 
 
-class RationalStream:
-    __slots__ = ("num", "den")
+class RationalStream(Quotient):
+    """Rational stream: reduced quotient p/q of polynomials with q(0) = 1."""
 
-    def __init__(self, num: Polynomial, den: Polynomial):
-        if num.field != den.field:
-            raise FieldMismatch("numerator and denominator over different fields")
-        field = num.field
-        if den.constant_term == field.zero():
+    __slots__ = ()
+
+    @staticmethod
+    def _check_denominator(den: Polynomial):
+        if den.constant_term == den.field.zero():
             raise NotInvertibleAtZero(
                 "denominator has initial value 0 and therefore no inverse"
             )
-        if num.is_zero:
-            num, den = num, Polynomial.one(field)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            unit = field.inv(den.constant_term)
-            num, den = num.scale(unit), den.scale(unit)
-        self.num = num
-        self.den = den
 
-    @classmethod
-    def _make(cls, num: Polynomial, den: Polynomial) -> "RationalStream":
-        # internal fast path: num/den already reduced with den(0) = 1
-        s = object.__new__(cls)
-        s.num = num
-        s.den = den
-        return s
+    @staticmethod
+    def _check_divisor(divisor: "RationalStream"):
+        if divisor.num.constant_term == divisor.field.zero():
+            raise NotInvertibleAtZero(
+                "divisor has initial value 0 and therefore no inverse"
+            )
 
-    @property
-    def field(self) -> Field:
-        return self.num.field
+    @staticmethod
+    def _normalizer(den: Polynomial):
+        return den.constant_term
 
-    @classmethod
-    def constant(cls, field, c):
-        return cls(Polynomial.constant(field, c), Polynomial.one(field))
-
-    @classmethod
-    def zero(cls, field):
-        return cls(Polynomial.zero(field), Polynomial.one(field))
-
-    @classmethod
-    def one(cls, field):
-        return cls.constant(field, field.one())
-
-    @classmethod
-    def x(cls, field):
-        return cls(Polynomial.x(field), Polynomial.one(field))
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial):
-        return cls(p, Polynomial.one(p.field))
+    def _check(self, other: "RationalStream"):
+        if other.field != self.field:
+            raise FieldMismatch("streams over different fields")
 
     @classmethod
     def from_sequence(cls, field: Field, terms: Sequence) -> "RationalStream":
@@ -100,41 +77,6 @@ class RationalStream:
     def from_fraction(cls, rf: RationalFunction):
         """Reinterpret an element of k(X); requires den(0) != 0."""
         return cls(rf.num, rf.den)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _check(self, other: "RationalStream"):
-        if other.field != self.field:
-            raise FieldMismatch("streams over different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return RationalStream(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return RationalStream(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return RationalStream._make(-self.num, self.den)
-
-    def __mul__(self, other):
-        self._check(other)
-        return RationalStream(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.num.constant_term == self.field.zero():
-            raise NotInvertibleAtZero(
-                "divisor has initial value 0 and therefore no inverse"
-            )
-        return RationalStream(self.num * other.den, self.den * other.num)
 
     def inverse(self):
         return RationalStream.one(self.field) / self
@@ -186,28 +128,6 @@ class RationalStream:
 
     def coefficient(self, i: int):
         return self.expand(i + 1)[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalStream):
-            return NotImplemented
-        # reduced form with den(0) = 1 is unique, so cross-multiplication
-        # (num * other.den == other.num * den) reduces to structural equality
-        return (
-            self.field == other.field
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalStream({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den == Polynomial.one(self.field):
-            return format_terms(self.num)
-        return f"({format_terms(self.num)})/({format_terms(self.den)})"
 
 
 def coordinate_streams(field: Field, vectors: Sequence[Tuple], width: int):

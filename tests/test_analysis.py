@@ -239,6 +239,48 @@ def test_probe_verdicts_match_elimination(case):
         assert report.verdict == "RationalWitnessConsistent"
 
 
+PROBE_FIELDS = (QQ, PrimeField(2), PrimeField(101))
+
+
+@st.composite
+def probed_streams(draw):
+    """A reduced p/q, its linear complexity L and a probe bound d in 0..L+1."""
+    field = draw(st.sampled_from(PROBE_FIELDS))
+    num = draw(st.lists(st.integers(-9, 9), max_size=5))
+    den = [1] + draw(st.lists(st.integers(-9, 9), max_size=4))
+    s = RationalStream(Polynomial(field, num), Polynomial(field, den))
+    complexity = max(s.den.degree, s.num.degree + 1)
+    return s, complexity, draw(st.integers(0, complexity + 1))
+
+
+@settings(max_examples=300)
+@given(probed_streams())
+def test_probe_verdict_bounds_the_linear_complexity(case):
+    # the verdict at d rules out exactly the linear systems of dimension <= d:
+    # it never fires when L <= d, and it fires at d = L - 1, where the 2L - 1
+    # coefficients already have linear complexity L
+    s, complexity, d = case
+    flagged = nonrationality_probe(s.expand(2 * d + 1), d).verdict == (
+        f"NotRationalBelowBound({d})"
+    )
+    if complexity <= d:
+        assert not flagged
+    if complexity == d + 1:
+        assert flagged
+
+
+def test_probe_verdict_is_one_sided():
+    # below L - 1 a short prefix may have lower complexity than the stream:
+    # X^2 has L = 3, but 0, 0, 1 gives a 2 x 2 Hankel rank of 1
+    assert nonrationality_probe(evaluate_text("X^2").expand(3), 1).verdict == (
+        "RationalWitnessConsistent"
+    )
+    # a polynomial p has L = deg p + 1, so 1 + X = (1 + X)/1 is flagged at 1
+    assert nonrationality_probe(evaluate_text("1+X").expand(3), 1).verdict == (
+        "NotRationalBelowBound(1)"
+    )
+
+
 def test_rank_and_probe_never_eliminate(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("hankel_rank or the probe reached matrix._eliminate")

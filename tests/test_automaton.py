@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from streamcalc import (
     DimensionMismatch,
+    StreamCalcError,
     FormatError,
     Matrix,
     PointedLinearSystem,
@@ -14,6 +16,7 @@ from streamcalc import (
     parse_automaton,
     realize,
 )
+from streamcalc.automaton import MAX_PATHS
 from streamcalc.expr import evaluate_text
 from streamcalc.fields import PrimeField
 from util import random_automaton, random_stream
@@ -141,3 +144,14 @@ def test_path_sum_walks_long_paths():
     # one recursion frame per step would overflow the interpreter's stack
     loop = WeightedAutomaton((1,), Matrix(QQ, [[1]]))
     assert loop.path_sum(0, 5000) == 1
+
+
+def test_path_sum_stops_at_the_path_cap():
+    # every path of length k survives: 2^(k+1) - 1 path prefixes
+    complete = WeightedAutomaton((1, 1), Matrix(QQ, [[1, 1], [1, 1]]))
+    assert complete.path_sum(0, 15) == 2 ** 15
+    assert 2 ** 16 - 1 <= MAX_PATHS < 2 ** 17 - 1
+    start = time.perf_counter()
+    with pytest.raises(StreamCalcError, match="path prefixes"):
+        complete.path_sum(0, 40)
+    assert time.perf_counter() - start < 10

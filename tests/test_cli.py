@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,29 @@ def test_probe_reports(capsys):
     assert out == (
         "prefix_len: 11\nhankel_size: 6\nrank: 2\nverdict: RationalWitnessConsistent\n"
     )
+
+
+def test_probe_flags_a_polynomial_above_its_dimension(capsys):
+    # 1 + X needs a linear system of dimension 2, so bound 1 rules it out
+    code, out, _ = run(capsys, "probe", "--expr", "1+X", "--d", "1")
+    assert (code, out.splitlines()[-1]) == (0, "verdict: NotRationalBelowBound(1)")
+
+
+def test_path_method_stops_at_the_path_cap(tmp_path, capsys):
+    path = tmp_path / "complete.automaton"
+    path.write_text(
+        "field q\nstates 2\nout 1 1\nout 2 1\n"
+        "edge 1 1 1\nedge 1 2 1\nedge 2 1 1\nedge 2 2 1\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "automaton", "eval", "--file", str(path), "--state", "1",
+        "--n", "40", "--method", "path",
+    )
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: path enumeration stopped")
 
 
 def test_domain_error_exit_code(capsys):
