@@ -195,6 +195,8 @@ class Netlist:
 
     def simulate(self, steps: int) -> List:
         """Sample the designated output for ``steps`` synchronous ticks."""
+        if steps < 0:
+            raise ValueError("number of ticks must be nonnegative")
         state, samples = self._seeds, []
         for _ in range(steps):
             values = self._tick(state)

@@ -3,8 +3,10 @@
 Rational scalars are plain ``fractions.Fraction`` values (always in lowest
 terms with positive denominator).  Prime-field scalars are
 :class:`PrimeFieldElement` residues.  A field descriptor object
-(:data:`QQ` or a :class:`PrimeField`) supplies identities, coercion,
-inversion and the text syntax used by matrices, files and the CLI.  It also
+(:data:`QQ` or a :class:`PrimeField`) supplies identities, inversion and the
+text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
+membership, for matrices, polynomials and a residue's operators alike, and
+its ``dot`` sums products, for every mat-vec and linear recurrence.  It also
 owns the raw values that inner loops compute with: the ``Fraction`` itself
 over Q and the bare ``int`` residue over GF(p).
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import FieldMismatch, FormatError
 
@@ -108,6 +111,13 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def dot(self, xs, ys):
+        """The sum of x * y over paired elements that ``coerce`` has admitted;
+        pairs stop at the shorter input, and no pairs give ``zero()``."""
+        products = map(mul, xs, ys)
+        first = next(products, None)  # fold from it: no addition to zero
+        return self.zero() if first is None else sum(products, first)
 
     def to_raw(self, a):
         """The raw value of ``a`` (anything ``coerce`` accepts)."""
@@ -223,58 +233,27 @@ class PrimeFieldElement:
         self.value = value % field.modulus
         self.field = field
 
-    def _lift(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"GF({other.field.modulus}) value used in GF({self.field.modulus})"
-                )
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.field)
-        if isinstance(other, Fraction):
-            raise FieldMismatch("rational scalar used in a prime field")
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value + other.value, self.field)
+        return PrimeFieldElement(self.value + self.field.coerce(other).value, self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value - other.value, self.field)
+        return PrimeFieldElement(self.value - self.field.coerce(other).value, self.field)
 
     def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return PrimeFieldElement(self.field.coerce(other).value - self.value, self.field)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value * other.value, self.field)
+        return PrimeFieldElement(self.value * self.field.coerce(other).value, self.field)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return self * self.field.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return self.field.coerce(other) * self.inverse()
 
     def __neg__(self):
         return PrimeFieldElement(-self.value, self.field)
@@ -341,6 +320,10 @@ class PrimeField(Field):
 
     def inv(self, a):
         return self.coerce(a).inverse()
+
+    def dot(self, xs, ys):
+        # the residues' products summed as ints, reduced and boxed once
+        return PrimeFieldElement(sum(x.value * y.value for x, y in zip(xs, ys)), self)
 
     def to_raw(self, a):
         return self.coerce(a).value

@@ -305,6 +305,10 @@ def parse_system(text: str) -> SystemLike:
         line, value = entries["m"]
         m = read_dimension("m", value, least=1)
         if n == 0:
+            for key in ("F", "H"):
+                if key in entries:
+                    line = entries[key][0]
+                    raise FormatError(f"n 0 takes no {key} line")
             dynamics = Matrix.zero(field, 0, 0)
             output = Matrix.zero(field, m, 0)
         else:

@@ -92,17 +92,12 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = self.domain.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.domain, out, cols=other.cols)
+        dot, columns = self.domain.dot, other.transpose().entries
+        return Matrix(
+            self.domain,
+            ((dot(row, column) for column in columns) for row in self.entries),
+            cols=other.cols,
+        )
 
     def scale(self, c):
         c = self.domain.coerce(c)
@@ -126,6 +121,8 @@ class Matrix:
         a matrix to its own result, coercing v once and stopping at the last term."""
         if self.rows != self.cols:
             raise ShapeMismatch("an orbit needs a square matrix")
+        if steps < 0:
+            raise ValueError("orbit length must be nonnegative")
         terms = [self._vector(vector)]
         while len(terms) < steps:
             terms.append(self._times(terms[-1]))
@@ -138,14 +135,8 @@ class Matrix:
         return vec
 
     def _times(self, vec: Tuple) -> Tuple:
-        zero = self.domain.zero()
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for j in range(self.cols):
-                acc = acc + self.entries[i][j] * vec[j]
-            out.append(acc)
-        return tuple(out)
+        dot = self.domain.dot
+        return tuple(dot(row, vec) for row in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

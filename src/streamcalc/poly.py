@@ -84,7 +84,8 @@ class Polynomial:
         return self.coeffs[-1]
 
     def coefficient(self, i: int):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero()
+        """The coefficient of X^i; zero for every i outside 0..degree."""
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
 
     def _check(self, other: "Polynomial"):
         if other.field != self.field:
@@ -141,15 +142,16 @@ class Polynomial:
             # the sparse factor goes first: ``*`` skips its zero coefficients
             return Polynomial._make(field, spread) * self ** (k % char)
         if d > 0 and p[0] != zero and (char == 0 or k * d < char):
-            # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: each
-            # coefficient costs d operations, and n * p(0) is invertible for
-            # every n <= k * d under the characteristic condition above
+            # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: n p_0 out_n
+            # = sum_{i=1..min(n, d)} ((k+1) i - n) p_i out_(n-i), two dot products;
+            # n * p(0) is invertible for every n <= k * d by the condition above
+            dot, lifted, tail = field.dot, field.from_int(k + 1), p[1:]
+            weighted = [field.from_int(i) * c for i, c in enumerate(tail, 1)]
             out = [p[0] ** k]
             for n in range(1, k * d + 1):
-                acc = zero
-                for i in range(1, min(n, d) + 1):
-                    acc = acc + field.from_int((k + 1) * i - n) * p[i] * out[n - i]
-                out.append(acc * field.inv(field.from_int(n) * p[0]))
+                m = field.from_int(n)
+                acc = lifted * dot(weighted, reversed(out)) - m * dot(tail, reversed(out))
+                out.append(acc * field.inv(m * p[0]))
             return Polynomial._make(field, out)
         result, base = Polynomial.one(field), self
         while k:  # square-and-multiply
@@ -432,6 +434,8 @@ class FractionField:
                 raise FieldMismatch("polynomial over the wrong base field")
             return RationalFunction.from_polynomial(value)
         return RationalFunction.constant(self.base, self.base.coerce(value))
+
+    dot = Field.dot  # the fold with RationalFunction's own arithmetic
 
     def format(self, value):
         return str(value)

@@ -23,12 +23,16 @@ class StreamPrefix:
         self._cache: List = []
 
     def at(self, i: int):
+        if i < 0:
+            raise ValueError("stream index must be nonnegative")
         # fill sequentially so producers may refer back to smaller indices
         while len(self._cache) <= i:
             self._cache.append(self._producer(len(self._cache)))
         return self._cache[i]
 
     def take(self, n: int) -> List:
+        if n < 0:
+            raise ValueError("number of coefficients must be nonnegative")
         return [self.at(i) for i in range(n)]
 
     @classmethod

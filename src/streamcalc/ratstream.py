@@ -109,24 +109,27 @@ class RationalStream(Quotient):
         return RationalStream._make(shifted.shifted_down(), self.den)
 
     def iterated_derivative(self, k: int) -> "RationalStream":
+        if k < 0:
+            raise ValueError("derivative order must be nonnegative")
         s = self
         for _ in range(k):
             s = s.derivative()
         return s
 
     def expand(self, n: int) -> List:
-        """First ``n`` coefficients via the recurrence induced by the denominator."""
-        zero = self.field.zero()
-        den = self.den.coeffs
+        """First ``n`` coefficients via the recurrence induced by the denominator:
+        s_i = p_i - sum_{j=1..min(i, deg q)} q_j s_(i-j), one dot product each."""
+        if n < 0:
+            raise ValueError("number of coefficients must be nonnegative")
+        dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
         out: List = []
         for i in range(n):
-            acc = self.num.coefficient(i)
-            for j in range(1, min(i, len(den) - 1) + 1):
-                acc = acc - den[j] * out[i - j]
-            out.append(acc)
+            out.append(num.coefficient(i) - dot(taps, reversed(out)))
         return out
 
     def coefficient(self, i: int):
+        if i < 0:
+            raise ValueError("coefficient index must be nonnegative")
         return self.expand(i + 1)[i]
 
 

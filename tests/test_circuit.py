@@ -39,6 +39,9 @@ NATURALS_CANONICAL = CanonicalCircuit(
 def test_simulate_canonical_netlist():
     net = NATURALS_CANONICAL.to_netlist()
     assert net.simulate(5) == [1, 2, 3, 4, 5]
+    assert net.simulate(0) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        net.simulate(-1)
 
 
 def test_register_with_zero_feedback():

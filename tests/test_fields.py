@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given
@@ -92,6 +93,19 @@ def test_field_mismatch_detected():
         GF7.from_int(1) + GF101.from_int(1)
     with pytest.raises(FieldMismatch):
         GF7.from_int(1) + Fraction(1, 2)
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, truediv])
+def test_every_operand_enters_through_coerce(op):
+    a = GF7.from_int(3)
+    assert op(a, 5) == op(a, GF7.from_int(5)) == op(GF7.from_int(3), GF7.from_int(5))
+    assert op(5, a) == op(GF7.from_int(5), a)
+    # membership is decided by PrimeField.coerce: FieldMismatch, not TypeError
+    for other in (Fraction(1, 2), 0.5, "1", None, GF101.one()):
+        with pytest.raises(FieldMismatch):
+            op(a, other)
+        with pytest.raises(FieldMismatch):
+            op(other, a)
 
 
 def test_field_from_spec():

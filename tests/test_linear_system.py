@@ -50,6 +50,10 @@ def test_step_outputs_match_closed_form():
     assert SHIFT_SUM.step_outputs((1, 0), 4) == [(1,), (1,), (1,), (1,)]
     assert NATURALS.step_outputs((1, 0), 5) == [(1,), (2,), (3,), (4,), (5,)]
     assert SHIFT_SUM.step_outputs((1, 0), 0) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        SHIFT_SUM.step_outputs((1, 0), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PointedLinearSystem(NATURALS, (1, 0)).step_outputs(-3)
 
 
 def test_behaviour_coefficients_are_iterated_dynamics():

@@ -217,6 +217,13 @@ def test_empty_dimensions():
     assert rank(empty) == 0
 
 
+def test_negative_orbit_length_is_refused():
+    m = Matrix(QQ, [[1, 1], [0, 1]])
+    assert m.orbit((1, 0), 0) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        m.orbit((1, 0), -1)
+
+
 def test_matrix_text_round_trip():
     m = Matrix(QQ, [[0, -1], [1, 2]])
     assert format_matrix(m) == "0,-1;1,2"

@@ -31,6 +31,12 @@ def test_constant_term():
     assert Polynomial.zero(QQ).constant_term == 0
 
 
+def test_coefficients_outside_the_degree_are_zero():
+    p = poly(QQ, 3, 2)
+    assert [p.coefficient(i) for i in (-2, -1, 0, 1, 2)] == [0, 0, 3, 2, 0]
+    assert poly(GF7, 3, 2).coefficient(-2) == GF7.zero()
+
+
 def test_gcd_example():
     # gcd(X^2 - 1, X - 1) = X - 1, monic
     g = poly(QQ, -1, 0, 1).gcd(poly(QQ, -1, 1))

@@ -77,6 +77,15 @@ def test_memoized_purity():
     assert calls == [0, 1, 2, 3]
 
 
+def test_negative_index_and_count_are_refused():
+    s = StreamPrefix.from_rational(evaluate_text("1/(1-2*X)"))
+    assert s.take(5) == [1, 2, 4, 8, 16]
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.at(-1)  # once the last cached coefficient, 16
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.take(-1)
+
+
 def test_cons_decomposition():
     s = StreamPrefix.from_rational(evaluate_text("(2-X)/(1-X)^2"))
     rebuilt = s.tail().prepend(s.head())

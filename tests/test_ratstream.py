@@ -74,6 +74,14 @@ def test_derivative_of_constant_is_zero():
     assert stream([5]).derivative().is_zero
 
 
+def test_negative_orders_indices_and_counts_are_refused():
+    s = stream([1], [1, -1])
+    assert s.iterated_derivative(0) == s and s.coefficient(0) == 1 and s.expand(0) == []
+    for call in (s.iterated_derivative, s.coefficient, s.expand):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(-1)
+
+
 def test_initial_values():
     assert evaluate_text("1/(1-X)^2").initial_value() == 1
     assert evaluate_text("(2-X)/(1-X)^2").initial_value() == 2

@@ -1,18 +1,24 @@
-"""README's Library tour runs, and every value its comments give is right."""
+"""README's Library tour runs, and every value its comments give is right;
+every line of its Command line block runs and succeeds."""
 
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+from streamcalc.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def tour_lines():
+def readme_block(heading, language):
+    """The lines of the first ``language`` code block under ``## heading``."""
     text = README.read_text()
-    section = text[text.index("## Library tour"):]
-    block = section[section.index("```python\n") + len("```python\n"):]
+    section = text[text.index(f"## {heading}"):]
+    fence = f"```{language}\n"
+    block = section[section.index(fence) + len(fence):]
     return block[: block.index("```")].splitlines()
 
 
@@ -34,7 +40,7 @@ def rendered(value):
 def test_library_tour_values():
     namespace = {}
     checked = 0
-    for line in tour_lines():
+    for line in readme_block("Library tour", "python"):
         code, comment = split_comment(line)
         if not code:
             continue
@@ -51,3 +57,18 @@ def test_library_tour_values():
             )
             checked += 1
     assert checked >= 5
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # the circuit and automaton files the block reads
+    for command, name in (("circuit", "c.txt"), ("automaton", "a.txt")):
+        assert main([command, "synth", "1/(1-X)^2"]) == 0
+        (tmp_path / name).write_text(capsys.readouterr().out)
+    lines = [shlex.split(line, comments=True) for line in readme_block("Command line", "sh")]
+    assert len(lines) >= 10 and all(argv[0] == "streamcalc" for argv in lines)
+    for _, *argv in lines:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), argv
+        assert captured.out, argv

@@ -151,6 +151,29 @@ def test_dimension_at_the_bound_is_accepted():
 
 
 @pytest.mark.parametrize(
+    "text, key, number",
+    [
+        ("field q\nn 0\nm 1\nF 1\n", "F", 4),
+        ("field q\nH 1\nn 0\nm 1\n", "H", 2),
+        ("field q\nn 0\nm 1\nF \nH \nv0\n", "F", 4),
+    ],
+)
+def test_stateless_system_takes_no_matrix_lines(tmp_path, capsys, text, key, number):
+    with pytest.raises(FormatError, match=f"line {number}: n 0 takes no {key} line"):
+        parse_system(text)
+    path = tmp_path / "s.system"
+    path.write_text(text + "v0\n" if "v0" not in text else text)
+    assert main(["equal", f"system:{path}", "expr:0"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line {number}: n 0 takes no {key} line\n"
+
+
+def test_stateless_system_round_trips():
+    stateless = realize([stream([0])])
+    assert format_system(stateless) == "field q\nn 0\nm 1\nv0\n"
+    assert parse_system(format_system(stateless)) == stateless
+
+
+@pytest.mark.parametrize(
     "parser, text, number",
     [
         (parse_automaton, "states ²\n", 1),

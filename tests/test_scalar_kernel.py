@@ -1,0 +1,180 @@
+"""The one sum-of-products kernel ``Field.dot`` and the code that calls it.
+
+Each fast path is checked against a boxed reference from ``util``, the
+oracles are checked to work without the kernel, and membership is still
+decided at the boundary.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from streamcalc import (
+    FieldMismatch,
+    LinearSystem,
+    Matrix,
+    Polynomial,
+    PointedLinearSystem,
+    PrimeField,
+    QQ,
+    RationalFunction,
+    RationalStream,
+    StreamPrefix,
+    resolvent_streams,
+)
+from streamcalc.automaton import WeightedAutomaton
+from streamcalc.circuit import CanonicalCircuit
+from streamcalc.fields import Field
+from streamcalc.poly import FractionField
+from util import boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
+
+GF2, GF101, GF_MERSENNE = PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)
+FIELDS = (QQ, GF2, GF101, GF_MERSENNE)
+KX = FractionField(QQ)
+
+scalars = st.integers(-(2**70), 2**70) | st.fractions(max_denominator=50)
+
+
+def element(field, value):
+    """A scalar of ``field`` from an int or a Fraction (whose denominator is
+    invertible when reduced mod p, or else its numerator is used)."""
+    if field is QQ:
+        return Fraction(value)
+    value = Fraction(value)
+    if value.denominator % field.modulus == 0:
+        return field.from_int(value.numerator)
+    return field.from_int(value.numerator) / field.from_int(value.denominator)
+
+
+@st.composite
+def rational_functions(draw):
+    num = draw(st.lists(st.integers(-5, 5), max_size=3))
+    den = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(any))
+    return RationalFunction(Polynomial(QQ, num), Polynomial(QQ, den))
+
+
+@given(st.sampled_from(FIELDS), st.lists(st.tuples(scalars, scalars), max_size=12))
+def test_dot_matches_boxed_sum(field, pairs):
+    xs = [element(field, x) for x, _ in pairs]
+    ys = [element(field, y) for _, y in pairs]
+    assert field.dot(xs, ys) == boxed_dot(field, xs, ys)
+    # iterators of unequal length pair up to the shorter, as expand passes them
+    assert field.dot(xs, reversed(ys[1:])) == boxed_dot(field, xs, ys[:0:-1])
+
+
+@given(st.lists(st.tuples(rational_functions(), rational_functions()), max_size=5))
+def test_dot_over_kx_matches_boxed_sum(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert KX.dot(xs, ys) == boxed_dot(KX, xs, ys)
+
+
+@pytest.mark.parametrize("field", FIELDS + (KX,), ids=repr)
+def test_empty_dot_is_the_fields_zero(field):
+    zero = field.dot((), ())
+    assert type(zero) is type(field.zero())
+    assert zero == field.zero()
+    assert field.dot([field.one()], ()) == field.zero()
+
+
+@st.composite
+def streams(draw):
+    field = draw(st.sampled_from(FIELDS))
+    num = draw(st.lists(st.integers(-9, 9), max_size=6))
+    den = [1] + draw(st.lists(scalars, max_size=6))
+    return RationalStream(
+        Polynomial(field, num), Polynomial(field, [element(field, c) for c in den])
+    )
+
+
+@given(streams(), st.integers(0, 40))
+def test_expand_matches_boxed_recurrence(s, n):
+    assert s.expand(n) == boxed_expand(s, n)
+
+
+@st.composite
+def square_matrices(draw, field=None, size=None):
+    field = field or draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 5)) if size is None else size
+    rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    return Matrix(field, [[element(field, c) for c in row] for row in rows], cols=n)
+
+
+@given(square_matrices(), st.data(), st.integers(0, 12))
+def test_orbit_matches_boxed_mat_vec(matrix, data, steps):
+    vector = data.draw(st.lists(scalars, min_size=matrix.cols, max_size=matrix.cols))
+    vector = [element(matrix.domain, v) for v in vector]
+    assert matrix.orbit(vector, steps) == boxed_orbit(matrix, vector, steps)
+    assert matrix.apply(vector) == boxed_orbit(matrix, vector, 2)[1]
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matrix_product_matches_boxed_product(field, n, m, data):
+    a = data.draw(square_matrices(field, n))
+    rows = data.draw(st.lists(st.lists(scalars, min_size=m, max_size=m), min_size=n, max_size=n))
+    b = Matrix(field, [[element(field, c) for c in row] for row in rows], cols=m)
+    assert a * b == boxed_product(a, b)
+    assert a * a == boxed_product(a, a)
+
+
+@given(
+    st.sampled_from((QQ, PrimeField(7), GF101, GF_MERSENNE)),
+    st.lists(scalars, min_size=2, max_size=5),
+    st.integers(0, 12),
+)
+def test_power_on_millers_branch_matches_repeated_product(field, coeffs, k):
+    p = Polynomial(field, [element(field, c) for c in coeffs])
+    # the branch __pow__ takes Miller's recurrence on
+    assume(p.degree > 0 and p.constant_term != field.zero())
+    assume(field.characteristic == 0 or k * p.degree < field.characteristic)
+    assert p**k == boxed_power(p, k)
+
+
+@pytest.mark.parametrize("field", (QQ, GF101), ids=repr)
+def test_oracles_run_without_the_kernel(field, monkeypatch):
+    """StreamPrefix, path_sum, Netlist.simulate and the k(X) resolvent keep
+    their own loops, so they stay independent checks of the kernel."""
+    pa, pb = Polynomial(field, [1, -1, 2]), Polynomial(field, [3, 0, 1, 5])
+    a = StreamPrefix.from_coefficients(field, pa.coeffs)
+    b = StreamPrefix.from_coefficients(field, pb.coeffs)
+    transition = Matrix(field, [[0, -1], [1, 2]])
+    pointed = PointedLinearSystem(LinearSystem(transition, Matrix(field, [[1, 2]])), (1, 0))
+    automaton = WeightedAutomaton.from_linear_system(pointed)
+    netlist = CanonicalCircuit.from_linear_system(pointed).to_netlist()
+    # the answers, computed through the kernel before it is taken away
+    product = RationalStream.from_polynomial(pa * pa * pb).expand(8)
+    inverse = RationalStream(Polynomial.one(field), pa).expand(8)
+    outputs = [out[0] for out in pointed.step_outputs(8)]
+    orbit = transition.orbit((1, 0), 4)
+    states = tuple(RationalStream.from_sequence(field, [v[i] for v in orbit]) for i in range(2))
+
+    def refuse(self, xs, ys):
+        raise AssertionError("the dot kernel was called")
+
+    for descriptor in (Field, PrimeField, FractionField):
+        monkeypatch.setattr(descriptor, "dot", refuse)
+    with pytest.raises(AssertionError, match="dot kernel"):
+        pointed.step_outputs(2)
+    assert (a * a * b).take(8) == product
+    assert a.inverse().take(8) == inverse
+    assert [automaton.path_sum(0, k) for k in range(8)] == outputs
+    assert netlist.simulate(8) == outputs
+    assert resolvent_streams(transition, (1, 0)) == states
+
+
+@pytest.mark.parametrize(
+    "matrix, vector",
+    [
+        (Matrix(GF101, [[1, 2], [3, 4]]), [PrimeField(7).one(), PrimeField(7).one()]),
+        (Matrix(GF101, [[1, 2], [3, 4]]), [GF2.one(), 1]),
+        (Matrix(GF101, [[1, 2], [3, 4]]), [Fraction(1, 2), 1]),
+        (Matrix(QQ, [[1, 2], [3, 4]]), [GF101.one(), 1]),
+    ],
+    ids=["gf7-in-gf101", "gf2-in-gf101", "fraction-in-gf101", "gf101-in-q"],
+)
+def test_foreign_vectors_raise_field_mismatch(matrix, vector):
+    with pytest.raises(FieldMismatch):
+        matrix.apply(vector)
+    with pytest.raises(FieldMismatch):
+        matrix.orbit(vector, 3)

@@ -87,3 +87,50 @@ def boxed_berlekamp_massey(field, terms):
             gap += 1
         current = updated
     return Polynomial(field, current), length
+
+
+def boxed_dot(field, xs, ys):
+    """The reference for ``Field.dot``: an accumulator from the field's zero,
+    one boxed addition and multiplication per pair."""
+    acc = field.zero()
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def boxed_expand(s, n):
+    """The reference for ``RationalStream.expand``: s_i = p_i - sum_j q_j s_(i-j),
+    one boxed subtraction and multiplication per term."""
+    den = s.den.coeffs
+    out = []
+    for i in range(n):
+        acc = s.num.coefficient(i)
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc = acc - den[j] * out[i - j]
+        out.append(acc)
+    return out
+
+
+def boxed_product(a, b):
+    """The reference for ``Matrix.__mul__``: rows of ``a`` against columns of ``b``."""
+    columns = [[row[j] for row in b.entries] for j in range(b.cols)]
+    rows = [[boxed_dot(a.domain, row, col) for col in columns] for row in a.entries]
+    return Matrix(a.domain, rows, cols=b.cols)
+
+
+def boxed_orbit(matrix, vector, steps):
+    """The reference for ``Matrix.orbit``: v, Mv, ... with one boxed mat-vec per step."""
+    vec = tuple(matrix.domain.coerce(v) for v in vector)
+    terms = []
+    for _ in range(steps):
+        terms.append(vec)
+        vec = tuple(boxed_dot(matrix.domain, row, vec) for row in matrix.entries)
+    return terms
+
+
+def boxed_power(p, k):
+    """The reference for ``Polynomial.__pow__``: k schoolbook products."""
+    result = Polynomial.one(p.field)
+    for _ in range(k):
+        result = result * p
+    return result
