@@ -1,12 +1,12 @@
 """Finite-dimensional linear systems with outputs, and their stream behaviour.
 
 A system is a state space k^n with an n x n transition matrix and an m x n
-output matrix.  Its behaviour at a state is the vector of rational streams
-obtained by iterating the dynamics and observing outputs; symbolically that is
-the output matrix times the transition's resolvent (I - X F)^-1.  The closed
-form is computed without arithmetic over k(X): by Cayley-Hamilton each output
-stream has linear complexity at most n, so its first 2n coefficients H F^t v
-determine it through Berlekamp-Massey (``coordinate_streams``).
+output matrix.  Its behaviour at a state v is the vector of rational streams
+H (I - X F)^-1 v, computed without arithmetic over k(X): by Cayley-Hamilton
+each output stream has linear complexity at most n, so its first 2n
+coefficients H F^t v determine it through Berlekamp-Massey, the one backward
+recurrence (``coordinate_streams``).  Longer prefixes continue by the one
+forward recurrence, ``RationalStream._terms``.
 
 Every iteration of a matrix goes through the one kernel
 :meth:`Matrix.orbit`: the outputs are H on F's orbit, the observability
@@ -84,8 +84,14 @@ class LinearSystem:
         return coordinate_streams(self.field, outputs, self.num_outputs)
 
     def step_outputs(self, state: Sequence, steps: int) -> List[Tuple]:
-        """The first ``steps`` output vectors H F^t state: H on F's orbit."""
-        return [self.output.apply(x) for x in self.dynamics.orbit(state, steps)]
+        """The first ``steps`` output vectors H F^t state: H on F's orbit up to
+        2 * dim, then each output's closed form (exact by Cayley-Hamilton)."""
+        times = self.output._times  # orbit vectors are coerced already
+        outputs = [times(x) for x in self.dynamics.orbit(state, min(steps, 2 * self.dim))]
+        if steps > len(outputs):
+            streams = coordinate_streams(self.field, outputs, self.num_outputs)
+            outputs = list(zip(*(s.expand(steps) for s in streams)))
+        return outputs
 
 
 @dataclass(frozen=True)
@@ -223,14 +229,16 @@ def minimize(pointed: PointedLinearSystem) -> PointedLinearSystem:
 
 def change_basis(pointed: PointedLinearSystem, transform: Matrix) -> PointedLinearSystem:
     """Conjugate the system by an invertible matrix T: states map as T*state."""
-    system = pointed.system
-    if transform.rows != system.dim or transform.cols != system.dim:
+    if transform.rows != pointed.dim or transform.cols != pointed.dim:
         raise ShapeMismatch("basis change must be square of the system dimension")
-    inv = inverse(transform)
-    new_dynamics = transform * system.dynamics * inv
-    new_output = system.output * inv
+    return _conjugate(pointed, transform, inverse(transform))
+
+
+def _conjugate(pointed: PointedLinearSystem, transform: Matrix, inv: Matrix):
+    system = pointed.system
     return PointedLinearSystem(
-        LinearSystem(new_dynamics, new_output), transform.apply(pointed.initial)
+        LinearSystem(transform * system.dynamics * inv, system.output * inv),
+        transform.apply(pointed.initial),
     )
 
 
@@ -263,12 +271,7 @@ def standardize_initial_state(pointed: PointedLinearSystem) -> PointedLinearSyst
     )
     columns = [pointed.initial] + [identity[p - 1] for p in pivots[1:]]
     basis = Matrix(field, zip(*columns), cols=n)
-    # conjugate by B directly: change_basis(pointed, B^-1) would invert B^-1 back
-    inv, system = inverse(basis), pointed.system
-    return PointedLinearSystem(
-        LinearSystem(inv * system.dynamics * basis, system.output * basis),
-        inv.apply(pointed.initial),
-    )
+    return _conjugate(pointed, inverse(basis), basis)
 
 
 SystemLike = Union[LinearSystem, PointedLinearSystem]

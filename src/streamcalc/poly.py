@@ -22,6 +22,14 @@ from .errors import FieldMismatch
 from .fields import Field
 
 
+def _same_kind(a, b):
+    # the one operand check of polynomials and quotients: same type, same field
+    if type(b) is not type(a):
+        raise FieldMismatch(f"{type(a).__name__} combined with {type(b).__name__}")
+    if b.field != a.field:
+        raise FieldMismatch(f"{type(a).__name__} operands over different fields")
+
+
 class Polynomial:
     __slots__ = ("field", "coeffs")
 
@@ -87,9 +95,7 @@ class Polynomial:
         """The coefficient of X^i; zero for every i outside 0..degree."""
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
 
-    def _check(self, other: "Polynomial"):
-        if other.field != self.field:
-            raise FieldMismatch("polynomials over different fields")
+    _check = _same_kind
 
     def __add__(self, other):
         self._check(other)
@@ -330,9 +336,7 @@ class Quotient:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def _check(self, other):
-        # k(X) leaves operands over different fields to the polynomial arithmetic
-        pass
+    _check = _same_kind
 
     def __add__(self, other):
         self._check(other)
@@ -344,11 +348,7 @@ class Quotient:
 
     def __sub__(self, other):
         self._check(other)
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return -other
-        return type(self)(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __neg__(self):
         return self._make(-self.num, self.den)

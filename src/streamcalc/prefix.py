@@ -5,7 +5,8 @@ function and caches everything produced so far, so re-querying an index always
 yields the identical element.  Pointwise sum, convolution product and the
 multiplicative inverse are defined directly on coefficients; these serve as
 the representation-independent substrate that every closed form must agree
-with.  No equality is offered here (undecidable for arbitrary producers).
+with (``from_rational`` reads a closed form's ``_terms``).  No equality is
+offered here (undecidable for arbitrary producers).
 """
 
 from __future__ import annotations
@@ -44,16 +45,9 @@ class StreamPrefix:
 
     @classmethod
     def from_rational(cls, stream) -> "StreamPrefix":
-        """Coefficients from one expansion buffer, doubled whenever outgrown."""
-        buffer: List = []
-
-        def produce(i):
-            nonlocal buffer
-            if i >= len(buffer):
-                buffer = stream.expand(max(2 * len(buffer), i + 1))
-            return buffer[i]
-
-        return cls(stream.field, produce)
+        """Coefficients pulled once each, in order, from the stream's recurrence."""
+        terms = stream._terms()
+        return cls(stream.field, lambda i: next(terms))
 
     @classmethod
     def constant(cls, field, c):

@@ -10,17 +10,19 @@ the representation unique, so equality is structural, the coefficient
 expansion is a direct linear recurrence, and the stream derivative has a
 closed form that keeps the denominator fixed.
 
-:func:`berlekamp_massey` is the one recurrence kernel: every finite
-representation reaches its closed form by computing enough coefficients over
-k and handing them to :meth:`RationalStream.from_sequence`.
+``RationalStream._terms`` is the one forward recurrence, from a closed form to
+its coefficients; :func:`berlekamp_massey` is the one backward recurrence, from
+enough coefficients over k to the closed form (``from_sequence``).
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import count, islice
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from .errors import FieldMismatch, NotInvertibleAtZero
+from .errors import NotInvertibleAtZero
 from .fields import Field
 from .poly import Polynomial, Quotient, RationalFunction
 
@@ -47,10 +49,6 @@ class RationalStream(Quotient):
     @staticmethod
     def _normalizer(den: Polynomial):
         return den.constant_term
-
-    def _check(self, other: "RationalStream"):
-        if other.field != self.field:
-            raise FieldMismatch("streams over different fields")
 
     @classmethod
     def from_sequence(cls, field: Field, terms: Sequence) -> "RationalStream":
@@ -109,28 +107,33 @@ class RationalStream(Quotient):
         return RationalStream._make(shifted.shifted_down(), self.den)
 
     def iterated_derivative(self, k: int) -> "RationalStream":
+        """s^(k) from the 2L terms after the first k: its reduced form p_k/q has
+        linear complexity at most L = max(deg q, deg p - k + 1, 0)."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
-        s = self
-        for _ in range(k):
-            s = s.derivative()
-        return s
+        length = max(self.den.degree, self.num.degree - k + 1, 0)
+        return self.from_sequence(self.field, list(islice(self._terms(), k, k + 2 * length)))
 
     def expand(self, n: int) -> List:
-        """First ``n`` coefficients via the recurrence induced by the denominator:
-        s_i = p_i - sum_{j=1..min(i, deg q)} q_j s_(i-j), one dot product each."""
+        """The first ``n`` coefficients."""
         if n < 0:
             raise ValueError("number of coefficients must be nonnegative")
-        dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
-        out: List = []
-        for i in range(n):
-            out.append(num.coefficient(i) - dot(taps, reversed(out)))
-        return out
+        return list(islice(self._terms(), n))
 
     def coefficient(self, i: int):
         if i < 0:
             raise ValueError("coefficient index must be nonnegative")
-        return self.expand(i + 1)[i]
+        return next(islice(self._terms(), i, None))
+
+    def _terms(self) -> Iterator:
+        """s_0, s_1, ... by s_i = p_i - sum_{j=1..deg q} q_j s_(i-j), keeping the
+        last deg q terms: the one place a closed form's coefficients are made."""
+        dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
+        window = deque(maxlen=len(taps))  # newest first
+        for i in count():
+            term = num.coefficient(i) - dot(taps, window)
+            window.appendleft(term)
+            yield term
 
 
 def coordinate_streams(field: Field, vectors: Sequence[Tuple], width: int):

@@ -26,7 +26,7 @@ from streamcalc import (
 )
 from streamcalc.expr import evaluate_text
 from streamcalc.fields import PrimeField
-from util import random_stream, random_system
+from util import boxed_dot, boxed_orbit, random_stream, random_system
 
 GF101 = PrimeField(101)
 
@@ -65,6 +65,12 @@ def test_behaviour_coefficients_are_iterated_dynamics():
         expanded = [s.expand(12) for s in streams]
         for t in range(12):
             assert tuple(col[t] for col in expanded) == stepped[t]
+        # past 2n both sides come from the closed forms; H F^t v is independent
+        system = pointed.system
+        assert stepped == [
+            tuple(boxed_dot(pointed.field, row, x) for row in system.output.entries)
+            for x in boxed_orbit(system.dynamics, pointed.initial, 12)
+        ]
 
 
 def test_realize_single_stream_golden():

@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamcalc import Polynomial, PrimeField, QQ, RationalFunction
+from streamcalc import FieldMismatch, Polynomial, PrimeField, QQ, RationalFunction
 from util import poly
 
 GF7 = PrimeField(7)
@@ -143,3 +144,18 @@ def test_power_in_small_characteristic_matches_repeated_products(p, divisible_by
     for _ in range(k):
         expected = expected * f
     assert f ** k == expected
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator.add, operator.sub, operator.mul, divmod, operator.floordiv, operator.mod,
+     Polynomial.gcd],
+)
+@pytest.mark.parametrize(
+    "other",
+    [1, Fraction(1, 2), RationalFunction.one(QQ), Polynomial.one(GF7)],
+    ids=["int", "fraction", "kx", "gf7"],
+)
+def test_operands_of_another_type_or_field_are_refused(op, other):
+    with pytest.raises(FieldMismatch):
+        op(Polynomial.one(QQ), other)

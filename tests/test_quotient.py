@@ -115,3 +115,26 @@ def test_streams_and_rational_functions_never_mix():
     assert stream != function and function != stream
     with pytest.raises(FieldMismatch):
         FractionField(QQ).coerce(stream)
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+@pytest.mark.parametrize(
+    "make_left, right",
+    [
+        pytest.param(RationalStream.zero, RationalFunction.x(QQ), id="stream0-kx"),
+        pytest.param(RationalStream.one, RationalFunction.x(QQ), id="stream1-kx"),
+        pytest.param(RationalFunction.zero, RationalStream.x(QQ), id="kx0-stream"),
+        pytest.param(RationalFunction.one, RationalStream.one(QQ), id="kx1-stream"),
+        pytest.param(RationalStream.one, 1, id="stream1-int"),
+        pytest.param(RationalFunction.one, 1, id="kx1-int"),
+        pytest.param(RationalStream.one, Polynomial.one(QQ), id="stream1-polynomial"),
+        pytest.param(RationalStream.zero, RationalStream.x(PrimeField(7)), id="stream0-gf7"),
+        pytest.param(RationalStream.one, RationalStream.one(PrimeField(7)), id="stream1-gf7"),
+        pytest.param(RationalFunction.zero, RationalFunction.x(PrimeField(7)), id="kx0-gf7"),
+        pytest.param(RationalFunction.one, RationalFunction.one(PrimeField(7)), id="kx1-gf7"),
+    ],
+)
+def test_operands_of_another_type_or_field_are_refused(op, make_left, right):
+    # zero and one on the left: their shortcuts used to return the operand as it was
+    with pytest.raises(FieldMismatch):
+        op(make_left(QQ), right)
