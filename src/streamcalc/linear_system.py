@@ -5,8 +5,8 @@ output matrix.  Its behaviour at a state v is the vector of rational streams
 H (I - X F)^-1 v, computed without arithmetic over k(X): by Cayley-Hamilton
 each output stream has linear complexity at most n, so its first 2n
 coefficients H F^t v determine it through Berlekamp-Massey, the one backward
-recurrence (``coordinate_streams``).  Longer prefixes continue by the one
-forward recurrence, ``RationalStream._terms``.
+recurrence (``coordinate_streams``).  Longer prefixes continue from the
+outputs already made by the one forward recurrence, ``RationalStream._terms``.
 
 Every iteration of a matrix goes through the one kernel
 :meth:`Matrix.orbit`: the outputs are H on F's orbit, the observability
@@ -85,13 +85,14 @@ class LinearSystem:
 
     def step_outputs(self, state: Sequence, steps: int) -> List[Tuple]:
         """The first ``steps`` output vectors H F^t state: H on F's orbit up to
-        2 * dim, then each output's closed form (exact by Cayley-Hamilton)."""
+        2 * dim, then each output's closed form s continues from those as
+        s^(2 dim) (exact by Cayley-Hamilton)."""
         times = self.output._times  # orbit vectors are coerced already
         outputs = [times(x) for x in self.dynamics.orbit(state, min(steps, 2 * self.dim))]
-        if steps > len(outputs):
-            streams = coordinate_streams(self.field, outputs, self.num_outputs)
-            outputs = list(zip(*(s.expand(steps) for s in streams)))
-        return outputs
+        known = len(outputs)
+        closed = coordinate_streams(self.field, outputs, self.num_outputs) if steps > known else ()
+        tails = (s._derivative_after(known, [v[i] for v in outputs]) for i, s in enumerate(closed))
+        return outputs + list(zip(*(tail.expand(steps - known) for tail in tails)))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Representation-agnostic prefix streams: memoized on-demand coefficients.
 
-A :class:`StreamPrefix` produces coefficients lazily from a pure producer
-function and caches everything produced so far, so re-querying an index always
-yields the identical element.  Pointwise sum, convolution product and the
-multiplicative inverse are defined directly on coefficients; these serve as
-the representation-independent substrate that every closed form must agree
-with (``from_rational`` reads a closed form's ``_terms``).  No equality is
-offered here (undecidable for arbitrary producers).
+A :class:`StreamPrefix` produces coefficients lazily, calling its producer
+once per index in increasing order, and caches everything produced so far, so
+re-querying an index always yields the identical element.  Pointwise sum,
+convolution product and the multiplicative inverse are defined directly on
+coefficients; these serve as the representation-independent substrate that
+every closed form must agree with.  No equality is offered here (undecidable
+for arbitrary producers).  ``from_rational`` draws a closed form's ``_terms``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class StreamPrefix:
     def at(self, i: int):
         if i < 0:
             raise ValueError("stream index must be nonnegative")
-        # fill sequentially so producers may refer back to smaller indices
+        # each index once, in order: producers may read back smaller indices
         while len(self._cache) <= i:
             self._cache.append(self._producer(len(self._cache)))
         return self._cache[i]
@@ -45,7 +45,7 @@ class StreamPrefix:
 
     @classmethod
     def from_rational(cls, stream) -> "StreamPrefix":
-        """Coefficients pulled once each, in order, from the stream's recurrence."""
+        """Each coefficient drawn once from the stream's recurrence (see ``at``)."""
         terms = stream._terms()
         return cls(stream.field, lambda i: next(terms))
 

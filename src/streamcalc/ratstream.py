@@ -107,12 +107,19 @@ class RationalStream(Quotient):
         return RationalStream._make(shifted.shifted_down(), self.den)
 
     def iterated_derivative(self, k: int) -> "RationalStream":
-        """s^(k) from the 2L terms after the first k: its reduced form p_k/q has
-        linear complexity at most L = max(deg q, deg p - k + 1, 0)."""
+        """s^(k): k steps of ``_terms``, then the numerator off their last deg q."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
-        length = max(self.den.degree, self.num.degree - k + 1, 0)
-        return self.from_sequence(self.field, list(islice(self._terms(), k, k + 2 * length)))
+        return self._derivative_after(k, deque(islice(self._terms(), k), maxlen=self.den.degree))
+
+    def _derivative_after(self, k: int, prefix: Sequence) -> "RationalStream":
+        """s^(k) = ((p - S_k q) / X^k) / q given the prefix S_k's terms in order,
+        at least its last deg q (or all k): numerator coefficient j is p_(j+k) -
+        sum_(i>j) q_i s_(k+j-i), and gcd(p - S_k q, q) = gcd(p, q) = 1."""
+        dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
+        length = max(len(taps), num.degree - k + 1)
+        shifted = [num.coefficient(j + k) - dot(taps[j:], reversed(prefix)) for j in range(length)]
+        return RationalStream._make(Polynomial._make(self.field, shifted), self.den)
 
     def expand(self, n: int) -> List:
         """The first ``n`` coefficients."""

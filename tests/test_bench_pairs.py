@@ -63,3 +63,24 @@ def test_faults_are_wrong_answers_and_failed_operations():
     assert bench_pairs.faults(json.loads(line(1, 1))) == []
     assert bench_pairs.faults(json.loads(line(1, 1, correct=False))) == ["correct is not true"]
     assert bench_pairs.faults(json.loads(line(1, 1, failed=2))) == ["failed 2"]
+
+
+def test_main_runs_ten_alternating_pairs_of_the_benchmark_run_length(monkeypatch, capsys):
+    benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    runs = []
+
+    def run_once(tree, workload, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        runs.append((side, workload, seconds))
+        return {"correct": True, "failed": int(side == "change" and len(runs) == 3),
+                "metrics": {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "expand"]) == 1
+    assert len(runs) == 2 * bench_pairs.PAIRS >= 20
+    assert {(w, s) for _, w, s in runs} == {("expand", benchmark["run_seconds"])}
+    firsts = [side for side, _, _ in runs[::2]]
+    assert firsts == ["parent", "change"] * (bench_pairs.PAIRS // 2)
+    out = capsys.readouterr()
+    assert "workload expand: 10 pairs" in out.out and "failed 1" in out.err

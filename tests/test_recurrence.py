@@ -19,6 +19,7 @@ from streamcalc import (
     RationalStream,
     StreamPrefix,
 )
+from streamcalc import ratstream
 from streamcalc.expr import evaluate_text
 from util import boxed_dot, boxed_orbit
 
@@ -52,6 +53,33 @@ def test_iterated_derivative_of_polynomials_past_their_degree():
     assert p.iterated_derivative(3) == RationalStream.zero(QQ)
     assert p.iterated_derivative(40).den == Polynomial.one(QQ)
     assert str(evaluate_text("X^3/(1-X)").iterated_derivative(2)) == "(X)/(1 - X)"
+
+
+def test_iterated_derivative_reads_k_terms_and_fits_nothing(monkeypatch):
+    """k recurrence steps, then one dot per numerator coefficient: no
+    Berlekamp-Massey, so no field inversions, whatever k is."""
+    s = evaluate_text("(1 + X^4)/(1 - X - X^2)")  # deg q = 2, deg p = 4
+    expected = [s]
+    for _ in range(12):
+        expected.append(expected[-1].derivative())
+
+    def forbidden(*args):
+        raise AssertionError("iterated_derivative fitted a recurrence")
+
+    original, calls = type(QQ).dot, []
+
+    def counted(field, xs, ys):
+        calls.append(None)
+        return original(field, xs, ys)
+
+    monkeypatch.setattr(ratstream, "_berlekamp_massey", forbidden)
+    monkeypatch.setattr(type(QQ), "inv", forbidden)
+    monkeypatch.setattr(type(QQ), "dot", counted)
+    for k in range(13):
+        calls.clear()
+        assert s.iterated_derivative(k) == expected[k]
+        # L = max(deg q, deg p - k + 1) numerator coefficients
+        assert len(calls) == k + max(2, 5 - k)
 
 
 @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 40))
@@ -101,6 +129,29 @@ def test_step_outputs_are_outputs_of_the_boxed_orbit(data, field, length):
         for x in boxed_orbit(system.dynamics, state, steps)
     ]
     assert system.step_outputs(state, steps) == expected
+
+
+def test_step_outputs_continue_past_2n_without_re_expanding(monkeypatch):
+    """Past 2n each output draws only its later terms from the recurrence."""
+    dynamics = Matrix(QQ, [[0, 1, 0], [2, 0, 1], [1, 1, 1]])
+    system, state = LinearSystem(dynamics, Matrix(QQ, [[1, 0, 2], [0, 1, 0]])), (1, -1, 2)
+    expected = [
+        tuple(boxed_dot(QQ, row, x) for row in system.output.entries)
+        for x in boxed_orbit(dynamics, state, 25)
+    ]
+    drawn = []
+    terms = RationalStream._terms
+
+    def counted(stream):
+        for term in terms(stream):
+            drawn.append(None)
+            yield term
+
+    monkeypatch.setattr(RationalStream, "_terms", counted)
+    for steps in (6, 7, 25):
+        drawn.clear()
+        assert system.step_outputs(state, steps) == expected[:steps]
+        assert len(drawn) == 2 * (steps - 6)
 
 
 def test_recurrence_readers_need_no_derivative_and_no_apply(monkeypatch):

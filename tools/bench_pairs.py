@@ -1,13 +1,14 @@
 """Compare this checkout with a parent revision on the benchmark, in pairs.
 
-    python3 tools/bench_pairs.py --parent <rev> [--pairs 10] [--seconds 8] [--workload all]
+    python3 tools/bench_pairs.py --parent <rev> [--workload all]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory (no worktree, nothing written under ``.git``).  For each workload,
-each pair runs ``perfbench/run.py --seed 1 --trace 0`` once in the parent's
-tree and once in this checkout's working tree, alternating which side goes
-first.  Each side runs its own ``perfbench``; ``BENCHMARK.json`` supplies the
-workloads and, for every end-to-end metric, its direction and bound.
+each of ``PAIRS`` pairs runs ``perfbench/run.py --seed 1 --trace 0`` once in
+the parent's tree and once in this checkout's working tree, alternating which
+side goes first.  Each side runs its own ``perfbench``; ``BENCHMARK.json``
+supplies the workloads, the run length (``run_seconds``) and, for every
+end-to-end metric, its direction and bound.
 
 For each metric the report gives both medians, the interquartile range of the
 parent's runs, how many pairs the change won, and marks a change median worse
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # the fewest alternating pairs a comparison is read from
 
 
 class Row(NamedTuple):
@@ -124,8 +126,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--workload", default="all", choices=names + ["all"])
     args = parser.parse_args(argv)
     workloads = names if args.workload == "all" else [args.workload]
@@ -136,12 +136,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         export(args.parent, parent_tree)
         for workload in workloads:
             pairs: List[Tuple[dict, dict]] = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 sides: Dict[str, dict] = {}
                 order = [("parent", parent_tree), ("change", ROOT)]
                 for side, tree in order if i % 2 == 0 else order[::-1]:
                     try:
-                        sides[side] = result = run_once(tree, workload, args.seconds)
+                        sides[side] = result = run_once(tree, workload, benchmark["run_seconds"])
                     except (RuntimeError, ValueError) as exc:
                         print(f"{workload} pair {i + 1} {side}: {exc}", file=sys.stderr)
                         return 1
