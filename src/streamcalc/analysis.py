@@ -1,9 +1,9 @@
 """Cross-representation equivalence and the Hankel-rank rationality prober.
 
 Every finite representation (closed form, pointed linear system, canonical
-circuit, netlist, automaton state) denotes exactly one rational stream, so
-equivalence reduces to equality of closed forms.  There is one path to that
-stream: each representation other than a stream gives its pointed linear
+circuit, netlist, automaton state) denotes exactly one rational stream, and
+closed forms are canonical, so equality is read off them.  There is one path
+to that stream: every representation but a stream gives its pointed linear
 system (``to_linear_system``), whose single-output behaviour is the stream.
 
 For raw coefficient prefixes, the rank of the Hankel matrix
@@ -27,7 +27,7 @@ from .fields import field_of
 from .linear_system import PointedLinearSystem
 from .matrix import Matrix, solve
 from .automaton import WeightedAutomaton
-from .ratstream import RationalStream, berlekamp_massey, valuation
+from .ratstream import RationalStream, berlekamp_massey
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,19 @@ def to_rational(representation: Representation) -> RationalStream:
 
 
 def equivalent(first: Representation, second: Representation) -> bool:
-    a, b = to_rational(first), to_rational(second)
-    if a.field != b.field:
-        raise FieldMismatch("representations over different fields")
-    return a == b
+    return first_difference(first, second) is None
 
 
 def first_difference(first: Representation, second: Representation) -> Optional[int]:
-    """Index of the first differing coefficient, or None when equal."""
+    """Index of the first differing coefficient, or None for equal closed forms
+    (they are canonical); unequal ones part below L_a + L_b (L = max(deg q,
+    deg p + 1)), a bound on the linear complexity of a - b."""
     a, b = to_rational(first), to_rational(second)
     if a.field != b.field:
         raise FieldMismatch("representations over different fields")
-    index = valuation(a - b)
-    return None if index < 0 else index
+    if a == b:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(a._terms(), b._terms())) if x != y)
 
 
 @dataclass(frozen=True)

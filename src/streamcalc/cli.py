@@ -52,7 +52,7 @@ def _count(text: str) -> int:
         value = parse_integer(text)
     except FormatError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 0:
+    if text.startswith("-"):  # -0 too: a count takes no sign
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {shown}")
     return value
 

@@ -266,6 +266,9 @@ class PrimeFieldElement:
     def inverse(self):
         return PrimeFieldElement(_invmod(self.value, self.field.modulus), self.field)
 
+    def __bool__(self):
+        return self.value != 0
+
     def __eq__(self, other):
         if isinstance(other, PrimeFieldElement):
             return self.field == other.field and self.value == other.value

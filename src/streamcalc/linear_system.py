@@ -15,8 +15,9 @@ equivalence checks the outputs of a difference of states.  Every other
 finite representation reaches its stream through this module's pointed
 systems (``to_linear_system``).  This module also reads the minimal
 realization of a vector of rational streams off their closed forms, as the
-companion matrix of the derivative's minimal polynomial, and minimizes a
-given system through its observability matrix.
+companion matrix of the derivative's minimal polynomial, minimizes a given
+system through its observability matrix, and moves an initial state v to e_1
+by the basis completion of v, which is explicit in v.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ def minimize(pointed: PointedLinearSystem) -> PointedLinearSystem:
     The reduced state space is the row space of the observability matrix.  A
     matrix whose rows are the nonzero rows of its reduced echelon form
     projects states onto it, and because the rows are in echelon form the
-    reduced dynamics and output are read off at the pivot columns.
+    reduced dynamics and output are read off at the pivot columns: entry
+    (i, c) of the dynamics is projection row i times F's pivot column c.
     """
     system = pointed.system
     if system.dim == 0:
@@ -211,20 +213,11 @@ def minimize(pointed: PointedLinearSystem) -> PointedLinearSystem:
     r = len(pivots)
     if r == system.dim:
         return pointed
-    field = system.field
-    projection = Matrix(field, (reduced.entries[i] for i in range(r)), cols=system.dim)
-    projected_dynamics = projection * system.dynamics
-    new_dynamics = Matrix(
-        field,
-        ((projected_dynamics.entries[i][p] for p in pivots) for i in range(r)),
-        cols=r,
-    )
-    new_output = Matrix(
-        field,
-        ((system.output.entries[i][p] for p in pivots) for i in range(system.num_outputs)),
-        cols=r,
-    )
-    new_initial = projection.apply(pointed.initial)
+    field, rows = system.field, reduced.entries[:r]
+    columns = [[row[p] for row in system.dynamics.entries] for p in pivots]
+    new_dynamics = Matrix(field, ((field.dot(row, c) for c in columns) for row in rows), cols=r)
+    new_output = Matrix(field, ((row[p] for p in pivots) for row in system.output.entries), cols=r)
+    new_initial = tuple(field.dot(row, pointed.initial) for row in rows)
     return PointedLinearSystem(LinearSystem(new_dynamics, new_output), new_initial)
 
 
@@ -256,23 +249,24 @@ def is_first_basis_vector(field: Field, vector: Sequence) -> bool:
 def standardize_initial_state(pointed: PointedLinearSystem) -> PointedLinearSystem:
     """Change basis so the initial state becomes (1, 0, ..., 0).
 
-    The new basis is the initial state v followed by the standard vectors at
-    the pivot columns of (v | I): the greedy completion of v to a basis.
+    The new basis B is the greedy completion of v to a basis, explicit in v:
+    v, then e_j for every j but the last index l with v_l != 0.  Its inverse
+    has rows e_l / v_l, then e_j - (v_j / v_l) e_l.
     """
-    field = pointed.field
-    if is_first_basis_vector(field, pointed.initial):
+    field, v = pointed.field, pointed.initial
+    if is_first_basis_vector(field, v):
         return pointed
-    zero = field.zero()
-    if all(v == zero for v in pointed.initial):
+    zero, one = field.zero(), field.one()
+    nonzero = [i for i, x in enumerate(v) if x != zero]
+    if not nonzero:
         raise UnsupportedInitialVector("zero initial state spans no direction")
-    n = pointed.dim
-    identity = Matrix.identity(field, n).entries
-    _, pivots = rref(
-        Matrix(field, ((v,) + row for v, row in zip(pointed.initial, identity)), cols=n + 1)
-    )
-    columns = [pointed.initial] + [identity[p - 1] for p in pivots[1:]]
-    basis = Matrix(field, zip(*columns), cols=n)
-    return _conjugate(pointed, inverse(basis), basis)
+    n, last = pointed.dim, nonzero[-1]
+    others, scale = [j for j in range(n) if j != last], field.inv(v[last])
+    columns = [v] + [[one if i == j else zero for i in range(n)] for j in others]
+    rows = [[scale if i == last else zero for i in range(n)]] + [
+        [one if i == j else -v[j] * scale if i == last else zero for i in range(n)] for j in others
+    ]
+    return _conjugate(pointed, Matrix(field, rows, cols=n), Matrix(field, zip(*columns), cols=n))
 
 
 SystemLike = Union[LinearSystem, PointedLinearSystem]

@@ -65,6 +65,24 @@ def test_faults_are_wrong_answers_and_failed_operations():
     assert bench_pairs.faults(json.loads(line(1, 1, failed=2))) == ["failed 2"]
 
 
+@pytest.mark.parametrize("change_jobs, status", [(0.84, 1), (0.86, 0), (1.2, 0)])
+def test_main_exits_1_when_a_median_is_worse_than_its_bound(monkeypatch, capsys,
+                                                           change_jobs, status):
+    # jobs_per_s is bounded at 15%; every other metric ties
+    benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+
+    def run_once(tree, workload, seconds):
+        metrics = {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}
+        if tree == bench_pairs.ROOT:
+            metrics["jobs_per_s"] = {"value": change_jobs}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "convert"]) == status
+    assert ("WORSE THAN BOUND" in capsys.readouterr().out) == bool(status)
+
+
 def test_main_runs_ten_alternating_pairs_of_the_benchmark_run_length(monkeypatch, capsys):
     benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     runs = []

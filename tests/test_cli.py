@@ -205,6 +205,8 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
         ("probe", "--prefix", "1,1,0,1", "--d", "-1"),
         ("derive", "1/(1-X)", "--k", "-2"),
         ("eval", "1/(1-X)", "--n", "-3"),
+        ("eval", "1/(1-X)", "--n", "-0"),
+        ("eval", "1/(1-X)", "--n", "-00"),
         ("automaton", "eval", "--file", str(path), "--state", "-1", "--n", "2"),
         ("automaton", "eval", "--file", str(path), "--state", "1", "--n", "-1"),
         ("circuit", "sim", "--file", str(path), "--n", "-1"),

@@ -159,6 +159,16 @@ def test_prime_field_element_equals_only_its_residue():
     assert GF101.from_int(-1) == 100 and GF101.from_int(-1) != -1
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), GF7, GF101], ids=lambda f: f.spec())
+def test_only_zero_is_falsy(field):
+    # as bool(Fraction(0)) and bool(0) are False
+    assert not field.zero() and field.one()
+    for k in range(-8, 9):
+        value = field.from_int(k)
+        assert bool(value) == (value != field.zero())
+    assert not GF7.from_int(14) and GF7.from_int(15) and PrimeField(2).from_int(3)
+
+
 scalars = st.one_of(
     st.integers(-300, 300),
     st.integers(-300, 300).map(GF7.from_int),

@@ -2,9 +2,20 @@
 
 import random
 
-from streamcalc import LinearSystem, Matrix, PointedLinearSystem, Polynomial, QQ
+from streamcalc import (
+    LinearSystem,
+    Matrix,
+    PointedLinearSystem,
+    Polynomial,
+    QQ,
+    change_basis,
+    inverse,
+    observability_matrix,
+    rref,
+    to_rational,
+)
 from streamcalc.automaton import WeightedAutomaton
-from streamcalc.ratstream import RationalStream
+from streamcalc.ratstream import RationalStream, valuation
 
 
 def poly(field, *coeffs):
@@ -134,3 +145,39 @@ def boxed_power(p, k):
     for _ in range(k):
         result = result * p
     return result
+
+
+def subtracted_first_difference(first, second):
+    """The reference for ``analysis.first_difference``: the valuation of the
+    difference of the two closed forms, or None when it is the zero stream."""
+    index = valuation(to_rational(first) - to_rational(second))
+    return None if index < 0 else index
+
+
+def eliminated_standardization(pointed):
+    """The reference for ``standardize_initial_state`` at a nonzero initial state
+    v: the basis v, then the unit vectors at the pivot columns of (v | I) after
+    ``rref``, and the conjugation by its ``inverse``."""
+    field, n = pointed.field, pointed.dim
+    identity = Matrix.identity(field, n).entries
+    _, pivots = rref(
+        Matrix(field, ((v,) + row for v, row in zip(pointed.initial, identity)), cols=n + 1)
+    )
+    columns = [pointed.initial] + [identity[p - 1] for p in pivots[1:]]
+    return change_basis(pointed, inverse(Matrix(field, zip(*columns), cols=n)))
+
+
+def full_product_minimization(pointed):
+    """The reference for ``minimize``: the whole product P F of the projection P
+    (the nonzero rows of the observability matrix's rref) and the dynamics F,
+    then its pivot columns."""
+    system, field = pointed.system, pointed.field
+    reduced, pivots = rref(observability_matrix(system))
+    r = len(pivots)
+    if r == system.dim:
+        return pointed
+    projection = Matrix(field, reduced.entries[:r], cols=system.dim)
+    product = projection * system.dynamics
+    dynamics = Matrix(field, ((row[p] for p in pivots) for row in product.entries), cols=r)
+    output = Matrix(field, ((row[p] for p in pivots) for row in system.output.entries), cols=r)
+    return PointedLinearSystem(LinearSystem(dynamics, output), projection.apply(pointed.initial))

@@ -13,7 +13,8 @@ end-to-end metric, its direction and bound.
 For each metric the report gives both medians, the interquartile range of the
 parent's runs, how many pairs the change won, and marks a change median worse
 than the parent's by more than the metric's bound.  The exit code is 1 when a
-run was not correct, had failed operations or did not finish, else 0.
+run was not correct, had failed operations or did not finish, or when a
+change median is worse than its bound; else 0.
 """
 
 from __future__ import annotations
@@ -151,7 +152,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"{workload} pair {i + 1} {side}: jobs_per_s "
                           f"{result['metrics']['jobs_per_s']['value']:.5g}", file=sys.stderr)
                 pairs.append((sides["parent"], sides["change"]))
-            print(format_rows(workload, compare(pairs, benchmark["end_to_end"])), flush=True)
+            rows = compare(pairs, benchmark["end_to_end"])
+            print(format_rows(workload, rows), flush=True)
+            if any(row.worse for row in rows):
+                status = 1
     return status
 
 
