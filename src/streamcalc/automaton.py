@@ -75,8 +75,7 @@ class WeightedAutomaton:
         self._check_state(state)
         if length < 0:
             raise ValueError("path length must be nonnegative")
-        zero = self.field.zero()
-        total = zero
+        total = self.field.zero()
         # (state, steps left, weight so far) of each path prefix still to extend
         pending = [(state, length, self.field.one())]
         popped = 0
@@ -93,7 +92,7 @@ class WeightedAutomaton:
                 continue
             for q2 in reversed(range(self.size)):
                 weight = self.weights.entries[q][q2]
-                if weight != zero:
+                if weight:
                     pending.append((q2, remaining - 1, acc * weight))
         return total
 
@@ -138,15 +137,14 @@ class WeightedAutomaton:
 def format_automaton(automaton: WeightedAutomaton) -> str:
     """Automaton file format; zero outputs and absent transitions are omitted."""
     field = automaton.field
-    zero = field.zero()
     lines = [f"field {field.spec()}", f"states {automaton.size}"]
     for i, out in enumerate(automaton.outputs):
-        if out != zero:
+        if out:
             lines.append(f"out {i + 1} {field.format(out)}")
     for i in range(automaton.size):
         for j in range(automaton.size):
             weight = automaton.weights.entries[i][j]
-            if weight != zero:
+            if weight:
                 lines.append(f"edge {i + 1} {j + 1} {field.format(weight)}")
     return "\n".join(lines) + "\n"
 

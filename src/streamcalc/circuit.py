@@ -299,7 +299,7 @@ class CanonicalCircuit:
         """
         zero, n = self.field.zero(), self.registers
         rows = self.feedback.entries + self.feedforward.entries
-        edges = {(i, j): w for i, row in enumerate(rows) for j, w in enumerate(row) if w != zero}
+        edges = {(i, j): w for i, row in enumerate(rows) for j, w in enumerate(row) if w}
         driven = {i for i, _ in edges}
         for i in range(n + 1):
             if i not in driven:

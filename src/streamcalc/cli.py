@@ -30,10 +30,10 @@ from .linear_system import (
     PointedLinearSystem,
     at_least_one_state,
     format_system,
+    parse_state,
     parse_system,
     realize,
 )
-from .matrix import parse_vector
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,8 +151,7 @@ def _load_representation(spec: str, field: Field):
         if at:
             if isinstance(loaded, PointedLinearSystem):
                 loaded = loaded.system
-            initial = parse_vector(loaded.field, vector_text)
-            return PointedLinearSystem(loaded, initial)
+            return PointedLinearSystem(loaded, parse_state(loaded.field, vector_text, loaded.dim))
         if not isinstance(loaded, PointedLinearSystem):
             raise FormatError(f"system file {path} has no v0; pass system:{path}@v")
         return loaded

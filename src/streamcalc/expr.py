@@ -225,11 +225,11 @@ class _Parser:
             return Scalar(self.field.from_int(payload))
         if kind == "RAT":
             self.advance()
-            numerator, denominator = payload
-            if denominator == 0:
+            # zero in the field: 3/0, and over GF(p) every multiple of p
+            numerator, denominator = map(self.field.from_int, payload)
+            if not denominator:
                 raise ParseError("scalar literal with zero denominator", self.tokens[self.pos - 1][2])
-            value = self.field.from_int(numerator) / self.field.from_int(denominator)
-            return Scalar(value)
+            return Scalar(numerator / denominator)
         if kind == "X":
             self.advance()
             return VarX()

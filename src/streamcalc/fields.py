@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .errors import FieldMismatch, FormatError
 
@@ -91,10 +90,11 @@ def _invmod(a: int, p: int) -> int:
 class Field:
     """Descriptor of a scalar field: identities, coercion, text syntax.
 
-    Raw values are what kernels compute with between one ``to_raw`` on entry
-    and one ``from_raw`` on exit: sums and products of raw values, passed
-    through ``reduce``, are raw values again, and a reduced raw value is
-    zero exactly when it is falsy.
+    An element is zero exactly when it is falsy, as ``Fraction(0)`` is; that
+    truth value is the one zero test.  Raw values are what kernels compute
+    with between one ``to_raw`` on entry and one ``from_raw`` on exit: sums
+    and products of raw values, passed through ``reduce``, are raw values
+    again, and a reduced raw value is likewise zero exactly when it is falsy.
     """
 
     def zero(self):
@@ -114,8 +114,13 @@ class Field:
 
     def dot(self, xs, ys):
         """The sum of x * y over paired elements that ``coerce`` has admitted;
-        pairs stop at the shorter input, and no pairs give ``zero()``."""
-        products = map(mul, xs, ys)
+        pairs stop at the shorter input, and no pairs give ``zero()``.
+
+        A pair whose first factor is zero may go unmultiplied (this fold
+        skips it), so callers pass the sparse side first: a matrix row, the
+        recurrence taps.
+        """
+        products = (x * y for x, y in zip(xs, ys) if x)
         first = next(products, None)  # fold from it: no addition to zero
         return self.zero() if first is None else sum(products, first)
 

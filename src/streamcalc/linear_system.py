@@ -193,8 +193,7 @@ def states_equivalent(system: LinearSystem, first: Sequence, second: Sequence) -
     if len(a) != system.dim or len(b) != system.dim:
         raise ShapeMismatch("state vectors must match the dimension")
     diff = tuple(x - y for x, y in zip(a, b))
-    zero = system.field.zero()
-    return all(v == zero for out in system.step_outputs(diff, system.dim) for v in out)
+    return not any(v for out in system.step_outputs(diff, system.dim) for v in out)
 
 
 def minimize(pointed: PointedLinearSystem) -> PointedLinearSystem:
@@ -238,12 +237,7 @@ def _conjugate(pointed: PointedLinearSystem, transform: Matrix, inv: Matrix):
 
 def is_first_basis_vector(field: Field, vector: Sequence) -> bool:
     vec = tuple(field.coerce(v) for v in vector)
-    if not vec:
-        return False
-    if vec[0] != field.one():
-        return False
-    zero = field.zero()
-    return all(v == zero for v in vec[1:])
+    return bool(vec) and vec[0] == field.one() and not any(vec[1:])
 
 
 def standardize_initial_state(pointed: PointedLinearSystem) -> PointedLinearSystem:
@@ -257,7 +251,7 @@ def standardize_initial_state(pointed: PointedLinearSystem) -> PointedLinearSyst
     if is_first_basis_vector(field, v):
         return pointed
     zero, one = field.zero(), field.one()
-    nonzero = [i for i, x in enumerate(v) if x != zero]
+    nonzero = [i for i, x in enumerate(v) if x]
     if not nonzero:
         raise UnsupportedInitialVector("zero initial state spans no direction")
     n, last = pointed.dim, nonzero[-1]
@@ -291,6 +285,15 @@ def format_system(obj: SystemLike) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_state(field: Field, text: str, n: int) -> Tuple:
+    """A state of an n-dimensional system as a ``v0`` line or ``system:<file>@v``
+    writes it: comma-separated scalars, the empty text for n 0."""
+    state = parse_vector(field, text) if text else ()
+    if len(state) != n:
+        raise FormatError(f"state of length {len(state)} disagrees with n {n}")
+    return state
+
+
 def parse_system(text: str) -> SystemLike:
     entries, _ = read_records(text, ("field", "n", "m"), ("F", "H", "v0"))
     line, spec = entries["field"]
@@ -322,9 +325,7 @@ def parse_system(text: str) -> SystemLike:
         if "v0" not in entries:
             return system
         line, value = entries["v0"]
-        initial = parse_vector(field, value) if value else ()
-        if len(initial) != n:
-            raise FormatError("v0 length disagrees with n")
+        initial = parse_state(field, value, n)
     except FormatError as exc:
         raise exc.at(line)
     return PointedLinearSystem(system, initial)

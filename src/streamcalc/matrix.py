@@ -159,14 +159,13 @@ class Matrix:
 
 def _eliminate(matrix: Matrix):
     """Reduced row echelon form; returns (rows as lists, pivot columns)."""
-    zero = matrix.domain.zero()
     rows = [list(r) for r in matrix.entries]
     pivots: List[int] = []
     pivot_row = 0
     for col in range(matrix.cols):
         found = None
         for r in range(pivot_row, len(rows)):
-            if rows[r][col] != zero:
+            if rows[r][col]:
                 found = r
                 break
         if found is None:
@@ -178,7 +177,7 @@ def _eliminate(matrix: Matrix):
             if r == pivot_row:
                 continue
             factor = rows[r][col]
-            if factor == zero:
+            if not factor:
                 continue
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
         pivots.append(col)

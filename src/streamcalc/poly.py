@@ -35,8 +35,7 @@ class Polynomial:
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
         cs = [field.coerce(c) for c in coeffs]
-        zero = field.zero()
-        while cs and cs[-1] == zero:
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -44,8 +43,7 @@ class Polynomial:
     @classmethod
     def _make(cls, field: Field, coeffs: list) -> "Polynomial":
         # internal fast path: coefficients are already field elements
-        zero = field.zero()
-        while coeffs and coeffs[-1] == zero:
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         p = object.__new__(cls)
         p.field = field
@@ -120,10 +118,9 @@ class Polynomial:
         self._check(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == zero:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -137,17 +134,16 @@ class Polynomial:
         if k < 0:
             raise ValueError("negative polynomial power")
         field, p, d = self.field, self.coeffs, self.degree
-        zero = field.zero()
         char = field.characteristic
         if d > 0 and char and k >= char:
             # Frobenius: f^char = f(X^char) in characteristic char, so
             # f^k = f^(k mod char) * (f^(k div char))(X^char)
             high = (self ** (k // char)).coeffs
-            spread = [zero] * (char * (len(high) - 1) + 1)
+            spread = [field.zero()] * (char * (len(high) - 1) + 1)
             spread[::char] = high
             # the sparse factor goes first: ``*`` skips its zero coefficients
             return Polynomial._make(field, spread) * self ** (k % char)
-        if d > 0 and p[0] != zero and (char == 0 or k * d < char):
+        if d > 0 and p[0] and (char == 0 or k * d < char):
             # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: n p_0 out_n
             # = sum_{i=1..min(n, d)} ((k+1) i - n) p_i out_(n-i), two dot products;
             # n * p(0) is invertible for every n <= k * d by the condition above
@@ -175,15 +171,14 @@ class Polynomial:
         if self.degree < other.degree:
             return Polynomial.zero(self.field), self
         field = self.field
-        zero = field.zero()
         remainder = list(self.coeffs)
         divisor = other.coeffs
         lead_inv = field.inv(other.leading)
         shift = len(divisor) - 1
-        quotient = [zero] * (len(remainder) - shift)
+        quotient = [field.zero()] * (len(remainder) - shift)
         for i in range(len(remainder) - 1, shift - 1, -1):
             c = remainder[i]
-            if c == zero:
+            if not c:
                 continue
             factor = c * lead_inv
             quotient[i - shift] = factor
@@ -223,7 +218,7 @@ class Polynomial:
         """Divide by X; requires a vanishing constant term."""
         if self.is_zero:
             return self
-        if self.coeffs[0] != self.field.zero():
+        if self.coeffs[0]:
             raise ValueError("constant term is nonzero; not divisible by X")
         return Polynomial._make(self.field, list(self.coeffs[1:]))
 
@@ -247,10 +242,10 @@ def format_terms(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     field = p.field
-    zero, one = field.zero(), field.one()
+    one = field.one()
     parts = []
     for i, c in enumerate(p.coeffs):
-        if c == zero:
+        if not c:
             continue
         negative = field.is_negative(c)
         magnitude = -c if negative else c
@@ -336,13 +331,17 @@ class Quotient:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self):
+        # falsy exactly when zero, as field elements are
+        return not self.num.is_zero
+
     _check = _same_kind
 
     def __add__(self, other):
         self._check(other)
-        if self.is_zero:
+        if not self:
             return other
-        if other.is_zero:
+        if not other:
             return self
         return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -355,14 +354,14 @@ class Quotient:
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero or other.is_zero:
+        if not (self and other):
             return self.zero(self.field)
         return type(self)(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         self._check(other)
         self._check_divisor(other)
-        if self.is_zero:
+        if not self:
             return self
         return type(self)(self.num * other.den, self.den * other.num)
 
@@ -380,7 +379,7 @@ class Quotient:
     def __str__(self):
         num, den = self.num, self.den
         constant = den.constant_term
-        if constant != self.field.zero() and constant != self.field.one():
+        if constant and constant != self.field.one():
             # display the unit-constant-term representative when it exists
             unit = self.field.inv(constant)
             num, den = num.scale(unit), den.scale(unit)
@@ -401,7 +400,7 @@ class RationalFunction(Quotient):
 
     @staticmethod
     def _check_divisor(divisor: "RationalFunction"):
-        if divisor.is_zero:
+        if not divisor:
             raise ZeroDivisionError("division by the zero rational function")
 
     @staticmethod
@@ -435,7 +434,7 @@ class FractionField:
             return RationalFunction.from_polynomial(value)
         return RationalFunction.constant(self.base, self.base.coerce(value))
 
-    dot = Field.dot  # the fold with RationalFunction's own arithmetic
+    dot = Field.dot  # the fold with RationalFunction's arithmetic, skipping zero entries
 
     def format(self, value):
         return str(value)

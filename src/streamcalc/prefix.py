@@ -100,7 +100,7 @@ class StreamPrefix:
         b(0) = a(0)^-1 and b(n) = -a(0)^-1 * sum_{i=1..n} a(i) b(n-i); the
         producer only looks back at already-cached values of the result.
         """
-        if self.at(0) == self.field.zero():
+        if not self.at(0):
             raise ZeroInitialValue("head coefficient is 0; no inverse exists")
         head_inv = self.field.inv(self.at(0))
         result = StreamPrefix(self.field, lambda i: None)  # placeholder producer

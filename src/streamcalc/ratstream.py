@@ -34,14 +34,14 @@ class RationalStream(Quotient):
 
     @staticmethod
     def _check_denominator(den: Polynomial):
-        if den.constant_term == den.field.zero():
+        if not den.constant_term:
             raise NotInvertibleAtZero(
                 "denominator has initial value 0 and therefore no inverse"
             )
 
     @staticmethod
     def _check_divisor(divisor: "RationalStream"):
-        if divisor.num.constant_term == divisor.field.zero():
+        if not divisor.num.constant_term:
             raise NotInvertibleAtZero(
                 "divisor has initial value 0 and therefore no inverse"
             )
@@ -81,7 +81,7 @@ class RationalStream(Quotient):
 
     def scale(self, c):
         # a nonzero c changes no common factor and keeps den(0) = 1
-        if self.field.coerce(c) == self.field.zero():
+        if not self.field.coerce(c):
             return RationalStream.zero(self.field)
         return RationalStream._make(self.num.scale(c), self.den)
 
@@ -199,10 +199,4 @@ def valuation(s: RationalStream) -> int:
 
     Equals the X-adic valuation of the numerator because den(0) = 1.
     """
-    if s.is_zero:
-        return -1
-    zero = s.field.zero()
-    for i, c in enumerate(s.num.coeffs):
-        if c != zero:
-            return i
-    raise AssertionError("nonzero numerator without nonzero coefficient")
+    return next((i for i, c in enumerate(s.num.coeffs) if c), -1)

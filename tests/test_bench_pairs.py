@@ -59,6 +59,23 @@ def test_worse_than_bound_in_either_direction():
     assert "jobs_per_s" in report and "WORSE THAN BOUND" in report and "0/1" in report
 
 
+def test_spread_wider_than_the_bound_is_unresolved():
+    # jobs_per_s: parent IQR 40 against a bound of 0.15 x 100 = 15
+    parent = [line(v, 1.0) for v in (60, 80, 100, 120, 140)]
+    overlapping = [line(v, 1.0) for v in (70, 90, 105, 125, 130)]
+    jobs, small = bench_pairs.compare(
+        [(json.loads(p), json.loads(c)) for p, c in zip(parent, overlapping)], METRICS)
+    assert (jobs.parent_iqr, jobs.worse, jobs.unresolved) == (40, False, True)
+    assert not small.unresolved  # no spread at all
+    report = bench_pairs.format_rows("convert", [jobs, small])
+    assert report.count("UNRESOLVED") == 1
+    # every change run beats every parent run: resolved despite the spread
+    separated = [line(v, 1.0) for v in (150, 160, 170, 180, 190)]
+    jobs, _ = bench_pairs.compare(
+        [(json.loads(p), json.loads(c)) for p, c in zip(parent, separated)], METRICS)
+    assert not jobs.unresolved
+
+
 def test_faults_are_wrong_answers_and_failed_operations():
     assert bench_pairs.faults(json.loads(line(1, 1))) == []
     assert bench_pairs.faults(json.loads(line(1, 1, correct=False))) == ["correct is not true"]

@@ -176,6 +176,18 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_system_state_is_read_as_a_v0_line(tmp_path, capsys):
+    stateless = tmp_path / "s0.txt"
+    stateless.write_text("field q\nn 0\nm 1\nv0\n")
+    code, out, _ = run(capsys, "equal", f"system:{stateless}@", "expr:0")
+    assert (code, out) == (0, "equal\n")
+    two = tmp_path / "s2.txt"
+    two.write_text("field q\nn 2\nm 1\nF 0,1;1,0\nH 1,0\nv0 1,0\n")
+    code, out, err = run(capsys, "equal", f"system:{two}@1", "expr:0")
+    assert (code, out) == (2, "")
+    assert err == "error: state of length 1 disagrees with n 2\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["eval"]) == 2
     capsys.readouterr()

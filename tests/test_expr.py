@@ -89,6 +89,13 @@ def test_syntax_errors_carry_position_and_expectations():
     assert info.value.position == 2
 
 
+@pytest.mark.parametrize("text, field", [("1 + 3/0", QQ), ("1 + 3/7", GF7), ("1 + 3/14", GF7)])
+def test_literal_denominator_zero_in_the_field_is_a_parse_error(text, field):
+    with pytest.raises(ParseError) as info:
+        parse(text, field)
+    assert info.value.position == 4
+
+
 def test_evaluate_examples():
     assert evaluate_text("1/(1-X)^2").expand(4) == [1, 2, 3, 4]
     assert evaluate_text("(1-X)*(1/(1-X))") == RationalStream.one(QQ)

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamcalc import QQ, FieldMismatch, FormatError, PrimeField, field_from_spec, is_prime
+from streamcalc import (
+    QQ,
+    FieldMismatch,
+    FormatError,
+    Polynomial,
+    PrimeField,
+    RationalFunction,
+    RationalStream,
+    field_from_spec,
+    is_prime,
+)
 from streamcalc.fields import MR_BOUND
 
 GF7 = PrimeField(7)
@@ -161,11 +171,17 @@ def test_prime_field_element_equals_only_its_residue():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), GF7, GF101], ids=lambda f: f.spec())
 def test_only_zero_is_falsy(field):
-    # as bool(Fraction(0)) and bool(0) are False
+    # as bool(Fraction(0)) and bool(0) are False; so for k(X) and rational streams
+    quotients = (RationalFunction, RationalStream)
     assert not field.zero() and field.one()
+    assert all(not q.zero(field) and q.one(field) and q.x(field) for q in quotients)
     for k in range(-8, 9):
         value = field.from_int(k)
         assert bool(value) == (value != field.zero())
+        for q in quotients:
+            assert bool(q.constant(field, value)) == bool(value)
+            over = q(Polynomial(field, [0, value]), Polynomial(field, [1, 1]))
+            assert bool(over) == bool(value) == (over != q.zero(field))
     assert not GF7.from_int(14) and GF7.from_int(15) and PrimeField(2).from_int(3)
 
 

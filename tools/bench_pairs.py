@@ -12,9 +12,12 @@ end-to-end metric, its direction and bound.
 
 For each metric the report gives both medians, the interquartile range of the
 parent's runs, how many pairs the change won, and marks a change median worse
-than the parent's by more than the metric's bound.  The exit code is 1 when a
-run was not correct, had failed operations or did not finish, or when a
-change median is worse than its bound; else 0.
+than the parent's by more than the metric's bound.  It marks a metric
+UNRESOLVED when the parent's runs spread wider than the bound (IQR above
+bound x median) and not every change run beats every parent run: such a
+comparison cannot tell "unchanged" from "worse by the bound".  The exit code
+is 1 when a run was not correct, had failed operations or did not finish, or
+when a change median is worse than its bound; else 0.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class Row(NamedTuple):
     wins: int  # pairs in which the change did better
     pairs: int
     worse: bool  # change median worse than the parent's by more than the bound
+    unresolved: bool  # parent spread wider than the bound, and runs overlap
 
 
 def read_result(stdout: str) -> dict:
@@ -85,7 +89,11 @@ def compare(pairs: Sequence[Tuple[dict, dict]], metrics: Sequence[dict]) -> List
         before, after = statistics.median(parent), statistics.median(change)
         limit = before * (1 - spec["bound"] if higher else 1 + spec["bound"])
         worse = after < limit if higher else after > limit
-        rows.append(Row(name, spec["unit"], before, after, iqr(parent), wins, len(pairs), worse))
+        spread = iqr(parent)
+        separated = min(change) > max(parent) if higher else max(change) < min(parent)
+        unresolved = spread > spec["bound"] * before and not separated
+        rows.append(Row(name, spec["unit"], before, after, spread, wins, len(pairs), worse,
+                        unresolved))
     return rows
 
 
@@ -96,6 +104,7 @@ def format_rows(workload: str, rows: Sequence[Row]) -> str:
     ]
     for row in rows:
         flag = "  WORSE THAN BOUND" if row.worse else ""
+        flag += "  UNRESOLVED" if row.unresolved else ""
         lines.append(
             f"{row.name:<16}{row.parent:>12.5g}{row.change:>12.5g}{row.parent_iqr:>12.4g}"
             f"{f'{row.wins}/{row.pairs}':>8}  {row.unit}{flag}"
