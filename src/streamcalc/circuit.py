@@ -6,10 +6,11 @@ combinational gates are evaluated in topological order, the designated output
 port is sampled, and then every register latches its freshly computed input
 simultaneously.  A netlist derives one evaluation plan when it is built: its
 multipliers and adders in topological order, each with the value slots of its
-drivers and its factor already coerced (copiers only alias slots), so a tick
-is one walk over that plan.  ``simulate`` walks it tick after tick, in time
-linear in the gates.  A tick is linear in the register values, so one walk
-from each unit state reads off the netlist's pointed linear system
+drivers and a multiplier's factor as the field's raw value (copiers only alias
+slots), so a tick is one walk over that plan on raw values, reduced after each
+multiplier and adder.  ``simulate`` walks it tick after tick, in time linear in
+the gates, and boxes the samples.  A tick is linear in the register values, so
+one walk from each unit state reads off the netlist's pointed linear system
 (``to_linear_system``), through which its closed form is found.
 
 A canonical circuit is the dense description (feedback matrix, feedforward
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import add, mul
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import (
@@ -78,8 +77,8 @@ def output_count(gate: Gate) -> int:
     return 1
 
 
-def _total(*values):
-    return reduce(add, values)
+def _total(values: List):
+    return sum(values[1:], values[0])
 
 
 class Netlist:
@@ -178,19 +177,24 @@ class Netlist:
                 else:
                     slots[(name, 0)] = len(registers) + len(order)
                     order.append((gate, inputs))
-        coerce = self.field.coerce
-        seeds = [coerce(self.gates[name].initial) for name in registers]
+        to_raw = self.field.to_raw
+        seeds = [to_raw(self.gates[name].initial) for name in registers]
         plan = [
-            (partial(mul, coerce(gate.factor)) if isinstance(gate, Multiplier) else _total, inputs)
+            (to_raw(gate.factor) if isinstance(gate, Multiplier) else None, inputs)
             for gate, inputs in order
         ]
         latches = [slots[self._drivers[(name, 0)]] for name in registers]
         return seeds, plan, slots[self.output], latches
 
     def _tick(self, state: List) -> List:
-        values = list(state)
-        for operation, inputs in self._plan:
-            values.append(operation(*[values[k] for k in inputs]))
+        """The slot values of one tick from the raw register values ``state``;
+        each multiplier's product and each adder's sum is reduced."""
+        values, reduce = list(state), self.field.reduce
+        for factor, inputs in self._plan:
+            if factor is None:
+                values.append(reduce(_total([values[k] for k in inputs])))
+            else:
+                values.append(reduce(factor * values[inputs[0]]))
         return values
 
     def simulate(self, steps: int) -> List:
@@ -203,18 +207,20 @@ class Netlist:
             samples.append(values[self._output_slot])
             # all registers latch simultaneously at tick end
             state = [values[k] for k in self._latches]
-        return samples
+        return [self.field.from_raw(r) for r in samples]
 
     def to_linear_system(self) -> PointedLinearSystem:
         """The pointed system of the register values: the tick from unit state j
         gives column j of F at the latch slots and of H at the output slot."""
-        r = len(self._seeds)
+        r, field = len(self._seeds), self.field
         if r > MAX_DIMENSION:
             raise DimensionMismatch(f"{r} registers; a linear system has at most {MAX_DIMENSION}")
-        columns = [self._tick(unit) for unit in Matrix.identity(self.field, r).entries]
-        dynamics = Matrix(self.field, ([c[k] for c in columns] for k in self._latches), cols=r)
-        output = Matrix(self.field, [[c[self._output_slot] for c in columns]], cols=r)
-        return PointedLinearSystem(LinearSystem(dynamics, output), self._seeds)
+        zero, one = field.to_raw(field.zero()), field.to_raw(field.one())
+        columns = [self._tick([one if i == j else zero for i in range(r)]) for j in range(r)]
+        box = field.from_raw
+        dynamics = Matrix(field, ([box(c[k]) for c in columns] for k in self._latches), cols=r)
+        output = Matrix(field, [[box(c[self._output_slot]) for c in columns]], cols=r)
+        return PointedLinearSystem(LinearSystem(dynamics, output), [box(v) for v in self._seeds])
 
     def with_output_register(self, initial) -> "Netlist":
         """Insert one register in front of the output (delays the stream)."""

@@ -211,6 +211,9 @@ def _add_field_option(parser: argparse.ArgumentParser):
     )
 
 
+_PREFIX_HELP = "comma-separated scalars; attach a negative first one: --prefix=-1,2,0"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="streamcalc",
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("rank", help="Hankel rank of a coefficient prefix")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prefix", help="comma-separated scalars")
+    group.add_argument("--prefix", help=_PREFIX_HELP)
     group.add_argument("--expr")
     p.add_argument("--m", type=_count, required=True, help="Hankel matrix size")
     _add_field_option(p)
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("probe", help="rank-based non-rationality probe")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prefix", help="comma-separated scalars")
+    group.add_argument("--prefix", help=_PREFIX_HELP)
     group.add_argument("--expr")
     p.add_argument("--d", type=_count, required=True, help="claimed degree bound")
     _add_field_option(p)

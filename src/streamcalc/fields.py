@@ -6,16 +6,21 @@ terms with positive denominator).  Prime-field scalars are
 (:data:`QQ` or a :class:`PrimeField`) supplies identities, inversion and the
 text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
 membership, for matrices, polynomials and a residue's operators alike, and
-its ``dot`` sums products, for every mat-vec and linear recurrence.  It also
-owns the raw values that inner loops compute with: the ``Fraction`` itself
-over Q and the bare ``int`` residue over GF(p).
+its ``dot`` sums products, for every mat-vec.  Its ``recurrence`` makes the
+coefficients of a closed form p/q, for every expansion.  It also owns the raw
+values that inner loops compute with: the ``Fraction`` itself over Q and the
+bare ``int`` residue over GF(p).
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import FieldMismatch, FormatError
 
@@ -124,6 +129,12 @@ class Field:
         first = next(products, None)  # fold from it: no addition to zero
         return self.zero() if first is None else sum(products, first)
 
+    def recurrence(self, num: Sequence, den: Sequence) -> Iterator:
+        """s_0, s_1, ... of the stream num/den, from the coefficient sequences
+        of its numerator and of its denominator, which has den[0] = 1:
+        s_n = num_n - sum_(j=1..deg den) den_j s_(n-j), without end."""
+        raise NotImplementedError
+
     def to_raw(self, a):
         """The raw value of ``a`` (anything ``coerce`` accepts)."""
         raise NotImplementedError
@@ -180,6 +191,50 @@ class Rationals(Field):
 
     def inv(self, a):
         return 1 / self.coerce(a)
+
+    def recurrence(self, num, den):
+        """Fraction-free: with c an integer such that every c^j den_j is an
+        integer, and E the lcm of the numerator's denominators, w_n = E c^n s_n
+        is an integer, w_n = E c^n num_n - sum_j (c^j den_j) w_(n-j), and each
+        term is the one reduced Fraction(w_n, E c^n).  When c rounds an
+        exponent up, c^n holds more factors than the terms need (den_8 = 1/29
+        puts a 29 into c where s_n needs 29^(n/8)), so every 2 deg den terms the
+        window is rebuilt from the last deg den reduced terms with the least E.
+        """
+        d = len(den) - 1
+        if not d:
+            yield from num
+            while True:
+                yield Fraction(0)
+        c, rounded = _tap_scale(den[1:])
+        powers = [c**j for j in range(d + 1)]
+        taps = [q.numerator * (c_j // q.denominator) for q, c_j in zip(den[1:], powers[1:])]
+        window = deque(maxlen=d)  # the integers w, newest first
+        terms = deque(maxlen=d)  # their reduced terms
+        scale = lcm(*(a.denominator for a in num))  # E c^n for the next term
+        for a in num:
+            w = a.numerator * (scale // a.denominator) - sum(map(mul, taps, window))
+            term = Fraction(w, scale)
+            window.appendleft(w)
+            terms.appendleft(term)
+            yield term
+            scale *= c
+        while True:
+            for _ in range(2 * d):
+                w = -sum(map(mul, taps, window))
+                term = Fraction(w, scale)
+                window.appendleft(w)
+                terms.appendleft(term)
+                yield term
+                scale *= c
+            if rounded:
+                # scales E c^(d-1), ..., E c^0 from the newest term to the oldest:
+                # E c^k s is an integer exactly when den(s) / gcd(den(s), c^k)
+                # divides E, so the least E is their lcm
+                ladder = list(zip(terms, reversed(powers[:d])))
+                lowest = lcm(*(t.denominator // gcd(t.denominator, c_k) for t, c_k in ladder))
+                window = deque((t.numerator * (lowest * c_k // t.denominator) for t, c_k in ladder), maxlen=d)
+                scale = lowest * powers[d]
 
     # raw values over Q are the Fractions themselves, always in lowest terms
     to_raw = coerce
@@ -333,6 +388,19 @@ class PrimeField(Field):
         # the residues' products summed as ints, reduced and boxed once
         return PrimeFieldElement(sum(x.value * y.value for x, y in zip(xs, ys)), self)
 
+    def recurrence(self, num, den):
+        # a window of residues; the box reduces each term once
+        taps = [q.value for q in den[1:]]
+        window = deque(maxlen=len(taps))  # newest first
+        for a in num:
+            term = PrimeFieldElement(a.value - sum(map(mul, taps, window)), self)
+            window.appendleft(term.value)
+            yield term
+        while True:
+            term = PrimeFieldElement(-sum(map(mul, taps, window)), self)
+            window.appendleft(term.value)
+            yield term
+
     def to_raw(self, a):
         return self.coerce(a).value
 
@@ -372,6 +440,47 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("PrimeField", self.modulus))
+
+
+def _coprime_base(numbers) -> List[int]:
+    """Pairwise coprime integers > 1 whose powers multiply to each of ``numbers``,
+    by gcds only: a factor g > 1 shared by a and b splits them into a/g, g, b/g."""
+    base, pending = [], [n for n in numbers if n > 1]
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending.extend(n for n in (a // g, g, b // g) if n > 1)
+                break
+        else:
+            base.append(a)
+    return base
+
+
+def _tap_scale(taps: Sequence[Fraction]) -> Tuple[int, bool]:
+    """An integer c with c^j taps[j-1] integral for every j, and whether it
+    rounds up: each element b of a coprime base of the denominators to the
+    power max_j ceil(e_(b,j) / j), where b^e_(b,j) exactly divides the j-th
+    denominator.  For the taps of (1 - X/2)^8 that is 2 and exact, where their
+    lcm is 256."""
+    first = {}  # each denominator at its least j, where e_(b,j) / j is largest
+    for j, t in enumerate(taps, 1):
+        first.setdefault(t.denominator, j)
+    c, rounded = 1, False
+    for b in _coprime_base(first):
+        top, bottom = 0, 1  # max_j e_(b,j) / j
+        for n, j in first.items():
+            e = 0
+            while n % b == 0:
+                n //= b
+                e += 1
+            if e * bottom > top * j:
+                top, bottom = e, j
+        c *= b ** -(-top // bottom)
+        rounded = rounded or top % bottom != 0
+    return c, rounded
 
 
 def field_from_spec(text: str) -> Field:

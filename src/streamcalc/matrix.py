@@ -172,14 +172,14 @@ def _eliminate(matrix: Matrix):
             continue
         rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
         inv = rows[pivot_row][col]
-        rows[pivot_row] = [e / inv for e in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r == pivot_row:
+        pivot = rows[pivot_row] = [e / inv if e else e for e in rows[pivot_row]]
+        support = [(j, b) for j, b in enumerate(pivot) if b]  # a zero b changes no entry
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r == pivot_row or not factor:
                 continue
-            factor = rows[r][col]
-            if not factor:
-                continue
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+            for j, b in support:
+                row[j] = row[j] - factor * b
         pivots.append(col)
         pivot_row += 1
         if pivot_row == len(rows):

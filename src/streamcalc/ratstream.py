@@ -11,14 +11,15 @@ expansion is a direct linear recurrence, and the stream derivative has a
 closed form that keeps the denominator fixed.
 
 ``RationalStream._terms`` is the one forward recurrence, from a closed form to
-its coefficients; :func:`berlekamp_massey` is the one backward recurrence, from
-enough coefficients over k to the closed form (``from_sequence``).
+its coefficients, run by the field's kernel ``Field.recurrence``;
+:func:`berlekamp_massey` is the one backward recurrence, from enough
+coefficients over k to the closed form (``from_sequence``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import count, islice
+from itertools import islice
 from operator import mul
 from typing import Iterator, List, Sequence, Tuple
 
@@ -133,14 +134,9 @@ class RationalStream(Quotient):
         return next(islice(self._terms(), i, None))
 
     def _terms(self) -> Iterator:
-        """s_0, s_1, ... by s_i = p_i - sum_{j=1..deg q} q_j s_(i-j), keeping the
-        last deg q terms: the one place a closed form's coefficients are made."""
-        dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
-        window = deque(maxlen=len(taps))  # newest first
-        for i in count():
-            term = num.coefficient(i) - dot(taps, window)
-            window.appendleft(term)
-            yield term
+        """s_0, s_1, ... by s_i = p_i - sum_{j=1..deg q} q_j s_(i-j): the one
+        place a closed form's coefficients are made, by the field's kernel."""
+        return self.field.recurrence(self.num.coeffs, self.den.coeffs)
 
 
 def coordinate_streams(field: Field, vectors: Sequence[Tuple], width: int):

@@ -126,6 +126,18 @@ def test_rank_report(capsys):
     assert out.endswith("rank: 1\n")
 
 
+def test_prefix_with_a_negative_first_value_is_attached_with_equals(capsys):
+    code, out, err = run(capsys, "rank", "--prefix=-1,2,0", "--m", "2")
+    assert (code, out, err) == (0, "prefix_len: 3\nhankel_size: 2\nrank: 2\n", "")
+    code, out, _ = run(capsys, "probe", "--prefix=-1,2,0", "--d", "1")
+    assert code == 0 and out.endswith("verdict: NotRationalBelowBound(1)\n")
+    for command, bound in (("rank", "--m"), ("probe", "--d")):
+        code, out, err = run(capsys, command, "--prefix", "-1,2,0", bound, "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "--prefix" in err
+        assert "Traceback" not in err
+
+
 def test_probe_reports(capsys):
     code, out, _ = run(capsys, "probe", "--expr", "1/(1-X)^2", "--d", "5")
     assert code == 0

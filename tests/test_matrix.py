@@ -15,15 +15,17 @@ from streamcalc import (
     format_matrix,
     inverse,
     kernel_basis,
+    observability_matrix,
     parse_matrix,
     rank,
+    realize,
     resolvent,
     resolvent_streams,
     rref,
     solve,
 )
 from streamcalc.poly import FractionField
-from util import poly, random_stream
+from util import poly, random_stream, stream
 
 KX = FractionField(QQ)
 
@@ -207,6 +209,29 @@ def test_rref_pivots():
     reduced, pivots = rref(Matrix(QQ, [[0, 1], [1, 1]]))
     assert pivots == (0, 1)
     assert reduced == Matrix.identity(QQ, 2)
+
+
+def test_elimination_multiplies_only_nonzero_pivot_row_entries(monkeypatch):
+    """A zero entry of the pivot row changes no other row, so it is never
+    multiplied: the 32 x 16 observability matrix of a realized pair of
+    degree-8 streams has about as many zero as nonzero such entries."""
+    first = stream([1, 2, 0, -1, 3, 0, 1, 2], [1, -1, 2, 0, 1, -3, 0, 2, Fraction(1, 2)])
+    second = stream([2, -1, 1, 0, 0, 3, 1, -2], [1, 2, -1, 1, 0, 0, -2, 1, 3])
+    matrix = observability_matrix(realize([first, second]).system)
+    assert (matrix.rows, matrix.cols) == (32, 16)
+    products = []
+    multiply = Fraction.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    reduced, pivots = rref(matrix)
+    monkeypatch.undo()
+    assert pivots == tuple(range(16))
+    assert reduced.entries[:16] == Matrix.identity(QQ, 16).entries
+    assert products and all(a and b for a, b in products)
 
 
 def test_empty_dimensions():

@@ -55,8 +55,21 @@ def test_iterated_derivative_of_polynomials_past_their_degree():
     assert str(evaluate_text("X^3/(1-X)").iterated_derivative(2)) == "(X)/(1 - X)"
 
 
+def counted_kernel(monkeypatch, field):
+    """The list that gets one entry per term ``field``'s ``recurrence`` yields."""
+    original, terms = type(field).recurrence, []
+
+    def counted(descriptor, num, den):
+        for term in original(descriptor, num, den):
+            terms.append(None)
+            yield term
+
+    monkeypatch.setattr(type(field), "recurrence", counted)
+    return terms
+
+
 def test_iterated_derivative_reads_k_terms_and_fits_nothing(monkeypatch):
-    """k recurrence steps, then one dot per numerator coefficient: no
+    """k kernel terms, then one dot per numerator coefficient: no
     Berlekamp-Massey, so no field inversions, whatever k is."""
     s = evaluate_text("(1 + X^4)/(1 - X - X^2)")  # deg q = 2, deg p = 4
     expected = [s]
@@ -66,20 +79,23 @@ def test_iterated_derivative_reads_k_terms_and_fits_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("iterated_derivative fitted a recurrence")
 
-    original, calls = type(QQ).dot, []
+    original, dots = type(QQ).dot, []
 
     def counted(field, xs, ys):
-        calls.append(None)
+        dots.append(None)
         return original(field, xs, ys)
 
     monkeypatch.setattr(ratstream, "_berlekamp_massey", forbidden)
     monkeypatch.setattr(type(QQ), "inv", forbidden)
     monkeypatch.setattr(type(QQ), "dot", counted)
+    terms = counted_kernel(monkeypatch, QQ)
     for k in range(13):
-        calls.clear()
+        terms.clear()
+        dots.clear()
         assert s.iterated_derivative(k) == expected[k]
+        assert len(terms) == k
         # L = max(deg q, deg p - k + 1) numerator coefficients
-        assert len(calls) == k + max(2, 5 - k)
+        assert len(dots) == max(2, 5 - k)
 
 
 @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 40))
@@ -91,16 +107,10 @@ def test_coefficient_is_the_expansion_entry(data, field, i):
 
 def test_prefix_takes_each_coefficient_once(monkeypatch):
     fibonacci = evaluate_text("1/(1-X-X^2)")
-    original, calls = type(QQ).dot, []
-
-    def counted(field, xs, ys):
-        calls.append(None)
-        return original(field, xs, ys)
-
-    monkeypatch.setattr(type(QQ), "dot", counted)
+    terms = counted_kernel(monkeypatch, QQ)
     prefix = StreamPrefix.from_rational(fibonacci)
     assert prefix.take(80)[-1] == 23416728348467685
-    assert len(calls) == 80
+    assert len(terms) == 80
     assert prefix.take(80) == fibonacci.expand(80)
 
 

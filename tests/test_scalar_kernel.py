@@ -1,4 +1,6 @@
-"""The one sum-of-products kernel ``Field.dot`` and the code that calls it.
+"""The scalar kernels, ``Field.dot`` (sums of products) and
+``Field.recurrence`` (a closed form's coefficients), and the code that calls
+them.
 
 Each fast path is checked against a boxed reference from ``util``, the
 oracles are checked to work without the kernel, and membership is still
@@ -6,6 +8,8 @@ decided at the boundary.
 """
 
 from fractions import Fraction
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
@@ -27,7 +31,7 @@ from streamcalc import (
 )
 from streamcalc.automaton import WeightedAutomaton
 from streamcalc.circuit import CanonicalCircuit
-from streamcalc.fields import Field
+from streamcalc.fields import Field, _tap_scale
 from streamcalc.poly import FractionField
 from util import boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
 
@@ -95,6 +99,59 @@ def test_expand_matches_boxed_recurrence(s, n):
     assert s.expand(n) == boxed_expand(s, n)
 
 
+# denominators of the recurrence's inputs, by kind; 10**39 + 3 has 40 digits
+DENOMINATORS = {
+    "integral": st.just(1),
+    "powers": st.builds(pow, st.sampled_from((2, 3)), st.integers(0, 9)),
+    "coprime": st.sampled_from((1, 3, 7, 11, 13, 29, 997)),
+    "huge": st.sampled_from((1, 10**39 + 3)),
+}
+
+
+@given(st.sampled_from(FIELDS), st.sampled_from(sorted(DENOMINATORS)), st.data(), st.integers(0, 60))
+def test_recurrence_matches_boxed_recurrence(field, kind, data, n):
+    """Zero and nonzero numerators, of degree below and above deg q, and
+    denominators that need no scale, a perfect power or several primes."""
+    coefficients = st.builds(Fraction, st.integers(-9, 9), DENOMINATORS[kind])
+    num = [element(field, c) for c in data.draw(st.lists(coefficients, max_size=12))]
+    den = [field.one()] + [element(field, c) for c in data.draw(st.lists(coefficients, max_size=8))]
+    terms = list(islice(field.recurrence(num, den), n))
+    quotient = SimpleNamespace(num=Polynomial(field, num), den=Polynomial(field, den))
+    assert terms == boxed_expand(quotient, n)
+    assert all(type(t) is type(field.one()) for t in terms)
+
+
+def test_base_field_has_no_recurrence():
+    with pytest.raises(NotImplementedError):
+        Field().recurrence([], [1])
+
+
+HALF_ROOT = (Polynomial(QQ, [1, Fraction(-1, 2)]) ** 8).coeffs  # (1 - X/2)^8
+COPRIME = tuple(map(Fraction, (1, "-2/3", "5/7", "-1/11", "4/13", "-2/17", "1/19", "-3/23", "1/29")))
+
+
+def test_tap_scale_takes_the_least_exponent_per_base_element():
+    # lcm of the denominators of (1 - X/2)^8 is 256; 2^j q_j is integral
+    assert _tap_scale(HALF_ROOT[1:]) == (2, False)
+    # q_j = a/p for eight primes: each needs p^1, which rounds 1/j up
+    assert _tap_scale(COPRIME[1:]) == (3 * 7 * 11 * 13 * 17 * 19 * 23 * 29, True)
+    # 12 = 2^2 3 and 18 = 2 3^2 share factors: the base is {2, 3}
+    assert _tap_scale([Fraction(1, 12), Fraction(1, 18)]) == (12, False)
+
+
+@pytest.mark.parametrize("den", (HALF_ROOT, COPRIME), ids=("half-root", "coprime"))
+def test_fraction_free_window_stays_near_the_terms_size(den):
+    """The integers w_n = E c^n s_n have about the bits of the reduced terms:
+    without the rebuild, the coprime shape's window would grow by the 29 bits
+    of c per term, against about 8 bits per term of the terms themselves."""
+    terms = QQ.recurrence((Fraction(3), Fraction(1)), den)
+    for n, term in enumerate(islice(terms, 1600)):
+        if n >= 800:
+            window = terms.gi_frame.f_locals["window"]
+            bits = max(abs(term.numerator).bit_length(), term.denominator.bit_length())
+            assert max(abs(w).bit_length() for w in window) <= 1.25 * bits
+
+
 @st.composite
 def square_matrices(draw, field=None, size=None):
     field = field or draw(st.sampled_from(FIELDS))
@@ -155,7 +212,7 @@ def test_power_on_millers_branch_matches_repeated_product(field, coeffs, k):
 @pytest.mark.parametrize("field", (QQ, GF101), ids=repr)
 def test_oracles_run_without_the_kernel(field, monkeypatch):
     """StreamPrefix, path_sum, Netlist.simulate and the k(X) resolvent keep
-    their own loops, so they stay independent checks of the kernel."""
+    their own loops, so they stay independent checks of the kernels."""
     pa, pb = Polynomial(field, [1, -1, 2]), Polynomial(field, [3, 0, 1, 5])
     a = StreamPrefix.from_coefficients(field, pa.coeffs)
     b = StreamPrefix.from_coefficients(field, pb.coeffs)
@@ -173,10 +230,17 @@ def test_oracles_run_without_the_kernel(field, monkeypatch):
     def refuse(self, xs, ys):
         raise AssertionError("the dot kernel was called")
 
+    def refuse_recurrence(self, num, den):
+        raise AssertionError("the recurrence kernel was called")
+
     for descriptor in (Field, PrimeField, FractionField):
         monkeypatch.setattr(descriptor, "dot", refuse)
+    for descriptor in (Field, type(QQ), PrimeField):
+        monkeypatch.setattr(descriptor, "recurrence", refuse_recurrence)
     with pytest.raises(AssertionError, match="dot kernel"):
         pointed.step_outputs(2)
+    with pytest.raises(AssertionError, match="recurrence kernel"):
+        RationalStream(Polynomial.one(field), pa).expand(8)
     assert (a * a * b).take(8) == product
     assert a.inverse().take(8) == inverse
     assert [automaton.path_sum(0, k) for k in range(8)] == outputs
