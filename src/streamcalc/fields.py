@@ -196,17 +196,17 @@ class Rationals(Field):
         """Fraction-free: with c an integer such that every c^j den_j is an
         integer, and E the lcm of the numerator's denominators, w_n = E c^n s_n
         is an integer, w_n = E c^n num_n - sum_j (c^j den_j) w_(n-j), and each
-        term is the one reduced Fraction(w_n, E c^n).  When c rounds an
-        exponent up, c^n holds more factors than the terms need (den_8 = 1/29
-        puts a 29 into c where s_n needs 29^(n/8)), so every 2 deg den terms the
-        window is rebuilt from the last deg den reduced terms with the least E.
+        term is the one reduced Fraction(w_n, E c^n).  c^n may hold more
+        factors than the terms need (den_8 = 1/29 puts a 29 into c where s_n
+        needs 29^(n/8)), so every 2 deg den terms the window is rebuilt from
+        the last deg den reduced terms with the least E.
         """
         d = len(den) - 1
         if not d:
             yield from num
             while True:
                 yield Fraction(0)
-        c, rounded = _tap_scale(den[1:])
+        c = _tap_scale(den[1:])
         powers = [c**j for j in range(d + 1)]
         taps = [q.numerator * (c_j // q.denominator) for q, c_j in zip(den[1:], powers[1:])]
         window = deque(maxlen=d)  # the integers w, newest first
@@ -227,14 +227,7 @@ class Rationals(Field):
                 terms.appendleft(term)
                 yield term
                 scale *= c
-            if rounded:
-                # scales E c^(d-1), ..., E c^0 from the newest term to the oldest:
-                # E c^k s is an integer exactly when den(s) / gcd(den(s), c^k)
-                # divides E, so the least E is their lcm
-                ladder = list(zip(terms, reversed(powers[:d])))
-                lowest = lcm(*(t.denominator // gcd(t.denominator, c_k) for t, c_k in ladder))
-                window = deque((t.numerator * (lowest * c_k // t.denominator) for t, c_k in ladder), maxlen=d)
-                scale = lowest * powers[d]
+            window, scale = _least_window(terms, powers)
 
     # raw values over Q are the Fractions themselves, always in lowest terms
     to_raw = coerce
@@ -459,16 +452,15 @@ def _coprime_base(numbers) -> List[int]:
     return base
 
 
-def _tap_scale(taps: Sequence[Fraction]) -> Tuple[int, bool]:
-    """An integer c with c^j taps[j-1] integral for every j, and whether it
-    rounds up: each element b of a coprime base of the denominators to the
-    power max_j ceil(e_(b,j) / j), where b^e_(b,j) exactly divides the j-th
-    denominator.  For the taps of (1 - X/2)^8 that is 2 and exact, where their
-    lcm is 256."""
+def _tap_scale(taps: Sequence[Fraction]) -> int:
+    """An integer c with c^j taps[j-1] integral for every j: each element b of
+    a coprime base of the denominators to the power max_j ceil(e_(b,j) / j),
+    where b^e_(b,j) exactly divides the j-th denominator.  For the taps of
+    (1 - X/2)^8 that is 2, where their lcm is 256."""
     first = {}  # each denominator at its least j, where e_(b,j) / j is largest
     for j, t in enumerate(taps, 1):
         first.setdefault(t.denominator, j)
-    c, rounded = 1, False
+    c = 1
     for b in _coprime_base(first):
         top, bottom = 0, 1  # max_j e_(b,j) / j
         for n, j in first.items():
@@ -479,8 +471,19 @@ def _tap_scale(taps: Sequence[Fraction]) -> Tuple[int, bool]:
             if e * bottom > top * j:
                 top, bottom = e, j
         c *= b ** -(-top // bottom)
-        rounded = rounded or top % bottom != 0
-    return c, rounded
+    return c
+
+
+def _least_window(terms: Sequence[Fraction], powers: Sequence[int]) -> Tuple[deque, int]:
+    """The integer window of ``Rationals.recurrence`` rebuilt from its last d
+    reduced terms (newest first) with the least E, and E c^d, the scale of the
+    next term; ``powers`` is c^0, ..., c^d.  The terms take the scales
+    E c^(d-1), ..., E c^0, and E c^k s is an integer exactly when
+    den(s) / gcd(den(s), c^k) divides E, so the least E is their lcm."""
+    ladder = list(zip(terms, reversed(powers[:-1])))
+    lowest = lcm(*(t.denominator // gcd(t.denominator, c_k) for t, c_k in ladder))
+    window = deque((t.numerator * (lowest * c_k // t.denominator) for t, c_k in ladder), maxlen=len(ladder))
+    return window, lowest * powers[-1]
 
 
 def field_from_spec(text: str) -> Field:

@@ -31,7 +31,7 @@ from streamcalc import (
 )
 from streamcalc.automaton import WeightedAutomaton
 from streamcalc.circuit import CanonicalCircuit
-from streamcalc.fields import Field, _tap_scale
+from streamcalc.fields import Field, _least_window, _tap_scale
 from streamcalc.poly import FractionField
 from util import boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
 
@@ -132,24 +132,36 @@ COPRIME = tuple(map(Fraction, (1, "-2/3", "5/7", "-1/11", "4/13", "-2/17", "1/19
 
 def test_tap_scale_takes_the_least_exponent_per_base_element():
     # lcm of the denominators of (1 - X/2)^8 is 256; 2^j q_j is integral
-    assert _tap_scale(HALF_ROOT[1:]) == (2, False)
+    assert _tap_scale(HALF_ROOT[1:]) == 2
     # q_j = a/p for eight primes: each needs p^1, which rounds 1/j up
-    assert _tap_scale(COPRIME[1:]) == (3 * 7 * 11 * 13 * 17 * 19 * 23 * 29, True)
+    assert _tap_scale(COPRIME[1:]) == 3 * 7 * 11 * 13 * 17 * 19 * 23 * 29
     # 12 = 2^2 3 and 18 = 2 3^2 share factors: the base is {2, 3}
-    assert _tap_scale([Fraction(1, 12), Fraction(1, 18)]) == (12, False)
+    assert _tap_scale([Fraction(1, 12), Fraction(1, 18)]) == 12
 
 
 @pytest.mark.parametrize("den", (HALF_ROOT, COPRIME), ids=("half-root", "coprime"))
 def test_fraction_free_window_stays_near_the_terms_size(den):
-    """The integers w_n = E c^n s_n have about the bits of the reduced terms:
-    without the rebuild, the coprime shape's window would grow by the 29 bits
-    of c per term, against about 8 bits per term of the terms themselves."""
-    terms = QQ.recurrence((Fraction(3), Fraction(1)), den)
-    for n, term in enumerate(islice(terms, 1600)):
-        if n >= 800:
-            window = terms.gi_frame.f_locals["window"]
-            bits = max(abs(term.numerator).bit_length(), term.denominator.bit_length())
-            assert max(abs(w).bit_length() for w in window) <= 1.25 * bits
+    """The integers w_m = E c^m s_m have about the bits of the reduced terms.
+    After the numerator, every 2 deg q terms the window is rebuilt from the
+    last deg q terms with ``_least_window``; from there on each w_m is the new
+    scale times c^k times s_m.  Without the rebuild, the coprime shape's window
+    would grow by the 29 bits of c per term, against about 8 bits per term of
+    the terms themselves."""
+    num, d, n = (Fraction(3), Fraction(1)), len(den) - 1, 1600
+    c = _tap_scale(den[1:])
+    powers = [c**j for j in range(d + 1)]
+    terms = list(islice(QQ.recurrence(num, den), n))
+    for start in range(len(num) + 2 * d, n, 2 * d):
+        rebuilt, scale = _least_window(terms[start - 1 : start - d - 1 : -1], powers)
+        lowest = scale // powers[d]  # E, the scale of terms[start - d]
+        block = range(start - d, min(start + 2 * d, n))
+        ints = [lowest * c ** (m - block[0]) * terms[m] for m in block]
+        assert all(w.denominator == 1 for w in ints)
+        assert ints[:d] == list(reversed(rebuilt))
+        for i, m in enumerate(block[d:], d):
+            if m >= 800:
+                bits = max(abs(terms[m].numerator).bit_length(), terms[m].denominator.bit_length())
+                assert max(abs(w.numerator).bit_length() for w in ints[i - d + 1 : i + 1]) <= 1.25 * bits
 
 
 @st.composite
