@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: eval, derive, realize, circuit synth/sim, automaton synth/eval,
-equal, rank, probe.  Exit codes: 0 success, 1 domain error (for example an
-inversion of a stream with initial value 0), 2 syntax or format error.
+equal, rank, probe, guess.  Exit codes: 0 success, 1 domain error (for
+example an inversion of a stream with initial value 0, or a prefix too short
+for ``guess``), 2 syntax or format error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .circuit import (
 )
 from .errors import (
     FormatError,
+    InsufficientPrefix,
     ParseError,
     StreamCalcError,
 )
@@ -34,6 +36,7 @@ from .linear_system import (
     parse_system,
     realize,
 )
+from .ratstream import RationalStream
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,6 +206,22 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+def _cmd_guess(args) -> int:
+    field = _field(args)
+    prefix = _gather_prefix(args, 0, field)
+    stream = RationalStream.from_sequence(field, prefix)
+    # p/q is reduced and agrees with the prefix, so its linear complexity is
+    # the prefix's, L; fewer than 2L terms do not determine the stream
+    length = max(stream.den.degree, stream.num.degree + 1)
+    if len(prefix) < 2 * length:
+        raise InsufficientPrefix(
+            f"{len(prefix)} coefficients have linear complexity L = {length}; "
+            f"a closed form needs at least 2L = {2 * length}"
+        )
+    print(stream)
+    return 0
+
+
 def _add_field_option(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--field",
@@ -283,6 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_count, required=True, help="claimed degree bound")
     _add_field_option(p)
     p.set_defaults(func=_cmd_probe)
+
+    p = commands.add_parser("guess", help="closed form of a coefficient prefix")
+    p.add_argument("--prefix", required=True, help=_PREFIX_HELP)
+    _add_field_option(p)
+    p.set_defaults(func=_cmd_guess)
 
     return parser
 

@@ -7,9 +7,12 @@ terms with positive denominator).  Prime-field scalars are
 text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
 membership, for matrices, polynomials and a residue's operators alike, and
 its ``dot`` sums products, for every mat-vec.  Its ``recurrence`` makes the
-coefficients of a closed form p/q, for every expansion.  It also owns the raw
-values that inner loops compute with: the ``Fraction`` itself over Q and the
-bare ``int`` residue over GF(p).
+coefficients of a closed form p/q, for every expansion, and its
+``berlekamp_massey`` goes back from coefficients to the shortest recurrence,
+for every closed form that is fitted.  Over Q both run fraction-free on
+integers; over GF(p) on bare residues.  It also owns the raw values that the
+netlist plan computes with: the ``Fraction`` itself over Q and the bare
+``int`` residue over GF(p).
 """
 
 from __future__ import annotations
@@ -96,10 +99,11 @@ class Field:
     """Descriptor of a scalar field: identities, coercion, text syntax.
 
     An element is zero exactly when it is falsy, as ``Fraction(0)`` is; that
-    truth value is the one zero test.  Raw values are what kernels compute
-    with between one ``to_raw`` on entry and one ``from_raw`` on exit: sums
-    and products of raw values, passed through ``reduce``, are raw values
-    again, and a reduced raw value is likewise zero exactly when it is falsy.
+    truth value is the one zero test.  Raw values are what the netlist plan
+    computes with between one ``to_raw`` on entry and one ``from_raw`` on
+    exit: sums and products of raw values, passed through ``reduce``, are raw
+    values again, and a reduced raw value is likewise zero exactly when it is
+    falsy.
     """
 
     def zero(self):
@@ -135,6 +139,18 @@ class Field:
         s_n = num_n - sum_(j=1..deg den) den_j s_(n-j), without end."""
         raise NotImplementedError
 
+    def berlekamp_massey(self, terms: Sequence, numerator: bool = False) -> Tuple:
+        """(C, L): the shortest linear recurrence of ``terms`` (Massey 1969).
+
+        C = [1, c_1, ..., c_k] (k <= L, no trailing zeros) satisfies
+        sum_(i=0..L) c_i terms[n-i] = 0 for every L <= n < len(terms), and L
+        is the least length with that property.  When len(terms) < 2L, C is
+        not unique; every kernel returns the C of Massey's update on field
+        elements.  With ``numerator``, (C, L, P): P = (C S) mod X^L for the
+        prefix S, L coefficients, so that S agrees with P / C.
+        """
+        raise NotImplementedError
+
     def to_raw(self, a):
         """The raw value of ``a`` (anything ``coerce`` accepts)."""
         raise NotImplementedError
@@ -145,10 +161,6 @@ class Field:
 
     def reduce(self, r):
         """The reduced raw value of a sum or product of raw values."""
-        raise NotImplementedError
-
-    def raw_inv(self, r):
-        """The reduced raw inverse of a nonzero reduced raw value."""
         raise NotImplementedError
 
     def is_negative(self, a) -> bool:
@@ -198,8 +210,10 @@ class Rationals(Field):
         is an integer, w_n = E c^n num_n - sum_j (c^j den_j) w_(n-j), and each
         term is the one reduced Fraction(w_n, E c^n).  c^n may hold more
         factors than the terms need (den_8 = 1/29 puts a 29 into c where s_n
-        needs 29^(n/8)), so every 2 deg den terms the window is rebuilt from
-        the last deg den reduced terms with the least E.
+        needs 29^(n/8)), so every max(2 deg den, 8) terms the window is rebuilt
+        from the last deg den reduced terms with the least E; the floor of 8
+        keeps a rebuild, a few big gcds, from costing more than it drops at
+        deg den = 1.
         """
         d = len(den) - 1
         if not d:
@@ -220,7 +234,7 @@ class Rationals(Field):
             yield term
             scale *= c
         while True:
-            for _ in range(2 * d):
+            for _ in range(max(2 * d, 8)):
                 w = -sum(map(mul, taps, window))
                 term = Fraction(w, scale)
                 window.appendleft(w)
@@ -228,6 +242,55 @@ class Rationals(Field):
                 yield term
                 scale *= c
             window, scale = _least_window(terms, powers)
+
+    def berlekamp_massey(self, terms, numerator=False):
+        """Fraction-free (Bareiss's idea on Massey's update): with D the lcm of
+        the terms' denominators, run on the integers a_i = D s_i and replace
+        C <- C - (d / b) X^gap B by C <- b C - d X^gap B, stripping C's
+        content after each update.  Each integer C is then a nonzero multiple
+        of the C that the update on Fractions gives, provided b is the
+        discrepancy of the integer B: for B = 1 that is D, not 1, or the C of
+        the prefix [1/2] would be 1 - X.  C's integers keep the bits of C itself,
+        where a ``Fraction`` update would carry a gcd per operation.  C is
+        returned as C / C(0), and P from the same integers as
+        ((C a) mod X^L) / (C(0) D).
+        """
+        terms = [self.coerce(t) for t in terms]
+        scale = lcm(*(t.denominator for t in terms))  # D
+        ints = [t.numerator * (scale // t.denominator) for t in terms]
+        current, previous = [1], [1]  # C and B, on integers
+        length, gap, last = 0, 1, scale  # last: the discrepancy of B
+        for n, term in enumerate(ints):
+            # deg C <= L <= n, so the window ints[n+1-len(C) .. n-1] exists
+            window = ints[n + 1 - len(current) : n]
+            discrepancy = sum(map(mul, current[1:], reversed(window)), current[0] * term)
+            if not discrepancy:
+                gap += 1
+                continue
+            updated = [last * c for c in current]
+            updated += [0] * (gap + len(previous) - len(current))
+            for i, b in enumerate(previous, gap):
+                updated[i] -= discrepancy * b
+            while not updated[-1]:
+                updated.pop()
+            content = gcd(*updated)
+            if content != 1:
+                updated = [c // content for c in updated]
+            if 2 * length <= n:
+                previous, length, last, gap = current, n + 1 - length, discrepancy, 1
+            else:
+                gap += 1
+            current = updated
+        head = current[0]
+        connection = [Fraction(c, head) for c in current]
+        if not numerator:
+            return connection, length
+        below = head * scale
+        num = [
+            Fraction(sum(map(mul, current[: k + 1], reversed(ints[: k + 1]))), below)
+            for k in range(length)
+        ]
+        return connection, length, num
 
     # raw values over Q are the Fractions themselves, always in lowest terms
     to_raw = coerce
@@ -237,9 +300,6 @@ class Rationals(Field):
 
     def reduce(self, r):
         return r
-
-    def raw_inv(self, r):
-        return 1 / r
 
     def is_negative(self, a):
         return a < 0
@@ -394,6 +454,40 @@ class PrimeField(Field):
             window.appendleft(term.value)
             yield term
 
+    def berlekamp_massey(self, terms, numerator=False):
+        # Massey's update on residues: one reduction per entry, one inversion
+        # per change of length
+        p = self.modulus
+        terms = [self.coerce(t).value for t in terms]
+        current, previous = [1], [1]  # C and B
+        length, gap, scale = 0, 1, 1  # scale: 1 / the discrepancy of B
+        for n, term in enumerate(terms):
+            # deg C <= L <= n, so the window terms[n+1-len(C) .. n-1] exists
+            window = terms[n + 1 - len(current) : n]
+            discrepancy = sum(map(mul, current[1:], reversed(window)), term) % p
+            if not discrepancy:
+                gap += 1
+                continue
+            factor = discrepancy * scale % p
+            updated = current + [0] * (gap + len(previous) - len(current))
+            for i, b in enumerate(previous, gap):
+                updated[i] = (updated[i] - factor * b) % p
+            while not updated[-1]:
+                updated.pop()
+            if 2 * length <= n:
+                previous, length, scale, gap = current, n + 1 - length, _invmod(discrepancy, p), 1
+            else:
+                gap += 1
+            current = updated
+        connection = [PrimeFieldElement(c, self) for c in current]
+        if not numerator:
+            return connection, length
+        num = [
+            PrimeFieldElement(sum(map(mul, current[: k + 1], reversed(terms[: k + 1]))), self)
+            for k in range(length)
+        ]
+        return connection, length, num
+
     def to_raw(self, a):
         return self.coerce(a).value
 
@@ -402,9 +496,6 @@ class PrimeField(Field):
 
     def reduce(self, r):
         return r % self.modulus
-
-    def raw_inv(self, r):
-        return _invmod(r, self.modulus)
 
     def is_negative(self, a):
         return False

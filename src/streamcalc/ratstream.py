@@ -13,14 +13,17 @@ closed form that keeps the denominator fixed.
 ``RationalStream._terms`` is the one forward recurrence, from a closed form to
 its coefficients, run by the field's kernel ``Field.recurrence``;
 :func:`berlekamp_massey` is the one backward recurrence, from enough
-coefficients over k to the closed form (``from_sequence``).
+coefficients over k to the closed form (``from_sequence``), run by the field's
+kernel ``Field.berlekamp_massey``.  Both kernels are fraction-free: over Q
+they compute on integers, and over GF(p) on residues.  The backward kernel
+works on the integer multiples of C with their content stripped, so C's
+coefficients keep the bits of C itself, not of a tower of ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from operator import mul
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import NotInvertibleAtZero
@@ -62,15 +65,9 @@ class RationalStream(Quotient):
         is exact.  Without the precondition the result merely agrees with
         ``terms``.  Either way it is reduced.
         """
-        terms = [field.to_raw(t) for t in terms]
-        connection, length = _berlekamp_massey(field, terms)
-        reduce = field.reduce
-        num = [
-            reduce(sum(map(mul, connection[: k + 1], reversed(terms[: k + 1]))))
-            for k in range(length)
-        ]
+        connection, _, num = field.berlekamp_massey(terms, numerator=True)
         # a common factor of num and C would give a shorter recurrence; C(0) = 1
-        return cls._make(_polynomial(field, num), _polynomial(field, connection))
+        return cls._make(Polynomial._make(field, num), Polynomial._make(field, connection))
 
     @classmethod
     def from_fraction(cls, rf: RationalFunction):
@@ -151,43 +148,11 @@ def berlekamp_massey(field: Field, terms: Sequence) -> Tuple[Polynomial, int]:
 
     C = 1 + c_1 X + ... + c_L X^L (deg C may fall short of L) satisfies
     sum_{i=0..L} c_i * terms[n-i] = 0 for every L <= n < len(terms), and L is
-    the least length with that property.  Uses O(len(terms) * L) operations
-    on the field's raw values and no polynomial arithmetic.
+    the least length with that property.  Run by the field's kernel
+    ``Field.berlekamp_massey`` in O(len(terms) * L) operations on integers.
     """
-    connection, length = _berlekamp_massey(field, [field.to_raw(t) for t in terms])
-    return _polynomial(field, connection), length
-
-
-def _berlekamp_massey(field: Field, terms: List) -> Tuple[List, int]:
-    # the kernel of berlekamp_massey on raw values, C as a raw coefficient list
-    reduce, raw_inv = field.reduce, field.raw_inv
-    zero, one = field.to_raw(field.zero()), field.to_raw(field.one())
-    current = [one]  # C
-    previous = [one]  # C before the last change of length
-    length, gap, scale = 0, 1, one  # scale: 1 / discrepancy at that change
-    for n, term in enumerate(terms):
-        # deg C <= L <= n, so the window terms[n+1-len(C) .. n-1] exists
-        window = terms[n + 1 - len(current) : n]
-        discrepancy = reduce(sum(map(mul, current[1:], reversed(window)), term))
-        if not discrepancy:
-            gap += 1
-            continue
-        factor = reduce(discrepancy * scale)
-        updated = current + [zero] * (gap + len(previous) - len(current))
-        for i, b in enumerate(previous, gap):
-            updated[i] = reduce(updated[i] - factor * b)
-        while not updated[-1]:
-            updated.pop()
-        if 2 * length <= n:
-            previous, length, scale, gap = current, n + 1 - length, raw_inv(discrepancy), 1
-        else:
-            gap += 1
-        current = updated
-    return current, length
-
-
-def _polynomial(field: Field, raw: List) -> Polynomial:
-    return Polynomial._make(field, [field.from_raw(r) for r in raw])
+    connection, length = field.berlekamp_massey(terms)
+    return Polynomial._make(field, connection), length
 
 
 def valuation(s: RationalStream) -> int:

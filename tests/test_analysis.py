@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamcalc import (
@@ -296,7 +296,7 @@ def test_rank_and_probe_never_eliminate(monkeypatch):
         assert hankel_rank([field.zero()] * 9, 5) == 0
 
 
-# --- the raw-value Berlekamp-Massey kernel against the boxed reference -----
+# --- the Berlekamp-Massey kernels against the boxed reference --------------
 
 KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(2**61 - 1))
 
@@ -337,3 +337,54 @@ def test_from_sequence_matches_boxed_reference(case):
     assert s.den == connection
     assert s.num.degree < max(length, 1)
     assert s.expand(len(terms)) == [field.coerce(t) for t in terms]
+
+
+# --- the integer kernel over Q against the boxed reference ------------------
+
+# denominators by kind; 10**39 + 3 and 10**39 + 23 have 40 digits
+RATIONAL_DENOMINATORS = {
+    "integral": st.just(1),
+    "powers": st.builds(pow, st.sampled_from((2, 3)), st.integers(0, 12)),
+    "coprime": st.sampled_from((1, 3, 7, 11, 13, 29, 997)),
+    "huge": st.sampled_from((1, 10**39 + 3, 10**39 + 23)),
+}
+
+
+@st.composite
+def rational_kernel_cases(draw):
+    """(terms, s): terms over Q with integral, 2^k or 3^k, coprime-prime or
+    40-digit denominators.  Either free terms after a run of zeros (all zeros
+    included), s None; or a prefix of a reduced s = p/q of linear complexity
+    L, exactly 2L terms long (C is q), or shorter than 2L (C is not unique),
+    s then None."""
+    kind = draw(st.sampled_from(sorted(RATIONAL_DENOMINATORS)))
+    scalar = st.builds(Fraction, st.integers(-9, 9), RATIONAL_DENOMINATORS[kind])
+    zeros = [0] * draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(("free", "half", "short")))
+    if shape == "free":
+        return zeros + draw(st.lists(scalar, max_size=16)), None
+    num = Polynomial(QQ, zeros + draw(st.lists(scalar, max_size=5)))
+    s = RationalStream(num, Polynomial(QQ, [1] + draw(st.lists(scalar, max_size=5))))
+    length = 0 if s.is_zero else max(s.den.degree, s.num.degree + 1)
+    if shape == "half":
+        return s.expand(2 * length), s
+    return s.expand(draw(st.integers(0, max(2 * length - 1, 0)))), None
+
+
+@settings(max_examples=300)
+@given(rational_kernel_cases())
+@example(([Fraction(1, 2)], None))  # C = 1 - X/2; an integer kernel that starts b at 1 gives 1 - X
+@example(([0, 0, Fraction(1, 2), Fraction(1, 3)], None))
+def test_integer_kernel_matches_boxed_reference(case):
+    terms, exact = case
+    connection, length = QQ.berlekamp_massey(terms)
+    expected, expected_length = boxed_berlekamp_massey(QQ, terms)
+    assert (Polynomial(QQ, connection), length) == (expected, expected_length)
+    assert connection[0] == 1 and connection[-1]
+    assert all(type(c) is Fraction for c in connection)
+    s = RationalStream.from_sequence(QQ, terms)
+    assert s.den == expected
+    assert s.num.degree < max(length, 1)
+    assert s.expand(len(terms)) == [Fraction(t) for t in terms]
+    if exact is not None:
+        assert s == exact

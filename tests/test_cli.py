@@ -138,6 +138,54 @@ def test_prefix_with_a_negative_first_value_is_attached_with_equals(capsys):
         assert "Traceback" not in err
 
 
+def test_guess_prints_the_closed_form_eval_prints(capsys):
+    code, out, _ = run(capsys, "eval", "1/(1-X-X^2)", "--n", "6")
+    assert out.splitlines() == ["1, 1, 2, 3, 5, 8", "(1)/(1 - X - X^2)"]
+    code, out, err = run(capsys, "guess", "--prefix=1,1,2,3,5,8")
+    assert (code, out, err) == (0, "(1)/(1 - X - X^2)\n", "")
+    code, out, _ = run(capsys, "guess", "--prefix", "0,0,0")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, "guess", "--prefix=-1,1/2,-1/4,1/8")
+    assert (code, out) == (0, "(-1)/(1 + 1/2*X)\n")
+
+
+def test_guess_in_a_prime_field(capsys):
+    _, out, _ = run(capsys, "eval", "1/(1-3*X)", "--n", "4", "--field", "gf:7")
+    assert out.splitlines()[0] == "1, 3, 2, 6"
+    code, guessed, _ = run(capsys, "guess", "--prefix=1,3,2,6", "--field", "gf:7")
+    assert (code, guessed) == (0, out.splitlines()[1] + "\n")
+    code, out, err = run(capsys, "guess", "--prefix=0,0,1", "--field", "gf:7")
+    assert (code, out) == (1, "")
+    assert "L = 3" in err
+
+
+def test_guess_refuses_a_prefix_shorter_than_2l(capsys):
+    # L = 2: four terms determine 1/(1 - X - X^2), three do not
+    code, out, _ = run(capsys, "guess", "--prefix=1,1,2,3")
+    assert (code, out) == (0, "(1)/(1 - X - X^2)\n")
+    code, out, err = run(capsys, "guess", "--prefix=1,1,2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 3 coefficients have linear complexity L = 2; a closed form needs at least 2L = 4\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("guess",),
+        ("guess", "--prefix", "1,x"),
+        ("guess", "--prefix", "-1,2"),
+        ("guess", "--prefix=1,2", "--field", "gf:8"),
+        ("guess", "--expr", "1/(1-X)"),
+    ),
+)
+def test_guess_usage_and_format_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_probe_reports(capsys):
     code, out, _ = run(capsys, "probe", "--expr", "1/(1-X)^2", "--d", "5")
     assert code == 0

@@ -31,6 +31,7 @@ from streamcalc import (
 )
 from streamcalc.automaton import WeightedAutomaton
 from streamcalc.circuit import CanonicalCircuit
+from streamcalc import fields
 from streamcalc.fields import Field, _least_window, _tap_scale
 from streamcalc.poly import FractionField
 from util import boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
@@ -139,22 +140,32 @@ def test_tap_scale_takes_the_least_exponent_per_base_element():
     assert _tap_scale([Fraction(1, 12), Fraction(1, 18)]) == 12
 
 
-@pytest.mark.parametrize("den", (HALF_ROOT, COPRIME), ids=("half-root", "coprime"))
+DEGREE_ONE = (Fraction(1), Fraction(-1, 1000))  # 1 - X/1000
+# 1 - X/2 - X^2/3: c = 6, where the terms need a 3 only every other step
+DEGREE_TWO = (Fraction(1), Fraction(-1, 2), Fraction(-1, 3))
+
+
+@pytest.mark.parametrize(
+    "den",
+    (HALF_ROOT, COPRIME, DEGREE_ONE, DEGREE_TWO),
+    ids=("half-root", "coprime", "deg-1", "deg-2"),
+)
 def test_fraction_free_window_stays_near_the_terms_size(den):
     """The integers w_m = E c^m s_m have about the bits of the reduced terms.
-    After the numerator, every 2 deg q terms the window is rebuilt from the
-    last deg q terms with ``_least_window``; from there on each w_m is the new
-    scale times c^k times s_m.  Without the rebuild, the coprime shape's window
-    would grow by the 29 bits of c per term, against about 8 bits per term of
-    the terms themselves."""
+    After the numerator, every max(2 deg q, 8) terms the window is rebuilt from
+    the last deg q terms with ``_least_window``; from there on each w_m is the
+    new scale times c^k times s_m.  Without the rebuild, the coprime shape's
+    window would grow by the 29 bits of c per term, against about 8 bits per
+    term of the terms themselves.  At deg q <= 3 the period is 8 terms."""
     num, d, n = (Fraction(3), Fraction(1)), len(den) - 1, 1600
+    period = max(2 * d, 8)
     c = _tap_scale(den[1:])
     powers = [c**j for j in range(d + 1)]
     terms = list(islice(QQ.recurrence(num, den), n))
-    for start in range(len(num) + 2 * d, n, 2 * d):
+    for start in range(len(num) + period, n, period):
         rebuilt, scale = _least_window(terms[start - 1 : start - d - 1 : -1], powers)
         lowest = scale // powers[d]  # E, the scale of terms[start - d]
-        block = range(start - d, min(start + 2 * d, n))
+        block = range(start - d, min(start + period, n))
         ints = [lowest * c ** (m - block[0]) * terms[m] for m in block]
         assert all(w.denominator == 1 for w in ints)
         assert ints[:d] == list(reversed(rebuilt))
@@ -162,6 +173,22 @@ def test_fraction_free_window_stays_near_the_terms_size(den):
             if m >= 800:
                 bits = max(abs(terms[m].numerator).bit_length(), terms[m].denominator.bit_length())
                 assert max(abs(w.numerator).bit_length() for w in ints[i - d + 1 : i + 1]) <= 1.25 * bits
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4, 5))
+def test_window_is_rebuilt_every_max_2d_8_terms(monkeypatch, d):
+    """A rebuild is a few big gcds: at deg q <= 3 it waits for 8 terms."""
+    rebuilds = []
+
+    def counted(terms, powers):
+        rebuilds.append(None)
+        return _least_window(terms, powers)
+
+    monkeypatch.setattr(fields, "_least_window", counted)
+    num, den = (Fraction(3), Fraction(1)), (Fraction(1),) + (Fraction(-1, 7),) * d
+    # the numerator's 2 terms, then a rebuild before each period's next term
+    list(islice(QQ.recurrence(num, den), 2 + 200 + 1))
+    assert len(rebuilds) == 200 // max(2 * d, 8)
 
 
 @st.composite

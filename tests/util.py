@@ -71,8 +71,8 @@ def triangular_prefix(field, length):
 def boxed_berlekamp_massey(field, terms):
     """Berlekamp-Massey on field elements, one boxed operation at a time.
 
-    The reference for the raw-value kernel ``ratstream.berlekamp_massey``:
-    same (C, L), computed with the field's own scalar arithmetic.
+    The reference for the field kernels ``Field.berlekamp_massey``: same
+    (C, L), computed with the field's own scalar arithmetic.
     """
     zero = field.zero()
     terms = [field.coerce(t) for t in terms]
