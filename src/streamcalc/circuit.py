@@ -6,12 +6,19 @@ combinational gates are evaluated in topological order, the designated output
 port is sampled, and then every register latches its freshly computed input
 simultaneously.  A netlist derives one evaluation plan when it is built: its
 multipliers and adders in topological order, each with the value slots of its
-drivers and a multiplier's factor as the field's raw value (copiers only alias
-slots), so a tick is one walk over that plan on raw values, reduced after each
-multiplier and adder.  ``simulate`` walks it tick after tick, in time linear in
-the gates, and boxes the samples.  A tick is linear in the register values, so
-one walk from each unit state reads off the netlist's pointed linear system
-(``to_linear_system``), through which its closed form is found.
+drivers (copiers only alias slots), so a tick is one walk over that plan on
+plain integers.  Over GF(p) a slot holds its residue, reduced after each
+multiplier and adder.  Over Q a slot holds an integer v over the shared
+denominator g of the register values times a static multiplier m of its own,
+so that its value is v / (g m): a register has m = 1, a multiplier by a/b
+keeps the integer factor a and has m = m_in b, and an adder has the lcm of its
+inputs' m, with the integer weights m / m_in.  Each tick g grows by the lcm L
+of the latched slots' m, each latched value by L / m, and every few ticks the
+common content of g and the register integers is stripped.  ``simulate``
+walks the plan tick after tick, in time linear in the gates, and boxes the
+samples.  A tick is linear in the register values, so one walk from each unit
+state reads off the netlist's pointed linear system (``to_linear_system``),
+through which its closed form is found.
 
 A canonical circuit is the dense description (feedback matrix, feedforward
 row, register seeds), itself a pointed linear system; its closed-form
@@ -25,6 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import (
@@ -33,7 +42,14 @@ from .errors import (
     IllFormedCircuit,
     ShapeMismatch,
 )
-from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
+from .fields import (
+    Field,
+    field_from_spec,
+    is_ascii_digits,
+    over_one_denominator,
+    parse_integer,
+    strip_content,
+)
 from .linear_system import LinearSystem, PointedLinearSystem
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix, parse_vector
 from .ratstream import RationalStream
@@ -77,8 +93,8 @@ def output_count(gate: Gate) -> int:
     return 1
 
 
-def _total(values: List):
-    return sum(values[1:], values[0])
+# Ticks between two strips of the register integers' content over Q.
+STRIP_PERIOD = 4
 
 
 class Netlist:
@@ -97,7 +113,7 @@ class Netlist:
         self.output = tuple(output)
         self._drivers: Dict[Port, Port] = {}
         self._validate()
-        self._seeds, self._plan, self._output_slot, self._latches = self._make_plan()
+        self._make_plan()
 
     def _validate(self):
         for name, gate in self.gates.items():
@@ -143,12 +159,15 @@ class Netlist:
                     )
 
     def _make_plan(self):
-        """Seeds, plan, output slot and latch slots for :meth:`simulate`.
+        """The plan of :meth:`_tick`, the seeds and the slots read after a tick.
 
         A tick's values are one list: register outputs, then one slot per
         multiplier or adder in topological order; copier outputs alias their
         input's slot.  A gate whose drivers are not ready waits on the stack,
-        and meeting it again while it waits closes a register-free loop.
+        and meeting it again while it waits closes a register-free loop.  Each
+        slot gets its denominator multiplier m (1 throughout over GF(p)).  A
+        plan entry is (a, slot, None) for a multiplier by a/b, and (None,
+        slots, weights) for an adder, with weights None when all are 1.
         """
         registers = [name for name, gate in self.gates.items() if isinstance(gate, Register)]
         slots: Dict[Port, int] = {(name, 0): k for k, name in enumerate(registers)}
@@ -177,50 +196,86 @@ class Netlist:
                 else:
                     slots[(name, 0)] = len(registers) + len(order)
                     order.append((gate, inputs))
-        to_raw = self.field.to_raw
-        seeds = [to_raw(self.gates[name].initial) for name in registers]
-        plan = [
-            (to_raw(gate.factor) if isinstance(gate, Multiplier) else None, inputs)
-            for gate, inputs in order
-        ]
-        latches = [slots[self._drivers[(name, 0)]] for name in registers]
-        return seeds, plan, slots[self.output], latches
-
-    def _tick(self, state: List) -> List:
-        """The slot values of one tick from the raw register values ``state``;
-        each multiplier's product and each adder's sum is reduced."""
-        values, reduce = list(state), self.field.reduce
-        for factor, inputs in self._plan:
-            if factor is None:
-                values.append(reduce(_total([values[k] for k in inputs])))
+        self._modulus = self.field.characteristic  # 0 over Q: no reduction
+        scales = [1] * len(registers)  # m of each slot
+        plan = []
+        for gate, inputs in order:
+            if isinstance(gate, Multiplier):
+                a, b = self._split(gate.factor)
+                plan.append((a, inputs[0], None))
+                scales.append(scales[inputs[0]] * b)
             else:
-                values.append(reduce(factor * values[inputs[0]]))
+                weights, m = over_one_denominator(Fraction(1, scales[k]) for k in inputs)
+                plan.append((None, inputs, weights if max(weights) > 1 else None))
+                scales.append(m)
+        self._seeds, self._denominator = over_one_denominator(
+            Fraction(*self._split(self.gates[name].initial)) for name in registers
+        )
+        self._plan = plan
+        self._scales = scales
+        self._output = slots[self.output]
+        self._latches = [slots[self._drivers[(name, 0)]] for name in registers]
+        weights, self._growth = over_one_denominator(Fraction(1, scales[k]) for k in self._latches)
+        self._latch_weights = None if self._growth == 1 else weights
+
+    def _split(self, a) -> Tuple[int, int]:
+        """(a, b) with the scalar a/b (anything ``coerce`` accepts): numerator
+        and denominator over Q, the residue and 1 over GF(p)."""
+        a = self.field.coerce(a)
+        return (a.value, 1) if self._modulus else (a.numerator, a.denominator)
+
+    def _box(self, v: int, d: int):
+        """The field element v / d of a slot's integer (d is 1 over GF(p))."""
+        return self.field.from_int(v) if self._modulus else Fraction(v, d)
+
+    def _tick(self, state: List[int]) -> List[int]:
+        """The slot integers of one tick from the register integers ``state``."""
+        values, p = list(state), self._modulus
+        for factor, inputs, weights in self._plan:
+            if factor is not None:
+                v = factor * values[inputs]
+            elif weights is None:
+                v = sum([values[k] for k in inputs])
+            else:
+                v = sum(map(mul, weights, [values[k] for k in inputs]))
+            values.append(v % p if p else v)
         return values
+
+    def _latch(self, values: List[int]) -> List[int]:
+        """The register integers latched from a tick's slots, over g L."""
+        if self._latch_weights is None:
+            return [values[k] for k in self._latches]
+        return [values[k] * w for k, w in zip(self._latches, self._latch_weights)]
 
     def simulate(self, steps: int) -> List:
         """Sample the designated output for ``steps`` synchronous ticks."""
         if steps < 0:
             raise ValueError("number of ticks must be nonnegative")
-        state, samples = self._seeds, []
-        for _ in range(steps):
+        state, g, samples = self._seeds, self._denominator, []
+        out, m_out, growth = self._output, self._scales[self._output], self._growth
+        for t in range(1, steps + 1):
             values = self._tick(state)
-            samples.append(values[self._output_slot])
+            samples.append(self._box(values[out], g * m_out))
             # all registers latch simultaneously at tick end
-            state = [values[k] for k in self._latches]
-        return [self.field.from_raw(r) for r in samples]
+            state, g = self._latch(values), g * growth
+            if t % STRIP_PERIOD == 0 and g != 1:
+                state, g = strip_content(state, g)
+        return samples
 
     def to_linear_system(self) -> PointedLinearSystem:
         """The pointed system of the register values: the tick from unit state j
-        gives column j of F at the latch slots and of H at the output slot."""
+        (over g = 1) gives column j of F at the latch slots and of H at the
+        output slot."""
         r, field = len(self._seeds), self.field
         if r > MAX_DIMENSION:
             raise DimensionMismatch(f"{r} registers; a linear system has at most {MAX_DIMENSION}")
-        zero, one = field.to_raw(field.zero()), field.to_raw(field.one())
-        columns = [self._tick([one if i == j else zero for i in range(r)]) for j in range(r)]
-        box = field.from_raw
-        dynamics = Matrix(field, ([box(c[k]) for c in columns] for k in self._latches), cols=r)
-        output = Matrix(field, [[box(c[self._output_slot]) for c in columns]], cols=r)
-        return PointedLinearSystem(LinearSystem(dynamics, output), [box(v) for v in self._seeds])
+        columns = [self._tick([int(i == j) for i in range(r)]) for j in range(r)]
+        box, scales = self._box, self._scales
+        dynamics = Matrix(field, ([box(c[k], scales[k]) for c in columns] for k in self._latches), cols=r)
+        out = self._output
+        output = Matrix(field, [[box(c[out], scales[out]) for c in columns]], cols=r)
+        initial = [box(v, self._denominator) for v in self._seeds]
+        return PointedLinearSystem(LinearSystem(dynamics, output), initial)
 
     def with_output_register(self, initial) -> "Netlist":
         """Insert one register in front of the output (delays the stream)."""

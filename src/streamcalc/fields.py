@@ -10,9 +10,12 @@ its ``dot`` sums products, for every mat-vec.  Its ``recurrence`` makes the
 coefficients of a closed form p/q, for every expansion, and its
 ``berlekamp_massey`` goes back from coefficients to the shortest recurrence,
 for every closed form that is fitted.  Over Q both run fraction-free on
-integers; over GF(p) on bare residues.  It also owns the raw values that the
-netlist plan computes with: the ``Fraction`` itself over Q and the bare
-``int`` residue over GF(p).
+integers; over GF(p) on bare residues.  The fraction-free kernels over Q
+share two steps written here once: ``over_one_denominator`` puts
+``Fraction``s over their least common denominator (for these two,
+``Matrix.orbit`` and the netlist plan), and ``strip_content`` divides
+integers over a shared denominator by their common content (for the orbit
+and the plan).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import FieldMismatch, FormatError
 
@@ -99,11 +102,7 @@ class Field:
     """Descriptor of a scalar field: identities, coercion, text syntax.
 
     An element is zero exactly when it is falsy, as ``Fraction(0)`` is; that
-    truth value is the one zero test.  Raw values are what the netlist plan
-    computes with between one ``to_raw`` on entry and one ``from_raw`` on
-    exit: sums and products of raw values, passed through ``reduce``, are raw
-    values again, and a reduced raw value is likewise zero exactly when it is
-    falsy.
+    truth value is the one zero test.
     """
 
     def zero(self):
@@ -149,18 +148,6 @@ class Field:
         elements.  With ``numerator``, (C, L, P): P = (C S) mod X^L for the
         prefix S, L coefficients, so that S agrees with P / C.
         """
-        raise NotImplementedError
-
-    def to_raw(self, a):
-        """The raw value of ``a`` (anything ``coerce`` accepts)."""
-        raise NotImplementedError
-
-    def from_raw(self, r):
-        """The field element of a reduced raw value."""
-        raise NotImplementedError
-
-    def reduce(self, r):
-        """The reduced raw value of a sum or product of raw values."""
         raise NotImplementedError
 
     def is_negative(self, a) -> bool:
@@ -225,14 +212,16 @@ class Rationals(Field):
         taps = [q.numerator * (c_j // q.denominator) for q, c_j in zip(den[1:], powers[1:])]
         window = deque(maxlen=d)  # the integers w, newest first
         terms = deque(maxlen=d)  # their reduced terms
-        scale = lcm(*(a.denominator for a in num))  # E c^n for the next term
-        for a in num:
-            w = a.numerator * (scale // a.denominator) - sum(map(mul, taps, window))
+        ints, scale = over_one_denominator(num)  # E num_n, and E c^n for the next term
+        power = 1  # c^n
+        for a in ints:
+            w = a * power - sum(map(mul, taps, window))
             term = Fraction(w, scale)
             window.appendleft(w)
             terms.appendleft(term)
             yield term
             scale *= c
+            power *= c
         while True:
             for _ in range(max(2 * d, 8)):
                 w = -sum(map(mul, taps, window))
@@ -255,9 +244,7 @@ class Rationals(Field):
         returned as C / C(0), and P from the same integers as
         ((C a) mod X^L) / (C(0) D).
         """
-        terms = [self.coerce(t) for t in terms]
-        scale = lcm(*(t.denominator for t in terms))  # D
-        ints = [t.numerator * (scale // t.denominator) for t in terms]
+        ints, scale = over_one_denominator(self.coerce(t) for t in terms)  # D s_i, D
         current, previous = [1], [1]  # C and B, on integers
         length, gap, last = 0, 1, scale  # last: the discrepancy of B
         for n, term in enumerate(ints):
@@ -273,6 +260,8 @@ class Rationals(Field):
                 updated[i] -= discrepancy * b
             while not updated[-1]:
                 updated.pop()
+            # C's content, stripped inline: C has no denominator, and a
+            # strip_content call per update costs about 5% of the kernel
             content = gcd(*updated)
             if content != 1:
                 updated = [c // content for c in updated]
@@ -291,15 +280,6 @@ class Rationals(Field):
             for k in range(length)
         ]
         return connection, length, num
-
-    # raw values over Q are the Fractions themselves, always in lowest terms
-    to_raw = coerce
-
-    def from_raw(self, r):
-        return r
-
-    def reduce(self, r):
-        return r
 
     def is_negative(self, a):
         return a < 0
@@ -488,15 +468,6 @@ class PrimeField(Field):
         ]
         return connection, length, num
 
-    def to_raw(self, a):
-        return self.coerce(a).value
-
-    def from_raw(self, r):
-        return PrimeFieldElement(r, self)
-
-    def reduce(self, r):
-        return r % self.modulus
-
     def is_negative(self, a):
         return False
 
@@ -526,6 +497,23 @@ class PrimeField(Field):
         return hash(("PrimeField", self.modulus))
 
 
+def over_one_denominator(fractions: Iterable[Fraction]) -> Tuple[List[int], int]:
+    """(ints, D): D the lcm of the denominators (1 for none), and ints[i] =
+    D fractions[i], so that each fraction is ints[i] / D."""
+    fractions = list(fractions)
+    scale = lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions], scale
+
+
+def strip_content(ints: List[int], g: int) -> Tuple[List[int], int]:
+    """(ints, g) divided by their common content gcd(g, *ints), for g > 0, so
+    that each ints[i] / g keeps its value."""
+    content = gcd(g, *ints)
+    if content == 1:
+        return ints, g
+    return [a // content for a in ints], g // content
+
+
 def _coprime_base(numbers) -> List[int]:
     """Pairwise coprime integers > 1 whose powers multiply to each of ``numbers``,
     by gcds only: a factor g > 1 shared by a and b splits them into a/g, g, b/g."""
@@ -543,16 +531,33 @@ def _coprime_base(numbers) -> List[int]:
     return base
 
 
+# The primes that _tap_scale splits off by trial division, and their product.
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)))
+_PRIMORIAL = prod(_SMALL_PRIMES)
+
+
 def _tap_scale(taps: Sequence[Fraction]) -> int:
     """An integer c with c^j taps[j-1] integral for every j: each element b of
     a coprime base of the denominators to the power max_j ceil(e_(b,j) / j),
     where b^e_(b,j) exactly divides the j-th denominator.  For the taps of
-    (1 - X/2)^8 that is 2, where their lcm is 256."""
+    (1 - X/2)^8 that is 2, where their lcm is 256.  The base holds every
+    prime below 100 that divides a denominator, found by trial division, and
+    a coprime base, by gcds alone, of what the denominators leave over; so c
+    is the least such integer when the denominators have no prime factor
+    above 100, and 6 for the taps (1, 1/18), where the gcds alone give 18."""
     first = {}  # each denominator at its least j, where e_(b,j) / j is largest
     for j, t in enumerate(taps, 1):
         first.setdefault(t.denominator, j)
+    small = lcm(*(gcd(n, _PRIMORIAL) for n in first))  # the small primes that divide one
+    base = [p for p in _SMALL_PRIMES if small % p == 0] if small > 1 else []
+    rests = []
+    for n in first:
+        for p in base:
+            while n % p == 0:
+                n //= p
+        rests.append(n)
     c = 1
-    for b in _coprime_base(first):
+    for b in base + _coprime_base(rests):
         top, bottom = 0, 1  # max_j e_(b,j) / j
         for n, j in first.items():
             e = 0
@@ -570,7 +575,9 @@ def _least_window(terms: Sequence[Fraction], powers: Sequence[int]) -> Tuple[deq
     reduced terms (newest first) with the least E, and E c^d, the scale of the
     next term; ``powers`` is c^0, ..., c^d.  The terms take the scales
     E c^(d-1), ..., E c^0, and E c^k s is an integer exactly when
-    den(s) / gcd(den(s), c^k) divides E, so the least E is their lcm."""
+    den(s) / gcd(den(s), c^k) divides E, so the least E is their lcm.  This
+    is ``over_one_denominator`` of the c^k s without building them: the
+    ``Fraction`` products would cost more than the rebuild itself."""
     ladder = list(zip(terms, reversed(powers[:-1])))
     lowest = lcm(*(t.denominator // gcd(t.denominator, c_k) for t, c_k in ladder))
     window = deque((t.numerator * (lowest * c_k // t.denominator) for t, c_k in ladder), maxlen=len(ladder))

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from streamcalc import (
 )
 from streamcalc.expr import evaluate_text
 from streamcalc.fields import PrimeField
-from util import random_stream
+from util import boxed_linear_system, boxed_simulate, random_stream
 
 NATURALS_CANONICAL = CanonicalCircuit(
     Matrix(QQ, [[0, -1], [1, 2]]), Matrix(QQ, [[1, 2]]), (1, 0)
@@ -440,3 +441,120 @@ def test_hand_written_netlist_closed_form():
     net = parse_netlist(HAND_WRITTEN)
     assert to_rational(net) == evaluate_text("2/(1-2*X) + 2/(1+X)")
     assert to_rational(net.with_output_register(5)) == evaluate_text("5 + X*(2/(1-2*X) + 2/(1+X))")
+
+
+# Multiplier factors and seeds with mixed denominators, zeros included: a
+# chain of them gives slots whose denominator multipliers m differ.
+FACTORS = tuple(map(Fraction, ("1/18", "7/12", "0", "-5/3", "2", "-1")))
+SEEDS = tuple(map(Fraction, ("0", "1/6", "-3/4", "5", "2/9")))
+PLAN_FIELDS = (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1))
+
+
+def in_field(field, value):
+    """A Fraction as an element of ``field``; over GF(p) a denominator that p
+    divides is dropped."""
+    if field is QQ:
+        return value
+    if value.denominator % field.modulus == 0:
+        return field.from_int(value.numerator)
+    return field.from_int(value.numerator) / field.from_int(value.denominator)
+
+
+@st.composite
+def mixed_denominator_netlists(draw, field):
+    """Hand-grown netlists, as ``netlists`` grows them: seeds from SEEDS, a
+    chain of 0 to 3 multipliers by FACTORS behind each register, copiers to
+    fan out until three ports are free, one adder of arity 3 to 5 over
+    ports whose chains differ, then more chains, adders and copiers; half of
+    them get ``with_output_register``."""
+
+    def scalar(values):
+        return st.sampled_from(values).map(lambda v: in_field(field, v))
+
+    r = draw(st.integers(1, 4))
+    gates = {f"r{j}": Register(draw(scalar(SEEDS))) for j in range(r)}
+    wires = []
+    free = [(f"r{j}", 0) for j in range(r)]
+
+    def take():
+        return free.pop(draw(st.integers(0, len(free) - 1)))
+
+    def add(gate, inputs):
+        name = f"g{len(gates)}"
+        gates[name] = gate
+        wires.extend((src, (name, i)) for i, src in enumerate(inputs))
+        free.extend((name, i) for i in range(gate.fanout if isinstance(gate, Copier) else 1))
+
+    def chain(length):
+        port = free.pop(0)
+        for _ in range(length):
+            add(Multiplier(draw(scalar(FACTORS))), [port])
+            port = free.pop()
+        free.append(port)
+
+    for _ in range(r):
+        chain(draw(st.integers(0, 3)))
+    while len(free) < 3:
+        add(Copier(draw(st.integers(2, 3))), [take()])
+        chain(draw(st.integers(1, 2)))
+    arity = draw(st.integers(3, min(5, len(free))))
+    add(Adder(arity), [take() for _ in range(arity)])
+    kinds = st.sampled_from(("chain", "adder", "copier"))
+    for kind in draw(st.lists(kinds, max_size=6)):
+        if kind == "adder" and len(free) >= 2:
+            arity = draw(st.integers(2, min(5, len(free))))
+            add(Adder(arity), [take() for _ in range(arity)])
+        elif kind == "copier":
+            add(Copier(draw(st.integers(2, 3))), [take()])
+        else:
+            free.append(take())  # a random port goes to the front
+            free.insert(0, free.pop())
+            chain(draw(st.integers(1, 3)))
+    while len(free) > r + 1:
+        arity = min(len(free) - r, 3)
+        add(Adder(arity), [take() for _ in range(arity)])
+    while len(free) < r + 1:
+        add(Copier(2), [take()])
+    ports = draw(st.permutations(free))
+    wires.extend((ports[j], (f"r{j}", 0)) for j in range(r))
+    net = Netlist(field, gates, wires, ports[r])
+    if draw(st.booleans()):
+        net = net.with_output_register(draw(scalar(SEEDS)))
+    return net
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=repr)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_integer_plan_matches_boxed_tick(field, data):
+    """Tick counts on both sides of the content strip's period."""
+    net = data.draw(mixed_denominator_netlists(field))
+    expected = boxed_simulate(net, 40)
+    for steps in (0, 1, 3, 4, 5, 17, 40):
+        samples = net.simulate(steps)
+        assert samples == expected[:steps]
+        assert all(type(x) is type(field.one()) for x in samples)
+    assert net.to_linear_system() == boxed_linear_system(net)
+
+
+def test_mixed_denominators_meet_at_one_adder():
+    """r0 = 1/6 through 1/18 and r1 = -3/4 through 7/12 then 2 meet at a
+    3-way adder with r2 = 5, so the adder's inputs carry m = 18, 12 and 1;
+    the sum feeds back into every register, and a delayed copy of it is the
+    output."""
+    f = dict(zip(("a", "b", "c"), (Fraction(1, 18), Fraction(7, 12), Fraction(2))))
+    gates = {
+        "r0": Register(Fraction(1, 6)), "r1": Register(Fraction(-3, 4)), "r2": Register(Fraction(5)),
+        "ma": Multiplier(f["a"]), "mb": Multiplier(f["b"]), "mc": Multiplier(f["c"]),
+        "sum": Adder(3), "fan": Copier(4),
+    }
+    wires = [
+        (("r0", 0), ("ma", 0)), (("r1", 0), ("mb", 0)), (("mb", 0), ("mc", 0)),
+        (("ma", 0), ("sum", 0)), (("mc", 0), ("sum", 1)), (("r2", 0), ("sum", 2)),
+        (("sum", 0), ("fan", 0)), (("fan", 0), ("r0", 0)), (("fan", 1), ("r1", 0)),
+        (("fan", 2), ("r2", 0)),
+    ]
+    net = Netlist(QQ, gates, wires, ("fan", 3)).with_output_register(Fraction(2, 9))
+    assert net.simulate(40) == boxed_simulate(net, 40)
+    assert net.to_linear_system() == boxed_linear_system(net)
+    assert to_rational(net).expand(40) == net.simulate(40)

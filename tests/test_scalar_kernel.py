@@ -9,6 +9,7 @@ decided at the boundary.
 
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +33,7 @@ from streamcalc import (
 from streamcalc.automaton import WeightedAutomaton
 from streamcalc.circuit import CanonicalCircuit
 from streamcalc import fields
+from streamcalc import matrix as matrix_module
 from streamcalc.fields import Field, _least_window, _tap_scale
 from streamcalc.poly import FractionField
 from util import boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
@@ -138,6 +140,41 @@ def test_tap_scale_takes_the_least_exponent_per_base_element():
     assert _tap_scale(COPRIME[1:]) == 3 * 7 * 11 * 13 * 17 * 19 * 23 * 29
     # 12 = 2^2 3 and 18 = 2 3^2 share factors: the base is {2, 3}
     assert _tap_scale([Fraction(1, 12), Fraction(1, 18)]) == 12
+    # 18 = 2 3^2 alone: c^2 needs 2 and 3^2, so 6, where 18 = 18^1 gives 18
+    assert _tap_scale([Fraction(1), Fraction(1, 18)]) == 6
+    # 101, above the trial-division bound, is left to the coprime base
+    assert _tap_scale([Fraction(1), Fraction(1, 18 * 101)]) == 6 * 101
+
+
+def taps_over(primes, exponent):
+    """Up to 6 taps a / d, zeros included, each d a product of the ``primes``
+    to powers 0 .. ``exponent``."""
+    powers = st.lists(st.integers(0, exponent), min_size=len(primes), max_size=len(primes))
+    denominators = powers.map(lambda es: prod(p**e for p, e in zip(primes, es)))
+    return st.lists(st.builds(Fraction, st.integers(-5, 5), denominators), max_size=6)
+
+
+@given(taps_over((2, 3, 5, 7, 97, 101, 10**39 + 3), 4))
+def test_tap_scale_makes_every_tap_integral(taps):
+    c = _tap_scale(taps)
+    assert all((c**j * t).denominator == 1 for j, t in enumerate(taps, 1))
+
+
+@given(taps_over((2, 3, 5, 7), 9))
+def test_tap_scale_is_least_for_7_smooth_denominators(taps):
+    """Dividing c by any of its prime factors leaves some tap fractional."""
+    c = _tap_scale(taps)
+    for p in (q for q in (2, 3, 5, 7) if c % q == 0):
+        assert any(((c // p) ** j * t).denominator != 1 for j, t in enumerate(taps, 1))
+    assert c == prod(q ** _exponent(c, q) for q in (2, 3, 5, 7))
+
+
+def _exponent(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 DEGREE_ONE = (Fraction(1), Fraction(-1, 1000))  # 1 - X/1000
@@ -199,30 +236,41 @@ def square_matrices(draw, field=None, size=None):
     return Matrix(field, [[element(field, c) for c in row] for row in rows], cols=n)
 
 
-@given(square_matrices(), st.data(), st.integers(0, 12))
-def test_orbit_matches_boxed_mat_vec(matrix, data, steps):
-    vector = data.draw(st.lists(scalars, min_size=matrix.cols, max_size=matrix.cols))
-    vector = [element(matrix.domain, v) for v in vector]
+# scalars with 40-digit denominators too: the integer orbit over Q puts the
+# matrix and the vector over one denominator each
+wide_scalars = scalars | st.builds(Fraction, st.integers(-9, 9), st.just(10**39 + 3))
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.data(), st.integers(0, 12))
+def test_orbit_matches_boxed_mat_vec(field, n, data, steps):
+    """Zero rows, all-zero vectors and 40-digit denominators included."""
+    rows = data.draw(st.lists(st.lists(wide_scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+        rows[i] = [0] * n
+    matrix = Matrix(field, [[element(field, c) for c in row] for row in rows], cols=n)
+    vector = data.draw(st.just([0] * n) | st.lists(wide_scalars, min_size=n, max_size=n))
+    vector = [element(field, v) for v in vector]
     assert matrix.orbit(vector, steps) == boxed_orbit(matrix, vector, steps)
     assert matrix.apply(vector) == boxed_orbit(matrix, vector, 2)[1]
 
 
 def test_companion_orbit_multiplies_only_the_nonzero_entries(monkeypatch):
+    """Over Q the orbit multiplies the integers of its sparse rows of dF."""
     den = Polynomial(QQ, [1, 0, -3, 0, 0, 0, 0, 5, 0, Fraction(1, 2)])
     pointed = realize([RationalStream(Polynomial(QQ, [2, 1]), den)])
     transition, steps = pointed.system.dynamics, 12
     nonzero = sum(1 for row in transition.entries for e in row if e)
     products = []
-    multiply = Fraction.__mul__
 
     def counted(a, b):
         products.append((a, b))
-        return multiply(a, b)
+        return a * b
 
-    monkeypatch.setattr(Fraction, "__mul__", counted)
+    monkeypatch.setattr(matrix_module, "mul", counted)
     transition.orbit(pointed.initial, steps)
     monkeypatch.undo()
-    # nnz(F) products per step, where a dense mat-vec makes n^2
+    # nnz(F) integer products per step, where a dense mat-vec makes n^2
+    assert all(type(a) is type(b) is int for a, b in products)
     assert len(products) == (steps - 1) * nonzero < (steps - 1) * transition.rows**2
 
 

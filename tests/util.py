@@ -15,6 +15,7 @@ from streamcalc import (
     to_rational,
 )
 from streamcalc.automaton import WeightedAutomaton
+from streamcalc.circuit import Adder, Copier, Multiplier, Register
 from streamcalc.ratstream import RationalStream, valuation
 
 
@@ -181,3 +182,65 @@ def full_product_minimization(pointed):
     dynamics = Matrix(field, ((row[p] for p in pivots) for row in product.entries), cols=r)
     output = Matrix(field, ((row[p] for p in pivots) for row in system.output.entries), cols=r)
     return PointedLinearSystem(LinearSystem(dynamics, output), projection.apply(pointed.initial))
+
+
+def boxed_tick(netlist, state):
+    """Every output port's value in one tick from the register values
+    ``state`` (by register name), gate by gate from the drivers, with one
+    boxed field operation per multiplier and per adder input."""
+    field = netlist.field
+    drivers = {dst: src for src, dst in netlist.wires}
+    values = {}
+
+    def value(port):
+        if port not in values:
+            name = port[0]
+            gate = netlist.gates[name]
+            if isinstance(gate, Register):
+                values[port] = state[name]
+            elif isinstance(gate, Multiplier):
+                values[port] = field.coerce(gate.factor) * value(drivers[(name, 0)])
+            elif isinstance(gate, Adder):
+                total = value(drivers[(name, 0)])
+                for idx in range(1, gate.arity):
+                    total = total + value(drivers[(name, idx)])
+                values[port] = total
+            else:
+                assert isinstance(gate, Copier)
+                values[port] = value(drivers[(name, 0)])
+        return values[port]
+
+    return value, drivers
+
+
+def _registers(netlist):
+    return [name for name, gate in netlist.gates.items() if isinstance(gate, Register)]
+
+
+def boxed_simulate(netlist, steps):
+    """The reference for ``Netlist.simulate``: the boxed tick, sampled at the
+    output and latched into every register, ``steps`` times."""
+    registers = _registers(netlist)
+    state = {name: netlist.field.coerce(netlist.gates[name].initial) for name in registers}
+    samples = []
+    for _ in range(steps):
+        value, drivers = boxed_tick(netlist, state)
+        samples.append(value(netlist.output))
+        state = {name: value(drivers[(name, 0)]) for name in registers}
+    return samples
+
+
+def boxed_linear_system(netlist):
+    """The reference for ``Netlist.to_linear_system``: column j of F and of H
+    from the boxed tick at unit register state j."""
+    field, registers = netlist.field, _registers(netlist)
+    zero, one = field.zero(), field.one()
+    columns = []
+    for unit in registers:
+        value, drivers = boxed_tick(netlist, {name: one if name == unit else zero for name in registers})
+        columns.append([value(drivers[(name, 0)]) for name in registers] + [value(netlist.output)])
+    r = len(registers)
+    dynamics = Matrix(field, ([c[i] for c in columns] for i in range(r)), cols=r)
+    output = Matrix(field, [[c[r] for c in columns]], cols=r)
+    initial = [field.coerce(netlist.gates[name].initial) for name in registers]
+    return PointedLinearSystem(LinearSystem(dynamics, output), initial)
