@@ -201,28 +201,20 @@ class Netlist:
         plan = []
         for gate, inputs in order:
             if isinstance(gate, Multiplier):
-                a, b = self._split(gate.factor)
+                (a,), b = self.field.integers([gate.factor])
                 plan.append((a, inputs[0], None))
                 scales.append(scales[inputs[0]] * b)
             else:
                 weights, m = over_one_denominator(Fraction(1, scales[k]) for k in inputs)
                 plan.append((None, inputs, weights if max(weights) > 1 else None))
                 scales.append(m)
-        self._seeds, self._denominator = over_one_denominator(
-            Fraction(*self._split(self.gates[name].initial)) for name in registers
-        )
+        self._seeds, self._denominator = self.field.integers(self.gates[name].initial for name in registers)
         self._plan = plan
         self._scales = scales
         self._output = slots[self.output]
         self._latches = [slots[self._drivers[(name, 0)]] for name in registers]
         weights, self._growth = over_one_denominator(Fraction(1, scales[k]) for k in self._latches)
         self._latch_weights = None if self._growth == 1 else weights
-
-    def _split(self, a) -> Tuple[int, int]:
-        """(a, b) with the scalar a/b (anything ``coerce`` accepts): numerator
-        and denominator over Q, the residue and 1 over GF(p)."""
-        a = self.field.coerce(a)
-        return (a.value, 1) if self._modulus else (a.numerator, a.denominator)
 
     def _box(self, v: int, d: int):
         """The field element v / d of a slot's integer (d is 1 over GF(p))."""

@@ -7,15 +7,16 @@ terms with positive denominator).  Prime-field scalars are
 text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
 membership, for matrices, polynomials and a residue's operators alike, and
 its ``dot`` sums products, for every mat-vec.  Its ``recurrence`` makes the
-coefficients of a closed form p/q, for every expansion, and its
-``berlekamp_massey`` goes back from coefficients to the shortest recurrence,
-for every closed form that is fitted.  Over Q both run fraction-free on
-integers; over GF(p) on bare residues.  The fraction-free kernels over Q
-share two steps written here once: ``over_one_denominator`` puts
-``Fraction``s over their least common denominator (for these two,
-``Matrix.orbit`` and the netlist plan), and ``strip_content`` divides
-integers over a shared denominator by their common content (for the orbit
-and the plan).
+coefficients of a closed form p/q, for every expansion: fraction-free on
+integers over Q, on bare residues over GF(p).  ``Field.berlekamp_massey``,
+one fraction-free kernel for every field, goes back from coefficients to the
+shortest recurrence, on the integer form that each field supplies in four
+members (``integers``, ``residue``, ``shrink``, ``ratios``).  Over GF(p) that
+form is the residues over 1.  Over Q it is written here once:
+``over_one_denominator`` puts ``Fraction``s over their least common
+denominator, and ``strip_content`` divides integers over a shared
+denominator by their common content; ``Matrix.orbit`` and the netlist plan
+use both.
 """
 
 from __future__ import annotations
@@ -138,17 +139,74 @@ class Field:
         s_n = num_n - sum_(j=1..deg den) den_j s_(n-j), without end."""
         raise NotImplementedError
 
+    def integers(self, elements: Iterable) -> Tuple[List[int], int]:
+        """(ints, d), d > 0: the ``coerce``d elements as ints[i] / d; over Q
+        ``over_one_denominator``, over GF(p) the residues over 1."""
+        raise NotImplementedError
+
+    def residue(self, v: int) -> int:
+        """v as the field sees it, zero exactly when v / d is: v, or v mod p."""
+        raise NotImplementedError
+
+    def shrink(self, ints: List[int]) -> List[int]:
+        """Smaller integers, not all zero, with the same ratios: divided by
+        their content over Q, reduced mod p over GF(p)."""
+        raise NotImplementedError
+
+    def ratios(self, ints: Sequence[int], d: int) -> List:
+        """The field elements ints[i] / d, for d nonzero in the field."""
+        raise NotImplementedError
+
     def berlekamp_massey(self, terms: Sequence, numerator: bool = False) -> Tuple:
         """(C, L): the shortest linear recurrence of ``terms`` (Massey 1969).
 
         C = [1, c_1, ..., c_k] (k <= L, no trailing zeros) satisfies
         sum_(i=0..L) c_i terms[n-i] = 0 for every L <= n < len(terms), and L
         is the least length with that property.  When len(terms) < 2L, C is
-        not unique; every kernel returns the C of Massey's update on field
+        not unique; this kernel returns the C of Massey's update on field
         elements.  With ``numerator``, (C, L, P): P = (C S) mod X^L for the
         prefix S, L coefficients, so that S agrees with P / C.
+
+        Fraction-free (Bareiss's idea on Massey's update) on the field's
+        integer form: on the terms as integers a_i over one d, it replaces
+        C <- C - (d_n / b) X^gap B by C <- b C - d_n X^gap B, which needs no
+        inversion in any integral domain, and ``shrink``s C after each update.
+        Each integer C is then a nonzero multiple of the C of the update on
+        field elements, provided b is the discrepancy of the integer B: for
+        B = 1 that is d, not 1, or the C of the prefix [1/2] would be 1 - X.
+        Over Q, C's integers keep the bits of C itself, with no gcd per
+        operation.  C is returned as C / C(0), and P from the same integers
+        as ((C a) mod X^L) / (C(0) d).
         """
-        raise NotImplementedError
+        ints, scale = self.integers(terms)
+        residue, shrink = self.residue, self.shrink
+        current, previous = [1], [1]  # C and B, on integers
+        length, gap, last = 0, 1, scale  # last: the discrepancy of B
+        for n in range(len(ints)):
+            # deg C <= L <= n, so the window ints[n+1-len(C) .. n] exists
+            window = ints[n + 1 - len(current) : n + 1]
+            discrepancy = residue(sum(map(mul, current, reversed(window))))
+            if not discrepancy:
+                gap += 1
+                continue
+            updated = [last * c for c in current]
+            updated += [0] * (gap + len(previous) - len(current))
+            for i, b in enumerate(previous, gap):
+                updated[i] -= discrepancy * b
+            updated = shrink(updated)
+            while not updated[-1]:
+                updated.pop()
+            if 2 * length <= n:
+                previous, length, last, gap = current, n + 1 - length, discrepancy, 1
+            else:
+                gap += 1
+            current = updated
+        if not numerator:
+            return self.ratios(current, current[0]), length
+        # C and P over one denominator C(0) d: one ratios call, one inversion
+        sums = [sum(map(mul, current[: k + 1], reversed(ints[: k + 1]))) for k in range(length)]
+        both = self.ratios([c * scale for c in current] + sums, current[0] * scale)
+        return both[: len(current)], length, both[len(current) :]
 
     def is_negative(self, a) -> bool:
         """Whether ``a`` renders with a leading minus sign."""
@@ -232,54 +290,17 @@ class Rationals(Field):
                 scale *= c
             window, scale = _least_window(terms, powers)
 
-    def berlekamp_massey(self, terms, numerator=False):
-        """Fraction-free (Bareiss's idea on Massey's update): with D the lcm of
-        the terms' denominators, run on the integers a_i = D s_i and replace
-        C <- C - (d / b) X^gap B by C <- b C - d X^gap B, stripping C's
-        content after each update.  Each integer C is then a nonzero multiple
-        of the C that the update on Fractions gives, provided b is the
-        discrepancy of the integer B: for B = 1 that is D, not 1, or the C of
-        the prefix [1/2] would be 1 - X.  C's integers keep the bits of C itself,
-        where a ``Fraction`` update would carry a gcd per operation.  C is
-        returned as C / C(0), and P from the same integers as
-        ((C a) mod X^L) / (C(0) D).
-        """
-        ints, scale = over_one_denominator(self.coerce(t) for t in terms)  # D s_i, D
-        current, previous = [1], [1]  # C and B, on integers
-        length, gap, last = 0, 1, scale  # last: the discrepancy of B
-        for n, term in enumerate(ints):
-            # deg C <= L <= n, so the window ints[n+1-len(C) .. n-1] exists
-            window = ints[n + 1 - len(current) : n]
-            discrepancy = sum(map(mul, current[1:], reversed(window)), current[0] * term)
-            if not discrepancy:
-                gap += 1
-                continue
-            updated = [last * c for c in current]
-            updated += [0] * (gap + len(previous) - len(current))
-            for i, b in enumerate(previous, gap):
-                updated[i] -= discrepancy * b
-            while not updated[-1]:
-                updated.pop()
-            # C's content, stripped inline: C has no denominator, and a
-            # strip_content call per update costs about 5% of the kernel
-            content = gcd(*updated)
-            if content != 1:
-                updated = [c // content for c in updated]
-            if 2 * length <= n:
-                previous, length, last, gap = current, n + 1 - length, discrepancy, 1
-            else:
-                gap += 1
-            current = updated
-        head = current[0]
-        connection = [Fraction(c, head) for c in current]
-        if not numerator:
-            return connection, length
-        below = head * scale
-        num = [
-            Fraction(sum(map(mul, current[: k + 1], reversed(ints[: k + 1]))), below)
-            for k in range(length)
-        ]
-        return connection, length, num
+    def integers(self, elements):
+        return over_one_denominator(self.coerce(t) for t in elements)
+
+    def residue(self, v):
+        return v
+
+    def shrink(self, ints):
+        return strip_content(ints, 0)[0]
+
+    def ratios(self, ints, d):
+        return [Fraction(c, d) for c in ints]
 
     def is_negative(self, a):
         return a < 0
@@ -434,39 +455,19 @@ class PrimeField(Field):
             window.appendleft(term.value)
             yield term
 
-    def berlekamp_massey(self, terms, numerator=False):
-        # Massey's update on residues: one reduction per entry, one inversion
-        # per change of length
+    def integers(self, elements):
+        return [self.coerce(t).value for t in elements], 1
+
+    def residue(self, v):
+        return v % self.modulus
+
+    def shrink(self, ints):
         p = self.modulus
-        terms = [self.coerce(t).value for t in terms]
-        current, previous = [1], [1]  # C and B
-        length, gap, scale = 0, 1, 1  # scale: 1 / the discrepancy of B
-        for n, term in enumerate(terms):
-            # deg C <= L <= n, so the window terms[n+1-len(C) .. n-1] exists
-            window = terms[n + 1 - len(current) : n]
-            discrepancy = sum(map(mul, current[1:], reversed(window)), term) % p
-            if not discrepancy:
-                gap += 1
-                continue
-            factor = discrepancy * scale % p
-            updated = current + [0] * (gap + len(previous) - len(current))
-            for i, b in enumerate(previous, gap):
-                updated[i] = (updated[i] - factor * b) % p
-            while not updated[-1]:
-                updated.pop()
-            if 2 * length <= n:
-                previous, length, scale, gap = current, n + 1 - length, _invmod(discrepancy, p), 1
-            else:
-                gap += 1
-            current = updated
-        connection = [PrimeFieldElement(c, self) for c in current]
-        if not numerator:
-            return connection, length
-        num = [
-            PrimeFieldElement(sum(map(mul, current[: k + 1], reversed(terms[: k + 1]))), self)
-            for k in range(length)
-        ]
-        return connection, length, num
+        return [c % p for c in ints]
+
+    def ratios(self, ints, d):
+        inverse = 1 if d == 1 else _invmod(d, self.modulus)
+        return [PrimeFieldElement(c * inverse, self) for c in ints]
 
     def is_negative(self, a):
         return False
@@ -506,8 +507,9 @@ def over_one_denominator(fractions: Iterable[Fraction]) -> Tuple[List[int], int]
 
 
 def strip_content(ints: List[int], g: int) -> Tuple[List[int], int]:
-    """(ints, g) divided by their common content gcd(g, *ints), for g > 0, so
-    that each ints[i] / g keeps its value."""
+    """(ints, g) divided by their common content gcd(g, *ints), so that each
+    ints[i] / g keeps its value: for g > 0, or for g = 0 (no denominator) and
+    ints not all zero, which then keep their ratios."""
     content = gcd(g, *ints)
     if content == 1:
         return ints, g

@@ -14,9 +14,10 @@ closed form that keeps the denominator fixed.
 its coefficients, run by the field's kernel ``Field.recurrence``;
 :func:`berlekamp_massey` is the one backward recurrence, from enough
 coefficients over k to the closed form (``from_sequence``), run by the field's
-kernel ``Field.berlekamp_massey``.  Both kernels are fraction-free: over Q
-they compute on integers, and over GF(p) on residues.  The backward kernel
-works on the integer multiples of C with their content stripped, so C's
+kernel ``Field.berlekamp_massey``.  Both are fraction-free: the forward
+kernel runs on integers over Q and on residues over GF(p); the backward
+kernel is one loop for every field, on integer multiples of C in the field's
+integer form (content stripped over Q, reduced mod p over GF(p)), so C's
 coefficients keep the bits of C itself, not of a tower of ``Fraction``s.
 """
 
@@ -148,8 +149,9 @@ def berlekamp_massey(field: Field, terms: Sequence) -> Tuple[Polynomial, int]:
 
     C = 1 + c_1 X + ... + c_L X^L (deg C may fall short of L) satisfies
     sum_{i=0..L} c_i * terms[n-i] = 0 for every L <= n < len(terms), and L is
-    the least length with that property.  Run by the field's kernel
-    ``Field.berlekamp_massey`` in O(len(terms) * L) operations on integers.
+    the least length with that property.  Run by the one kernel
+    ``Field.berlekamp_massey``, in O(len(terms) * L) operations on the
+    field's integer form.
     """
     connection, length = field.berlekamp_massey(terms)
     return Polynomial._make(field, connection), length

@@ -26,7 +26,7 @@ from streamcalc import (
 )
 from streamcalc import matrix
 from streamcalc.expr import evaluate_text
-from streamcalc.fields import field_of
+from streamcalc.fields import Field, field_of
 from streamcalc.matrix import rank
 from streamcalc.ratstream import berlekamp_massey
 from util import boxed_berlekamp_massey, random_stream, triangular_prefix
@@ -339,7 +339,7 @@ def test_from_sequence_matches_boxed_reference(case):
     assert s.expand(len(terms)) == [field.coerce(t) for t in terms]
 
 
-# --- the integer kernel over Q against the boxed reference ------------------
+# --- the one integer kernel, over Q and GF(p), against the boxed reference --
 
 # denominators by kind; 10**39 + 3 and 10**39 + 23 have 40 digits
 RATIONAL_DENOMINATORS = {
@@ -348,43 +348,84 @@ RATIONAL_DENOMINATORS = {
     "coprime": st.sampled_from((1, 3, 7, 11, 13, 29, 997)),
     "huge": st.sampled_from((1, 10**39 + 3, 10**39 + 23)),
 }
+GF7 = PrimeField(7)
+INTEGER_KERNEL_FIELDS = (QQ, PrimeField(2), GF7, PrimeField(101), PrimeField(2**61 - 1))
 
 
 @st.composite
-def rational_kernel_cases(draw):
-    """(terms, s): terms over Q with integral, 2^k or 3^k, coprime-prime or
-    40-digit denominators.  Either free terms after a run of zeros (all zeros
+def integer_kernel_cases(draw):
+    """(field, terms, s): terms over Q, with integral, 2^k or 3^k,
+    coprime-prime or 40-digit denominators, or over GF(2), GF(7), GF(101) or
+    GF(2^61 - 1).  Either free terms after a run of zeros (all zeros
     included), s None; or a prefix of a reduced s = p/q of linear complexity
     L, exactly 2L terms long (C is q), or shorter than 2L (C is not unique),
     s then None."""
-    kind = draw(st.sampled_from(sorted(RATIONAL_DENOMINATORS)))
-    scalar = st.builds(Fraction, st.integers(-9, 9), RATIONAL_DENOMINATORS[kind])
-    zeros = [0] * draw(st.integers(0, 6))
+    field = draw(st.sampled_from(INTEGER_KERNEL_FIELDS))
+    if field == QQ:
+        kind = draw(st.sampled_from(sorted(RATIONAL_DENOMINATORS)))
+        scalar = st.builds(Fraction, st.integers(-9, 9), RATIONAL_DENOMINATORS[kind])
+    else:
+        # unreduced ints: coerce reduces them, and multiples of p are zeros
+        scalar = st.builds(field.from_int, st.integers(-3 * field.modulus, 3 * field.modulus))
+    zeros = [0] * draw(st.integers(0, 6))  # ints: the kernel coerces its input
     shape = draw(st.sampled_from(("free", "half", "short")))
     if shape == "free":
-        return zeros + draw(st.lists(scalar, max_size=16)), None
-    num = Polynomial(QQ, zeros + draw(st.lists(scalar, max_size=5)))
-    s = RationalStream(num, Polynomial(QQ, [1] + draw(st.lists(scalar, max_size=5))))
+        return field, zeros + draw(st.lists(scalar, max_size=16)), None
+    num = Polynomial(field, zeros + draw(st.lists(scalar, max_size=5)))
+    s = RationalStream(num, Polynomial(field, [field.one()] + draw(st.lists(scalar, max_size=5))))
     length = 0 if s.is_zero else max(s.den.degree, s.num.degree + 1)
     if shape == "half":
-        return s.expand(2 * length), s
-    return s.expand(draw(st.integers(0, max(2 * length - 1, 0)))), None
+        return field, s.expand(2 * length), s
+    return field, s.expand(draw(st.integers(0, max(2 * length - 1, 0)))), None
 
 
-@settings(max_examples=300)
-@given(rational_kernel_cases())
-@example(([Fraction(1, 2)], None))  # C = 1 - X/2; an integer kernel that starts b at 1 gives 1 - X
-@example(([0, 0, Fraction(1, 2), Fraction(1, 3)], None))
+@settings(max_examples=400)
+@given(integer_kernel_cases())
+@example((QQ, [Fraction(1, 2)], None))  # C = 1 - X/2; an integer kernel that starts b at 1 gives 1 - X
+@example((QQ, [0, 0, Fraction(1, 2), Fraction(1, 3)], None))
+# the integer discrepancy at n = 1 is 1 + 6 * 1 = 7, zero only as a residue
+@example((GF7, [GF7.one()] * 4, None))
+# the integer C is [2, 6] on exit, so C(0) = 2 must be divided out: C = 1 + 3X
+@example((GF7, [GF7.from_int(2), GF7.one()], None))
 def test_integer_kernel_matches_boxed_reference(case):
-    terms, exact = case
-    connection, length = QQ.berlekamp_massey(terms)
-    expected, expected_length = boxed_berlekamp_massey(QQ, terms)
-    assert (Polynomial(QQ, connection), length) == (expected, expected_length)
+    field, terms, exact = case
+    connection, length = field.berlekamp_massey(terms)
+    expected, expected_length = boxed_berlekamp_massey(field, terms)
+    assert (Polynomial(field, connection), length) == (expected, expected_length)
     assert connection[0] == 1 and connection[-1]
-    assert all(type(c) is Fraction for c in connection)
-    s = RationalStream.from_sequence(QQ, terms)
+    assert all(type(c) is type(field.one()) for c in connection)
+    s = RationalStream.from_sequence(field, terms)
     assert s.den == expected
     assert s.num.degree < max(length, 1)
-    assert s.expand(len(terms)) == [Fraction(t) for t in terms]
+    assert s.expand(len(terms)) == [field.coerce(t) for t in terms]
     if exact is not None:
         assert s == exact
+
+
+def test_gf_kernel_examples_hit_their_integer_cases(monkeypatch):
+    """The two GF(7) examples above reach what they name: an integer
+    discrepancy 7, and an integer C with C(0) = 2 on exit."""
+    residue, ratios = PrimeField.residue, PrimeField.ratios
+    discrepancies, exits = [], []
+
+    def seen_residue(field, v):
+        discrepancies.append(v)
+        return residue(field, v)
+
+    def seen_ratios(field, ints, d):
+        exits.append((list(ints), d))
+        return ratios(field, ints, d)
+
+    monkeypatch.setattr(PrimeField, "residue", seen_residue)
+    monkeypatch.setattr(PrimeField, "ratios", seen_ratios)
+    assert GF7.berlekamp_massey([GF7.one()] * 4) == ([1, 6], 1)
+    assert 7 in discrepancies
+    exits.clear()
+    assert GF7.berlekamp_massey([GF7.from_int(2), GF7.one()]) == ([1, 3], 1)
+    assert exits == [([2, 6], 2)]
+
+
+def test_one_berlekamp_massey_kernel_for_every_field():
+    """Q and GF(p) run the same loop; each field supplies only its integer
+    form (``is``: other tests monkeypatch the field classes)."""
+    assert type(QQ).berlekamp_massey is PrimeField.berlekamp_massey is Field.berlekamp_massey

@@ -3,8 +3,9 @@
     python3 tools/job_shares.py --workload expand [--seed 1] [--repeat 5]
 
 The jobs come from ``perfbench.workloads`` (``make_specs``, ``expect`` and
-``build``), over the streamcalc package in this checkout's ``src/``.  Every
-job runs ``--repeat`` times, pass after pass in one process, and every output
+``build``), over the streamcalc package in this checkout's ``src/``, and run
+with ``perfbench.tracing.NO_TRACE``, the recorder of timed runs.  Every job
+runs ``--repeat`` times, pass after pass in one process, and every output
 is checked against its reference.  Each job's time is its best run (plain
 ``time.perf_counter``, not rescaled); the report sums them per (job kind,
 field) and gives each sum's share of the whole pass, largest first.  The exit
@@ -26,7 +27,7 @@ for path in (ROOT, ROOT / "src"):
         sys.path.insert(0, str(path))
 
 import streamcalc  # noqa: E402
-from perfbench import workloads  # noqa: E402
+from perfbench import tracing, workloads  # noqa: E402
 
 
 class Share(NamedTuple):
@@ -39,27 +40,16 @@ class Share(NamedTuple):
     share: float
 
 
-class _Direct:
-    """A span recorder that calls straight through and counts nothing."""
-
-    def __call__(self, name, fn, *args):
-        return fn(*args)
-
-    def count(self, name, value):
-        pass
-
-
 def measure(workload: str, seed: int, repeat: int) -> Tuple[List[Share], List[str]]:
     """The shares of one pass, largest first, and the names of wrong jobs."""
     specs = workloads.make_specs(workload, seed)
     jobs = [workloads.build(streamcalc, spec, workloads.expect(spec)) for spec in specs]
     best = [float("inf")] * len(jobs)
     wrong: List[str] = []
-    sp = _Direct()
     for _ in range(repeat):
         for i, job in enumerate(jobs):
             t0 = time.perf_counter()
-            out = job.run(sp)
+            out = job.run(tracing.NO_TRACE)
             best[i] = min(best[i], time.perf_counter() - t0)
             if job.check(out) is not None and job.name not in wrong:
                 wrong.append(job.name)
