@@ -15,8 +15,8 @@ members (``integers``, ``residue``, ``shrink``, ``ratios``).  Over GF(p) that
 form is the residues over 1.  Over Q it is written here once:
 ``over_one_denominator`` puts ``Fraction``s over their least common
 denominator, and ``strip_content`` divides integers over a shared
-denominator by their common content; ``Matrix.orbit`` and the netlist plan
-use both.
+denominator by their common content; ``Matrix.orbit``, the netlist plan and
+``Rationals.recurrence``, whose window the strip rebuilds, use both.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -256,39 +257,33 @@ class Rationals(Field):
         term is the one reduced Fraction(w_n, E c^n).  c^n may hold more
         factors than the terms need (den_8 = 1/29 puts a 29 into c where s_n
         needs 29^(n/8)), so every max(2 deg den, 8) terms the window is rebuilt
-        from the last deg den reduced terms with the least E; the floor of 8
-        keeps a rebuild, a few big gcds, from costing more than it drops at
-        deg den = 1.
+        by the content strip: over E c^(n+1-d) its last d integers are
+        c^(d-1), ..., c^0 times the last d terms, ``strip_content`` takes
+        them to the least E that keeps them integers, and the next term goes
+        over E c^d.  The floor of 8 keeps a rebuild, a few big gcds, from
+        costing more than it drops at deg den = 1.
         """
         d = len(den) - 1
-        if not d:
-            yield from num
-            while True:
-                yield Fraction(0)
         c = _tap_scale(den[1:])
-        powers = [c**j for j in range(d + 1)]
-        taps = [q.numerator * (c_j // q.denominator) for q, c_j in zip(den[1:], powers[1:])]
+        c_d = c**d
+        taps = [q.numerator * (c**j // q.denominator) for j, q in enumerate(den[1:], 1)]
         window = deque(maxlen=d)  # the integers w, newest first
-        terms = deque(maxlen=d)  # their reduced terms
         ints, scale = over_one_denominator(num)  # E num_n, and E c^n for the next term
         power = 1  # c^n
         for a in ints:
             w = a * power - sum(map(mul, taps, window))
-            term = Fraction(w, scale)
             window.appendleft(w)
-            terms.appendleft(term)
-            yield term
+            yield Fraction(w, scale)
             scale *= c
             power *= c
         while True:
             for _ in range(max(2 * d, 8)):
                 w = -sum(map(mul, taps, window))
-                term = Fraction(w, scale)
                 window.appendleft(w)
-                terms.appendleft(term)
-                yield term
+                yield Fraction(w, scale)
                 scale *= c
-            window, scale = _least_window(terms, powers)
+            ints, lowest = strip_content(list(window), scale // c_d)
+            window, scale = deque(ints, maxlen=d), lowest * c_d
 
     def integers(self, elements):
         return over_one_denominator(self.coerce(t) for t in elements)
@@ -446,12 +441,8 @@ class PrimeField(Field):
         # a window of residues; the box reduces each term once
         taps = [q.value for q in den[1:]]
         window = deque(maxlen=len(taps))  # newest first
-        for a in num:
-            term = PrimeFieldElement(a.value - sum(map(mul, taps, window)), self)
-            window.appendleft(term.value)
-            yield term
-        while True:
-            term = PrimeFieldElement(-sum(map(mul, taps, window)), self)
+        for a in chain((t.value for t in num), repeat(0)):
+            term = PrimeFieldElement(a - sum(map(mul, taps, window)), self)
             window.appendleft(term.value)
             yield term
 
@@ -570,20 +561,6 @@ def _tap_scale(taps: Sequence[Fraction]) -> int:
                 top, bottom = e, j
         c *= b ** -(-top // bottom)
     return c
-
-
-def _least_window(terms: Sequence[Fraction], powers: Sequence[int]) -> Tuple[deque, int]:
-    """The integer window of ``Rationals.recurrence`` rebuilt from its last d
-    reduced terms (newest first) with the least E, and E c^d, the scale of the
-    next term; ``powers`` is c^0, ..., c^d.  The terms take the scales
-    E c^(d-1), ..., E c^0, and E c^k s is an integer exactly when
-    den(s) / gcd(den(s), c^k) divides E, so the least E is their lcm.  This
-    is ``over_one_denominator`` of the c^k s without building them: the
-    ``Fraction`` products would cost more than the rebuild itself."""
-    ladder = list(zip(terms, reversed(powers[:-1])))
-    lowest = lcm(*(t.denominator // gcd(t.denominator, c_k) for t, c_k in ladder))
-    window = deque((t.numerator * (lowest * c_k // t.denominator) for t, c_k in ladder), maxlen=len(ladder))
-    return window, lowest * powers[-1]
 
 
 def field_from_spec(text: str) -> Field:

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, mul, sub, truediv
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from streamcalc import (
@@ -16,7 +17,7 @@ from streamcalc import (
     field_from_spec,
     is_prime,
 )
-from streamcalc.fields import MR_BOUND
+from streamcalc.fields import MR_BOUND, over_one_denominator, strip_content
 
 GF7 = PrimeField(7)
 GF101 = PrimeField(101)
@@ -231,3 +232,34 @@ def test_overlong_literals_are_format_errors():
     with pytest.raises(FormatError, match="5000 digits is too long"):
         field_from_spec(f"gf:{digits}")
     assert QQ.parse("9" * 4000) == 10**4000 - 1
+
+
+big_ints = st.integers(-(10**50), 10**50)
+# fractions with 40-digit denominators too
+wide_fractions = rationals | st.builds(Fraction, big_ints, st.sampled_from((7, 2**70, 10**39 + 3)))
+
+
+@given(st.lists(wide_fractions, max_size=8))
+def test_over_one_denominator_puts_fractions_over_their_lcm(fractions):
+    ints, scale = over_one_denominator(iter(fractions))
+    assert scale == lcm(*(f.denominator for f in fractions))
+    assert [Fraction(a, scale) for a in ints] == fractions
+    assert over_one_denominator([]) == ([], 1)
+
+
+@given(st.lists(big_ints, max_size=8), st.integers(0, 10**45), st.integers(1, 10**20))
+def test_strip_content_keeps_values_and_leaves_no_content(ints, g, factor):
+    """g > 0: every ints[i] / g is kept, and g becomes the least denominator
+    of them all.  g = 0: the ints keep their ratios and signs.  ``factor``
+    gives every input a large common content."""
+    ints, g = [a * factor for a in ints], g * factor
+    assume(g or any(ints))
+    stripped, h = strip_content(ints, g)
+    assert gcd(h, *stripped) == 1
+    if g:
+        assert [Fraction(a, h) for a in stripped] == [Fraction(a, g) for a in ints]
+        assert h == lcm(*(Fraction(a, g).denominator for a in ints))
+    else:
+        assert h == 0
+        assert all(a * y == b * x for a, x in zip(stripped, ints) for b, y in zip(stripped, ints))
+        assert [(a > 0) - (a < 0) for a in stripped] == [(x > 0) - (x < 0) for x in ints]

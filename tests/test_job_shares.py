@@ -1,6 +1,8 @@
 """``tools/job_shares.py`` on a tiny job list."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "job_shares.py"
@@ -28,4 +30,30 @@ def test_shares_of_a_tiny_pass(monkeypatch, capsys):
     expect = workloads.expect
     monkeypatch.setattr(workloads, "expect", lambda s: [] if s is tiny[0] else expect(s))
     assert job_shares.main(["--workload", "expand", "--repeat", "1"]) == 1
+    assert f"wrong result: {tiny[0].name}" in capsys.readouterr().err
+
+
+def main_into_closed_pipe(monkeypatch, argv):
+    """``main(argv)`` with stdout on a pipe whose reader has gone, so that
+    its writes raise ``BrokenPipeError``; the pipe is closed (and flushed)
+    after the call, as the interpreter would on exit."""
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        return job_shares.main(argv)
+
+
+def test_closed_stdout_ends_the_report_quietly(monkeypatch, capsys):
+    """``job_shares.py ... | head``: no traceback, and the exit code still
+    says whether an output was wrong."""
+    workloads = job_shares.workloads
+    tiny = [s for s in workloads.make_specs("expand", 1) if s.size == "small"][:1]
+    monkeypatch.setattr(workloads, "make_specs", lambda workload, seed: tiny)
+    argv = ["--workload", "expand", "--repeat", "1"]
+    assert main_into_closed_pipe(monkeypatch, argv) == 0
+    assert capsys.readouterr().err == ""
+
+    monkeypatch.setattr(workloads, "expect", lambda s: [])
+    assert main_into_closed_pipe(monkeypatch, argv) == 1
     assert f"wrong result: {tiny[0].name}" in capsys.readouterr().err

@@ -34,7 +34,7 @@ from streamcalc.automaton import WeightedAutomaton
 from streamcalc.circuit import CanonicalCircuit
 from streamcalc import fields
 from streamcalc import matrix as matrix_module
-from streamcalc.fields import Field, _least_window, _tap_scale
+from streamcalc.fields import Field, _tap_scale, over_one_denominator, strip_content
 from streamcalc.poly import FractionField
 from util import boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
 
@@ -187,45 +187,88 @@ DEGREE_TWO = (Fraction(1), Fraction(-1, 2), Fraction(-1, 3))
     (HALF_ROOT, COPRIME, DEGREE_ONE, DEGREE_TWO),
     ids=("half-root", "coprime", "deg-1", "deg-2"),
 )
-def test_fraction_free_window_stays_near_the_terms_size(den):
+def test_fraction_free_window_stays_near_the_terms_size(monkeypatch, den):
     """The integers w_m = E c^m s_m have about the bits of the reduced terms.
-    After the numerator, every max(2 deg q, 8) terms the window is rebuilt from
-    the last deg q terms with ``_least_window``; from there on each w_m is the
-    new scale times c^k times s_m.  Without the rebuild, the coprime shape's
+    After the numerator, every max(2 deg q, 8) terms the window is rebuilt
+    with the least E for the last deg q terms; from there on each w_m is that
+    E times c^k times s_m.  Here each block's integers come from the reduced
+    terms alone, as ``over_one_denominator`` of the c^k s_m, and the kernel's
+    own integers must match them.  Without the rebuild, the coprime shape's
     window would grow by the 29 bits of c per term, against about 8 bits per
     term of the terms themselves.  At deg q <= 3 the period is 8 terms."""
     num, d, n = (Fraction(3), Fraction(1)), len(den) - 1, 1600
     period = max(2 * d, 8)
     c = _tap_scale(den[1:])
-    powers = [c**j for j in range(d + 1)]
+    kernel = []  # (w_m, E c^m) of each term
+    monkeypatch.setattr(fields, "Fraction", recorded_fractions(kernel))
     terms = list(islice(QQ.recurrence(num, den), n))
     for start in range(len(num) + period, n, period):
-        rebuilt, scale = _least_window(terms[start - 1 : start - d - 1 : -1], powers)
-        lowest = scale // powers[d]  # E, the scale of terms[start - d]
+        _, lowest = over_one_denominator(c**k * terms[start - d + k] for k in range(d))
         block = range(start - d, min(start + period, n))
         ints = [lowest * c ** (m - block[0]) * terms[m] for m in block]
         assert all(w.denominator == 1 for w in ints)
-        assert ints[:d] == list(reversed(rebuilt))
+        assert ints[d:] == [w for w, _ in kernel[start : block.stop]]
         for i, m in enumerate(block[d:], d):
             if m >= 800:
                 bits = max(abs(terms[m].numerator).bit_length(), terms[m].denominator.bit_length())
                 assert max(abs(w.numerator).bit_length() for w in ints[i - d + 1 : i + 1]) <= 1.25 * bits
 
 
+def recorded_fractions(log):
+    """``Fraction`` that appends each (w, scale) it is given to ``log``: in
+    ``Rationals.recurrence``, each term's integer and scale."""
+
+    def fraction(w, scale):
+        log.append((w, scale))
+        return Fraction(w, scale)
+
+    return fraction
+
+
+def counted_strips(rebuilds):
+    """``strip_content`` that appends each of its results to ``rebuilds``."""
+
+    def counted(ints, g):
+        rebuilds.append(strip_content(ints, g))
+        return rebuilds[-1]
+
+    return counted
+
+
 @pytest.mark.parametrize("d", (1, 2, 3, 4, 5))
 def test_window_is_rebuilt_every_max_2d_8_terms(monkeypatch, d):
     """A rebuild is a few big gcds: at deg q <= 3 it waits for 8 terms."""
     rebuilds = []
-
-    def counted(terms, powers):
-        rebuilds.append(None)
-        return _least_window(terms, powers)
-
-    monkeypatch.setattr(fields, "_least_window", counted)
+    monkeypatch.setattr(fields, "strip_content", counted_strips(rebuilds))
     num, den = (Fraction(3), Fraction(1)), (Fraction(1),) + (Fraction(-1, 7),) * d
     # the numerator's 2 terms, then a rebuild before each period's next term
     list(islice(QQ.recurrence(num, den), 2 + 200 + 1))
     assert len(rebuilds) == 200 // max(2 * d, 8)
+
+
+@given(st.sampled_from(sorted(DENOMINATORS)), st.data())
+def test_rebuilt_window_is_the_least_window(kind, data):
+    """At each rebuild the strip returns the last deg q terms, newest first,
+    times c^(deg q - 1), ..., c^0 over their least common denominator E: that
+    is ``over_one_denominator`` of the reduced terms.  The kernel goes on from
+    that window: its next term is an integer over E c^(deg q).  Numerators of
+    degree up to 11, deg q from 0 to 8."""
+    coefficients = st.builds(Fraction, st.integers(-9, 9), DENOMINATORS[kind])
+    num = data.draw(st.lists(coefficients, max_size=12))
+    den = [Fraction(1)] + data.draw(st.lists(coefficients, max_size=8))
+    d, c = len(den) - 1, _tap_scale(den[1:])
+    period = max(2 * d, 8)
+    rebuilds, kernel = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields, "strip_content", counted_strips(rebuilds))
+        patch.setattr(fields, "Fraction", recorded_fractions(kernel))
+        terms = list(islice(QQ.recurrence(num, den), len(num) + 3 * period + 1))
+    assert len(rebuilds) == 3
+    for r, (window, lowest) in enumerate(rebuilds, 1):
+        end = len(num) + r * period  # the index of the next term
+        least, scale = over_one_denominator(c**k * t for k, t in enumerate(terms[end - d : end]))
+        assert (window[::-1], lowest) == (least, scale)
+        assert kernel[end][1] == scale * c**d
 
 
 @st.composite

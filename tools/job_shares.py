@@ -9,12 +9,14 @@ runs ``--repeat`` times, pass after pass in one process, and every output
 is checked against its reference.  Each job's time is its best run (plain
 ``time.perf_counter``, not rescaled); the report sums them per (job kind,
 field) and gives each sum's share of the whole pass, largest first.  The exit
-code is 1 when an output was wrong, else 0.
+code is 1 when an output was wrong, else 0; a reader that closes stdout
+early (``| head``) ends the report quietly and leaves the exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import defaultdict
@@ -86,7 +88,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     shares, wrong = measure(args.workload, args.seed, args.repeat)
-    print(format_shares(args.workload, args.seed, args.repeat, shares))
+    try:
+        print(format_shares(args.workload, args.seed, args.repeat, shares), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does); the interpreter flushes
+        # it again on exit, so point it at devnull to end without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     for name in wrong:
         print(f"wrong result: {name}", file=sys.stderr)
     return 1 if wrong else 0
