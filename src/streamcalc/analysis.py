@@ -27,7 +27,7 @@ from .fields import field_of
 from .linear_system import PointedLinearSystem
 from .matrix import Matrix, solve
 from .automaton import WeightedAutomaton
-from .ratstream import RationalStream, berlekamp_massey
+from .ratstream import RationalStream
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def hankel_rank(prefix: Sequence, size: int) -> int:
             f"hankel size {size} needs at least {2 * size - 1} coefficients, "
             f"got {len(prefix)}"
         )
-    _, length = berlekamp_massey(field_of(prefix[0]), prefix[: 2 * size - 1])
+    _, length = field_of(prefix[0]).berlekamp_massey(prefix[: 2 * size - 1])
     return min(length, 2 * size - length)
 
 
@@ -157,7 +157,7 @@ def fit_recurrence(prefix: Sequence, max_order: int) -> Optional[Tuple]:
     if not prefix:
         return ()
     field = field_of(prefix[0])
-    _, order = berlekamp_massey(field, prefix)
+    _, order = field.berlekamp_massey(prefix)
     if order == 0:
         return ()
     if order > max_order or order >= len(prefix):

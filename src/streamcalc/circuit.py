@@ -7,18 +7,20 @@ port is sampled, and then every register latches its freshly computed input
 simultaneously.  A netlist derives one evaluation plan when it is built: its
 multipliers and adders in topological order, each with the value slots of its
 drivers (copiers only alias slots), so a tick is one walk over that plan on
-plain integers.  Over GF(p) a slot holds its residue, reduced after each
-multiplier and adder.  Over Q a slot holds an integer v over the shared
-denominator g of the register values times a static multiplier m of its own,
-so that its value is v / (g m): a register has m = 1, a multiplier by a/b
-keeps the integer factor a and has m = m_in b, and an adder has the lcm of its
-inputs' m, with the integer weights m / m_in.  Each tick g grows by the lcm L
-of the latched slots' m, each latched value by L / m, and every few ticks the
-common content of g and the register integers is stripped.  ``simulate``
-walks the plan tick after tick, in time linear in the gates, and boxes the
-samples.  A tick is linear in the register values, so one walk from each unit
-state reads off the netlist's pointed linear system (``to_linear_system``),
-through which its closed form is found.
+plain integers, in the field's integer form.  Over GF(p) a slot holds its
+residue, reduced after each multiplier and adder.  Over Q a slot holds an
+integer v over the shared denominator g of the register values times a static
+multiplier m of its own, so that its value is v / (g m): a register has m = 1,
+a multiplier by a/b keeps the integer factor a and has m = m_in b (the
+field's ``integers`` of a/b), and an adder has the lcm of its inputs' m, with
+the integer weights m / m_in.  Each tick g grows by the lcm L of the latched
+slots' m, each latched value by L / m, and every few ticks the field's
+``shrink`` strips the common content of g and the register integers.
+``simulate`` walks the plan tick after tick, in time linear in the gates, and
+boxes each sample with the field's ``ratio``.  A tick is linear in the
+register values, so one walk from each unit state reads off the netlist's
+pointed linear system (``to_linear_system``, boxed by ``ratios``), through
+which its closed form is found.
 
 A canonical circuit is the dense description (feedback matrix, feedforward
 row, register seeds), itself a pointed linear system; its closed-form
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, Tuple, Union
 
@@ -42,14 +44,7 @@ from .errors import (
     IllFormedCircuit,
     ShapeMismatch,
 )
-from .fields import (
-    Field,
-    field_from_spec,
-    is_ascii_digits,
-    over_one_denominator,
-    parse_integer,
-    strip_content,
-)
+from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
 from .linear_system import LinearSystem, PointedLinearSystem
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix, parse_vector
 from .ratstream import RationalStream
@@ -205,7 +200,8 @@ class Netlist:
                 plan.append((a, inputs[0], None))
                 scales.append(scales[inputs[0]] * b)
             else:
-                weights, m = over_one_denominator(Fraction(1, scales[k]) for k in inputs)
+                m = lcm(*(scales[k] for k in inputs))
+                weights = [m // scales[k] for k in inputs]
                 plan.append((None, inputs, weights if max(weights) > 1 else None))
                 scales.append(m)
         self._seeds, self._denominator = self.field.integers(self.gates[name].initial for name in registers)
@@ -213,12 +209,8 @@ class Netlist:
         self._scales = scales
         self._output = slots[self.output]
         self._latches = [slots[self._drivers[(name, 0)]] for name in registers]
-        weights, self._growth = over_one_denominator(Fraction(1, scales[k]) for k in self._latches)
-        self._latch_weights = None if self._growth == 1 else weights
-
-    def _box(self, v: int, d: int):
-        """The field element v / d of a slot's integer (d is 1 over GF(p))."""
-        return self.field.from_int(v) if self._modulus else Fraction(v, d)
+        growth = self._growth = lcm(*(scales[k] for k in self._latches))
+        self._latch_weights = None if growth == 1 else [growth // scales[k] for k in self._latches]
 
     def _tick(self, state: List[int]) -> List[int]:
         """The slot integers of one tick from the register integers ``state``."""
@@ -245,13 +237,14 @@ class Netlist:
             raise ValueError("number of ticks must be nonnegative")
         state, g, samples = self._seeds, self._denominator, []
         out, m_out, growth = self._output, self._scales[self._output], self._growth
+        ratio, shrink = self.field.ratio, self.field.shrink
         for t in range(1, steps + 1):
             values = self._tick(state)
-            samples.append(self._box(values[out], g * m_out))
+            samples.append(ratio(values[out], g * m_out))
             # all registers latch simultaneously at tick end
             state, g = self._latch(values), g * growth
             if t % STRIP_PERIOD == 0 and g != 1:
-                state, g = strip_content(state, g)
+                state, g = shrink(state, g)
         return samples
 
     def to_linear_system(self) -> PointedLinearSystem:
@@ -262,11 +255,11 @@ class Netlist:
         if r > MAX_DIMENSION:
             raise DimensionMismatch(f"{r} registers; a linear system has at most {MAX_DIMENSION}")
         columns = [self._tick([int(i == j) for i in range(r)]) for j in range(r)]
-        box, scales = self._box, self._scales
-        dynamics = Matrix(field, ([box(c[k], scales[k]) for c in columns] for k in self._latches), cols=r)
+        ratios, scales = field.ratios, self._scales
+        dynamics = Matrix(field, (ratios([c[k] for c in columns], scales[k]) for k in self._latches), cols=r)
         out = self._output
-        output = Matrix(field, [[box(c[out], scales[out]) for c in columns]], cols=r)
-        initial = [box(v, self._denominator) for v in self._seeds]
+        output = Matrix(field, [ratios([c[out] for c in columns], scales[out])], cols=r)
+        initial = ratios(self._seeds, self._denominator)
         return PointedLinearSystem(LinearSystem(dynamics, output), initial)
 
     def with_output_register(self, initial) -> "Netlist":

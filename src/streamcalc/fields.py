@@ -8,15 +8,24 @@ text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
 membership, for matrices, polynomials and a residue's operators alike, and
 its ``dot`` sums products, for every mat-vec.  Its ``recurrence`` makes the
 coefficients of a closed form p/q, for every expansion: fraction-free on
-integers over Q, on bare residues over GF(p).  ``Field.berlekamp_massey``,
-one fraction-free kernel for every field, goes back from coefficients to the
-shortest recurrence, on the integer form that each field supplies in four
-members (``integers``, ``residue``, ``shrink``, ``ratios``).  Over GF(p) that
-form is the residues over 1.  Over Q it is written here once:
-``over_one_denominator`` puts ``Fraction``s over their least common
-denominator, and ``strip_content`` divides integers over a shared
-denominator by their common content; ``Matrix.orbit``, the netlist plan and
-``Rationals.recurrence``, whose window the strip rebuilds, use both.
+integers over Q, on bare residues over GF(p).
+
+Every other integer kernel reaches a field's scalars only through the
+field's integer form, five members: ``integers`` puts elements over one
+denominator d, ``residue`` is an integer as the field sees it (its zero
+test), ``shrink`` makes integers over d smaller, and ``ratio`` and
+``ratios`` box integers over d as elements again.  ``Field.berlekamp_massey``
+(one fraction-free kernel for every field, back from coefficients to the
+shortest recurrence), ``Matrix.orbit`` over Q and the netlist plan are those
+kernels.  Two choices there still depend on the field, each kept because it
+measured faster than one path for all fields: ``Netlist._tick`` reduces
+every gate's integer mod p over GF(p), and ``Matrix.orbit`` takes its
+integer path over Q only; the test that guards this module's monopoly looks
+for ``fractions`` imports and the Q form's names, not for these.  Over GF(p) the form is the residues over 1.  Over Q it is written
+here once: ``over_one_denominator`` puts ``Fraction``s over their least
+common denominator, and ``strip_content``, which is ``Rationals.shrink``,
+divides integers over a shared denominator by their common content;
+``Rationals.recurrence``, whose window the strip rebuilds, calls it too.
 """
 
 from __future__ import annotations
@@ -100,6 +109,24 @@ def _invmod(a: int, p: int) -> int:
         raise ZeroDivisionError("inversion of zero in prime field") from None
 
 
+def over_one_denominator(fractions: Iterable[Fraction]) -> Tuple[List[int], int]:
+    """(ints, D): D the lcm of the denominators (1 for none), and ints[i] =
+    D fractions[i], so that each fraction is ints[i] / D."""
+    fractions = list(fractions)
+    scale = lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions], scale
+
+
+def strip_content(ints: List[int], g: int) -> Tuple[List[int], int]:
+    """(ints, g) divided by their common content gcd(g, *ints), so that each
+    ints[i] / g keeps its value: for g > 0, or for g = 0 (no denominator) and
+    ints not all zero, which then keep their ratios."""
+    content = gcd(g, *ints)
+    if content == 1:
+        return ints, g
+    return [a // content for a in ints], g // content
+
+
 class Field:
     """Descriptor of a scalar field: identities, coercion, text syntax.
 
@@ -149,13 +176,20 @@ class Field:
         """v as the field sees it, zero exactly when v / d is: v, or v mod p."""
         raise NotImplementedError
 
-    def shrink(self, ints: List[int]) -> List[int]:
-        """Smaller integers, not all zero, with the same ratios: divided by
-        their content over Q, reduced mod p over GF(p)."""
+    def shrink(self, ints: List[int], d: int) -> Tuple[List[int], int]:
+        """(ints, d) over smaller integers: the same elements ints[i] / d for
+        d > 0, or for d = 0 the same ratios of ints not all zero.  Over Q
+        ``strip_content`` divides both by their common content; over GF(p)
+        the ints are reduced mod p and d is kept."""
         raise NotImplementedError
 
     def ratios(self, ints: Sequence[int], d: int) -> List:
         """The field elements ints[i] / d, for d nonzero in the field."""
+        raise NotImplementedError
+
+    def ratio(self, v: int, d: int):
+        """The one field element v / d, as ``ratios([v], d)[0]`` without the
+        lists: ``Fraction`` itself over Q."""
         raise NotImplementedError
 
     def berlekamp_massey(self, terms: Sequence, numerator: bool = False) -> Tuple:
@@ -171,7 +205,8 @@ class Field:
         Fraction-free (Bareiss's idea on Massey's update) on the field's
         integer form: on the terms as integers a_i over one d, it replaces
         C <- C - (d_n / b) X^gap B by C <- b C - d_n X^gap B, which needs no
-        inversion in any integral domain, and ``shrink``s C after each update.
+        inversion in any integral domain, and ``shrink``s C (with d = 0, as
+        ratios) after each update.
         Each integer C is then a nonzero multiple of the C of the update on
         field elements, provided b is the discrepancy of the integer B: for
         B = 1 that is d, not 1, or the C of the prefix [1/2] would be 1 - X.
@@ -194,7 +229,7 @@ class Field:
             updated += [0] * (gap + len(previous) - len(current))
             for i, b in enumerate(previous, gap):
                 updated[i] -= discrepancy * b
-            updated = shrink(updated)
+            updated, _ = shrink(updated, 0)
             while not updated[-1]:
                 updated.pop()
             if 2 * length <= n:
@@ -291,11 +326,12 @@ class Rationals(Field):
     def residue(self, v):
         return v
 
-    def shrink(self, ints):
-        return strip_content(ints, 0)[0]
+    shrink = staticmethod(strip_content)
 
     def ratios(self, ints, d):
         return [Fraction(c, d) for c in ints]
+
+    ratio = Fraction
 
     def is_negative(self, a):
         return a < 0
@@ -452,13 +488,16 @@ class PrimeField(Field):
     def residue(self, v):
         return v % self.modulus
 
-    def shrink(self, ints):
+    def shrink(self, ints, d):
         p = self.modulus
-        return [c % p for c in ints]
+        return [c % p for c in ints], d
 
     def ratios(self, ints, d):
         inverse = 1 if d == 1 else _invmod(d, self.modulus)
         return [PrimeFieldElement(c * inverse, self) for c in ints]
+
+    def ratio(self, v, d):
+        return PrimeFieldElement(v if d == 1 else v * _invmod(d, self.modulus), self)
 
     def is_negative(self, a):
         return False
@@ -487,24 +526,6 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("PrimeField", self.modulus))
-
-
-def over_one_denominator(fractions: Iterable[Fraction]) -> Tuple[List[int], int]:
-    """(ints, D): D the lcm of the denominators (1 for none), and ints[i] =
-    D fractions[i], so that each fraction is ints[i] / D."""
-    fractions = list(fractions)
-    scale = lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (scale // f.denominator) for f in fractions], scale
-
-
-def strip_content(ints: List[int], g: int) -> Tuple[List[int], int]:
-    """(ints, g) divided by their common content gcd(g, *ints), so that each
-    ints[i] / g keeps its value: for g > 0, or for g = 0 (no denominator) and
-    ints not all zero, which then keep their ratios."""
-    content = gcd(g, *ints)
-    if content == 1:
-        return ints, g
-    return [a // content for a in ints], g // content
 
 
 def _coprime_base(numbers) -> List[int]:

@@ -10,12 +10,11 @@ construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, FormatError, ShapeMismatch, SingularMatrix
-from .fields import Field, Rationals, over_one_denominator, strip_content
+from .fields import Field, Rationals
 from .poly import FractionField, Polynomial, RationalFunction
 from .ratstream import RationalStream
 
@@ -122,36 +121,34 @@ class Matrix:
         """v, Mv, ..., M^(steps-1) v for this square M: the one loop that applies
         a matrix to its own result, coercing v once and stopping at the last term.
 
-        Over Q it runs on integers: with d the lcm of M's denominators, dM is
-        kept as sparse rows of (column, integer) nonzeros and each term as
-        integers w over one denominator g; a step is w <- dM w and g <- d g,
-        with the common content of w and g stripped, and boxes Fraction(w_i, g).
-        Over GF(p) and k(X) each step is a ``dot`` per row."""
+        Over Q it runs on the field's integer form: M's entries are integers
+        over one denominator d (``integers``), so dM is kept as sparse rows of
+        (column, integer) nonzeros, and each term is integers w over one
+        denominator g; a step is w <- dM w and g <- d g, made smaller by
+        ``shrink`` (the common content of w and g stripped), and boxed by
+        ``ratios``.  Over GF(p) and k(X) each step is a ``dot`` per row."""
         if self.rows != self.cols:
             raise ShapeMismatch("an orbit needs a square matrix")
         if steps < 0:
             raise ValueError("orbit length must be nonnegative")
+        field = self.domain
         terms = [self._vector(vector)]
-        if isinstance(self.domain, Rationals) and steps > 1:
-            return terms + self._integer_steps(terms[0], steps - 1)
-        while len(terms) < steps:
-            terms.append(self._times(terms[-1]))
-        return terms[:steps]
-
-    def _integer_steps(self, vector: Tuple, steps: int) -> List[Tuple]:
-        """Mv, ..., M^steps v over Q, on integers (see :meth:`orbit`)."""
-        flat, d = over_one_denominator(e for row in self.entries for e in row)
+        if not isinstance(field, Rationals) or steps < 2:
+            while len(terms) < steps:
+                terms.append(self._times(terms[-1]))
+            return terms[:steps]
+        flat, d = field.integers(e for row in self.entries for e in row)
         rows, n = [], self.cols
         for i in range(self.rows):
             row = flat[i * n : (i + 1) * n]
             columns = [j for j, a in enumerate(row) if a]
             rows.append((columns, [row[j] for j in columns]))
-        w, g = over_one_denominator(vector)
-        terms = []
-        for _ in range(steps):
+        w, g = field.integers(terms[0])
+        shrink, ratios = field.shrink, field.ratios
+        while len(terms) < steps:
             w = [sum(map(mul, weights, [w[j] for j in columns])) for columns, weights in rows]
-            w, g = strip_content(w, d * g)
-            terms.append(tuple(Fraction(a, g) for a in w))
+            w, g = shrink(w, d * g)
+            terms.append(tuple(ratios(w, g)))
         return terms
 
     def _vector(self, vector: Sequence) -> Tuple:

@@ -12,13 +12,14 @@ closed form that keeps the denominator fixed.
 
 ``RationalStream._terms`` is the one forward recurrence, from a closed form to
 its coefficients, run by the field's kernel ``Field.recurrence``;
-:func:`berlekamp_massey` is the one backward recurrence, from enough
-coefficients over k to the closed form (``from_sequence``), run by the field's
-kernel ``Field.berlekamp_massey``.  Both are fraction-free: the forward
-kernel runs on integers over Q and on residues over GF(p); the backward
-kernel is one loop for every field, on integer multiples of C in the field's
-integer form (content stripped over Q, reduced mod p over GF(p)), so C's
-coefficients keep the bits of C itself, not of a tower of ``Fraction``s.
+``from_sequence`` is the one way back, from enough coefficients over k to the
+closed form, through the field's kernel ``Field.berlekamp_massey``, which
+``analysis`` also calls for the linear complexity L alone.  Both kernels are
+fraction-free: the forward kernel runs on integers over Q and on residues
+over GF(p); the backward kernel is one loop for every field, on integer
+multiples of C in the field's integer form (``shrink`` strips the content
+over Q and reduces mod p over GF(p)), so C's coefficients keep the bits of C
+itself, not of a tower of ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -142,19 +143,6 @@ def coordinate_streams(field: Field, vectors: Sequence[Tuple], width: int):
     return tuple(
         RationalStream.from_sequence(field, [v[i] for v in vectors]) for i in range(width)
     )
-
-
-def berlekamp_massey(field: Field, terms: Sequence) -> Tuple[Polynomial, int]:
-    """Shortest linear recurrence generating ``terms``: (C, L) with C(0) = 1.
-
-    C = 1 + c_1 X + ... + c_L X^L (deg C may fall short of L) satisfies
-    sum_{i=0..L} c_i * terms[n-i] = 0 for every L <= n < len(terms), and L is
-    the least length with that property.  Run by the one kernel
-    ``Field.berlekamp_massey``, in O(len(terms) * L) operations on the
-    field's integer form.
-    """
-    connection, length = field.berlekamp_massey(terms)
-    return Polynomial._make(field, connection), length
 
 
 def valuation(s: RationalStream) -> int:

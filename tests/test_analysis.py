@@ -28,8 +28,7 @@ from streamcalc import matrix
 from streamcalc.expr import evaluate_text
 from streamcalc.fields import Field, field_of
 from streamcalc.matrix import rank
-from streamcalc.ratstream import berlekamp_massey
-from util import boxed_berlekamp_massey, random_stream, triangular_prefix
+from util import DENOMINATORS, boxed_berlekamp_massey, random_stream, triangular_prefix
 
 NATURALS = evaluate_text("1/(1-X)^2")
 NATURALS_CIRCUIT = CanonicalCircuit(
@@ -322,10 +321,10 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_berlekamp_massey_matches_boxed_reference(case):
     field, terms = case
-    connection, length = berlekamp_massey(field, terms)
-    assert (connection, length) == boxed_berlekamp_massey(field, terms)
+    connection, length = field.berlekamp_massey(terms)
+    assert (Polynomial(field, connection), length) == boxed_berlekamp_massey(field, terms)
     # field elements on exit, not raw values that merely compare equal
-    assert all(field_of(c) == field for c in connection.coeffs)
+    assert all(field_of(c) == field for c in connection)
 
 
 @settings(max_examples=150)
@@ -341,13 +340,6 @@ def test_from_sequence_matches_boxed_reference(case):
 
 # --- the one integer kernel, over Q and GF(p), against the boxed reference --
 
-# denominators by kind; 10**39 + 3 and 10**39 + 23 have 40 digits
-RATIONAL_DENOMINATORS = {
-    "integral": st.just(1),
-    "powers": st.builds(pow, st.sampled_from((2, 3)), st.integers(0, 12)),
-    "coprime": st.sampled_from((1, 3, 7, 11, 13, 29, 997)),
-    "huge": st.sampled_from((1, 10**39 + 3, 10**39 + 23)),
-}
 GF7 = PrimeField(7)
 INTEGER_KERNEL_FIELDS = (QQ, PrimeField(2), GF7, PrimeField(101), PrimeField(2**61 - 1))
 
@@ -362,8 +354,8 @@ def integer_kernel_cases(draw):
     s then None."""
     field = draw(st.sampled_from(INTEGER_KERNEL_FIELDS))
     if field == QQ:
-        kind = draw(st.sampled_from(sorted(RATIONAL_DENOMINATORS)))
-        scalar = st.builds(Fraction, st.integers(-9, 9), RATIONAL_DENOMINATORS[kind])
+        kind = draw(st.sampled_from(sorted(DENOMINATORS)))
+        scalar = st.builds(Fraction, st.integers(-9, 9), DENOMINATORS[kind])
     else:
         # unreduced ints: coerce reduces them, and multiples of p are zeros
         scalar = st.builds(field.from_int, st.integers(-3 * field.modulus, 3 * field.modulus))
@@ -393,7 +385,8 @@ def test_integer_kernel_matches_boxed_reference(case):
     expected, expected_length = boxed_berlekamp_massey(field, terms)
     assert (Polynomial(field, connection), length) == (expected, expected_length)
     assert connection[0] == 1 and connection[-1]
-    assert all(type(c) is type(field.one()) for c in connection)
+    # field elements on exit, not raw values that merely compare equal
+    assert all(type(c) is type(field.one()) and field_of(c) == field for c in connection)
     s = RationalStream.from_sequence(field, terms)
     assert s.den == expected
     assert s.num.degree < max(length, 1)

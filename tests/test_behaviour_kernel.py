@@ -23,7 +23,6 @@ from streamcalc import (
 from streamcalc import analysis, matrix, poly
 from streamcalc.automaton import WeightedAutomaton
 from streamcalc.circuit import CanonicalCircuit
-from streamcalc.ratstream import berlekamp_massey
 from util import stream
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101))
@@ -104,8 +103,8 @@ def test_from_sequence_at_half_length():
     gf7 = PrimeField(7)
     s = RationalStream(Polynomial(gf7, [2, 5]), Polynomial(gf7, [1, 3, 4]))
     assert RationalStream.from_sequence(gf7, s.expand(4)) == s
-    connection, length = berlekamp_massey(gf7, s.expand(4))
-    assert (connection, length) == (s.den, 2)
+    connection, length = gf7.berlekamp_massey(s.expand(4))
+    assert (Polynomial(gf7, connection), length) == (s.den, 2)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),

@@ -119,3 +119,16 @@ def test_main_runs_ten_alternating_pairs_of_the_benchmark_run_length(monkeypatch
     assert firsts == ["parent", "change"] * (bench_pairs.PAIRS // 2)
     out = capsys.readouterr()
     assert "workload expand: 10 pairs" in out.out and "failed 1" in out.err
+
+
+def test_alternate_exports_once_and_removes_the_tree_on_break(monkeypatch):
+    exported = []
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: exported.append((rev, dest)))
+    orders = [[side for side, _ in order] for _, order in bench_pairs.alternate("HEAD~1", 3)]
+    assert orders == [["parent", "change"], ["change", "parent"], ["parent", "change"]]
+    assert len(exported) == 1 and exported[0][0] == "HEAD~1"
+    for _, order in bench_pairs.alternate("HEAD~1", 3):
+        trees = dict(order)
+        assert trees["parent"].is_dir() and trees["change"] == bench_pairs.ROOT
+        break
+    assert not trees["parent"].exists()

@@ -537,6 +537,18 @@ def test_integer_plan_matches_boxed_tick(field, data):
     assert net.to_linear_system() == boxed_linear_system(net)
 
 
+@pytest.mark.parametrize("field", PLAN_FIELDS[1:], ids=repr)
+@given(data=st.data())
+def test_every_slot_of_a_tick_is_a_residue(field, data):
+    """Over GF(p) each multiplier and adder reduces its slot: deferring the
+    reduction lets integers grow with the netlist's depth, and over a deep
+    chain of multipliers one tick then costs seconds."""
+    net = data.draw(mixed_denominator_netlists(field))
+    p = field.modulus
+    state = data.draw(st.lists(st.integers(0, p - 1), min_size=len(net._seeds), max_size=len(net._seeds)))
+    assert all(0 <= v < p for v in net._tick(state))
+
+
 def test_mixed_denominators_meet_at_one_adder():
     """r0 = 1/6 through 1/18 and r1 = -3/4 through 7/12 then 2 meet at a
     3-way adder with r2 = 5, so the adder's inputs carry m = 18, 12 and 1;

@@ -1,11 +1,14 @@
+import ast
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub, truediv
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import streamcalc
 from streamcalc import (
     QQ,
     FieldMismatch,
@@ -18,6 +21,7 @@ from streamcalc import (
     is_prime,
 )
 from streamcalc.fields import MR_BOUND, over_one_denominator, strip_content
+from util import DENOMINATORS
 
 GF7 = PrimeField(7)
 GF101 = PrimeField(101)
@@ -263,3 +267,89 @@ def test_strip_content_keeps_values_and_leaves_no_content(ints, g, factor):
         assert h == 0
         assert all(a * y == b * x for a, x in zip(stripped, ints) for b, y in zip(stripped, ints))
         assert [(a > 0) - (a < 0) for a in stripped] == [(x > 0) - (x < 0) for x in ints]
+
+
+# --- the integer form: shrink, ratios and ratio ------------------------------
+
+GF_FIELDS = (PrimeField(2), GF101, PrimeField(2**61 - 1))
+
+
+@st.composite
+def integer_forms(draw, fields):
+    """(field, ints, d): ints over a denominator d > 0 (over Q, one of every
+    kind of ``DENOMINATORS`` times a large content shared with the ints; over
+    GF(p), any int prime to p), or over d = 0, as ratios."""
+    field = draw(st.sampled_from(fields))
+    ints = draw(st.lists(big_ints, min_size=1, max_size=8))
+    if field == QQ:
+        factor = draw(st.integers(1, 10**20))
+        ints = [a * factor for a in ints]
+        d = factor * draw(st.sampled_from(sorted(DENOMINATORS)).flatmap(DENOMINATORS.get))
+    else:
+        d = draw(st.integers(1, 10**30).filter(lambda d: d % field.modulus))
+    return field, ints, draw(st.sampled_from((d, 0)))
+
+
+@given(integer_forms(GF_FIELDS))
+def test_shrink_over_gf_keeps_the_elements_or_their_ratios(form):
+    """Over Q ``shrink`` is ``strip_content``, tested above; over GF(p) it
+    reduces mod p and keeps d."""
+    field, ints, d = form
+    k = next((i for i, a in enumerate(ints) if field.residue(a)), None)
+    assume(d or k is not None)  # ratios need an element that is not zero
+    shrunk, e = field.shrink(list(ints), d)
+    assert e == d and all(0 <= a < field.modulus for a in shrunk)
+    if d:
+        assert field.ratios(shrunk, e) == field.ratios(ints, d)
+    else:
+        assert field.ratios(shrunk, shrunk[k]) == field.ratios(ints, ints[k])
+
+
+@given(integer_forms((QQ,) + GF_FIELDS))
+def test_ratio_is_one_of_ratios(form):
+    field, ints, d = form
+    assume(d)
+    for v in ints:
+        boxed = field.ratio(v, d)
+        assert boxed == field.ratios([v], d)[0]
+        assert type(boxed) is type(field.one())
+
+
+def test_the_integer_form_over_q_is_the_module_functions():
+    """No wrapper call: over Q ``shrink`` is ``strip_content`` and ``ratio``
+    is ``Fraction``."""
+    assert QQ.shrink is strip_content
+    assert QQ.ratio is Fraction
+
+
+# what only fields.py may know: the Q form's functions and the GF(p) box
+HIDDEN = {"strip_content", "over_one_denominator", "PrimeFieldElement"}
+PACKAGE = Path(streamcalc.__file__).parent
+
+
+def knowledge_of_the_integer_form(path):
+    """The imports of ``fractions`` and the HIDDEN names in one module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "fractions")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "fractions":
+            found.add("fractions")
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname} & HIDDEN)
+        elif isinstance(node, ast.Name) and node.id in HIDDEN:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in HIDDEN:
+            found.add(node.attr)
+    return found
+
+
+def test_only_fields_py_knows_the_integer_form():
+    """Every other module reaches Q and GF(p) scalars through ``Field``'s
+    members (``integers``, ``residue``, ``shrink``, ``ratio``, ``ratios``)."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) > 10
+    assert knowledge_of_the_integer_form(PACKAGE / "fields.py") == HIDDEN | {"fractions"}
+    known = {str(path.relative_to(PACKAGE)): knowledge_of_the_integer_form(path) for path in modules}
+    del known["fields.py"]
+    assert {name: found for name, found in known.items() if found} == {}

@@ -36,7 +36,7 @@ from streamcalc import fields
 from streamcalc import matrix as matrix_module
 from streamcalc.fields import Field, _tap_scale, over_one_denominator, strip_content
 from streamcalc.poly import FractionField
-from util import boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
+from util import DENOMINATORS, boxed_dot, boxed_expand, boxed_orbit, boxed_power, boxed_product
 
 GF2, GF101, GF_MERSENNE = PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)
 FIELDS = (QQ, GF2, GF101, GF_MERSENNE)
@@ -100,15 +100,6 @@ def streams(draw):
 @given(streams(), st.integers(0, 40))
 def test_expand_matches_boxed_recurrence(s, n):
     assert s.expand(n) == boxed_expand(s, n)
-
-
-# denominators of the recurrence's inputs, by kind; 10**39 + 3 has 40 digits
-DENOMINATORS = {
-    "integral": st.just(1),
-    "powers": st.builds(pow, st.sampled_from((2, 3)), st.integers(0, 9)),
-    "coprime": st.sampled_from((1, 3, 7, 11, 13, 29, 997)),
-    "huge": st.sampled_from((1, 10**39 + 3)),
-}
 
 
 @given(st.sampled_from(FIELDS), st.sampled_from(sorted(DENOMINATORS)), st.data(), st.integers(0, 60))

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from streamcalc import (
     LinearSystem,
     Matrix,
@@ -17,6 +19,15 @@ from streamcalc import (
 from streamcalc.automaton import WeightedAutomaton
 from streamcalc.circuit import Adder, Copier, Multiplier, Register
 from streamcalc.ratstream import RationalStream, valuation
+
+# denominators of rational scalars, by kind: none, a perfect power, small
+# coprime primes, 40 digits (10**39 + 3 and 10**39 + 23)
+DENOMINATORS = {
+    "integral": st.just(1),
+    "powers": st.builds(pow, st.sampled_from((2, 3)), st.integers(0, 12)),
+    "coprime": st.sampled_from((1, 3, 7, 11, 13, 29, 997)),
+    "huge": st.sampled_from((1, 10**39 + 3, 10**39 + 23)),
+}
 
 
 def poly(field, *coeffs):

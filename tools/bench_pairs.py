@@ -6,7 +6,8 @@ The parent revision is exported with ``git archive`` into a temporary
 directory (no worktree, nothing written under ``.git``).  For each workload,
 each of ``PAIRS`` pairs runs ``perfbench/run.py --seed 1 --trace 0`` once in
 the parent's tree and once in this checkout's working tree, alternating which
-side goes first.  Each side runs its own ``perfbench``; ``BENCHMARK.json``
+side goes first; :func:`alternate` does the export and the alternation, for
+``tools/job_shares.py --parent`` too.  Each side runs its own ``perfbench``; ``BENCHMARK.json``
 supplies the workloads, the run length (``run_seconds``) and, for every
 end-to-end metric, its direction and bound.
 
@@ -31,7 +32,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest alternating pairs a comparison is read from
@@ -122,6 +123,19 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, **safe)
 
 
+def alternate(rev: str, rounds: int) -> Iterator[Tuple[int, List[Tuple[str, Path]]]]:
+    """Export ``rev`` into a temporary directory, then yield (i, order) for
+    each of ``rounds`` rounds: ("parent", its tree) and ("change", this
+    checkout), the parent first in even rounds.  The directory is removed
+    when the caller's loop ends, by a ``return`` or ``break`` too."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_tree = Path(tmp)
+        export(rev, parent_tree)
+        order = [("parent", parent_tree), ("change", ROOT)]
+        for i in range(rounds):
+            yield i, order if i % 2 == 0 else order[::-1]
+
+
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
@@ -141,30 +155,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     workloads = names if args.workload == "all" else [args.workload]
 
     status = 0
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_tree = Path(tmp)
-        export(args.parent, parent_tree)
-        for workload in workloads:
-            pairs: List[Tuple[dict, dict]] = []
-            for i in range(PAIRS):
-                sides: Dict[str, dict] = {}
-                order = [("parent", parent_tree), ("change", ROOT)]
-                for side, tree in order if i % 2 == 0 else order[::-1]:
-                    try:
-                        sides[side] = result = run_once(tree, workload, benchmark["run_seconds"])
-                    except (RuntimeError, ValueError) as exc:
-                        print(f"{workload} pair {i + 1} {side}: {exc}", file=sys.stderr)
-                        return 1
-                    for fault in faults(result):
-                        print(f"{workload} pair {i + 1} {side}: {fault}", file=sys.stderr)
-                        status = 1
-                    print(f"{workload} pair {i + 1} {side}: jobs_per_s "
-                          f"{result['metrics']['jobs_per_s']['value']:.5g}", file=sys.stderr)
-                pairs.append((sides["parent"], sides["change"]))
-            rows = compare(pairs, benchmark["end_to_end"])
-            print(format_rows(workload, rows), flush=True)
-            if any(row.worse for row in rows):
-                status = 1
+    for workload in workloads:
+        pairs: List[Tuple[dict, dict]] = []
+        for i, order in alternate(args.parent, PAIRS):
+            sides: Dict[str, dict] = {}
+            for side, tree in order:
+                try:
+                    sides[side] = result = run_once(tree, workload, benchmark["run_seconds"])
+                except (RuntimeError, ValueError) as exc:
+                    print(f"{workload} pair {i + 1} {side}: {exc}", file=sys.stderr)
+                    return 1
+                for fault in faults(result):
+                    print(f"{workload} pair {i + 1} {side}: {fault}", file=sys.stderr)
+                    status = 1
+                print(f"{workload} pair {i + 1} {side}: jobs_per_s "
+                      f"{result['metrics']['jobs_per_s']['value']:.5g}", file=sys.stderr)
+            pairs.append((sides["parent"], sides["change"]))
+        rows = compare(pairs, benchmark["end_to_end"])
+        print(format_rows(workload, rows), flush=True)
+        if any(row.worse for row in rows):
+            status = 1
     return status
 
 
