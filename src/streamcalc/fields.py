@@ -550,15 +550,43 @@ _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)
 _PRIMORIAL = prod(_SMALL_PRIMES)
 
 
+def _integer_root(n: int, m: int) -> int:
+    """The floor of the m-th root of n >= 1 (Newton's method on integers,
+    from above)."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_root(b: int) -> int:
+    """The r with b = r^m and m largest, for b without a prime factor below
+    100 and m without one above 97: exact prime roots are taken, the smaller
+    primes first, and as r >= 101 > 2^6 no m-th root is tried once 6m
+    reaches the bits of b."""
+    for m in _SMALL_PRIMES:
+        if 6 * m >= b.bit_length():
+            break
+        r = _integer_root(b, m)
+        while r**m == b:
+            b, r = r, _integer_root(r, m)
+    return b
+
+
 def _tap_scale(taps: Sequence[Fraction]) -> int:
     """An integer c with c^j taps[j-1] integral for every j: each element b of
     a coprime base of the denominators to the power max_j ceil(e_(b,j) / j),
     where b^e_(b,j) exactly divides the j-th denominator.  For the taps of
     (1 - X/2)^8 that is 2, where their lcm is 256.  The base holds every
     prime below 100 that divides a denominator, found by trial division, and
-    a coprime base, by gcds alone, of what the denominators leave over; so c
-    is the least such integer when the denominators have no prime factor
-    above 100, and 6 for the taps (1, 1/18), where the gcds alone give 18."""
+    a coprime base, by gcds alone, of what the denominators leave over, each
+    element replaced by its perfect-power root; so c is the least such
+    integer when the denominators have no prime factor above 100, 6 for the
+    taps (1, 1/18), where the gcds alone give 18, and 101 for (1, 1/101^2).
+    A base element that is no perfect power but a product of unequal powers
+    of large primes, 101 * 103^2 alone, still rounds up as a whole."""
     first = {}  # each denominator at its least j, where e_(b,j) / j is largest
     for j, t in enumerate(taps, 1):
         first.setdefault(t.denominator, j)
@@ -571,7 +599,7 @@ def _tap_scale(taps: Sequence[Fraction]) -> int:
                 n //= p
         rests.append(n)
     c = 1
-    for b in base + _coprime_base(rests):
+    for b in base + [_perfect_root(b) for b in _coprime_base(rests)]:
         top, bottom = 0, 1  # max_j e_(b,j) / j
         for n, j in first.items():
             e = 0

@@ -9,7 +9,8 @@ recurrence (``coordinate_streams``).  Longer prefixes continue from the
 outputs already made by the one forward recurrence, ``RationalStream._terms``.
 
 Every iteration of a matrix goes through the one kernel
-:meth:`Matrix.orbit`: the outputs are H on F's orbit, the observability
+:meth:`Matrix.orbit`: the outputs are H on F's orbit, read off its
+integers over Q, the observability
 matrix stacks the orbits of H's rows under F transposed, and state
 equivalence checks the outputs of a difference of states.  Every other
 finite representation reaches its stream through this module's pointed
@@ -88,8 +89,7 @@ class LinearSystem:
         """The first ``steps`` output vectors H F^t state: H on F's orbit up to
         2 * dim, then each output's closed form s continues from those as
         s^(2 dim) (exact by Cayley-Hamilton)."""
-        times = self.output._times  # orbit vectors are coerced already
-        outputs = [times(x) for x in self.dynamics.orbit(state, min(steps, 2 * self.dim))]
+        outputs = self.dynamics.orbit(state, min(steps, 2 * self.dim), self.output)
         known = len(outputs)
         closed = coordinate_streams(self.field, outputs, self.num_outputs) if steps > known else ()
         tails = (s._derivative_after(known, [v[i] for v in outputs]) for i, s in enumerate(closed))

@@ -117,18 +117,24 @@ class Matrix:
         """Matrix-vector product, on plain tuples."""
         return self._times(self._vector(vector))
 
-    def orbit(self, vector: Sequence, steps: int) -> List[Tuple]:
+    def orbit(self, vector: Sequence, steps: int, output: Optional["Matrix"] = None) -> List[Tuple]:
         """v, Mv, ..., M^(steps-1) v for this square M: the one loop that applies
         a matrix to its own result, coercing v once and stopping at the last term.
+        With an ``output`` matrix H of as many columns, the terms are
+        H v, H M v, ..., H M^(steps-1) v instead.
 
         Over Q it runs on the field's integer form: M's entries are integers
         over one denominator d (``integers``), so dM is kept as sparse rows of
         (column, integer) nonzeros, and each term is integers w over one
         denominator g; a step is w <- dM w and g <- d g, made smaller by
         ``shrink`` (the common content of w and g stripped), and boxed by
-        ``ratios``.  Over GF(p) and k(X) each step is a ``dot`` per row."""
+        ``ratios``.  With H, over one denominator e, the outputs are read off
+        the integers, as eH w over e g, and only they are boxed.  Over GF(p)
+        and k(X) each step is a ``dot`` per row, and H is applied to each term."""
         if self.rows != self.cols:
             raise ShapeMismatch("an orbit needs a square matrix")
+        if output is not None and output.cols != self.cols:
+            raise ShapeMismatch(f"output matrix of {output.cols} columns for {self.cols}")
         if steps < 0:
             raise ValueError("orbit length must be nonnegative")
         field = self.domain
@@ -136,20 +142,32 @@ class Matrix:
         if not isinstance(field, Rationals) or steps < 2:
             while len(terms) < steps:
                 terms.append(self._times(terms[-1]))
-            return terms[:steps]
-        flat, d = field.integers(e for row in self.entries for e in row)
+            terms = terms[:steps]
+            return terms if output is None else [output._times(x) for x in terms]
+        rows, d = self._integer_rows()
+        w, g = field.integers(terms[0])
+        shrink, ratios = field.shrink, field.ratios
+        if output is not None:
+            read, e = output._integer_rows()
+            terms = [tuple(ratios(_sparse_times(read, w), e * g))]
+        while len(terms) < steps:
+            w, g = shrink(_sparse_times(rows, w), d * g)
+            if output is None:
+                terms.append(tuple(ratios(w, g)))
+            else:
+                terms.append(tuple(ratios(_sparse_times(read, w), e * g)))
+        return terms
+
+    def _integer_rows(self) -> Tuple[List[Tuple[List[int], List[int]]], int]:
+        """(rows, d): this matrix over Q as dM, each row the (columns, integers)
+        of its nonzero entries, and d > 0 their one denominator."""
+        flat, d = self.domain.integers(e for row in self.entries for e in row)
         rows, n = [], self.cols
         for i in range(self.rows):
             row = flat[i * n : (i + 1) * n]
             columns = [j for j, a in enumerate(row) if a]
             rows.append((columns, [row[j] for j in columns]))
-        w, g = field.integers(terms[0])
-        shrink, ratios = field.shrink, field.ratios
-        while len(terms) < steps:
-            w = [sum(map(mul, weights, [w[j] for j in columns])) for columns, weights in rows]
-            w, g = shrink(w, d * g)
-            terms.append(tuple(ratios(w, g)))
-        return terms
+        return rows, d
 
     def _vector(self, vector: Sequence) -> Tuple:
         vec = tuple(self.domain.coerce(v) for v in vector)
@@ -178,6 +196,11 @@ class Matrix:
 
     def __str__(self):
         return format_matrix(self)
+
+
+def _sparse_times(rows, w: List[int]) -> List[int]:
+    # the integer mat-vec of _integer_rows' sparse rows
+    return [sum(map(mul, weights, [w[j] for j in columns])) for columns, weights in rows]
 
 
 def _eliminate(matrix: Matrix):

@@ -131,11 +131,23 @@ class Polynomial:
         return Polynomial._make(self.field, [c * a for a in self.coeffs])
 
     def __pow__(self, k: int):
+        """f^k, by the first branch that applies: 0^k; a constant's power;
+        X^(vk) g^k for f = X^v g with v > 0 and g(0) != 0; the Frobenius
+        split for k >= char; Miller's recurrence for k deg f < char (always
+        over Q); else square-and-multiply."""
         if k < 0:
             raise ValueError("negative polynomial power")
         field, p, d = self.field, self.coeffs, self.degree
         char = field.characteristic
-        if d > 0 and char and k >= char:
+        if d < 0:
+            return self if k else Polynomial.one(field)
+        if d == 0:
+            return Polynomial._make(field, [p[0] ** k])
+        if not p[0]:
+            v = next(i for i, c in enumerate(p) if c)
+            shifted = Polynomial._make(field, list(p[v:])) ** k
+            return Polynomial._make(field, [field.zero()] * (v * k) + list(shifted.coeffs))
+        if char and k >= char:
             # Frobenius: f^char = f(X^char) in characteristic char, so
             # f^k = f^(k mod char) * (f^(k div char))(X^char)
             high = (self ** (k // char)).coeffs
@@ -143,7 +155,7 @@ class Polynomial:
             spread[::char] = high
             # the sparse factor goes first: ``*`` skips its zero coefficients
             return Polynomial._make(field, spread) * self ** (k % char)
-        if d > 0 and p[0] and (char == 0 or k * d < char):
+        if char == 0 or k * d < char:
             # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: n p_0 out_n
             # = sum_{i=1..min(n, d)} ((k+1) i - n) p_i out_(n-i), two dot products;
             # n * p(0) is invertible for every n <= k * d by the condition above
@@ -271,6 +283,10 @@ class Quotient:
     of den that is scaled to 1.  Results are built with ``type(self)``, and
     only objects of the same type compare equal, since the two normalizations
     differ.
+
+    A sum or product whose result is known to be reduced skips the checked
+    constructor: a normalized constant denominator is 1, so a/q + b/1 is
+    (a + b q)/q, reduced and normalized as q is, and (a/1)(b/1) is (ab)/1.
     """
 
     __slots__ = ("num", "den")
@@ -343,6 +359,12 @@ class Quotient:
             return other
         if not other:
             return self
+        # a/q + b/1 = (a + b q)/q is reduced, as gcd(a + b q, q) = gcd(a, q) = 1
+        if not other.den.degree:
+            b = other.num * self.den if self.den.degree else other.num
+            return self._make(self.num + b, self.den)
+        if not self.den.degree:
+            return self._make(self.num * other.den + other.num, other.den)
         return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
@@ -356,6 +378,8 @@ class Quotient:
         self._check(other)
         if not (self and other):
             return self.zero(self.field)
+        if not (self.den.degree or other.den.degree):
+            return self._make(self.num * other.num, self.den)
         return type(self)(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):

@@ -184,23 +184,26 @@ def test_states_equivalent_iff_same_behaviour(case, data):
 
 
 def test_iterations_reach_the_orbit_kernel(monkeypatch):
+    """Every behaviour iterates through the orbit; a system's outputs are read
+    off it (H passed in), an automaton's states and the observability rows
+    are the plain orbit."""
     calls = []
     orbit = Matrix.orbit
 
-    def counted(self, vector, steps):
-        calls.append(steps)
-        return orbit(self, vector, steps)
+    def counted(self, vector, steps, output=None):
+        calls.append(output)
+        return orbit(self, vector, steps, output)
 
     monkeypatch.setattr(Matrix, "orbit", counted)
     system = LinearSystem(Matrix(QQ, [[0, -1], [1, 2]]), Matrix(QQ, [[1, 2]]))
     automaton = WeightedAutomaton((1, 2), Matrix(QQ, [[0, 1], [-1, 2]]))
     runs = {
-        "LinearSystem.behaviour": lambda: system.behaviour((1, 0)),
-        "WeightedAutomaton.behaviour": automaton.behaviour,
-        "observability_matrix": lambda: observability_matrix(system),
-        "states_equivalent": lambda: states_equivalent(system, (1, 0), (0, 1)),
+        "LinearSystem.behaviour": (lambda: system.behaviour((1, 0)), system.output),
+        "WeightedAutomaton.behaviour": (automaton.behaviour, None),
+        "observability_matrix": (lambda: observability_matrix(system), None),
+        "states_equivalent": (lambda: states_equivalent(system, (1, 0), (0, 1)), system.output),
     }
-    for name, run in runs.items():
+    for name, (run, output) in runs.items():
         calls.clear()
         run()
-        assert calls, name
+        assert calls and all(c is output for c in calls), name

@@ -9,7 +9,7 @@ agree with the checked one, and the two kinds never mix.
 import operator
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcalc import (
@@ -23,7 +23,7 @@ from streamcalc import (
     StreamPrefix,
 )
 from streamcalc.expr import evaluate_text
-from streamcalc.poly import FractionField
+from streamcalc.poly import FractionField, Quotient
 
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]
 KINDS = [RationalFunction, RationalStream]
@@ -138,3 +138,78 @@ def test_operands_of_another_type_or_field_are_refused(op, make_left, right):
     # zero and one on the left: their shortcuts used to return the operand as it was
     with pytest.raises(FieldMismatch):
         op(make_left(QQ), right)
+
+
+@st.composite
+def over_one(draw, kind, field):
+    """A polynomial of ``kind`` over 1: zero, a constant or X^i times one."""
+    return kind.from_polynomial(draw(polynomials(field)))
+
+
+@st.composite
+def over_q(draw, kind, field):
+    """num/q of ``kind`` with q(0) = 1 and deg q >= 1 before reduction."""
+    q = [1] + draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+    return kind(draw(polynomials(field)), Polynomial(field, q))
+
+
+@settings(max_examples=200)
+@given(st.data(), st.sampled_from(FIELDS), st.sampled_from(KINDS), st.booleans())
+def test_constant_denominator_shortcuts_equal_the_checked_constructor(data, field, kind, cancel):
+    """a/q + b/1, b/1 + a/q and (a/1)(b/1) skip the checked constructor; each
+    equals it, sums that cancel to 0 included (b = -a over 1)."""
+    b, c = data.draw(over_one(kind, field)), data.draw(over_one(kind, field))
+    a = -b if cancel else data.draw(over_q(kind, field) | over_one(kind, field))
+
+    def forbidden(*args):
+        raise AssertionError("the checked constructor ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Quotient, "__init__", forbidden)
+        sums, product = (a + b, b + a, a - b), b * c
+    checked = [kind(x.num * y.den + y.num * x.den, x.den * y.den) for x, y in ((a, b), (b, a))]
+    assert sums == (*checked, kind(a.num - b.num * a.den, a.den))
+    assert product == kind(b.num * c.num, b.den * c.den)
+    assert all(normalized(q) for q in sums + (product,))
+    if cancel:
+        assert sums[:2] == (kind.zero(field),) * 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=repr)
+def test_roundtrip_text_reaches_the_quotient_shortcuts(field, monkeypatch):
+    """A closed form as the convert workload writes it, (sum c_i X^i)/(sum d_j
+    X^j), runs the checked constructor, and so gcd, for its final division
+    only, and each X^i is a power by shift: no square-and-multiply."""
+    text = "(6 - 2*X - 1*X^2 + 3/4*X^5)/(1 - 4*X + 19/4*X^2 - 3/2*X^3 + X^7)"
+    expected = RationalStream(
+        Polynomial(field, [24, -8, -4, 0, 0, 3]),
+        Polynomial(field, [4, -16, 19, -6, 0, 0, 0, 4]),
+    )
+    gcds, inits, in_power = [], [], []
+    gcd, init, power, product = Polynomial.gcd, Quotient.__init__, Polynomial.__pow__, Polynomial.__mul__
+
+    def counted_gcd(self, other):
+        gcds.append(None)
+        return gcd(self, other)
+
+    def counted_init(self, num, den):
+        inits.append(None)
+        init(self, num, den)
+
+    def marked_power(self, k):
+        in_power.append(None)
+        try:
+            return power(self, k)
+        finally:
+            in_power.pop()
+
+    def guarded_product(self, other):
+        assert not in_power, "a power multiplied polynomials"
+        return product(self, other)
+
+    monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
+    monkeypatch.setattr(Quotient, "__init__", counted_init)
+    monkeypatch.setattr(Polynomial, "__pow__", marked_power)
+    monkeypatch.setattr(Polynomial, "__mul__", guarded_product)
+    assert evaluate_text(text, field) == expected
+    assert (len(gcds), len(inits)) == (1, 1)

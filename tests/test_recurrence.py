@@ -176,9 +176,9 @@ def test_recurrence_readers_need_no_derivative_and_no_apply(monkeypatch):
     orbit_lengths = []
     orbit = Matrix.orbit
 
-    def recorded(matrix, vector, steps):
+    def recorded(matrix, vector, steps, output=None):
         orbit_lengths.append(steps)
-        return orbit(matrix, vector, steps)
+        return orbit(matrix, vector, steps, output)
 
     monkeypatch.setattr(RationalStream, "derivative", forbidden)
     monkeypatch.setattr(Matrix, "apply", forbidden)

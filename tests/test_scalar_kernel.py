@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from streamcalc import (
     FieldMismatch,
+    ShapeMismatch,
     LinearSystem,
     Matrix,
     Polynomial,
@@ -135,6 +136,29 @@ def test_tap_scale_takes_the_least_exponent_per_base_element():
     assert _tap_scale([Fraction(1), Fraction(1, 18)]) == 6
     # 101, above the trial-division bound, is left to the coprime base
     assert _tap_scale([Fraction(1), Fraction(1, 18 * 101)]) == 6 * 101
+    # 101^2 alone is one base element, taken as 101^2: c^2 needs 101^2, so 101
+    assert _tap_scale([Fraction(1), Fraction(1, 101**2)]) == 101
+
+
+@pytest.mark.parametrize("taps", ([Fraction(1), Fraction(1, 18)], [Fraction(1), Fraction(1, 101**2)]),
+                         ids=("18", "101^2"))
+def test_recurrence_terms_are_the_boxed_terms_at_the_least_scale(taps):
+    num, den = (Fraction(3), Fraction(-1, 7)), (Fraction(1),) + tuple(taps)
+    quotient = SimpleNamespace(num=Polynomial(QQ, num), den=Polynomial(QQ, den))
+    assert list(islice(QQ.recurrence(num, den), 60)) == boxed_expand(quotient, 60)
+
+
+@given(st.sampled_from((101, 127, 10**39 + 3)), st.lists(st.just(0) | st.integers(0, 12), max_size=8))
+def test_tap_scale_is_least_for_powers_of_one_large_prime(prime, exponents):
+    """Each tap 1 / p^e_j: c = p^(max_j ceil(e_j / j)), however the p^e_j fall
+    into the coprime base."""
+    taps = [Fraction(1, prime**e) for e in exponents]
+    assert _tap_scale(taps) == prime ** max((-(-e // j) for j, e in enumerate(exponents, 1)), default=0)
+
+
+@given(st.sampled_from((101, 101 * 103, 101 * 103**2, 10**39 + 3)), st.integers(1, 12))
+def test_perfect_root_undoes_every_power(root, m):
+    assert fields._perfect_root(root**m) == root
 
 
 def taps_over(primes, exponent):
@@ -330,6 +354,47 @@ def test_power_on_millers_branch_matches_repeated_product(field, coeffs, k):
     assert p**k == boxed_power(p, k)
 
 
+@given(st.sampled_from((QQ, PrimeField(7), GF101, GF_MERSENNE)), st.sampled_from(("shifted", "constant")),
+       st.integers(1, 3), st.lists(scalars, min_size=1, max_size=3), st.data())
+def test_power_by_shift_or_of_a_constant_matches_repeated_product(field, shape, v, coeffs, data):
+    """f = X^v g with g(0) != 0, and constant f: the branches __pow__ takes
+    before Miller's and the Frobenius split, k >= char included."""
+    g = [element(field, c) for c in coeffs]
+    assume(g[0] != field.zero())
+    p = Polynomial(field, [field.zero()] * v + g if shape == "shifted" else g[:1])
+    char = field.characteristic
+    around = (char - 1, char, char + 1) if 0 < char < 1000 else ()
+    k = data.draw(st.integers(0, 12) | st.sampled_from(around) if around else st.integers(0, 12))
+    assert p**k == boxed_power(p, k)
+
+
+# scalars with every kind of denominator of util.DENOMINATORS
+def rationals(kind):
+    return st.just(Fraction(0)) | st.builds(Fraction, st.integers(-9, 9), DENOMINATORS[kind])
+
+
+@given(st.sampled_from(sorted(DENOMINATORS)), st.integers(0, 4), st.integers(2, 3), st.data())
+def test_orbit_readout_matches_outputs_of_the_boxed_orbit(kind, n, m, data):
+    """Over Q the outputs H M^t v are read off the orbit's integers: equal to H
+    applied to each boxed term, at 0, 1, 2n and other steps, with zero rows
+    of H and dimension 0."""
+    entries = rationals(kind)
+    square = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in data.draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        rows[i] = [Fraction(0)] * n
+    matrix, output = Matrix(QQ, square, cols=n), Matrix(QQ, rows, cols=n)
+    vector = data.draw(st.lists(entries, min_size=n, max_size=n))
+    steps = data.draw(st.sampled_from((0, 1, 2 * n)) | st.integers(0, 2 * n + 3))
+    expected = [output._times(x) for x in boxed_orbit(matrix, vector, steps)]
+    assert matrix.orbit(vector, steps, output) == expected
+
+
+def test_orbit_readout_needs_as_many_columns():
+    with pytest.raises(ShapeMismatch):
+        Matrix(QQ, [[1, 2], [3, 4]]).orbit((1, 2), 3, Matrix(QQ, [[1, 2, 3]]))
+
+
 @pytest.mark.parametrize("field", (QQ, GF101), ids=repr)
 def test_oracles_run_without_the_kernel(field, monkeypatch):
     """StreamPrefix, path_sum, Netlist.simulate and the k(X) resolvent keep
@@ -359,7 +424,7 @@ def test_oracles_run_without_the_kernel(field, monkeypatch):
     for descriptor in (Field, type(QQ), PrimeField):
         monkeypatch.setattr(descriptor, "recurrence", refuse_recurrence)
     with pytest.raises(AssertionError, match="dot kernel"):
-        pointed.step_outputs(2)
+        transition.apply((1, 0))  # a mat-vec reaches dot over every field
     with pytest.raises(AssertionError, match="recurrence kernel"):
         RationalStream(Polynomial.one(field), pa).expand(8)
     assert (a * a * b).take(8) == product
