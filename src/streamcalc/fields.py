@@ -6,9 +6,9 @@ terms with positive denominator).  Prime-field scalars are
 (:data:`QQ` or a :class:`PrimeField`) supplies identities, inversion and the
 text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
 membership, for matrices, polynomials and a residue's operators alike, and
-its ``dot`` sums products, for every mat-vec.  Its ``recurrence`` makes the
-coefficients of a closed form p/q, for every expansion: fraction-free on
-integers over Q, on bare residues over GF(p).
+its ``dot`` sums products, for ``Matrix.apply`` and matrix products.  Its
+``recurrence`` makes the coefficients of a closed form p/q, for every
+expansion: fraction-free on integers over Q, on bare residues over GF(p).
 
 Every other integer kernel reaches a field's scalars only through the
 field's integer form, five members: ``integers`` puts elements over one
@@ -16,15 +16,14 @@ denominator d, ``residue`` is an integer as the field sees it (its zero
 test), ``shrink`` makes integers over d smaller, and ``ratio`` and
 ``ratios`` box integers over d as elements again.  ``Field.berlekamp_massey``
 (one fraction-free kernel for every field, back from coefficients to the
-shortest recurrence), ``Matrix.orbit`` over Q and the netlist plan are those
-kernels.  Two choices there still depend on the field, each kept because it
-measured faster than one path for all fields: ``Netlist._tick`` reduces
-every gate's integer mod p over GF(p), and ``Matrix.orbit`` takes its
-integer path over Q only; the test that guards this module's monopoly looks
-for ``fractions`` imports and the Q form's names, not for these.  Over GF(p) the form is the residues over 1.  Over Q it is written
-here once: ``over_one_denominator`` puts ``Fraction``s over their least
-common denominator, and ``strip_content``, which is ``Rationals.shrink``,
-divides integers over a shared denominator by their common content;
+shortest recurrence), ``Matrix.orbit`` and the netlist plan are those
+kernels; a test guards this, and that no other module names ``Rationals``.
+Two loops keep a per-field form, as one path measured slower: the two
+``recurrence`` members, and ``Netlist._tick``'s ``% p`` on every gate.
+Over GF(p) the form is the residues over 1.  Over Q it is written here
+once: ``over_one_denominator`` puts ``Fraction``s over their least common
+denominator, and ``strip_content``, which is ``Rationals.shrink``, divides
+integers over a shared denominator by their common content;
 ``Rationals.recurrence``, whose window the strip rebuilds, calls it too.
 """
 
@@ -457,7 +456,8 @@ class PrimeField(Field):
 
     def coerce(self, value):
         if isinstance(value, PrimeFieldElement):
-            if value.field != self:
+            # identity first: a field is almost always the one _prime_field object
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(
                     f"GF({value.field.modulus}) value used in GF({self.modulus})"
                 )

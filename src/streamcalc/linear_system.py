@@ -10,9 +10,9 @@ outputs already made by the one forward recurrence, ``RationalStream._terms``.
 
 Every iteration of a matrix goes through the one kernel
 :meth:`Matrix.orbit`: the outputs are H on F's orbit, read off its
-integers over Q, the observability
-matrix stacks the orbits of H's rows under F transposed, and state
-equivalence checks the outputs of a difference of states.  Every other
+integers, the observability matrix stacks the orbits of H's rows under F
+transposed, and state equivalence checks the outputs of a difference of
+states.  Every other
 finite representation reaches its stream through this module's pointed
 systems (``to_linear_system``).  This module also reads the minimal
 realization of a vector of rational streams off their closed forms, as the
@@ -158,12 +158,12 @@ def realize(streams: Sequence[RationalStream]) -> PointedLinearSystem:
         if s.field != field:
             raise FieldMismatch("streams over different fields")
     zero, one = field.zero(), field.one()
-    minimal = Polynomial.one(field)
-    for s in streams:
-        length = max(s.den.degree, s.num.degree + 1)
-        annihilator = Polynomial._make(
-            field, [zero] * (length - s.den.degree) + list(reversed(s.den.coeffs))
-        )
+    annihilators = (  # the padding is L - deg q
+        Polynomial._make(field, [zero] * max(0, s.num.degree + 1 - s.den.degree) + [*s.den.coeffs[::-1]])
+        for s in streams
+    )
+    minimal = next(annihilators)  # one stream needs no lcm
+    for annihilator in annihilators:
         minimal = minimal * (annihilator // minimal.gcd(annihilator))
     n = minimal.degree
     transition = Matrix(

@@ -14,7 +14,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, FormatError, ShapeMismatch, SingularMatrix
-from .fields import Field, Rationals
+from .fields import Field
 from .poly import FractionField, Polynomial, RationalFunction
 from .ratstream import RationalStream
 
@@ -115,22 +115,23 @@ class Matrix:
 
     def apply(self, vector: Sequence) -> Tuple:
         """Matrix-vector product, on plain tuples."""
-        return self._times(self._vector(vector))
+        dot, vec = self.domain.dot, self._vector(vector)
+        return tuple(dot(row, vec) for row in self.entries)
 
     def orbit(self, vector: Sequence, steps: int, output: Optional["Matrix"] = None) -> List[Tuple]:
-        """v, Mv, ..., M^(steps-1) v for this square M: the one loop that applies
-        a matrix to its own result, coercing v once and stopping at the last term.
-        With an ``output`` matrix H of as many columns, the terms are
+        """v, Mv, ..., M^(steps-1) v for this square M over Q or GF(p): the one
+        loop that applies a matrix to its own result, stopping at the last
+        term.  With an ``output`` matrix H of as many columns, the terms are
         H v, H M v, ..., H M^(steps-1) v instead.
 
-        Over Q it runs on the field's integer form: M's entries are integers
-        over one denominator d (``integers``), so dM is kept as sparse rows of
-        (column, integer) nonzeros, and each term is integers w over one
-        denominator g; a step is w <- dM w and g <- d g, made smaller by
-        ``shrink`` (the common content of w and g stripped), and boxed by
-        ``ratios``.  With H, over one denominator e, the outputs are read off
-        the integers, as eH w over e g, and only they are boxed.  Over GF(p)
-        and k(X) each step is a ``dot`` per row, and H is applied to each term."""
+        It runs on the field's integer form: M's entries are integers over one
+        denominator d (``integers``), so dM is kept as sparse rows of (column,
+        integer) nonzeros, and each term is integers w over one denominator g;
+        a step is w <- dM w and g <- d g, made smaller by ``shrink`` (over Q
+        the common content of w and g stripped, over GF(p) w reduced mod p),
+        and boxed by ``ratios``.  With H, over one denominator e, the outputs
+        are read off the integers, as eH w over e g, and only they are boxed.
+        A matrix over k(X) has no integer form and raises FieldMismatch."""
         if self.rows != self.cols:
             raise ShapeMismatch("an orbit needs a square matrix")
         if output is not None and output.cols != self.cols:
@@ -138,20 +139,17 @@ class Matrix:
         if steps < 0:
             raise ValueError("orbit length must be nonnegative")
         field = self.domain
-        terms = [self._vector(vector)]
-        if not isinstance(field, Rationals) or steps < 2:
-            while len(terms) < steps:
-                terms.append(self._times(terms[-1]))
-            terms = terms[:steps]
-            return terms if output is None else [output._times(x) for x in terms]
+        if isinstance(field, FractionField):
+            raise FieldMismatch("an orbit expects a matrix over the scalar field")
         rows, d = self._integer_rows()
-        w, g = field.integers(terms[0])
+        w, g = field.integers(self._vector(vector))
         shrink, ratios = field.shrink, field.ratios
         if output is not None:
             read, e = output._integer_rows()
-            terms = [tuple(ratios(_sparse_times(read, w), e * g))]
-        while len(terms) < steps:
-            w, g = shrink(_sparse_times(rows, w), d * g)
+        terms = []
+        for t in range(steps):
+            if t:
+                w, g = shrink(_sparse_times(rows, w), d * g)
             if output is None:
                 terms.append(tuple(ratios(w, g)))
             else:
@@ -159,7 +157,7 @@ class Matrix:
         return terms
 
     def _integer_rows(self) -> Tuple[List[Tuple[List[int], List[int]]], int]:
-        """(rows, d): this matrix over Q as dM, each row the (columns, integers)
+        """(rows, d): this matrix as dM, each row the (columns, integers)
         of its nonzero entries, and d > 0 their one denominator."""
         flat, d = self.domain.integers(e for row in self.entries for e in row)
         rows, n = [], self.cols
@@ -174,10 +172,6 @@ class Matrix:
         if len(vec) != self.cols:
             raise ShapeMismatch(f"vector of length {len(vec)} for {self.cols} columns")
         return vec
-
-    def _times(self, vec: Tuple) -> Tuple:
-        dot = self.domain.dot
-        return tuple(dot(row, vec) for row in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

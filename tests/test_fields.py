@@ -110,6 +110,17 @@ def test_field_mismatch_detected():
         GF7.from_int(1) + Fraction(1, 2)
 
 
+def test_coerce_takes_an_equal_distinct_field_and_refuses_a_foreign_one():
+    """``coerce`` tests a field's identity before its equality: an element of
+    another PrimeField(7) object is still in GF(7), one of GF(101) is not."""
+    twin = PrimeField(7)
+    assert twin is not GF7 and twin == GF7
+    assert GF7.coerce(twin.from_int(3)) == GF7.from_int(3)
+    assert GF7.from_int(2) * twin.from_int(3) == GF7.from_int(6)
+    with pytest.raises(FieldMismatch):
+        GF7.coerce(GF101.from_int(3))
+
+
 @pytest.mark.parametrize("op", [add, sub, mul, truediv])
 def test_every_operand_enters_through_coerce(op):
     a = GF7.from_int(3)
@@ -322,8 +333,9 @@ def test_the_integer_form_over_q_is_the_module_functions():
     assert QQ.ratio is Fraction
 
 
-# what only fields.py may know: the Q form's functions and the GF(p) box
-HIDDEN = {"strip_content", "over_one_denominator", "PrimeFieldElement"}
+# what only fields.py may know: the Q form's functions, the GF(p) box and the
+# Q class, so that no other module picks a path by the field's class
+HIDDEN = {"strip_content", "over_one_denominator", "PrimeFieldElement", "Rationals"}
 PACKAGE = Path(streamcalc.__file__).parent
 
 

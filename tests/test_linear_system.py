@@ -89,6 +89,30 @@ def test_realize_pair_golden():
     assert pointed.initial == (1, 0, 0)
 
 
+@pytest.mark.parametrize("count", (1, 2))
+def test_realize_takes_one_gcd_per_further_stream(count, monkeypatch):
+    """The minimal polynomial starts from the first stream's annihilator, so
+    one stream needs no gcd and no division, and two need one of each."""
+    streams = [evaluate_text("1/(1-2*X)"), evaluate_text("1/(1-X)^2")][:count]
+    calls = []
+    gcd, floordiv = Polynomial.gcd, Polynomial.__floordiv__
+
+    def counted_gcd(self, other):
+        calls.append("gcd")
+        return gcd(self, other)
+
+    def counted_floordiv(self, other):
+        calls.append("//")
+        return floordiv(self, other)
+
+    monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
+    monkeypatch.setattr(Polynomial, "__floordiv__", counted_floordiv)
+    pointed = realize(streams)
+    monkeypatch.undo()
+    assert sorted(calls) == ["//", "gcd"] * (count - 1)
+    assert pointed.behaviour() == tuple(streams)
+
+
 def test_realize_zero_stream():
     pointed = realize([RationalStream.zero(QQ)])
     assert pointed.dim == 0

@@ -312,10 +312,11 @@ def test_orbit_matches_boxed_mat_vec(field, n, data, steps):
     assert matrix.apply(vector) == boxed_orbit(matrix, vector, 2)[1]
 
 
-def test_companion_orbit_multiplies_only_the_nonzero_entries(monkeypatch):
-    """Over Q the orbit multiplies the integers of its sparse rows of dF."""
-    den = Polynomial(QQ, [1, 0, -3, 0, 0, 0, 0, 5, 0, Fraction(1, 2)])
-    pointed = realize([RationalStream(Polynomial(QQ, [2, 1]), den)])
+@pytest.mark.parametrize("field", (QQ, GF101, GF_MERSENNE), ids=repr)
+def test_companion_orbit_multiplies_only_the_nonzero_entries(field, monkeypatch):
+    """Over Q and GF(p) the orbit multiplies the integers of its sparse rows of dF."""
+    den = Polynomial(field, [element(field, c) for c in (1, 0, -3, 0, 0, 0, 0, 5, 0, Fraction(1, 2))])
+    pointed = realize([RationalStream(Polynomial(field, [2, 1]), den)])
     transition, steps = pointed.system.dynamics, 12
     nonzero = sum(1 for row in transition.entries for e in row if e)
     products = []
@@ -386,13 +387,21 @@ def test_orbit_readout_matches_outputs_of_the_boxed_orbit(kind, n, m, data):
     matrix, output = Matrix(QQ, square, cols=n), Matrix(QQ, rows, cols=n)
     vector = data.draw(st.lists(entries, min_size=n, max_size=n))
     steps = data.draw(st.sampled_from((0, 1, 2 * n)) | st.integers(0, 2 * n + 3))
-    expected = [output._times(x) for x in boxed_orbit(matrix, vector, steps)]
+    expected = [output.apply(x) for x in boxed_orbit(matrix, vector, steps)]
     assert matrix.orbit(vector, steps, output) == expected
 
 
 def test_orbit_readout_needs_as_many_columns():
     with pytest.raises(ShapeMismatch):
         Matrix(QQ, [[1, 2], [3, 4]]).orbit((1, 2), 3, Matrix(QQ, [[1, 2, 3]]))
+
+
+@pytest.mark.parametrize("steps", (0, 1, 3))
+def test_orbit_over_k_of_x_raises_field_mismatch(steps):
+    """k(X) has no integer form, so the one integer orbit refuses it."""
+    kx = FractionField(QQ)
+    with pytest.raises(FieldMismatch):
+        Matrix(kx, [[1, 2], [3, 4]]).orbit((1, 0), steps)
 
 
 @pytest.mark.parametrize("field", (QQ, GF101), ids=repr)
