@@ -11,15 +11,21 @@ Grammar (hand-written recursive descent, LL(1) after precedence layering)::
 Precedence is ``^`` above unary ``-`` above ``*``/``/`` above binary
 ``+``/``-``; binary operators associate to the left.  A ``/`` directly
 between two integer literals with no whitespace lexes as one scalar literal
-(``3/4``); everywhere else ``/`` is stream division.  Unary minus on a scalar
-literal folds into the literal so printing and reparsing are inverse.
-Multiplicative inverse has no dedicated syntax (write ``1/e``); the AST node
-exists for programmatic use.
+(``3/4``); everywhere else ``/`` is stream division.  A unary minus folds
+into the scalar literal written right after it (``-3``, ``-3*X``), not into
+``-(3)``, ``--3`` or ``-3^2``; the printer parenthesizes a scalar under
+``Neg``, so printing and reparsing are inverse.  Multiplicative inverse has
+no dedicated syntax (write ``1/e``); the AST node exists for programmatic use.
+
+One table, ``_FORMS``, gives each compound node's precedence, rendering and
+meaning.  The parser's levels, ``_INFIX``, are read from it, and ``to_text``
+and ``evaluate`` are two ``combine`` functions over one post-order ``_fold``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
@@ -84,17 +90,33 @@ class Inv:
 
 Expr = Union[Scalar, VarX, Neg, Add, Sub, Mul, Div, Pow, Inv]
 
+# Binding strength, from binary +/- up to an atom.
+_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+
+# Per compound node: its precedence, the template joining its rendered
+# children, per child the attribute and the least precedence that it shows
+# without parentheses, and its meaning on the children's streams.  Pow's
+# exponent is a literal, not a child: both folds append it to the results.
+_Form = namedtuple("_Form", "precedence template children meaning")
+_FORMS = {
+    Add: _Form(_ADD, "{} + {}", (("left", _ADD), ("right", _ADD + 1)), operator.add),
+    Sub: _Form(_ADD, "{} - {}", (("left", _ADD), ("right", _ADD + 1)), operator.sub),
+    Mul: _Form(_MUL, "{}*{}", (("left", _MUL), ("right", _MUL + 1)), operator.mul),
+    Div: _Form(_MUL, "{}/{}", (("left", _MUL), ("right", _MUL + 1)), operator.truediv),
+    Inv: _Form(_MUL, "1/{}", (("operand", _MUL + 1),), RationalStream.inverse),
+    Neg: _Form(_NEG, "-{}", (("operand", _NEG),), operator.neg),
+    Pow: _Form(_POW, "{}^{}", (("base", _ATOM),), operator.pow),
+}
+
+# The binary operator tokens and their nodes, grouped by the precedence level
+# that _FORMS gives each node.
+_TOKENS = {"PLUS": Add, "MINUS": Sub, "STAR": Mul, "SLASH": Div}
+_INFIX = {p: {t: n for t, n in _TOKENS.items() if _FORMS[n].precedence == p} for p in (_ADD, _MUL)}
+
 _Token = Tuple[str, object, int]  # (kind, payload, byte offset)
 
-_PUNCT = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
+_SINGLE = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH", "^": "CARET",
+           "(": "LPAREN", ")": "RPAREN", "X": "X"}
 
 
 def _literal(digits: str, position: int) -> int:
@@ -112,8 +134,7 @@ def _tokenize(text: str) -> List[_Token]:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if is_ascii_digits(ch):
+        elif is_ascii_digits(ch):
             start = i
             while i < n and is_ascii_digits(text[i]):
                 i += 1
@@ -128,16 +149,11 @@ def _tokenize(text: str) -> List[_Token]:
                 tokens.append(("RAT", (numerator, denominator), start))
             else:
                 tokens.append(("INT", numerator, start))
-            continue
-        if ch == "X":
-            tokens.append(("X", None, i))
+        elif ch in _SINGLE:
+            tokens.append((_SINGLE[ch], None, i))
             i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((_PUNCT[ch], None, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("END", None, n))
     return tokens
 
@@ -157,10 +173,8 @@ class _Parser:
     def nested(self, parse):
         """Run ``parse`` one level below the token just read, within _MAX_NESTING."""
         if self.depth == _MAX_NESTING:
-            raise ParseError(
-                f"expression nests deeper than {_MAX_NESTING} levels",
-                self.tokens[self.pos - 1][2],
-            )
+            offset = self.tokens[self.pos - 1][2]
+            raise ParseError(f"expression nests deeper than {_MAX_NESTING} levels", offset)
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -178,35 +192,25 @@ class _Parser:
         kind, _, offset = self.peek()
         raise ParseError(f"{message}, found {kind}", offset, expected)
 
-    def expect(self, kind: str) -> _Token:
-        if self.peek()[0] != kind:
-            self.fail(f"expected {kind}", {kind})
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            op = self.advance()[0]
-            right = self.parse_term()
-            node = Add(node, right) if op == "PLUS" else Sub(node, right)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek()[0] in ("STAR", "SLASH"):
-            op = self.advance()[0]
-            right = self.parse_unary()
-            node = Mul(node, right) if op == "STAR" else Div(node, right)
+    def parse_binary(self, level: int = _ADD) -> Expr:
+        """A left-associative chain of the binary operators of precedence ``level``."""
+        operators = _INFIX[level]
+        node = self.parse_binary(level + 1) if level < _MUL else self.parse_unary()
+        while self.peek()[0] in operators:
+            node_class = operators[self.advance()[0]]
+            right = self.parse_binary(level + 1) if level < _MUL else self.parse_unary()
+            node = node_class(node, right)
         return node
 
     def parse_unary(self) -> Expr:
-        if self.peek()[0] == "MINUS":
-            self.advance()
-            operand = self.nested(self.parse_unary)
-            if isinstance(operand, Scalar):
-                return Scalar(-operand.value)  # fold literal negation
-            return Neg(operand)
-        return self.parse_power()
+        if self.peek()[0] != "MINUS":
+            return self.parse_power()
+        self.advance()
+        literal = self.peek()[0] in ("INT", "RAT")
+        operand = self.nested(self.parse_unary)
+        if literal and isinstance(operand, Scalar):
+            return Scalar(-operand.value)  # the minus folds into the literal right after it
+        return Neg(operand)
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -214,8 +218,7 @@ class _Parser:
             self.advance()
             if self.peek()[0] != "INT":
                 self.fail("power exponent must be a nonnegative integer literal", {"INT"})
-            exponent = self.advance()[1]
-            return Pow(base, exponent)
+            return Pow(base, self.advance()[1])
         return base
 
     def parse_atom(self) -> Expr:
@@ -235,8 +238,10 @@ class _Parser:
             return VarX()
         if kind == "LPAREN":
             self.advance()
-            node = self.nested(self.parse_expr)
-            self.expect("RPAREN")
+            node = self.nested(self.parse_binary)
+            if self.peek()[0] != "RPAREN":
+                self.fail("expected RPAREN", {"RPAREN"})
+            self.advance()
             return node
         self.fail("expected a scalar, 'X' or '('", {"INT", "RAT", "X", "LPAREN"})
 
@@ -244,110 +249,75 @@ class _Parser:
 def parse(text: str, field: Field = QQ) -> Expr:
     """Parse an expression; scalar literals are built in ``field``."""
     parser = _Parser(_tokenize(text), field)
-    node = parser.parse_expr()
+    node = parser.parse_binary()
     if parser.peek()[0] != "END":
         parser.fail("trailing input", {"END"})
     return node
 
 
-_ADD_PREC, _MUL_PREC, _NEG_PREC, _POW_PREC, _ATOM_PREC = 1, 2, 3, 4, 5
-
-
-def _precedence(node: Expr, field: Field) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _ADD_PREC
-    if isinstance(node, (Mul, Div, Inv)):
-        return _MUL_PREC
-    if isinstance(node, Neg):
-        return _NEG_PREC
-    if isinstance(node, Pow):
-        return _POW_PREC
-    if isinstance(node, Scalar) and field.is_negative(node.value):
-        return _NEG_PREC  # renders with a leading minus
-    return _ATOM_PREC
-
-
-# Compound nodes: the template joining their rendered children, and per child
-# the attribute and the least precedence that it shows without parentheses.
-_SHAPES = {
-    Neg: ("-{}", ("operand", _NEG_PREC)),
-    Add: ("{} + {}", ("left", _ADD_PREC), ("right", _ADD_PREC + 1)),
-    Sub: ("{} - {}", ("left", _ADD_PREC), ("right", _ADD_PREC + 1)),
-    Mul: ("{}*{}", ("left", _MUL_PREC), ("right", _MUL_PREC + 1)),
-    Div: ("{}/{}", ("left", _MUL_PREC), ("right", _MUL_PREC + 1)),
-    Pow: ("{}^{}", ("base", _ATOM_PREC)),
-    Inv: ("1/{}", ("operand", _MUL_PREC + 1)),
-}
+def _fold(node: Expr, combine):
+    """Call ``combine(n, results)`` on each node n post-order, with the results
+    of n's children (none for a leaf), on an explicit stack: a long operator
+    chain (a sum of thousands of terms parses left-deep) needs no recursion."""
+    results: List = []
+    pending: List = [node]
+    while pending:
+        n = pending.pop()
+        if isinstance(n, _Form):  # the form of the node below, once its children are folded
+            arity = len(n.children)
+            children = results[-arity:]
+            del results[-arity:]
+            results.append(combine(pending.pop(), children))
+        elif type(n) in _FORMS:
+            form = _FORMS[type(n)]
+            pending += (n, form)
+            for name, _ in reversed(form.children):
+                pending.append(getattr(n, name))
+        elif isinstance(n, (Scalar, VarX)):
+            results.append(combine(n, ()))
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+    return results[0]
 
 
 def to_text(node: Expr, field: Field = QQ) -> str:
-    """Render an AST so that parsing the text gives the AST back.
+    """Render an AST so that parsing the text gives the AST back, except
+    that ``Inv(e)`` prints as ``1/e`` and parses back as ``Div``."""
 
-    Like ``evaluate``, it works post-order on an explicit stack, so a long
-    operator chain needs no recursion.
-    """
-    texts: List[str] = []
-    pending: List = [node]
-    while pending:
-        n = pending.pop()
-        if isinstance(n, tuple):  # (node,) once the node's children are rendered
-            n = n[0]
-            template, *slots = _SHAPES[type(n)]
-            parts = texts[-len(slots):]
-            del texts[-len(slots):]
-            for i, (name, least) in enumerate(slots):
-                if _precedence(getattr(n, name), field) < least:
-                    parts[i] = f"({parts[i]})"
-            if isinstance(n, Pow):
-                parts.append(n.exponent)
-            elif isinstance(n, Div) and is_ascii_digits(parts[0][-1] + parts[1][0]):
-                template = "{} / {}"  # keep digit/digit from lexing as a scalar literal
-            texts.append(template.format(*parts))
-        elif isinstance(n, Scalar):
-            texts.append(field.format(n.value))
-        elif isinstance(n, VarX):
-            texts.append("X")
-        elif type(n) in _SHAPES:
-            pending.append((n,))
-            pending += [getattr(n, name) for name, _ in reversed(_SHAPES[type(n)][1:])]
-        else:
-            raise TypeError(f"not an expression node: {n!r}")
-    return texts[0]
+    def combine(n, rendered):  # rendered: (text, precedence) per child
+        if isinstance(n, Scalar):  # a negative one renders with a leading minus
+            return field.format(n.value), _NEG if field.is_negative(n.value) else _ATOM
+        if isinstance(n, VarX):
+            return "X", _ATOM
+        form = _FORMS[type(n)]
+        parts = [text if shown >= least else f"({text})"
+                 for (text, shown), (_, least) in zip(rendered, form.children)]
+        template = form.template
+        if isinstance(n, Pow):
+            parts.append(n.exponent)
+        elif isinstance(n, Neg) and isinstance(n.operand, Scalar):
+            parts[0] = f"({parts[0]})"  # else the minus would fold into the literal
+        elif isinstance(n, Div) and is_ascii_digits(parts[0][-1] + parts[1][0]):
+            template = "{} / {}"  # keep digit/digit from lexing as a scalar literal
+        return template.format(*parts), form.precedence
 
-
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+    return _fold(node, combine)[0]
 
 
 def evaluate(node: Expr, field: Field = QQ) -> RationalStream:
-    """Fold an AST into a rational stream over ``field``.
+    """Fold an AST into a rational stream over ``field``."""
+    x = RationalStream.x(field)  # streams are immutable, so every X leaf shares one
 
-    The fold runs post-order on an explicit stack, so a long operator chain
-    (a sum of thousands of terms parses left-deep) needs no recursion.
-    """
-    values: List[RationalStream] = []
-    pending: List = [node]
-    while pending:
-        n = pending.pop()
-        if isinstance(n, tuple):  # (operation, arity) once its operands are done
-            operation, arity = n
-            operands = values[-arity:]
-            del values[-arity:]
-            values.append(operation(*operands))
-        elif isinstance(n, Scalar):
-            values.append(RationalStream.constant(field, field.coerce(n.value)))
-        elif isinstance(n, VarX):
-            values.append(RationalStream.x(field))
-        elif type(n) in _BINARY:
-            pending += [(_BINARY[type(n)], 2), n.right, n.left]
-        elif isinstance(n, Neg):
-            pending += [(operator.neg, 1), n.operand]
-        elif isinstance(n, Pow):
-            pending += [(lambda s, k=n.exponent: s ** k, 1), n.base]
-        elif isinstance(n, Inv):
-            pending += [(RationalStream.inverse, 1), n.operand]
-        else:
-            raise TypeError(f"not an expression node: {n!r}")
-    return values[0]
+    def combine(n, operands):
+        if isinstance(n, Scalar):
+            return RationalStream.constant(field, field.coerce(n.value))
+        if isinstance(n, VarX):
+            return x
+        if isinstance(n, Pow):
+            operands.append(n.exponent)
+        return _FORMS[type(n)].meaning(*operands)
+
+    return _fold(node, combine)
 
 
 def evaluate_text(text: str, field: Field = QQ) -> RationalStream:

@@ -131,23 +131,33 @@ class Polynomial:
         return Polynomial._make(self.field, [c * a for a in self.coeffs])
 
     def __pow__(self, k: int):
-        """f^k, by the first branch that applies: 0^k; a constant's power;
-        X^(vk) g^k for f = X^v g with v > 0 and g(0) != 0; the Frobenius
-        split for k >= char; Miller's recurrence for k deg f < char (always
-        over Q); else square-and-multiply."""
+        """f^k, by the first branch that applies: 0^k; X^(vk) g^k for f =
+        X^v g with v > 0 and g(0) != 0; Miller's recurrence for k deg f <
+        char (always over Q, and for every power of a constant); the
+        Frobenius split for k >= char; else square-and-multiply."""
         if k < 0:
             raise ValueError("negative polynomial power")
         field, p, d = self.field, self.coeffs, self.degree
         char = field.characteristic
         if d < 0:
             return self if k else Polynomial.one(field)
-        if d == 0:
-            return Polynomial._make(field, [p[0] ** k])
         if not p[0]:
             v = next(i for i, c in enumerate(p) if c)
             shifted = Polynomial._make(field, list(p[v:])) ** k
             return Polynomial._make(field, [field.zero()] * (v * k) + list(shifted.coeffs))
-        if char and k >= char:
+        if char == 0 or k * d < char:
+            # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: n p_0 out_n
+            # = sum_{i=1..min(n, d)} ((k+1) i - n) p_i out_(n-i), two dot products;
+            # n * p(0) is invertible for every n <= k * d by the condition above
+            dot, tail = field.dot, p[1:]
+            weighted = [field.from_int((k + 1) * i) * c for i, c in enumerate(tail, 1)]
+            out = [p[0] ** k]
+            for n in range(1, k * d + 1):
+                m = field.from_int(n)
+                acc = dot(weighted, reversed(out)) - m * dot(tail, reversed(out))
+                out.append(acc * field.inv(m * p[0]))
+            return Polynomial._make(field, out)
+        if k >= char:
             # Frobenius: f^char = f(X^char) in characteristic char, so
             # f^k = f^(k mod char) * (f^(k div char))(X^char)
             high = (self ** (k // char)).coeffs
@@ -155,18 +165,6 @@ class Polynomial:
             spread[::char] = high
             # the sparse factor goes first: ``*`` skips its zero coefficients
             return Polynomial._make(field, spread) * self ** (k % char)
-        if char == 0 or k * d < char:
-            # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: n p_0 out_n
-            # = sum_{i=1..min(n, d)} ((k+1) i - n) p_i out_(n-i), two dot products;
-            # n * p(0) is invertible for every n <= k * d by the condition above
-            dot, lifted, tail = field.dot, field.from_int(k + 1), p[1:]
-            weighted = [field.from_int(i) * c for i, c in enumerate(tail, 1)]
-            out = [p[0] ** k]
-            for n in range(1, k * d + 1):
-                m = field.from_int(n)
-                acc = lifted * dot(weighted, reversed(out)) - m * dot(tail, reversed(out))
-                out.append(acc * field.inv(m * p[0]))
-            return Polynomial._make(field, out)
         result, base = Polynomial.one(field), self
         while k:  # square-and-multiply
             if k & 1:

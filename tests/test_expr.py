@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from streamcalc import NotInvertibleAtZero, ParseError, QQ, RationalStream
 from streamcalc.expr import (
+    _MAX_NESTING,
     Add,
     Div,
     Inv,
@@ -66,6 +67,23 @@ def test_negative_literal_folds():
     assert parse("-X") == Neg(VarX())
 
 
+def test_minus_folds_only_into_the_literal_right_after_it():
+    assert parse("- 3/4") == Scalar(Fraction(-3, 4))
+    assert parse("-(3)") == Neg(num(3))
+    assert parse("--3") == Neg(num(-3))
+    assert parse("-3^2") == Neg(Pow(num(3), 2))
+    assert evaluate_text("-(3)") == evaluate_text("--3 - 6") == evaluate_text("-3")
+
+
+def test_negated_scalar_prints_in_parentheses():
+    assert to_text(Neg(num(3))) == "-(3)"
+    assert to_text(Neg(num(-3))) == "-(-3)"
+    assert to_text(Neg(Neg(num(3)))) == "--(3)"
+    assert to_text(Neg(Pow(num(3), 2))) == "-3^2"
+    for ast in (Neg(num(3)), Neg(num(-3)), Neg(Neg(num(3)))):
+        assert parse(to_text(ast)) == ast
+
+
 def test_power_exponent_must_be_literal():
     with pytest.raises(ParseError):
         parse("X^-1")
@@ -119,6 +137,40 @@ def test_printer_golden():
     assert to_text(Pow(num(-2), 2)) == "(-2)^2"
 
 
+def test_inverse_prints_as_one_over_its_operand():
+    assert to_text(Mul(VarX(), Inv(VarX()))) == "X*(1/X)"
+    assert to_text(Pow(Inv(VarX()), 2)) == "(1/X)^2"
+    assert parse(to_text(Inv(VarX()))) == Div(num(1), VarX())
+
+
+@pytest.mark.parametrize("node", [3, None, "X", Fraction(1, 2), Add(VarX(), 3), (VarX(), 1), Neg((VarX(),))])
+def test_a_non_node_is_a_type_error(node):
+    with pytest.raises(TypeError, match="not an expression node"):
+        to_text(node)
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(node)
+
+
+@pytest.mark.parametrize("text, position", [("1 + ٣", 4), ("3/٣", 2), ("1/" + "1" * 5000, 2)])
+def test_parse_error_offsets(text, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text", ["(" * 100 + "X" + ")" * 100, "-" * 100 + "X", "(-" * 50 + "X" + ")" * 50])
+def test_nesting_at_the_limit_parses(text):
+    assert _MAX_NESTING == 100
+    assert evaluate_text(text) == evaluate_text("X")
+
+
+@pytest.mark.parametrize("text", ["(" * 101 + "X" + ")" * 101, "-" * 101 + "X"])
+def test_nesting_past_the_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nests deeper") as info:
+        parse(text)
+    assert info.value.position == 100
+
+
 scalar_values = st.one_of(
     st.integers(-9, 9).map(Fraction),
     st.fractions(min_value=-9, max_value=9, max_denominator=9),
@@ -133,7 +185,7 @@ def _extend(children):
         st.tuples(children, children).map(lambda p: Mul(*p)),
         st.tuples(children, children).map(lambda p: Div(*p)),
         st.tuples(children, st.integers(0, 4)).map(lambda p: Pow(*p)),
-        children.map(lambda e: e if isinstance(e, Scalar) else Neg(e)),
+        children.map(Neg),
     )
 
 

@@ -365,3 +365,25 @@ def test_only_fields_py_knows_the_integer_form():
     known = {str(path.relative_to(PACKAGE)): knowledge_of_the_integer_form(path) for path in modules}
     del known["fields.py"]
     assert {name: found for name, found in known.items() if found} == {}
+
+
+def unused_imports(path):
+    """The names that a module imports at top level and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter runs on the package, so this guard finds the import that a
+    rewrite leaves behind; ``__init__.py`` imports only to re-export."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) > 10
+    unused = {str(path.relative_to(PACKAGE)): unused_imports(path) for path in modules}
+    assert {name: found for name, found in unused.items() if found} == {}
