@@ -4,7 +4,9 @@ A netlist is a closed synchronous circuit built from multipliers, registers,
 adders and copiers.  Each tick, registers emit their stored values, the
 combinational gates are evaluated in topological order, the designated output
 port is sampled, and then every register latches its freshly computed input
-simultaneously.  A netlist derives one evaluation plan when it is built: its
+simultaneously.  One table, ``_KINDS``, states each gate kind's file keyword
+and parameter, the attribute holding it, and the ports an integer one counts.
+A netlist derives one evaluation plan when it is built: its
 multipliers and adders in topological order, each with the value slots of its
 drivers (copiers only alias slots), so a tick is one walk over that plan on
 plain integers, in the field's integer form.  Over GF(p) a slot holds its
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -76,16 +78,20 @@ Port = Tuple[str, int]  # (gate id, port index)
 Wire = Tuple[Port, Port]  # source output port -> destination input port
 
 
-def input_count(gate: Gate) -> int:
-    if isinstance(gate, Adder):
-        return gate.arity
-    return 1
+class _Kind(NamedTuple):
+    keyword: str  # of the kind on a netlist file's gate line
+    parameter: str  # label of the line's one parameter
+    attribute: str  # the gate's field that holds the parameter
+    counted: Optional[str]  # "in" or "out": the side whose ports it counts; else a scalar
 
 
-def output_count(gate: Gate) -> int:
-    if isinstance(gate, Copier):
-        return gate.fanout
-    return 1
+_KINDS = {
+    Multiplier: _Kind("multiplier", "r", "factor", None),
+    Register: _Kind("register", "init", "initial", None),
+    Adder: _Kind("adder", "arity", "arity", "in"),
+    Copier: _Kind("copier", "fanout", "fanout", "out"),
+}
+_BY_KEYWORD = {kind.keyword: (cls, kind) for cls, kind in _KINDS.items()}
 
 
 # Ticks between two strips of the register integers' content over Q.
@@ -111,11 +117,15 @@ class Netlist:
         self._make_plan()
 
     def _validate(self):
+        # each gate's count of input ports, kept for the plan, and of output ports
+        self._inputs, outputs = {}, {}
         for name, gate in self.gates.items():
-            if isinstance(gate, Adder) and gate.arity < 2:
-                raise IllFormedCircuit(f"adder {name} needs arity >= 2")
-            if isinstance(gate, Copier) and gate.fanout < 2:
-                raise IllFormedCircuit(f"copier {name} needs fanout >= 2")
+            facts = _KINDS[type(gate)]
+            count = getattr(gate, facts.attribute) if facts.counted else 1
+            if facts.counted and count < 2:
+                raise IllFormedCircuit(f"{facts.keyword} {name} needs {facts.parameter} >= 2")
+            self._inputs[name] = count if facts.counted == "in" else 1
+            outputs[name] = count if facts.counted == "out" else 1
         consumers: Dict[Port, int] = {}
         for src, dst in self.wires:
             for kind, (gid, idx) in (("source", src), ("destination", dst)):
@@ -123,9 +133,9 @@ class Netlist:
                     raise IllFormedCircuit(f"wire {kind} references unknown gate {gid}")
             src_gid, src_idx = src
             dst_gid, dst_idx = dst
-            if not 0 <= src_idx < output_count(self.gates[src_gid]):
+            if not 0 <= src_idx < outputs[src_gid]:
                 raise IllFormedCircuit(f"gate {src_gid} has no output port {src_idx}")
-            if not 0 <= dst_idx < input_count(self.gates[dst_gid]):
+            if not 0 <= dst_idx < self._inputs[dst_gid]:
                 raise IllFormedCircuit(f"gate {dst_gid} has no input port {dst_idx}")
             if dst in self._drivers:
                 raise IllFormedCircuit(f"input port {dst_gid}.in{dst_idx} driven twice")
@@ -134,13 +144,13 @@ class Netlist:
         out_gid, out_idx = self.output
         if out_gid not in self.gates:
             raise IllFormedCircuit(f"output references unknown gate {out_gid}")
-        if not 0 <= out_idx < output_count(self.gates[out_gid]):
+        if not 0 <= out_idx < outputs[out_gid]:
             raise IllFormedCircuit(f"gate {out_gid} has no output port {out_idx}")
-        for name, gate in self.gates.items():
-            for idx in range(input_count(gate)):
+        for name in self.gates:
+            for idx in range(self._inputs[name]):
                 if (name, idx) not in self._drivers:
                     raise IllFormedCircuit(f"dangling input port {name}.in{idx}")
-            for idx in range(output_count(gate)):
+            for idx in range(outputs[name]):
                 port = (name, idx)
                 count = consumers.get(port, 0)
                 if port == self.output:
@@ -176,7 +186,7 @@ class Netlist:
                     stack.pop()
                     continue
                 gate = self.gates[name]
-                sources = [self._drivers[(name, idx)] for idx in range(input_count(gate))]
+                sources = [self._drivers[(name, idx)] for idx in range(self._inputs[name])]
                 blocked = [src[0] for src in sources if src not in slots]
                 if blocked:
                     if name in waiting:
@@ -382,25 +392,13 @@ class CanonicalCircuit:
         return Netlist(self.field, gates, wires, ports[0])
 
 
-_GATE_KEYWORDS = {
-    "multiplier": (Multiplier, "r"),
-    "register": (Register, "init"),
-    "adder": (Adder, "arity"),
-    "copier": (Copier, "fanout"),
-}
-
-
 def format_netlist(netlist: Netlist) -> str:
     lines = [f"field {netlist.field.spec()}"]
     for name, gate in netlist.gates.items():
-        if isinstance(gate, Multiplier):
-            lines.append(f"gate {name} multiplier r={netlist.field.format(gate.factor)}")
-        elif isinstance(gate, Register):
-            lines.append(f"gate {name} register init={netlist.field.format(gate.initial)}")
-        elif isinstance(gate, Adder):
-            lines.append(f"gate {name} adder arity={gate.arity}")
-        else:
-            lines.append(f"gate {name} copier fanout={gate.fanout}")
+        facts = _KINDS[type(gate)]
+        value = getattr(gate, facts.attribute)
+        text = value if facts.counted else netlist.field.format(value)
+        lines.append(f"gate {name} {facts.keyword} {facts.parameter}={text}")
     for (src_gid, src_idx), (dst_gid, dst_idx) in netlist.wires:
         lines.append(f"wire {src_gid}.out{src_idx} -> {dst_gid}.in{dst_idx}")
     lines.append(f"output {netlist.output[0]}.out{netlist.output[1]}")
@@ -436,15 +434,15 @@ def parse_netlist(text: str) -> Netlist:
             name, kind, param = parts
             if name in gates:
                 raise FormatError(f"duplicate gate id: {name}")
-            if kind not in _GATE_KEYWORDS:
+            if kind not in _BY_KEYWORD:
                 raise FormatError(f"unknown gate kind: {kind!r}")
-            cls, param_key = _GATE_KEYWORDS[kind]
+            cls, facts = _BY_KEYWORD[kind]
             label, eq, param_value = param.partition("=")
-            if label != param_key or not eq:
-                raise FormatError(f"gate {name} expects parameter {param_key}=...")
-            if cls in (Adder, Copier):
+            if label != facts.parameter or not eq:
+                raise FormatError(f"gate {name} expects parameter {facts.parameter}=...")
+            if facts.counted:
                 if not is_ascii_digits(param_value):
-                    raise FormatError(f"gate {name}: {param_key} must be an integer")
+                    raise FormatError(f"gate {name}: {facts.parameter} must be an integer")
                 gates[name] = cls(parse_integer(param_value))
             else:
                 gates[name] = cls(field.parse(param_value))

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: eval, derive, realize, circuit synth/sim, automaton synth/eval,
-equal, rank, probe, guess.  Exit codes: 0 success, 1 domain error (for
+equal, rank, probe, guess, each one row of ``COMMANDS``, which
+``build_parser`` reads.  An action prints its answer and returns nothing;
+``main`` maps its exceptions to exit codes: 0 success, 1 domain error (for
 example an inversion of a stream with initial value 0, or a prefix too short
 for ``guess``), 2 syntax or format error.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -68,60 +71,43 @@ def _read(path: str, parse):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _field(args) -> Field:
-    return field_from_spec(args.field)
+def _stream(args) -> RationalStream:
+    """The command's one expression, over its ``--field``."""
+    return expr.evaluate_text(args.expr, field_from_spec(args.field))
 
 
 def _prefix_line(field: Field, values: Sequence) -> str:
     return ", ".join(field.format(v) for v in values)
 
 
-def _cmd_eval(args) -> int:
-    field = _field(args)
-    stream = expr.evaluate_text(args.expr, field)
-    print(_prefix_line(field, stream.expand(args.n)))
+def _eval(args):
+    stream = _stream(args)
+    print(_prefix_line(stream.field, stream.expand(args.n)))
     print(stream)
-    return 0
 
 
-def _cmd_derive(args) -> int:
-    field = _field(args)
-    stream = expr.evaluate_text(args.expr, field)
-    print(stream.iterated_derivative(args.k))
-    return 0
+def _derive(args):
+    print(_stream(args).iterated_derivative(args.k))
 
 
-def _cmd_realize(args) -> int:
-    field = _field(args)
+def _realize(args):
+    field = field_from_spec(args.field)
     streams = [expr.evaluate_text(text, field) for text in args.exprs]
     print(format_system(realize(streams)), end="")
-    return 0
 
 
-def _cmd_circuit_synth(args) -> int:
-    field = _field(args)
-    stream = expr.evaluate_text(args.expr, field)
-    circuit = CanonicalCircuit.from_linear_system(at_least_one_state(realize([stream])))
-    print(format_canonical(circuit), end="")
-    return 0
+def _synth(convert, write, args):
+    """Write the representation ``convert`` builds from the stream's realization."""
+    print(write(convert(at_least_one_state(realize([_stream(args)])))), end="")
 
 
-def _cmd_circuit_sim(args) -> int:
+def _circuit_sim(args):
     loaded = _read(args.file, parse_circuit_file)
     netlist = loaded if isinstance(loaded, Netlist) else loaded.to_netlist()
     print(_prefix_line(netlist.field, netlist.simulate(args.n)))
-    return 0
 
 
-def _cmd_automaton_synth(args) -> int:
-    field = _field(args)
-    stream = expr.evaluate_text(args.expr, field)
-    automaton = WeightedAutomaton.from_linear_system(at_least_one_state(realize([stream])))
-    print(format_automaton(automaton), end="")
-    return 0
-
-
-def _cmd_automaton_eval(args) -> int:
+def _automaton_eval(args):
     automaton = _read(args.file, parse_automaton)
     state = _automaton_state(automaton, args.state)
     if args.method == "path":
@@ -129,7 +115,6 @@ def _cmd_automaton_eval(args) -> int:
     else:
         values = automaton.to_linear_system(state).behaviour()[0].expand(args.n)
     print(_prefix_line(automaton.field, values))
-    return 0
 
 
 def _automaton_state(automaton: WeightedAutomaton, index: int) -> int:
@@ -171,8 +156,8 @@ def _load_representation(spec: str, field: Field):
     raise FormatError(f"unknown representation kind {kind!r}")
 
 
-def _cmd_equal(args) -> int:
-    field = _field(args)
+def _equal(args):
+    field = field_from_spec(args.field)
     first = _load_representation(args.first, field)
     second = _load_representation(args.second, field)
     index = analysis.first_difference(first, second)
@@ -181,35 +166,30 @@ def _cmd_equal(args) -> int:
     else:
         print("not-equal")
         print(f"differs-at {index}")
-    return 0
 
 
-def _gather_prefix(args, needed: int, field: Field) -> List:
-    if args.prefix is not None:
-        return [field.parse(chunk) for chunk in args.prefix.split(",")]
-    stream = expr.evaluate_text(args.expr, field)
-    return stream.expand(needed)
+def _prefix(args, needed: int) -> List:
+    """The ``--prefix`` scalars, or the first ``needed`` terms of ``--expr``."""
+    if args.prefix is None:
+        return _stream(args).expand(needed)
+    field = field_from_spec(args.field)
+    return [field.parse(chunk) for chunk in args.prefix.split(",")]
 
 
-def _cmd_rank(args) -> int:
-    field = _field(args)
-    prefix = _gather_prefix(args, 2 * args.m - 1 if args.m else 0, field)
+def _rank(args):
+    prefix = _prefix(args, 2 * args.m - 1 if args.m else 0)
     observed = analysis.hankel_rank(prefix, args.m)
     print(analysis.RankReport(len(prefix), args.m, observed).render(), end="")
-    return 0
 
 
-def _cmd_probe(args) -> int:
-    field = _field(args)
-    prefix = _gather_prefix(args, 2 * args.d + 1, field)
+def _probe(args):
+    prefix = _prefix(args, 2 * args.d + 1)
     print(analysis.nonrationality_probe(prefix, args.d).render(), end="")
-    return 0
 
 
-def _cmd_guess(args) -> int:
-    field = _field(args)
-    prefix = _gather_prefix(args, 0, field)
-    stream = RationalStream.from_sequence(field, prefix)
+def _guess(args):
+    prefix = _prefix(args, 0)
+    stream = RationalStream.from_sequence(field_from_spec(args.field), prefix)
     # p/q is reduced and agrees with the prefix, so its linear complexity is
     # the prefix's, L; fewer than 2L terms do not determine the stream
     length = max(stream.den.degree, stream.num.degree + 1)
@@ -219,18 +199,53 @@ def _cmd_guess(args) -> int:
             f"a closed form needs at least 2L = {2 * length}"
         )
     print(stream)
-    return 0
 
 
-def _add_field_option(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--field",
-        default="q",
-        help="scalar field: q (rationals, default) or gf:<prime>",
-    )
+def _arg(*names, **keywords):
+    """One ``add_argument`` call: its names and its keywords."""
+    return names, keywords
 
 
+def _counted(name: str, help: Optional[str] = None):
+    return _arg(name, type=_count, required=True, help=help)
+
+
+_EXPR = _arg("expr")
+_FIELD = _arg("--field", default="q", help="scalar field: q (rationals, default) or gf:<prime>")
+_FILE = _arg("--file", required=True)
 _PREFIX_HELP = "comma-separated scalars; attach a negative first one: --prefix=-1,2,0"
+# a list is a required choice of exactly one of its arguments
+_PREFIX_OR_EXPR = [_arg("--prefix", help=_PREFIX_HELP), _arg("--expr")]
+
+# Every subcommand, in help order: its words, help, action and arguments; a
+# row without an action is a group of the rows under its words.
+COMMANDS = (
+    (("eval",), "expand an expression and show its closed form", _eval,
+     (_EXPR, _counted("--n", "number of coefficients"), _FIELD)),
+    (("derive",), "k-th stream derivative in closed form", _derive,
+     (_EXPR, _counted("--k", "derivative order"), _FIELD)),
+    (("realize",), "minimal linear system for the streams", _realize,
+     (_arg("exprs", nargs="+", metavar="expr"), _FIELD)),
+    (("circuit",), "stream circuit commands", None, ()),
+    (("circuit", "synth"), "synthesize a canonical circuit",
+     partial(_synth, CanonicalCircuit.from_linear_system, format_canonical), (_EXPR, _FIELD)),
+    (("circuit", "sim"), "simulate a circuit file", _circuit_sim,
+     (_FILE, _counted("--n", "number of ticks"))),
+    (("automaton",), "weighted automaton commands", None, ()),
+    (("automaton", "synth"), "synthesize a weighted automaton",
+     partial(_synth, WeightedAutomaton.from_linear_system, format_automaton), (_EXPR, _FIELD)),
+    (("automaton", "eval"), "expand the stream of a state", _automaton_eval,
+     (_FILE, _counted("--state", "1-based state index"), _counted("--n"),
+      _arg("--method", choices=("path", "closed"), default="closed"))),
+    (("equal",), "decide equality of two representations", _equal,
+     (_arg("first", metavar="reprA"), _arg("second", metavar="reprB"), _FIELD)),
+    (("rank",), "Hankel rank of a coefficient prefix", _rank,
+     (_PREFIX_OR_EXPR, _counted("--m", "Hankel matrix size"), _FIELD)),
+    (("probe",), "rank-based non-rationality probe", _probe,
+     (_PREFIX_OR_EXPR, _counted("--d", "claimed degree bound"), _FIELD)),
+    (("guess",), "closed form of a coefficient prefix", _guess,
+     (_arg("--prefix", required=True, help=_PREFIX_HELP), _FIELD)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,76 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="streamcalc",
         description="Exact stream calculus: rational streams and their finite representations.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("eval", help="expand an expression and show its closed form")
-    p.add_argument("expr")
-    p.add_argument("--n", type=_count, required=True, help="number of coefficients")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = commands.add_parser("derive", help="k-th stream derivative in closed form")
-    p.add_argument("expr")
-    p.add_argument("--k", type=_count, required=True, help="derivative order")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_derive)
-
-    p = commands.add_parser("realize", help="minimal linear system for the streams")
-    p.add_argument("exprs", nargs="+", metavar="expr")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_realize)
-
-    circuit = commands.add_parser("circuit", help="stream circuit commands")
-    circuit_sub = circuit.add_subparsers(dest="subcommand", required=True)
-    p = circuit_sub.add_parser("synth", help="synthesize a canonical circuit")
-    p.add_argument("expr")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_circuit_synth)
-    p = circuit_sub.add_parser("sim", help="simulate a circuit file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--n", type=_count, required=True, help="number of ticks")
-    p.set_defaults(func=_cmd_circuit_sim)
-
-    automaton = commands.add_parser("automaton", help="weighted automaton commands")
-    automaton_sub = automaton.add_subparsers(dest="subcommand", required=True)
-    p = automaton_sub.add_parser("synth", help="synthesize a weighted automaton")
-    p.add_argument("expr")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_automaton_synth)
-    p = automaton_sub.add_parser("eval", help="expand the stream of a state")
-    p.add_argument("--file", required=True)
-    p.add_argument("--state", type=_count, required=True, help="1-based state index")
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--method", choices=("path", "closed"), default="closed")
-    p.set_defaults(func=_cmd_automaton_eval)
-
-    p = commands.add_parser("equal", help="decide equality of two representations")
-    p.add_argument("first", metavar="reprA")
-    p.add_argument("second", metavar="reprB")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_equal)
-
-    p = commands.add_parser("rank", help="Hankel rank of a coefficient prefix")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prefix", help=_PREFIX_HELP)
-    group.add_argument("--expr")
-    p.add_argument("--m", type=_count, required=True, help="Hankel matrix size")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_rank)
-
-    p = commands.add_parser("probe", help="rank-based non-rationality probe")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prefix", help=_PREFIX_HELP)
-    group.add_argument("--expr")
-    p.add_argument("--d", type=_count, required=True, help="claimed degree bound")
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_probe)
-
-    p = commands.add_parser("guess", help="closed form of a coefficient prefix")
-    p.add_argument("--prefix", required=True, help=_PREFIX_HELP)
-    _add_field_option(p)
-    p.set_defaults(func=_cmd_guess)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, summary, action, arguments in COMMANDS:
+        command = groups[words[:-1]].add_parser(words[-1], help=summary)
+        if action is None:
+            groups[words] = command.add_subparsers(dest="subcommand", required=True)
+            continue
+        for argument in arguments:
+            if isinstance(argument, list):
+                choice = command.add_mutually_exclusive_group(required=True)
+                for names, keywords in argument:
+                    choice.add_argument(*names, **keywords)
+            else:
+                names, keywords = argument
+                command.add_argument(*names, **keywords)
+        command.set_defaults(func=action)
     return parser
 
 
@@ -322,18 +282,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except (ParseError, FormatError) as exc:
+        args.func(args)
+    except (ParseError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StreamCalcError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         sys.set_int_max_str_digits(digit_limit)
+    return 0
 
 
 def entry() -> None:

@@ -88,8 +88,10 @@ class RationalStream(Quotient):
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative stream power; use inverse() explicitly")
-        # p^k / q^k stays reduced and q^k(0) = 1, so no gcd is needed
-        return RationalStream._make(self.num ** k, self.den ** k)
+        # p^k / q^k stays reduced and q^k(0) = 1, so no gcd is needed; a
+        # constant q is exactly 1, its own power
+        den = self.den if self.den.degree == 0 else self.den ** k
+        return RationalStream._make(self.num ** k, den)
 
     def initial_value(self):
         """The head coefficient; num(0) since the denominator is 1 at 0."""

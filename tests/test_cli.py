@@ -1,11 +1,17 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from streamcalc import cli
 from streamcalc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -513,3 +519,119 @@ def test_path_method_has_no_recursion_limit(tmp_path, capsys):
                          "--n", "1100", "--method", "path")
     assert (code, err) == (0, "")
     assert out == ", ".join(["1"] * 1100) + "\n"
+
+
+# A leading "-" reads as an option: "{}" is the expression in each command.
+LEADING_MINUS = (
+    (("eval", "{}", "--n", "3"), ("eval", "--n", "3", "--", "-X")),
+    (("derive", "{}", "--k", "1"), ("derive", "--k", "1", "--", "-X")),
+    (("realize", "{}", "1"), ("realize", "--", "-X", "1")),
+    (("circuit", "synth", "{}"), ("circuit", "synth", "--", "-X")),
+    (("automaton", "synth", "{}"), ("automaton", "synth", "--", "-X")),
+    (("rank", "--expr", "{}", "--m", "2"), ("rank", "--expr=-X", "--m", "2")),
+    (("probe", "--expr", "{}", "--d", "1"), ("probe", "--expr=-X", "--d", "1")),
+)
+
+
+@pytest.mark.parametrize("template, attached", LEADING_MINUS)
+def test_an_expression_with_a_leading_minus(capsys, template, attached):
+    def spelled(text):
+        return [text if word == "{}" else word for word in template]
+
+    code, out, err = run(capsys, *spelled("-X"))
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+    expected = run(capsys, *spelled("0-X"))
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, *spelled("- X")) == expected
+    assert run(capsys, *attached) == expected
+
+
+# Bounded fuzz: every subcommand of the command table, with arguments drawn
+# from small vocabularies; huge counts and powers are left out, as they hang.
+FUZZ_FIELDS = ("q", "gf:2", "gf:7", "gf:101")
+COUNTS = st.sampled_from([str(k) for k in range(13)] + ["-1", "x", "٣"])
+FIELDS = st.sampled_from(FUZZ_FIELDS + ("gf:4",))
+ATOMS = st.sampled_from(["X", "1", "-3", "1/2", "(1-X)"])
+
+
+def expressions(depth=3):
+    if depth == 0:
+        return ATOMS
+    inner = expressions(depth - 1)
+    binary = st.builds(
+        lambda a, op, b, bracket: f"({a}){op}({b})" if bracket else f"{a}{op}{b}",
+        inner, st.sampled_from("+-*/"), inner, st.booleans(),
+    )
+    power = st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(0, 9))
+    return st.one_of(ATOMS, binary, power)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """One system, circuit and automaton file per field, as the commands write them."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    for field in FUZZ_FIELDS:
+        for command in (("realize",), ("circuit", "synth"), ("automaton", "synth")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([*command, "(1+X)/(1-X-X^2)", "--field", field]) == 0
+            (folder / f"{command[0]}-{field.replace(':', '')}").write_text(out.getvalue())
+    return sorted(str(path) for path in folder.iterdir()) + [str(folder / "missing")]
+
+
+def values(name, keywords, files):
+    """The strategy of one argument's values, chosen by its declaration."""
+    if keywords.get("type") is cli._count:
+        return COUNTS
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    files = st.sampled_from(files)
+    representations = st.one_of(
+        expressions().map("expr:{}".format),
+        files.map("system:{}".format),
+        files.map("circuit:{}".format),
+        st.builds("automaton:{}@{}".format, files, COUNTS),
+        st.sampled_from(["x", "zz:1"]),
+    )
+    scalars = st.lists(st.sampled_from(["0", "1", "-3", "1/2", "x"]), min_size=1, max_size=8)
+    return {
+        "--field": FIELDS,
+        "--file": files,
+        "--prefix": scalars.map(",".join),
+        "first": representations,
+        "second": representations,
+    }.get(name, expressions())
+
+
+@st.composite
+def invocations(draw, files):
+    """The argv of one subcommand drawn from the command table."""
+    words, _, _, arguments = draw(st.sampled_from([row for row in cli.COMMANDS if row[2]]))
+    argv = list(words)
+    for argument in arguments:
+        chosen = [argument]
+        if isinstance(argument, list):  # a choice: one of its options, all of them or none
+            chosen = draw(st.sampled_from([[option] for option in argument] + [argument, []]))
+        for (name, *_), keywords in chosen:
+            value = values(name, keywords, files)
+            if keywords.get("nargs") == "+":
+                argv += draw(st.lists(value, max_size=3))
+            elif not name.startswith("-"):
+                argv.append(draw(value))
+            elif draw(st.integers(0, 9)):  # an option is left out now and then
+                argv += [name, draw(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(data=st.data())
+def test_bounded_command_line_fuzz(fuzz_files, data):
+    argv = data.draw(invocations(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, argv
+    assert code != 0 or err == "", argv

@@ -138,6 +138,23 @@ def test_power():
     assert g**0 == RationalStream.one(QQ)
 
 
+@pytest.mark.parametrize("field", [QQ, GF7])
+def test_power_of_a_polynomial_stream_raises_only_its_numerator(field, monkeypatch):
+    # a constant denominator is exactly 1, so it is its own power
+    raised = []
+    power = Polynomial.__pow__
+
+    def counted(p, k):
+        raised.append(p)
+        return power(p, k)
+
+    monkeypatch.setattr(Polynomial, "__pow__", counted)
+    s = evaluate_text("(1 + 2*X)^5", field)
+    assert raised == [poly(field, 1, 2)]
+    assert s.den == poly(field, 1)
+    assert s.num == poly(field, 1, 10, 40, 80, 80, 32)
+
+
 @given(rational_streams())
 def test_fundamental_theorem(s):
     head = RationalStream.constant(QQ, s.initial_value())

@@ -1,5 +1,6 @@
 """README's Library tour runs, and every value its comments give is right;
-every line of its Command line block runs and succeeds."""
+every line of its Command line block runs and succeeds, and the block shows
+every subcommand of the command table."""
 
 import ast
 import io
@@ -8,7 +9,7 @@ import shlex
 import tokenize
 from pathlib import Path
 
-from streamcalc.cli import main
+from streamcalc.cli import COMMANDS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -72,3 +73,14 @@ def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, ""), argv
         assert captured.out, argv
+
+
+def test_command_line_block_shows_every_subcommand():
+    commands = [words for words, _, action, _ in COMMANDS if action is not None]
+    shown = set()
+    for line in readme_block("Command line", "sh"):
+        argv = tuple(shlex.split(line, comments=True)[1:])
+        named = [words for words in commands if argv[: len(words)] == words]
+        assert len(named) == 1, f"not one subcommand: {line}"
+        shown.update(named)
+    assert shown == set(commands) and len(commands) == 11
