@@ -37,6 +37,10 @@ class IllFormedCircuit(StreamCalcError):
     """Netlist violates well-formedness (dangling wire, combinational cycle)."""
 
 
+class CountTooLarge(StreamCalcError):
+    """A count of terms or steps above ``sys.maxsize``, which no loop reaches."""
+
+
 class InsufficientPrefix(StreamCalcError):
     """Not enough stream coefficients for the requested analysis."""
 

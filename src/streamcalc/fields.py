@@ -16,8 +16,10 @@ denominator d, ``residue`` is an integer as the field sees it (its zero
 test), ``shrink`` makes integers over d smaller, and ``ratio`` and
 ``ratios`` box integers over d as elements again.  ``Field.berlekamp_massey``
 (one fraction-free kernel for every field, back from coefficients to the
-shortest recurrence), ``Matrix.orbit`` and the netlist plan are those
-kernels; a test guards this, and that no other module names ``Rationals``.
+shortest recurrence), ``Matrix.orbit``, ``matrix._eliminate`` (whose
+``integers``, ``shrink`` and ``ratios`` ``FractionField`` also has, over
+k[X]) and the netlist plan are those kernels; a test guards this, and that
+no other module names ``Rationals``.
 Two loops keep a per-field form, as one path measured slower: the two
 ``recurrence`` members, and ``Netlist._tick``'s ``% p`` on every gate.
 Over GF(p) the form is the residues over 1.  Over Q it is written here

@@ -1,11 +1,11 @@
 """Exact dense matrices over a scalar field or over the fraction field k(X).
 
 One :class:`Matrix` class serves both: the ``domain`` attribute (a field
-descriptor or a :class:`~streamcalc.poly.FractionField`) supplies identities
-and coercion, and every entry operation is exact, so Gaussian elimination,
-rank, kernel and inversion work uniformly.  Entries of k(X) matrices are kept
-reduced after every step because :class:`RationalFunction` normalizes on
-construction.
+descriptor or a :class:`~streamcalc.poly.FractionField`) supplies identities,
+coercion and an integer form, and every entry operation is exact.  Rank,
+kernel, inversion and solving read one Gaussian elimination, ``_eliminate``,
+which runs fraction-free on the domain's integer form (integers over Q and
+GF(p), polynomials over k(X)) and boxes each pivot row once at the end.
 """
 
 from __future__ import annotations
@@ -198,33 +198,47 @@ def _sparse_times(rows, w: List[int]) -> List[int]:
 
 
 def _eliminate(matrix: Matrix):
-    """Reduced row echelon form; returns (rows as lists, pivot columns)."""
-    rows = [list(r) for r in matrix.entries]
+    """Reduced row echelon form; returns (rows as lists, pivot columns).
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on the domain's integer form,
+    the one loop for Q, GF(p) and k(X).  Each row is put over one
+    denominator by ``integers`` and the denominator dropped, since scaling a
+    row leaves its reduced form alone.  A pivot a at column c clears c from
+    every other row r with r[c] = b by r <- a r - b pivot, which needs no
+    division; a zero entry of the pivot row is never multiplied, nor a zero
+    entry of r scaled.  ``shrink`` then makes the row smaller (over Q its
+    content stripped, over GF(p) reduced mod p, over k(X) divided by the gcd
+    of its polynomials), unless it is all zero.  Only the rows that hold a
+    pivot are boxed, once, as ``ratios(row, row[c])``; the others are zero.
+    """
+    domain = matrix.domain
+    shrink = domain.shrink
+    rows = [domain.integers(row)[0] for row in matrix.entries]
     pivots: List[int] = []
-    pivot_row = 0
     for col in range(matrix.cols):
-        found = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                found = r
-                break
+        done = len(pivots)  # the rows above hold the pivots so far
+        found = next((r for r in range(done, len(rows)) if rows[r][col]), None)
         if found is None:
             continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        inv = rows[pivot_row][col]
-        pivot = rows[pivot_row] = [e / inv if e else e for e in rows[pivot_row]]
-        support = [(j, b) for j, b in enumerate(pivot) if b]  # a zero b changes no entry
+        rows[done], rows[found] = rows[found], rows[done]
+        pivot = rows[done]
+        a = pivot[col]
+        support = [(j, c) for j, c in enumerate(pivot) if c]
         for r, row in enumerate(rows):
-            factor = row[col]
-            if r == pivot_row or not factor:
+            b = row[col]
+            if r == done or not b:
                 continue
-            for j, b in support:
-                row[j] = row[j] - factor * b
+            row = [a * e if e else e for e in row]
+            for j, c in support:
+                row[j] -= b * c
+            rows[r] = shrink(row, 0)[0] if any(row) else row
         pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows, pivots
+    zero = domain.zero()
+    boxed = [domain.ratios(row, row[col]) for row, col in zip(rows, pivots)]
+    boxed += [[zero] * matrix.cols for _ in rows[len(pivots) :]]
+    return boxed, pivots
 
 
 def rref(matrix: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:

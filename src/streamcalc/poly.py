@@ -79,6 +79,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        # falsy exactly when zero, as field elements are
+        return bool(self.coeffs)
+
     @property
     def constant_term(self):
         return self.coeffs[0] if self.coeffs else self.field.zero()
@@ -457,6 +461,34 @@ class FractionField:
         return RationalFunction.constant(self.base, self.base.coerce(value))
 
     dot = Field.dot  # the fold with RationalFunction's arithmetic, skipping zero entries
+
+    # The integer form over k[X], as ``Field`` has it over Q and GF(p), for
+    # ``matrix._eliminate``: polynomials over one denominator.
+
+    def integers(self, elements):
+        """(polys, d): the ``coerce``d elements as polys[i] / d, d the lcm of
+        their (monic) denominators."""
+        elements = [self.coerce(e) for e in elements]
+        d = Polynomial.one(self.base)
+        for e in elements:
+            if e.den.degree:
+                d = d * (e.den // d.gcd(e.den))
+        return [e.num * (d // e.den) if e and e.den != d else e.num for e in elements], d
+
+    def shrink(self, polys, d):
+        """(polys, d) divided by the gcd of the polynomials and d, which keeps
+        each polys[i] / d, and for d = 0 the ratios of polys not all zero."""
+        g = d
+        for p in polys:
+            if p:
+                g = p.gcd(g) if g else p
+                if not g.degree:
+                    return polys, d
+        return [p // g for p in polys], (d // g if d else d)
+
+    def ratios(self, polys, d):
+        """The elements polys[i] / d of k(X), for d nonzero."""
+        return [RationalFunction(p, d) for p in polys]
 
     def format(self, value):
         return str(value)

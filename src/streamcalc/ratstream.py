@@ -24,11 +24,12 @@ itself, not of a tower of ``Fraction``s.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
-from .errors import NotInvertibleAtZero
+from .errors import CountTooLarge, NotInvertibleAtZero
 from .fields import Field
 from .poly import Polynomial, Quotient, RationalFunction
 
@@ -110,8 +111,7 @@ class RationalStream(Quotient):
 
     def iterated_derivative(self, k: int) -> "RationalStream":
         """s^(k): k steps of ``_terms``, then the numerator off their last deg q."""
-        if k < 0:
-            raise ValueError("derivative order must be nonnegative")
+        _check_count(k, "derivative order")
         return self._derivative_after(k, deque(islice(self._terms(), k), maxlen=self.den.degree))
 
     def _derivative_after(self, k: int, prefix: Sequence) -> "RationalStream":
@@ -125,19 +125,26 @@ class RationalStream(Quotient):
 
     def expand(self, n: int) -> List:
         """The first ``n`` coefficients."""
-        if n < 0:
-            raise ValueError("number of coefficients must be nonnegative")
+        _check_count(n, "number of coefficients")
         return list(islice(self._terms(), n))
 
     def coefficient(self, i: int):
-        if i < 0:
-            raise ValueError("coefficient index must be nonnegative")
+        _check_count(i, "coefficient index")
         return next(islice(self._terms(), i, None))
 
     def _terms(self) -> Iterator:
         """s_0, s_1, ... by s_i = p_i - sum_{j=1..deg q} q_j s_(i-j): the one
         place a closed form's coefficients are made, by the field's kernel."""
         return self.field.recurrence(self.num.coeffs, self.den.coeffs)
+
+
+def _check_count(n: int, name: str) -> None:
+    """Refuse a count of terms that ``islice`` cannot take: a negative one
+    (ValueError), or one above ``sys.maxsize`` (CountTooLarge)."""
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if n > sys.maxsize:
+        raise CountTooLarge(f"{name} is above {sys.maxsize}, the largest count of terms")
 
 
 def coordinate_streams(field: Field, vectors: Sequence[Tuple], width: int):

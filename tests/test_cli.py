@@ -331,6 +331,28 @@ def _one_line_error(err):
     return len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+HUGE = "111111111111111111111111111111"  # 30 digits, above sys.maxsize
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "X", "--n", HUGE),
+        ("derive", "X", "--k", HUGE),
+        ("rank", "--expr", "X", "--m", HUGE),
+        ("probe", "--expr", "X", "--d", HUGE),
+        ("automaton", "eval", "--file", "{automaton}", "--state", "1", "--n", HUGE),
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "automaton" else "automaton-eval",
+)
+def test_counts_above_maxsize_are_one_line_domain_errors(tmp_path, capsys, argv):
+    automaton = tmp_path / "a.automaton"
+    automaton.write_text("field q\nstates 1\nout 1 1\n")
+    code, out, err = run(capsys, *(a.format(automaton=automaton) for a in argv))
+    assert (code, out) == (1, "")
+    assert _one_line_error(err) and "above" in err
+
+
 def test_overlong_literals_are_one_line_errors(tmp_path, capsys):
     digits = "1" * 5000
     automaton = tmp_path / "a.automaton"

@@ -6,6 +6,7 @@ import pytest
 from streamcalc import (
     FieldMismatch,
     Matrix,
+    Polynomial,
     QQ,
     RationalFunction,
     RationalStream,
@@ -213,24 +214,28 @@ def test_rref_pivots():
 
 def test_elimination_multiplies_only_nonzero_pivot_row_entries(monkeypatch):
     """A zero entry of the pivot row changes no other row, so it is never
-    multiplied: the 32 x 16 observability matrix of a realized pair of
-    degree-8 streams has about as many zero as nonzero such entries."""
+    multiplied, and a zero entry of a row is never scaled: the 32 x 16
+    observability matrix of a realized pair of degree-8 streams has about as
+    many zero as nonzero such entries.  The one elimination loop runs on
+    integers over Q, whose products cannot be recorded, so the same matrix
+    goes through it over k(X), where every product is a ``Polynomial``'s."""
     first = stream([1, 2, 0, -1, 3, 0, 1, 2], [1, -1, 2, 0, 1, -3, 0, 2, Fraction(1, 2)])
     second = stream([2, -1, 1, 0, 0, 3, 1, -2], [1, 2, -1, 1, 0, 0, -2, 1, 3])
-    matrix = observability_matrix(realize([first, second]).system)
-    assert (matrix.rows, matrix.cols) == (32, 16)
+    observed = observability_matrix(realize([first, second]).system)
+    assert (observed.rows, observed.cols) == (32, 16)
+    matrix = Matrix(KX, observed.entries)
     products = []
-    multiply = Fraction.__mul__
+    multiply = Polynomial.__mul__
 
     def counted(a, b):
         products.append((a, b))
         return multiply(a, b)
 
-    monkeypatch.setattr(Fraction, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
     reduced, pivots = rref(matrix)
     monkeypatch.undo()
     assert pivots == tuple(range(16))
-    assert reduced.entries[:16] == Matrix.identity(QQ, 16).entries
+    assert reduced.entries[:16] == Matrix.identity(KX, 16).entries
     assert products and all(a and b for a, b in products)
 
 

@@ -121,6 +121,38 @@ def boxed_dot(field, xs, ys):
     return acc
 
 
+def boxed_eliminate(matrix):
+    """The reference for ``matrix._eliminate``: Gauss-Jordan on the entries,
+    one boxed division per pivot row entry and one boxed subtraction and
+    multiplication per updated entry; returns (rows as lists, pivot columns)."""
+    rows = [list(r) for r in matrix.entries]
+    pivots = []
+    pivot_row = 0
+    for col in range(matrix.cols):
+        found = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col]:
+                found = r
+                break
+        if found is None:
+            continue
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        inv = rows[pivot_row][col]
+        pivot = rows[pivot_row] = [e / inv if e else e for e in rows[pivot_row]]
+        support = [(j, b) for j, b in enumerate(pivot) if b]  # a zero b changes no entry
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r == pivot_row or not factor:
+                continue
+            for j, b in support:
+                row[j] = row[j] - factor * b
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return rows, pivots
+
+
 def boxed_expand(s, n):
     """The reference for ``RationalStream.expand``: s_i = p_i - sum_j q_j s_(i-j),
     one boxed subtraction and multiplication per term."""
