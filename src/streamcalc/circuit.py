@@ -6,23 +6,24 @@ combinational gates are evaluated in topological order, the designated output
 port is sampled, and then every register latches its freshly computed input
 simultaneously.  One table, ``_KINDS``, states each gate kind's file keyword
 and parameter, the attribute holding it, and the ports an integer one counts.
-A netlist derives one evaluation plan when it is built: its
-multipliers and adders in topological order, each with the value slots of its
-drivers (copiers only alias slots), so a tick is one walk over that plan on
-plain integers, in the field's integer form.  Over GF(p) a slot holds its
-residue, reduced after each multiplier and adder.  Over Q a slot holds an
-integer v over the shared denominator g of the register values times a static
-multiplier m of its own, so that its value is v / (g m): a register has m = 1,
-a multiplier by a/b keeps the integer factor a and has m = m_in b (the
-field's ``integers`` of a/b), and an adder has the lcm of its inputs' m, with
-the integer weights m / m_in.  Each tick g grows by the lcm L of the latched
-slots' m, each latched value by L / m, and every few ticks the field's
-``shrink`` strips the common content of g and the register integers.
-``simulate`` walks the plan tick after tick, in time linear in the gates, and
-boxes each sample with the field's ``ratio``.  A tick is linear in the
-register values, so one walk from each unit state reads off the netlist's
-pointed linear system (``to_linear_system``, boxed by ``ratios``), through
-which its closed form is found.
+A netlist derives one evaluation plan when it is built: its multipliers and
+adders in ``graphlib``'s topological order of the register-free gate graph,
+each with the value slots of its drivers (copiers only alias slots), so a tick
+is one walk over that plan on plain integers, in the field's integer form.
+Over GF(p) a slot holds its residue, reduced after each multiplier and adder.
+Over Q a slot holds an integer v over the shared denominator g of the register
+values times a static multiplier m of its own, so that its value is v / (g m):
+a register has m = 1, a multiplier by a/b keeps the integer factor a and has
+m = m_in b (the field's ``integers`` of a/b), and an adder has the lcm of its
+inputs' m, with the integer weights m / m_in.  Each tick g grows by the lcm L
+of the latched slots' m, each latched value by L / m through a multiplier at
+the end of the plan, and every few ticks the field's ``shrink`` strips the
+common content of g and the register integers.  ``simulate`` walks the plan
+tick after tick, in time linear in the gates, and boxes each sample with the
+field's ``ratio``.  A tick is linear in the register values, so one walk from
+each unit state reads off the netlist's pointed linear system
+(``to_linear_system``, boxed by ``ratios``), through which its closed form is
+found.
 
 A canonical circuit is the dense description (feedback matrix, feedforward
 row, register seeds), itself a pointed linear system; its closed-form
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -49,7 +51,7 @@ from .errors import (
 from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
 from .linear_system import LinearSystem, PointedLinearSystem
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix, parse_vector
-from .ratstream import RationalStream
+from .ratstream import RationalStream, _check_count
 from .records import MAX_DIMENSION, content_lines, read_records
 
 
@@ -167,60 +169,57 @@ class Netlist:
         """The plan of :meth:`_tick`, the seeds and the slots read after a tick.
 
         A tick's values are one list: register outputs, then one slot per
-        multiplier or adder in topological order; copier outputs alias their
-        input's slot.  A gate whose drivers are not ready waits on the stack,
-        and meeting it again while it waits closes a register-free loop.  Each
-        slot gets its denominator multiplier m (1 throughout over GF(p)).  A
-        plan entry is (a, slot, None) for a multiplier by a/b, and (None,
-        slots, weights) for an adder, with weights None when all are 1.
+        multiplier or adder in the topological order of ``graphlib`` over the
+        register-free gate graph, whose ``CycleError`` is a register-free
+        loop; copier outputs alias their input's slot.  Each slot gets its
+        denominator multiplier m (1 throughout over GF(p)).  A plan entry is
+        (a, slot, None) for a multiplier by a/b, and (None, slots, weights)
+        for an adder, with weights None when all are 1.  The plan ends with a
+        multiplier by L / m for each latched slot whose m is below the lcm L
+        of the latched slots' m, so a tick's latched slots are the next
+        register integers, over g L.
         """
-        registers = [name for name, gate in self.gates.items() if isinstance(gate, Register)]
+        gates, drivers = self.gates, self._drivers
+        registers = [name for name, gate in gates.items() if isinstance(gate, Register)]
         slots: Dict[Port, int] = {(name, 0): k for k, name in enumerate(registers)}
-        order: List[Tuple[Gate, List[int]]] = []
-        waiting = set()
-        for root in self.gates:
-            stack = [root]
-            while stack:
-                name = stack[-1]
-                if (name, 0) in slots:
-                    stack.pop()
-                    continue
-                gate = self.gates[name]
-                sources = [self._drivers[(name, idx)] for idx in range(self._inputs[name])]
-                blocked = [src[0] for src in sources if src not in slots]
-                if blocked:
-                    if name in waiting:
-                        raise IllFormedCircuit("combinational cycle (a loop must pass a register)")
-                    waiting.add(name)
-                    stack.extend(blocked)
-                    continue
-                stack.pop()
-                inputs = [slots[src] for src in sources]
-                if isinstance(gate, Copier):
-                    slots.update(((name, idx), inputs[0]) for idx in range(gate.fanout))
-                else:
-                    slots[(name, 0)] = len(registers) + len(order)
-                    order.append((gate, inputs))
-        self._modulus = self.field.characteristic  # 0 over Q: no reduction
+        sources = {
+            name: [drivers[(name, idx)] for idx in range(self._inputs[name])]
+            for name, gate in gates.items()
+            if not isinstance(gate, Register)
+        }
+        graph = {name: [gid for gid, _ in ports if gid in sources] for name, ports in sources.items()}
         scales = [1] * len(registers)  # m of each slot
         plan = []
-        for gate, inputs in order:
-            if isinstance(gate, Multiplier):
-                (a,), b = self.field.integers([gate.factor])
-                plan.append((a, inputs[0], None))
-                scales.append(scales[inputs[0]] * b)
-            else:
-                m = lcm(*(scales[k] for k in inputs))
-                weights = [m // scales[k] for k in inputs]
-                plan.append((None, inputs, weights if max(weights) > 1 else None))
-                scales.append(m)
-        self._seeds, self._denominator = self.field.integers(self.gates[name].initial for name in registers)
-        self._plan = plan
-        self._scales = scales
+        try:
+            for name in TopologicalSorter(graph).static_order():
+                gate = gates[name]
+                inputs = [slots[src] for src in sources[name]]
+                if isinstance(gate, Copier):
+                    slots.update(((name, idx), inputs[0]) for idx in range(gate.fanout))
+                    continue
+                slots[(name, 0)] = len(scales)
+                if isinstance(gate, Multiplier):
+                    (a,), b = self.field.integers([gate.factor])
+                    plan.append((a, inputs[0], None))
+                    scales.append(scales[inputs[0]] * b)
+                else:
+                    m = lcm(*(scales[k] for k in inputs))
+                    weights = [m // scales[k] for k in inputs]
+                    plan.append((None, inputs, weights if max(weights) > 1 else None))
+                    scales.append(m)
+        except CycleError:
+            raise IllFormedCircuit("combinational cycle (a loop must pass a register)") from None
+        latches = [slots[drivers[(name, 0)]] for name in registers]
+        growth = self._growth = lcm(*(scales[k] for k in latches))
+        for j, k in enumerate(latches):
+            if scales[k] < growth:
+                plan.append((growth // scales[k], k, None))
+                latches[j] = len(scales)
+                scales.append(growth)
+        self._modulus = self.field.characteristic  # 0 over Q: no reduction
+        self._seeds, self._denominator = self.field.integers(gates[name].initial for name in registers)
+        self._plan, self._scales, self._latches = plan, scales, latches
         self._output = slots[self.output]
-        self._latches = [slots[self._drivers[(name, 0)]] for name in registers]
-        growth = self._growth = lcm(*(scales[k] for k in self._latches))
-        self._latch_weights = None if growth == 1 else [growth // scales[k] for k in self._latches]
 
     def _tick(self, state: List[int]) -> List[int]:
         """The slot integers of one tick from the register integers ``state``."""
@@ -235,24 +234,17 @@ class Netlist:
             values.append(v % p if p else v)
         return values
 
-    def _latch(self, values: List[int]) -> List[int]:
-        """The register integers latched from a tick's slots, over g L."""
-        if self._latch_weights is None:
-            return [values[k] for k in self._latches]
-        return [values[k] * w for k, w in zip(self._latches, self._latch_weights)]
-
     def simulate(self, steps: int) -> List:
         """Sample the designated output for ``steps`` synchronous ticks."""
-        if steps < 0:
-            raise ValueError("number of ticks must be nonnegative")
+        _check_count(steps, "number of ticks")
         state, g, samples = self._seeds, self._denominator, []
         out, m_out, growth = self._output, self._scales[self._output], self._growth
-        ratio, shrink = self.field.ratio, self.field.shrink
+        latches, ratio, shrink = self._latches, self.field.ratio, self.field.shrink
         for t in range(1, steps + 1):
             values = self._tick(state)
             samples.append(ratio(values[out], g * m_out))
             # all registers latch simultaneously at tick end
-            state, g = self._latch(values), g * growth
+            state, g = [values[k] for k in latches], g * growth
             if t % STRIP_PERIOD == 0 and g != 1:
                 state, g = shrink(state, g)
         return samples

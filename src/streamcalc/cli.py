@@ -39,7 +39,7 @@ from .linear_system import (
     parse_system,
     realize,
 )
-from .ratstream import RationalStream
+from .ratstream import RationalStream, _check_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,6 +111,7 @@ def _automaton_eval(args):
     automaton = _read(args.file, parse_automaton)
     state = _automaton_state(automaton, args.state)
     if args.method == "path":
+        _check_count(args.n, "number of coefficients")
         values = [automaton.path_sum(state, k) for k in range(args.n)]
     else:
         values = automaton.to_linear_system(state).behaviour()[0].expand(args.n)

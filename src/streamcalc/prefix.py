@@ -103,7 +103,6 @@ class StreamPrefix:
         if not self.at(0):
             raise ZeroInitialValue("head coefficient is 0; no inverse exists")
         head_inv = self.field.inv(self.at(0))
-        result = StreamPrefix(self.field, lambda i: None)  # placeholder producer
 
         def produce(n):
             if n == 0:
@@ -113,5 +112,5 @@ class StreamPrefix:
                 acc = acc + self.at(i) * result.at(n - i)
             return -head_inv * acc
 
-        result._producer = produce
+        result = StreamPrefix(self.field, produce)
         return result

@@ -570,3 +570,55 @@ def test_mixed_denominators_meet_at_one_adder():
     assert net.simulate(40) == boxed_simulate(net, 40)
     assert net.to_linear_system() == boxed_linear_system(net)
     assert to_rational(net).expand(40) == net.simulate(40)
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=repr)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_plan_does_not_depend_on_the_order_of_the_gates(field, data):
+    """The gates in a drawn order; the registers keep theirs, the state basis
+    of the linear system."""
+    net = data.draw(mixed_denominator_netlists(field))
+    order = data.draw(st.permutations(list(net.gates)))
+    registers = iter([name for name in net.gates if isinstance(net.gates[name], Register)])
+    order = [next(registers) if isinstance(net.gates[name], Register) else name for name in order]
+    shuffled = Netlist(field, {name: net.gates[name] for name in order}, net.wires, net.output)
+    assert shuffled.simulate(40) == net.simulate(40)
+    assert shuffled.to_linear_system() == net.to_linear_system()
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=repr)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_register_free_loop_is_a_combinational_cycle(field, data):
+    """A wire src -> dst of a valid netlist is cut, and a loop closes through
+    an adder fed by src and a copier that feeds dst, with drawn multipliers
+    and branches between them: a branch is a copier whose second output
+    comes back through a register to an adder.  The loop's gates land
+    anywhere among the netlist's."""
+    net = data.draw(mixed_denominator_netlists(field))
+    (src, dst), *wires = data.draw(st.permutations(net.wires))
+    gates = {}
+
+    def add(gate, port):
+        name = f"loop{len(gates)}"
+        gates[name] = gate
+        wires.append((port, (name, 0)))
+        return name
+
+    entry = add(Adder(2), src)
+    port = (entry, 0)
+    for branch in data.draw(st.lists(st.booleans(), max_size=4)):
+        if branch:
+            fork = add(Copier(2), port)
+            register = add(Register(field.one()), (fork, 1))
+            port = (add(Adder(2), (fork, 0)), 0)
+            wires.append(((register, 0), (port[0], 1)))
+        else:
+            port = (add(Multiplier(field.from_int(data.draw(st.integers(-3, 3)))), port), 0)
+    exit_ = add(Copier(2), port)
+    wires += [((exit_, 0), dst), ((exit_, 1), (entry, 1))]
+    everything = {**net.gates, **gates}
+    order = data.draw(st.permutations(list(everything)))
+    with pytest.raises(IllFormedCircuit, match="combinational cycle"):
+        Netlist(field, {name: everything[name] for name in order}, wires, net.output)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcalc import cli
+from streamcalc import cli, format_netlist, parse_canonical
 from streamcalc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -342,13 +342,21 @@ HUGE = "111111111111111111111111111111"  # 30 digits, above sys.maxsize
         ("rank", "--expr", "X", "--m", HUGE),
         ("probe", "--expr", "X", "--d", HUGE),
         ("automaton", "eval", "--file", "{automaton}", "--state", "1", "--n", HUGE),
+        ("automaton", "eval", "--file", "{automaton}", "--state", "1", "--n", HUGE,
+         "--method", "path"),
+        ("circuit", "sim", "--file", "{netlist}", "--n", HUGE),
     ],
-    ids=lambda argv: argv[0] if argv[0] != "automaton" else "automaton-eval",
+    ids=["eval", "derive", "rank", "probe", "automaton-eval", "automaton-eval-path", "circuit-sim"],
 )
 def test_counts_above_maxsize_are_one_line_domain_errors(tmp_path, capsys, argv):
     automaton = tmp_path / "a.automaton"
     automaton.write_text("field q\nstates 1\nout 1 1\n")
-    code, out, err = run(capsys, *(a.format(automaton=automaton) for a in argv))
+    netlist = tmp_path / "ring.netlist"  # one register in a ring through a copier
+    netlist.write_text(
+        "field q\ngate r register init=1\ngate c copier fanout=2\n"
+        "wire r.out0 -> c.in0\nwire c.out0 -> r.in0\noutput c.out1\n"
+    )
+    code, out, err = run(capsys, *(a.format(automaton=automaton, netlist=netlist) for a in argv))
     assert (code, out) == (1, "")
     assert _one_line_error(err) and "above" in err
 
@@ -570,9 +578,10 @@ def test_an_expression_with_a_leading_minus(capsys, template, attached):
 
 
 # Bounded fuzz: every subcommand of the command table, with arguments drawn
-# from small vocabularies; huge counts and powers are left out, as they hang.
+# from small vocabularies, a count above sys.maxsize among them; huge powers,
+# and large counts at or below sys.maxsize, are left out, as they hang.
 FUZZ_FIELDS = ("q", "gf:2", "gf:7", "gf:101")
-COUNTS = st.sampled_from([str(k) for k in range(13)] + ["-1", "x", "٣"])
+COUNTS = st.sampled_from([str(k) for k in range(13)] + ["-1", "x", "٣", HUGE])
 FIELDS = st.sampled_from(FUZZ_FIELDS + ("gf:4",))
 ATOMS = st.sampled_from(["X", "1", "-3", "1/2", "(1-X)"])
 
@@ -591,14 +600,18 @@ def expressions(depth=3):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """One system, circuit and automaton file per field, as the commands write them."""
+    """One system, circuit and automaton file per field, as the commands write
+    them, and the netlist of the circuit."""
     folder = tmp_path_factory.mktemp("fuzz")
     for field in FUZZ_FIELDS:
+        suffix = field.replace(":", "")
         for command in (("realize",), ("circuit", "synth"), ("automaton", "synth")):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert main([*command, "(1+X)/(1-X-X^2)", "--field", field]) == 0
-            (folder / f"{command[0]}-{field.replace(':', '')}").write_text(out.getvalue())
+            (folder / f"{command[0]}-{suffix}").write_text(out.getvalue())
+        circuit = parse_canonical((folder / f"circuit-{suffix}").read_text())
+        (folder / f"netlist-{suffix}").write_text(format_netlist(circuit.to_netlist()))
     return sorted(str(path) for path in folder.iterdir()) + [str(folder / "missing")]
 
 
