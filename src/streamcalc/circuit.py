@@ -460,10 +460,17 @@ def parse_canonical(text: str) -> CanonicalCircuit:
         field = field_from_spec(spec)
         line, value = entries["M"]
         feedback = parse_matrix(field, value)
+        n = feedback.rows
+        if feedback.cols != n:
+            raise FormatError(f"M is {n} x {feedback.cols}, not square")
         line, value = entries["N"]
         feedforward = parse_matrix(field, value)
+        if feedforward.rows != 1 or feedforward.cols != n:
+            raise FormatError(f"N must be a 1 x {n} row")
         line, value = entries["r"]
         initial = parse_vector(field, value)
+        if len(initial) != n:
+            raise FormatError(f"r of length {len(initial)} disagrees with M's size {n}")
     except FormatError as exc:
         raise exc.at(line)
     return CanonicalCircuit(feedback, feedforward, initial)

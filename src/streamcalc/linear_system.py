@@ -5,8 +5,8 @@ output matrix.  Its behaviour at a state v is the vector of rational streams
 H (I - X F)^-1 v, computed without arithmetic over k(X): by Cayley-Hamilton
 each output stream has linear complexity at most n, so its first 2n
 coefficients H F^t v determine it through Berlekamp-Massey, the one backward
-recurrence (``coordinate_streams``).  Longer prefixes continue from the
-outputs already made by the one forward recurrence, ``RationalStream._terms``.
+recurrence (``coordinate_streams``).  Longer prefixes are those closed forms'
+coefficients, made by the one forward recurrence, ``RationalStream._terms``.
 
 Every iteration of a matrix goes through the one kernel
 :meth:`Matrix.orbit`: the outputs are H on F's orbit, read off its
@@ -87,13 +87,11 @@ class LinearSystem:
 
     def step_outputs(self, state: Sequence, steps: int) -> List[Tuple]:
         """The first ``steps`` output vectors H F^t state: H on F's orbit up to
-        2 * dim, then each output's closed form s continues from those as
-        s^(2 dim) (exact by Cayley-Hamilton)."""
-        outputs = self.dynamics.orbit(state, min(steps, 2 * self.dim), self.output)
-        known = len(outputs)
-        closed = coordinate_streams(self.field, outputs, self.num_outputs) if steps > known else ()
-        tails = (s._derivative_after(known, [v[i] for v in outputs]) for i, s in enumerate(closed))
-        return outputs + list(zip(*(tail.expand(steps - known) for tail in tails)))
+        2 * dim, past that the coefficients of ``behaviour``'s closed forms
+        (exact by Cayley-Hamilton)."""
+        if steps <= 2 * self.dim:
+            return self.dynamics.orbit(state, steps, self.output)
+        return list(zip(*(s.expand(steps) for s in self.behaviour(state))))
 
 
 @dataclass(frozen=True)

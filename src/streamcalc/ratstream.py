@@ -110,14 +110,11 @@ class RationalStream(Quotient):
         return RationalStream._make(shifted.shifted_down(), self.den)
 
     def iterated_derivative(self, k: int) -> "RationalStream":
-        """s^(k): k steps of ``_terms``, then the numerator off their last deg q."""
+        """s^(k) = ((p - S_k q) / X^k) / q, read off the last deg q of k steps
+        of ``_terms``: numerator coefficient j is p_(j+k) - sum_(i>j) q_i
+        s_(k+j-i), and gcd(p - S_k q, q) = gcd(p, q) = 1."""
         _check_count(k, "derivative order")
-        return self._derivative_after(k, deque(islice(self._terms(), k), maxlen=self.den.degree))
-
-    def _derivative_after(self, k: int, prefix: Sequence) -> "RationalStream":
-        """s^(k) = ((p - S_k q) / X^k) / q given the prefix S_k's terms in order,
-        at least its last deg q (or all k): numerator coefficient j is p_(j+k) -
-        sum_(i>j) q_i s_(k+j-i), and gcd(p - S_k q, q) = gcd(p, q) = 1."""
+        prefix = deque(islice(self._terms(), k), maxlen=self.den.degree)
         dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
         length = max(len(taps), num.degree - k + 1)
         shifted = [num.coefficient(j + k) - dot(taps[j:], reversed(prefix)) for j in range(length)]

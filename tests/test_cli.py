@@ -242,6 +242,14 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_misshaped_canonical_file_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "c.txt"
+    bad.write_text("M=1\nN=1,2\nr=1\n")
+    code, out, err = run(capsys, "circuit", "sim", "--file", str(bad), "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: line 2: N must be a 1 x 1 row\n"
+
+
 def test_system_state_is_read_as_a_v0_line(tmp_path, capsys):
     stateless = tmp_path / "s0.txt"
     stateless.write_text("field q\nn 0\nm 1\nv0\n")

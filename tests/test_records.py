@@ -116,6 +116,21 @@ def test_packed_canonical_line():
         parse_canonical("M\nN=1\nr=1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("M=1,2\nN=1,2\nr=1,0\n", "line 1: M is 1 x 2, not square"),
+        ("M=1\nN=1,2\nr=1\n", "line 2: N must be a 1 x 1 row"),
+        ("M=1\nN=1;2\nr=1\n", "line 2: N must be a 1 x 1 row"),
+        ("M=1\nN=1\nr=1,2\n", "line 3: r of length 2 disagrees with M's size 1"),
+    ],
+)
+def test_misshaped_canonical_line_is_named(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_canonical(text)
+    assert str(info.value) == message
+
+
 def test_missing_keys_name_no_line():
     for parser, text, key in (
         (parse_system, "field q\nn 0\n", "m"),

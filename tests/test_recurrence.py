@@ -2,9 +2,10 @@
 
 ``expand``, ``coefficient``, ``iterated_derivative``,
 ``StreamPrefix.from_rational`` and, past 2 * dim, ``step_outputs`` all take
-their coefficients from it.  Each is checked against an independent
-reference: the closed-form ``derivative`` chain, and H F^t v from the boxed
-orbit of ``util``.
+their coefficients from it; ``step_outputs`` past 2 * dim expands the closed
+forms of ``behaviour``.  Each is checked against an independent reference:
+the closed-form ``derivative`` chain, and H F^t v from the boxed orbit of
+``util``.
 """
 
 from hypothesis import given
@@ -127,12 +128,13 @@ def systems(draw, field):
     return LinearSystem(dynamics, output), state
 
 
-@given(st.data(), st.sampled_from(FIELDS), st.sampled_from(["short", "2n", "long"]))
+@given(st.data(), st.sampled_from(FIELDS + (PrimeField(2**61 - 1),)),
+       st.sampled_from(["short", "2n", "2n+1", "long"]))
 def test_step_outputs_are_outputs_of_the_boxed_orbit(data, field, length):
     system, state = data.draw(systems(field))
     two_n = 2 * system.dim
     steps = {"short": data.draw(st.integers(0, max(two_n - 1, 0))), "2n": two_n,
-             "long": data.draw(st.integers(two_n + 1, two_n + 30))}[length]
+             "2n+1": two_n + 1, "long": data.draw(st.integers(two_n + 1, two_n + 30))}[length]
     expected = [
         tuple(boxed_dot(field, row, x) for row in system.output.entries)
         for x in boxed_orbit(system.dynamics, state, steps)
@@ -140,8 +142,9 @@ def test_step_outputs_are_outputs_of_the_boxed_orbit(data, field, length):
     assert system.step_outputs(state, steps) == expected
 
 
-def test_step_outputs_continue_past_2n_without_re_expanding(monkeypatch):
-    """Past 2n each output draws only its later terms from the recurrence."""
+def test_step_outputs_past_2n_expand_the_closed_forms(monkeypatch):
+    """Up to 2n no term is drawn from the recurrence; past 2n each output's
+    closed form draws exactly ``steps`` terms."""
     dynamics = Matrix(QQ, [[0, 1, 0], [2, 0, 1], [1, 1, 1]])
     system, state = LinearSystem(dynamics, Matrix(QQ, [[1, 0, 2], [0, 1, 0]])), (1, -1, 2)
     expected = [
@@ -157,10 +160,10 @@ def test_step_outputs_continue_past_2n_without_re_expanding(monkeypatch):
             yield term
 
     monkeypatch.setattr(RationalStream, "_terms", counted)
-    for steps in (6, 7, 25):
+    for steps in (0, 5, 6, 7, 25):
         drawn.clear()
         assert system.step_outputs(state, steps) == expected[:steps]
-        assert len(drawn) == 2 * (steps - 6)
+        assert len(drawn) == (2 * steps if steps > 6 else 0)
 
 
 def test_recurrence_readers_need_no_derivative_and_no_apply(monkeypatch):
