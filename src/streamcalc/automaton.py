@@ -17,7 +17,7 @@ and stays the independent oracle, capped at ``MAX_PATHS`` path prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -29,7 +29,7 @@ from .errors import (
 from .fields import Field, field_from_spec
 from .linear_system import LinearSystem, PointedLinearSystem, is_first_basis_vector
 from .matrix import Matrix
-from .ratstream import RationalStream, coordinate_streams
+from .ratstream import CoordinateStreams, RationalStream
 from .records import read_dimension, read_records
 
 # path prefixes ``path_sum`` pops before it gives up: well above the few
@@ -96,14 +96,17 @@ class WeightedAutomaton:
                     pending.append((q2, remaining - 1, acc * weight))
         return total
 
-    def behaviour(self) -> Tuple[RationalStream, ...]:
+    def behaviour(self) -> Sequence[RationalStream]:
         """Closed form for every state: resolvent of the weights at the outputs.
 
         State q's stream has coefficients (W^k o)_q and linear complexity at
         most ``size``, so the first 2 * size iterates determine every state.
+        The orbit is made here; each state's closed form is fitted the first
+        time it is read (``CoordinateStreams``), so ``behaviour()[0]`` fits
+        one state, and a caller that reads every state gains nothing.
         """
         iterates = self.weights.orbit(self.outputs, 2 * self.size)
-        return coordinate_streams(self.field, iterates, self.size)
+        return CoordinateStreams(self.field, iterates, self.size)
 
     @classmethod
     def from_linear_system(cls, pointed: PointedLinearSystem) -> "WeightedAutomaton":

@@ -20,6 +20,9 @@ shortest recurrence), ``Matrix.orbit``, ``matrix._eliminate`` (whose
 ``integers``, ``shrink`` and ``ratios`` ``FractionField`` also has, over
 k[X]) and the netlist plan are those kernels; a test guards this, and that
 no other module names ``Rationals``.
+One more kernel runs here, where the form is known: ``polynomial_gcd``,
+Euclid on int residues mod a prime, which is the gcd over GF(p) and over Q
+a certificate that the gcd is 1, for ``Polynomial.gcd``.
 Two loops keep a per-field form, as one path measured slower: the two
 ``recurrence`` members, and ``Netlist._tick``'s ``% p`` on every gate.
 Over GF(p) the form is the residues over 1.  Over Q it is written here
@@ -108,6 +111,46 @@ def _invmod(a: int, p: int) -> int:
         return pow(a, -1, p)
     except ValueError:
         raise ZeroDivisionError("inversion of zero in prime field") from None
+
+
+# The moduli of the coprimality certificate over Q: the Mersenne prime
+# 2^61 - 1 and the next three primes below it, each tried in turn when the
+# ones before it divide a leading coefficient.
+CERTIFICATE_PRIMES = (
+    2305843009213693951,
+    2305843009213693921,
+    2305843009213693907,
+    2305843009213693723,
+)
+
+
+def _residue_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """The monic gcd over GF(p) of two polynomials given by residue lists,
+    leading coefficient first and nonzero (the empty list for 0), in the same
+    form.  Euclid without inversions, as in ``Field.berlekamp_massey``: the
+    leading term c of a is cancelled by a <- lead(b) a - c X^s b mod p, so
+    each remainder is a unit multiple of a mod b, and one inversion at the
+    end makes the gcd monic.  The update runs on the deg b terms below c;
+    the factors lead(b) of the terms further down are kept in ``scale`` and
+    applied as each term enters that window.  Over GF(2^61 - 1) an inversion
+    costs about 20 term updates."""
+    a = list(a)
+    while len(b) > 1:
+        lead, tail = b[0], b[1:]
+        k, scale = len(tail), 1
+        for i in range(len(a) - k):
+            if i:
+                a[i + k] = a[i + k] * scale % p
+            c = a[i]
+            if c:
+                a[i + 1 : i + k + 1] = [(lead * x - c * y) % p for x, y in zip(a[i + 1 : i + k + 1], tail)]
+                scale = scale * lead % p
+        rest = a[max(len(a) - k, 0) :]
+        a, b = b, rest[next((i for i, c in enumerate(rest) if c), len(rest)) :]
+    if b:  # a nonzero constant
+        return [1]
+    inverse = _invmod(a[0], p) if a else 0
+    return [c * inverse % p for c in a]
 
 
 def over_one_denominator(fractions: Iterable[Fraction]) -> Tuple[List[int], int]:
@@ -245,6 +288,23 @@ class Field:
         both = self.ratios([c * scale for c in current] + sums, current[0] * scale)
         return both[: len(current)], length, both[len(current) :]
 
+    def polynomial_gcd(self, a: Sequence, b: Sequence):
+        """The coefficients of the monic gcd of the polynomials with
+        coefficients a and b (ascending, no trailing zeros), or None where
+        this kernel proves nothing, by Euclid on int residues mod a prime.
+
+        Over GF(p) the prime is p and the answer is always given.  Over Q
+        each side's denominators are cleared to integer polynomials A and B,
+        and the prime is the first of ``CERTIFICATE_PRIMES`` that divides
+        neither leading coefficient.  Then the primitive gcd G of A and B
+        divides both in Z[X] and keeps its degree mod p, so deg gcd(A mod p,
+        B mod p) >= deg G (the unlucky-prime lemma of Brown's modular gcd,
+        Brown 1971): a residue gcd of degree 0 proves that the gcd is 1.
+        Every other case, a zero operand included, gives None.  Nothing is
+        reconstructed from the residues; they answer only that one question.
+        """
+        raise NotImplementedError
+
     def is_negative(self, a) -> bool:
         """Whether ``a`` renders with a leading minus sign."""
         raise NotImplementedError
@@ -333,6 +393,16 @@ class Rationals(Field):
         return [Fraction(c, d) for c in ints]
 
     ratio = Fraction
+
+    def polynomial_gcd(self, a, b):
+        if not (a and b):
+            return None
+        a, b = over_one_denominator(a)[0], over_one_denominator(b)[0]
+        for p in CERTIFICATE_PRIMES:
+            if a[-1] % p and b[-1] % p:
+                residues = [[c % p for c in reversed(ints)] for ints in (a, b)]
+                return [Fraction(1)] if len(_residue_gcd(*residues, p)) == 1 else None
+        return None
 
     def is_negative(self, a):
         return a < 0
@@ -500,6 +570,10 @@ class PrimeField(Field):
 
     def ratio(self, v, d):
         return PrimeFieldElement(v if d == 1 else v * _invmod(d, self.modulus), self)
+
+    def polynomial_gcd(self, a, b):
+        g = _residue_gcd([c.value for c in reversed(a)], [c.value for c in reversed(b)], self.modulus)
+        return [PrimeFieldElement(c, self) for c in reversed(g)]
 
     def is_negative(self, a):
         return False

@@ -5,7 +5,7 @@ output matrix.  Its behaviour at a state v is the vector of rational streams
 H (I - X F)^-1 v, computed without arithmetic over k(X): by Cayley-Hamilton
 each output stream has linear complexity at most n, so its first 2n
 coefficients H F^t v determine it through Berlekamp-Massey, the one backward
-recurrence (``coordinate_streams``).  Longer prefixes are those closed forms'
+recurrence (``CoordinateStreams``).  Longer prefixes are those closed forms'
 coefficients, made by the one forward recurrence, ``RationalStream._terms``.
 
 Every iteration of a matrix goes through the one kernel
@@ -43,7 +43,7 @@ from .matrix import (
     rref,
 )
 from .poly import Polynomial
-from .ratstream import RationalStream, coordinate_streams
+from .ratstream import CoordinateStreams, RationalStream
 from .records import read_dimension, read_records
 
 
@@ -76,14 +76,15 @@ class LinearSystem:
     def num_outputs(self) -> int:
         return self.output.rows
 
-    def behaviour(self, state: Sequence) -> Tuple[RationalStream, ...]:
+    def behaviour(self, state: Sequence) -> Sequence[RationalStream]:
         """The stream vector emitted from ``state``: output o resolvent o state.
 
         Each output stream has linear complexity at most ``dim``, so its first
-        2 * dim coefficients H F^t state determine it.
+        2 * dim coefficients H F^t state determine it.  Each output's closed
+        form is fitted the first time it is read (``CoordinateStreams``).
         """
         outputs = self.step_outputs(state, 2 * self.dim)
-        return coordinate_streams(self.field, outputs, self.num_outputs)
+        return CoordinateStreams(self.field, outputs, self.num_outputs)
 
     def step_outputs(self, state: Sequence, steps: int) -> List[Tuple]:
         """The first ``steps`` output vectors H F^t state: H on F's orbit up to
@@ -115,7 +116,7 @@ class PointedLinearSystem:
     def dim(self) -> int:
         return self.system.dim
 
-    def behaviour(self) -> Tuple[RationalStream, ...]:
+    def behaviour(self) -> Sequence[RationalStream]:
         return self.system.behaviour(self.initial)
 
     def step_outputs(self, steps: int) -> List[Tuple]:

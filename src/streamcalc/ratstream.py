@@ -14,7 +14,10 @@ closed form that keeps the denominator fixed.
 its coefficients, run by the field's kernel ``Field.recurrence``;
 ``from_sequence`` is the one way back, from enough coefficients over k to the
 closed form, through the field's kernel ``Field.berlekamp_massey``, which
-``analysis`` also calls for the linear complexity L alone.  Both kernels are
+``analysis`` also calls for the linear complexity L alone.
+``CoordinateStreams`` holds the ``from_sequence`` of each coordinate of a
+run of vectors, fitted the first time it is read: the behaviours of systems
+and automata.  Both kernels are
 fraction-free: the forward kernel runs on integers over Q and on residues
 over GF(p); the backward kernel is one loop for every field, on integer
 multiples of C in the field's integer form (``shrink`` strips the content
@@ -26,8 +29,9 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from collections.abc import Sequence
 from itertools import islice
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from .errors import CountTooLarge, NotInvertibleAtZero
 from .fields import Field
@@ -144,11 +148,40 @@ def _check_count(n: int, name: str) -> None:
         raise CountTooLarge(f"{name} is above {sys.maxsize}, the largest count of terms")
 
 
-def coordinate_streams(field: Field, vectors: Sequence[Tuple], width: int):
-    """``from_sequence`` of each of the ``width`` coordinates of ``vectors``."""
-    return tuple(
-        RationalStream.from_sequence(field, [v[i] for v in vectors]) for i in range(width)
-    )
+class CoordinateStreams(Sequence):
+    """The closed forms of the ``width`` coordinates of ``vectors``, each by
+    ``from_sequence``: a read-only sequence that fits stream i the first time
+    it is read and keeps it.  Reading one stream of n fits one; a caller that
+    reads every stream does the same work as fitting them all at once.  It
+    equals the tuple of its streams, either way round, and hashes as that
+    tuple does."""
+
+    __slots__ = ("_field", "_vectors", "_streams")
+
+    def __init__(self, field: Field, vectors: Sequence[Tuple], width: int):
+        self._field, self._vectors, self._streams = field, vectors, [None] * width
+
+    def __len__(self):
+        return len(self._streams)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        i = range(len(self))[i]  # IndexError and TypeError as a tuple raises them
+        if self._streams[i] is None:
+            self._streams[i] = RationalStream.from_sequence(self._field, [v[i] for v in self._vectors])
+        return self._streams[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, CoordinateStreams)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 def valuation(s: RationalStream) -> int:

@@ -153,6 +153,16 @@ def boxed_eliminate(matrix):
     return rows, pivots
 
 
+def boxed_gcd(a, b):
+    """The reference for ``Polynomial.gcd``: Euclid on field elements, each
+    remainder made monic, the gcd made monic at the end."""
+    while b:
+        a, b = b, a % b
+        if b:
+            b = b.monic()
+    return a.monic()
+
+
 def boxed_expand(s, n):
     """The reference for ``RationalStream.expand``: s_i = p_i - sum_j q_j s_(i-j),
     one boxed subtraction and multiplication per term."""
