@@ -113,15 +113,8 @@ def _invmod(a: int, p: int) -> int:
         raise ZeroDivisionError("inversion of zero in prime field") from None
 
 
-# The moduli of the coprimality certificate over Q: the Mersenne prime
-# 2^61 - 1 and the next three primes below it, each tried in turn when the
-# ones before it divide a leading coefficient.
-CERTIFICATE_PRIMES = (
-    2305843009213693951,
-    2305843009213693921,
-    2305843009213693907,
-    2305843009213693723,
-)
+# The modulus of the coprimality certificate over Q, the Mersenne prime.
+CERTIFICATE_PRIME = 2**61 - 1
 
 
 def _residue_gcd(a: List[int], b: List[int], p: int) -> List[int]:
@@ -295,13 +288,14 @@ class Field:
 
         Over GF(p) the prime is p and the answer is always given.  Over Q
         each side's denominators are cleared to integer polynomials A and B,
-        and the prime is the first of ``CERTIFICATE_PRIMES`` that divides
-        neither leading coefficient.  Then the primitive gcd G of A and B
-        divides both in Z[X] and keeps its degree mod p, so deg gcd(A mod p,
-        B mod p) >= deg G (the unlucky-prime lemma of Brown's modular gcd,
-        Brown 1971): a residue gcd of degree 0 proves that the gcd is 1.
-        Every other case, a zero operand included, gives None.  Nothing is
-        reconstructed from the residues; they answer only that one question.
+        and the prime is ``CERTIFICATE_PRIME``, 2^61 - 1.  Where it divides
+        neither leading coefficient, the primitive gcd G of A and B divides
+        both in Z[X] and keeps its degree mod p, so deg gcd(A mod p, B mod p)
+        >= deg G (the unlucky-prime lemma of Brown's modular gcd, Brown
+        1971): a residue gcd of degree 0 proves that the gcd is 1.  Every
+        other case, a zero operand or a leading coefficient that p divides
+        included, gives None.  Nothing is reconstructed from the residues;
+        they answer only that one question.
         """
         raise NotImplementedError
 
@@ -398,11 +392,11 @@ class Rationals(Field):
         if not (a and b):
             return None
         a, b = over_one_denominator(a)[0], over_one_denominator(b)[0]
-        for p in CERTIFICATE_PRIMES:
-            if a[-1] % p and b[-1] % p:
-                residues = [[c % p for c in reversed(ints)] for ints in (a, b)]
-                return [Fraction(1)] if len(_residue_gcd(*residues, p)) == 1 else None
-        return None
+        p = CERTIFICATE_PRIME
+        if not (a[-1] % p and b[-1] % p):
+            return None
+        residues = [[c % p for c in reversed(ints)] for ints in (a, b)]
+        return [Fraction(1)] if len(_residue_gcd(*residues, p)) == 1 else None
 
     def is_negative(self, a):
         return a < 0

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from streamcalc import Polynomial, PrimeField, QQ, RationalFunction, RationalStream, realize
 from streamcalc.errors import NotInvertibleAtZero
 from streamcalc.expr import evaluate_text
-from streamcalc.fields import CERTIFICATE_PRIMES, is_prime
+from streamcalc.fields import CERTIFICATE_PRIME
 from util import boxed_gcd, poly
 
 MERSENNE = 2**61 - 1
@@ -88,18 +87,12 @@ def test_reduced_quotients_are_the_boxed_reduction(pair, kind):
         assert (q.num, q.den) == (num, Polynomial.one(num.field))
 
 
-def test_certificate_primes_are_the_primes_below_the_mersenne_prime():
-    assert CERTIFICATE_PRIMES[0] == MERSENNE
-    assert all(is_prime(p) for p in CERTIFICATE_PRIMES)
-    primes = [n for n in range(CERTIFICATE_PRIMES[-1], MERSENNE + 1) if is_prime(n)]
-    assert tuple(reversed(primes)) == CERTIFICATE_PRIMES
-
-
 def test_a_prime_that_divides_a_leading_coefficient_is_passed_over():
     """a = X + 1/P clears to P X + 1, a constant mod P, so the residue gcd
-    mod P has degree 0 although a divides b: the kernel must take the next
-    prime, and with every prime dividing it must run Euclid."""
-    for lead in (MERSENNE, MERSENNE * CERTIFICATE_PRIMES[1], prod(CERTIFICATE_PRIMES)):
+    mod P has degree 0 although a divides b: the kernel must prove nothing,
+    and Euclid must run."""
+    assert CERTIFICATE_PRIME == MERSENNE
+    for lead in (MERSENNE, 3 * MERSENNE, MERSENNE**2):
         a = poly(QQ, Fraction(1, lead), 1)
         b = a * poly(QQ, 5, 1)
         assert QQ.polynomial_gcd(a.coeffs, b.coeffs) is None
@@ -122,8 +115,6 @@ def test_a_certified_pair_runs_no_euclid(monkeypatch):
     monkeypatch.setattr(Polynomial, "__divmod__", forbidden)
     a, b = poly(QQ, 1, 1, 1) ** 40, poly(QQ, 1, -1) ** 40
     assert a.gcd(b) == Polynomial.one(QQ)
-    # X + 1/P clears to P X + 1: certified by the next prime
-    assert poly(QQ, Fraction(1, MERSENNE), 1).gcd(poly(QQ, 2, 1)) == Polynomial.one(QQ)
     for field in FIELDS[1:]:
         factor = poly(field, 1, 1)
         assert (poly(field, 3, 1, 1) * factor).gcd(poly(field, 2, 5) * factor) == factor

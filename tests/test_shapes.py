@@ -9,7 +9,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "shapes.py"
 
 def test_every_case_runs_at_tiny_sizes():
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--tiny", "--repeat", "1"],
+        [sys.executable, str(TOOL), "--tiny"],
         capture_output=True,
         text=True,
         timeout=60,

@@ -1,9 +1,9 @@
 """Timings of the input shapes that the benchmark's workloads do not reach.
 
-    python3 tools/shapes.py [--repeat 3] [--tiny]
+    python3 tools/shapes.py [--tiny]
 
 Each case runs in this process over this checkout's ``src/``; its time is
-the best of ``--repeat`` runs (``time.perf_counter``), in ms.  The cases:
+the best of 3 runs (``time.perf_counter``), in ms.  The cases:
 
 - the quotient (1+X+X^2)^k/(1-X)^k over Q, evaluated and expanded to 3
   terms, at k = 60, 100 and 300.  Its sides are coprime, so the gcd ends at
@@ -38,6 +38,7 @@ from streamcalc.automaton import WeightedAutomaton  # noqa: E402
 from streamcalc.expr import evaluate_text  # noqa: E402
 
 MERSENNE = PrimeField(2**61 - 1)
+REPEAT = 3
 
 
 def quotient(k: int, planted: bool = False) -> Callable[[], object]:
@@ -85,9 +86,9 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     ]
 
 
-def best_ms(run: Callable[[], object], repeat: int) -> float:
+def best_ms(run: Callable[[], object]) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
@@ -96,14 +97,11 @@ def best_ms(run: Callable[[], object], repeat: int) -> float:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--tiny", action="store_true", help="every case at a small size")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
-    print(f"{'case':<46}{'ms':>10}   (best of {args.repeat})", flush=True)
+    print(f"{'case':<46}{'ms':>10}   (best of {REPEAT})", flush=True)
     for name, run in cases(args.tiny):
-        print(f"{name:<46}{best_ms(run, args.repeat):>10.2f}", flush=True)
+        print(f"{name:<46}{best_ms(run):>10.2f}", flush=True)
     return 0
 
 
