@@ -21,8 +21,9 @@ shortest recurrence), ``Matrix.orbit``, ``matrix._eliminate`` (whose
 k[X]) and the netlist plan are those kernels; a test guards this, and that
 no other module names ``Rationals``.
 One more kernel runs here, where the form is known: ``polynomial_gcd``,
-Euclid on int residues mod a prime, which is the gcd over GF(p) and over Q
-a certificate that the gcd is 1, for ``Polynomial.gcd``.
+the one gcd of ``Polynomial.gcd``, by one Euclid loop on ints: on residues
+mod p over GF(p); over Q mod a prime, as a certificate that the gcd is 1,
+and where that proves nothing on integers, as the primitive PRS.
 Two loops keep a per-field form, as one path measured slower: the two
 ``recurrence`` members, and ``Netlist._tick``'s ``% p`` on every gate.
 Over GF(p) the form is the residues over 1.  Over Q it is written here
@@ -117,32 +118,43 @@ def _invmod(a: int, p: int) -> int:
 CERTIFICATE_PRIME = 2**61 - 1
 
 
-def _residue_gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    """The monic gcd over GF(p) of two polynomials given by residue lists,
-    leading coefficient first and nonzero (the empty list for 0), in the same
-    form.  Euclid without inversions, as in ``Field.berlekamp_massey``: the
-    leading term c of a is cancelled by a <- lead(b) a - c X^s b mod p, so
-    each remainder is a unit multiple of a mod b, and one inversion at the
-    end makes the gcd monic.  The update runs on the deg b terms below c;
+def _euclid(a: List[int], b: List[int], p: int) -> List[int]:
+    """The gcd of two polynomials given by int lists, leading coefficient
+    first and nonzero (the empty list for 0), in the same form: for a prime
+    p the monic gcd over GF(p), its residues; for p = 0 a primitive gcd over
+    Z.  Euclid without inversions, as in ``Field.berlekamp_massey``: the
+    leading term c of a is cancelled by a <- lead(b) a - c X^s b (mod p), so
+    each remainder is a mod b times a unit mod p, or times a power of lead(b)
+    over Z, where it is then divided by its content: the primitive PRS
+    (Collins 1967, Brown 1971).  The update runs on the deg b terms below c;
     the factors lead(b) of the terms further down are kept in ``scale`` and
-    applied as each term enters that window.  Over GF(2^61 - 1) an inversion
-    costs about 20 term updates."""
+    applied as each term enters that window.  Mod p one inversion at the end
+    makes the gcd monic; over GF(2^61 - 1) an inversion costs about 20 term
+    updates."""
     a = list(a)
     while len(b) > 1:
         lead, tail = b[0], b[1:]
         k, scale = len(tail), 1
         for i in range(len(a) - k):
             if i:
-                a[i + k] = a[i + k] * scale % p
+                a[i + k] = a[i + k] * scale % p if p else a[i + k] * scale
             c = a[i]
             if c:
-                a[i + 1 : i + k + 1] = [(lead * x - c * y) % p for x, y in zip(a[i + 1 : i + k + 1], tail)]
-                scale = scale * lead % p
+                window = zip(a[i + 1 : i + k + 1], tail)
+                if p:
+                    a[i + 1 : i + k + 1] = [(lead * x - c * y) % p for x, y in window]
+                    scale = scale * lead % p
+                else:
+                    a[i + 1 : i + k + 1] = [lead * x - c * y for x, y in window]
+                    scale *= lead
         rest = a[max(len(a) - k, 0) :]
-        a, b = b, rest[next((i for i, c in enumerate(rest) if c), len(rest)) :]
+        rest = rest[next((i for i, c in enumerate(rest) if c), len(rest)) :]
+        a, b = b, rest if p or not rest else strip_content(rest, 0)[0]
     if b:  # a nonzero constant
         return [1]
-    inverse = _invmod(a[0], p) if a else 0
+    if not (p and a):
+        return a
+    inverse = _invmod(a[0], p)
     return [c * inverse % p for c in a]
 
 
@@ -281,21 +293,21 @@ class Field:
         both = self.ratios([c * scale for c in current] + sums, current[0] * scale)
         return both[: len(current)], length, both[len(current) :]
 
-    def polynomial_gcd(self, a: Sequence, b: Sequence):
+    def polynomial_gcd(self, a: Sequence, b: Sequence) -> List:
         """The coefficients of the monic gcd of the polynomials with
-        coefficients a and b (ascending, no trailing zeros), or None where
-        this kernel proves nothing, by Euclid on int residues mod a prime.
+        coefficients a and b (ascending, no trailing zeros; none for 0), by
+        ``_euclid``, Euclid without inversions on ints.
 
-        Over GF(p) the prime is p and the answer is always given.  Over Q
-        each side's denominators are cleared to integer polynomials A and B,
-        and the prime is ``CERTIFICATE_PRIME``, 2^61 - 1.  Where it divides
-        neither leading coefficient, the primitive gcd G of A and B divides
-        both in Z[X] and keeps its degree mod p, so deg gcd(A mod p, B mod p)
-        >= deg G (the unlucky-prime lemma of Brown's modular gcd, Brown
-        1971): a residue gcd of degree 0 proves that the gcd is 1.  Every
-        other case, a zero operand or a leading coefficient that p divides
-        included, gives None.  Nothing is reconstructed from the residues;
-        they answer only that one question.
+        Over GF(p) the loop runs on the residues mod p.  Over Q each side's
+        denominators are cleared to integer polynomials A and B.  Where the
+        prime ``CERTIFICATE_PRIME``, 2^61 - 1, divides neither leading
+        coefficient, the primitive gcd G of A and B divides both in Z[X] and
+        keeps its degree mod p, so deg gcd(A mod p, B mod p) >= deg G (the
+        unlucky-prime lemma of Brown's modular gcd, Brown 1971): a residue
+        gcd of degree 0 proves that the gcd is 1, as it almost always is.
+        Every other pair, a zero operand, a leading coefficient that p
+        divides or a common factor, runs the loop on A and B themselves, the
+        primitive PRS, and its gcd is boxed once, by ``ratios``.
         """
         raise NotImplementedError
 
@@ -389,14 +401,13 @@ class Rationals(Field):
     ratio = Fraction
 
     def polynomial_gcd(self, a, b):
-        if not (a and b):
-            return None
-        a, b = over_one_denominator(a)[0], over_one_denominator(b)[0]
+        a, b = over_one_denominator(a)[0][::-1], over_one_denominator(b)[0][::-1]
         p = CERTIFICATE_PRIME
-        if not (a[-1] % p and b[-1] % p):
-            return None
-        residues = [[c % p for c in reversed(ints)] for ints in (a, b)]
-        return [Fraction(1)] if len(_residue_gcd(*residues, p)) == 1 else None
+        if a and b and a[0] % p and b[0] % p:
+            if len(_euclid([c % p for c in a], [c % p for c in b], p)) == 1:
+                return [Fraction(1)]
+        g = _euclid(a, b, 0)
+        return self.ratios(g[::-1], g[0]) if g else []
 
     def is_negative(self, a):
         return a < 0
@@ -566,7 +577,7 @@ class PrimeField(Field):
         return PrimeFieldElement(v if d == 1 else v * _invmod(d, self.modulus), self)
 
     def polynomial_gcd(self, a, b):
-        g = _residue_gcd([c.value for c in reversed(a)], [c.value for c in reversed(b)], self.modulus)
+        g = _euclid([c.value for c in reversed(a)], [c.value for c in reversed(b)], self.modulus)
         return [PrimeFieldElement(c, self) for c in reversed(g)]
 
     def is_negative(self, a):

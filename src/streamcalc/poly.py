@@ -215,26 +215,9 @@ class Polynomial:
         return self.scale(self.field.inv(self.leading))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor: the field's ``polynomial_gcd``
-        first, Euclid on field elements where it proves nothing.
-
-        ``polynomial_gcd`` runs Euclid on int residues mod a prime: over GF(p)
-        that is the gcd, and over Q a residue gcd of degree 0 certifies that
-        the gcd is 1, as it almost always is.  Other pairs over Q, a planted
-        common factor or a zero operand, run Euclid on ``Fraction``s, whose
-        remainders are re-normalized to monic each step; their coefficients
-        still grow with the subresultants.
-        """
+        """Monic greatest common divisor, by the field's ``polynomial_gcd``."""
         self._check(other)
-        g = self.field.polynomial_gcd(self.coeffs, other.coeffs)
-        if g is not None:
-            return Polynomial._make(self.field, g)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-            if not b.is_zero:
-                b = b.monic()
-        return a.monic()
+        return Polynomial._make(self.field, self.field.polynomial_gcd(self.coeffs, other.coeffs))
 
     def shifted_down(self) -> "Polynomial":
         """Divide by X; requires a vanishing constant term."""

@@ -1,11 +1,11 @@
-"""``Polynomial.gcd``: the field's residue kernel, then Euclid, against the
-boxed Euclid of ``tests/util.py``.
+"""``Polynomial.gcd``, which is ``Field.polynomial_gcd``, against the boxed
+Euclid of ``tests/util.py``.
 
-Over GF(p) ``Field.polynomial_gcd`` is the gcd itself.  Over Q it is a
-certificate: a residue gcd of degree 0 mod a prime that divides neither
-cleared leading coefficient proves the gcd is 1, and every other pair runs
-the boxed Euclid.  The explicit pairs below are the ones where trusting a
-residue gcd would be wrong.
+Over GF(p) the kernel is Euclid on int residues mod p.  Over Q it first
+tries a certificate: a residue gcd of degree 0 mod a prime that divides
+neither cleared leading coefficient proves the gcd is 1.  Every other pair
+runs the same loop on integers, the primitive PRS.  The explicit pairs
+below are the ones where trusting a residue gcd would be wrong.
 """
 
 import os
@@ -40,18 +40,19 @@ def coefficients(field):
 
 @st.composite
 def pairs(draw):
-    """(a, b) over one field: each side zero, a constant or up to degree 7,
-    and with a planted common factor of degree 1-3 in most draws."""
+    """(a, b) over one field: each side zero, a constant, up to degree 7 or
+    of degree 11-15, and with a planted common factor of degree 1-5 in most
+    draws."""
     field = draw(st.sampled_from(FIELDS))
     coefficient = coefficients(field)
 
     def side():
-        length = draw(st.sampled_from((0, 1, 2, 3, 5, 8)))
+        length = draw(st.one_of(st.sampled_from((0, 1, 2, 3, 5, 8)), st.integers(12, 16)))
         return Polynomial(field, draw(st.lists(coefficient, min_size=length, max_size=length)))
 
     a, b = side(), side()
     if draw(st.booleans()):
-        factor = Polynomial(field, draw(st.lists(coefficient, min_size=2, max_size=4)))
+        factor = Polynomial(field, draw(st.lists(coefficient, min_size=2, max_size=6)))
         a, b = a * factor, b * factor
     return a, b
 
@@ -89,35 +90,61 @@ def test_reduced_quotients_are_the_boxed_reduction(pair, kind):
 
 def test_a_prime_that_divides_a_leading_coefficient_is_passed_over():
     """a = X + 1/P clears to P X + 1, a constant mod P, so the residue gcd
-    mod P has degree 0 although a divides b: the kernel must prove nothing,
-    and Euclid must run."""
+    mod P has degree 0 although a divides b: the certificate must prove
+    nothing, and the gcd is a."""
     assert CERTIFICATE_PRIME == MERSENNE
     for lead in (MERSENNE, 3 * MERSENNE, MERSENNE**2):
         a = poly(QQ, Fraction(1, lead), 1)
         b = a * poly(QQ, 5, 1)
-        assert QQ.polynomial_gcd(a.coeffs, b.coeffs) is None
+        assert QQ.polynomial_gcd(a.coeffs, b.coeffs) == list(boxed_gcd(a, b).coeffs)
         assert a.gcd(b) == b.gcd(a) == a == boxed_gcd(a, b)
 
 
 def test_pairs_equal_mod_the_prime_are_not_certified():
-    """X + 1 and X + 1 + P are coprime over Q and equal mod P."""
+    """X + 1 and X + 1 + P are coprime over Q and equal mod P, so the residue
+    gcd has degree 1: the certificate proves nothing, and the gcd is 1."""
     a, b = poly(QQ, 1, 1), poly(QQ, 1 + MERSENNE, 1)
-    assert QQ.polynomial_gcd(a.coeffs, b.coeffs) is None
-    assert a.gcd(b) == Polynomial.one(QQ) == boxed_gcd(a, b)
+    assert QQ.polynomial_gcd(a.coeffs, b.coeffs) == list(boxed_gcd(a, b).coeffs)
+    assert a.gcd(b) == b.gcd(a) == Polynomial.one(QQ) == boxed_gcd(a, b)
 
 
 def test_a_certified_pair_runs_no_euclid(monkeypatch):
-    """Coprime pairs over Q, and every pair over GF(p), divide no polynomial."""
+    """No pair divides a polynomial or makes one monic: coprime pairs over Q
+    end at the certificate, every other pair over Q runs the integer loop,
+    and every pair over GF(p) the residue loop."""
+    factor = poly(QQ, 1, 1)
+    cases = [
+        (poly(QQ, 1, 1, 1) ** 40, poly(QQ, 1, -1) ** 40),
+        (poly(QQ, 3, Fraction(1, 2), 1) * factor, poly(QQ, 2, 5) * factor),
+        (poly(QQ, Fraction(1, 3), 2), Polynomial.zero(QQ)),
+        (Polynomial.zero(QQ), poly(QQ, 4, 0, 7)),
+        (poly(QQ, 1, MERSENNE), poly(QQ, 1, MERSENNE) * poly(QQ, 2, 1)),
+        (poly(QQ, 1, 3 * MERSENNE), poly(QQ, 2, 1)),
+    ]
+    for field in FIELDS[1:]:
+        factor = poly(field, 1, 1)
+        cases.append((poly(field, 3, 1, 1) * factor, poly(field, 2, 5) * factor))
+    expected = [boxed_gcd(a, b) for a, b in cases]
 
-    def forbidden(self, other):
+    def forbidden(*args):
         raise AssertionError("Euclid on field elements")
 
     monkeypatch.setattr(Polynomial, "__divmod__", forbidden)
-    a, b = poly(QQ, 1, 1, 1) ** 40, poly(QQ, 1, -1) ** 40
-    assert a.gcd(b) == Polynomial.one(QQ)
-    for field in FIELDS[1:]:
-        factor = poly(field, 1, 1)
-        assert (poly(field, 3, 1, 1) * factor).gcd(poly(field, 2, 5) * factor) == factor
+    monkeypatch.setattr(Polynomial, "monic", forbidden)
+    assert expected[0] == Polynomial.one(QQ)
+    assert [a.gcd(b) for a, b in cases] == expected
+
+
+def test_a_planted_factor_quotient_is_fast():
+    """((1+X+X^2)^k (1+X))/((1-X)^k (1+X)) over Q at k = 130: the gcd is
+    1+X, so the certificate proves nothing.  On a 2-vCPU host Euclid on
+    Fractions takes about 10 s there, and the primitive PRS about 2 s.  The
+    factor cancels, so the first terms are those of the coprime quotient."""
+    k = 130
+    start = time.perf_counter()
+    planted = evaluate_text(f"((1+X+X^2)^{k}*(1+X))/((1-X)^{k}*(1+X))", QQ).expand(3)
+    assert time.perf_counter() - start < 6
+    assert planted == evaluate_text(f"(1+X+X^2)^{k}/(1-X)^{k}", QQ).expand(3)
 
 
 def run_cli(*argv):
