@@ -217,7 +217,7 @@ class Netlist:
                 latches[j] = len(scales)
                 scales.append(growth)
         self._modulus = self.field.characteristic  # 0 over Q: no reduction
-        self._seeds, self._denominator = self.field.integers(gates[name].initial for name in registers)
+        self._seeds, self._seed_scale = self.field.integers(gates[name].initial for name in registers)
         self._plan, self._scales, self._latches = plan, scales, latches
         self._output = slots[self.output]
 
@@ -237,7 +237,7 @@ class Netlist:
     def simulate(self, steps: int) -> List:
         """Sample the designated output for ``steps`` synchronous ticks."""
         _check_count(steps, "number of ticks")
-        state, g, samples = self._seeds, self._denominator, []
+        state, g, samples = self._seeds, self._seed_scale, []
         out, m_out, growth = self._output, self._scales[self._output], self._growth
         latches, ratio, shrink = self._latches, self.field.ratio, self.field.shrink
         for t in range(1, steps + 1):
@@ -261,7 +261,7 @@ class Netlist:
         dynamics = Matrix(field, (ratios([c[k] for c in columns], scales[k]) for k in self._latches), cols=r)
         out = self._output
         output = Matrix(field, [ratios([c[out] for c in columns], scales[out])], cols=r)
-        initial = ratios(self._seeds, self._denominator)
+        initial = ratios(self._seeds, self._seed_scale)
         return PointedLinearSystem(LinearSystem(dynamics, output), initial)
 
     def with_output_register(self, initial) -> "Netlist":

@@ -1,7 +1,12 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields GF(p).
 
 Rational scalars are plain ``fractions.Fraction`` values (always in lowest
-terms with positive denominator).  Prime-field scalars are
+terms with positive denominator).  Each is made by ``Fraction``'s checked
+constructor, but for a recurrence term: ``_lowest_terms`` reduces it by
+gcds with the small tap scale, where the checked constructor would take a
+gcd of two integers that grow with the index, and ``_trusted_fraction``,
+the one trusted constructor, boxes it; a test keeps every other module off
+``Fraction``'s slots.  Prime-field scalars are
 :class:`PrimeFieldElement` residues.  A field descriptor object
 (:data:`QQ` or a :class:`PrimeField`) supplies identities, inversion and the
 text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
@@ -174,6 +179,41 @@ def strip_content(ints: List[int], g: int) -> Tuple[List[int], int]:
     if content == 1:
         return ints, g
     return [a // content for a in ints], g // content
+
+
+def _trusted_fraction(numerator: int, denominator: int) -> Fraction:
+    """The ``Fraction`` numerator / denominator, for a pair already in lowest
+    terms with denominator > 0, built without the gcd that ``Fraction`` takes:
+    its two slots set on a bare instance, the one trusted constructor of Q's
+    scalars (CPython 3.10 to 3.13 keep both slots)."""
+    fraction = object.__new__(Fraction)
+    fraction._numerator, fraction._denominator = numerator, denominator
+    return fraction
+
+
+def _lowest_terms(w: int, scale: int, m: int) -> Fraction:
+    """``Fraction(w, scale)`` for scale > 0 with every prime of scale dividing
+    m, by gcds with the small m in place of gcd(w, scale), whose operands
+    both grow with the index in ``Rationals.recurrence`` (the coprime base
+    idea of Bernstein 2005).  A prime shared by w and scale divides m, so
+    h = gcd(w, m) = 1 proves w / scale reduced, and otherwise h = gcd(h,
+    scale) holds every shared prime.  Squaring, h = gcd(gcd(w, h^2), scale)
+    takes each prime's exponent in h from a to min(v(w), v(scale), 2a); at
+    its fixed point h is the whole gcd(w, scale) over the shared primes,
+    reached in log2 of the largest shared exponent steps, so one division
+    leaves the pair reduced."""
+    if not w:
+        return _trusted_fraction(0, 1)
+    h = gcd(w, m)
+    if h != 1:
+        h = gcd(h, scale)
+        while h != 1:
+            grown = gcd(gcd(w, h * h), scale)
+            if grown == h:
+                w, scale = w // h, scale // h
+                break
+            h = grown
+    return _trusted_fraction(w, scale)
 
 
 class Field:
@@ -356,14 +396,16 @@ class Rationals(Field):
         """Fraction-free: with c an integer such that every c^j den_j is an
         integer, and E the lcm of the numerator's denominators, w_n = E c^n s_n
         is an integer, w_n = E c^n num_n - sum_j (c^j den_j) w_(n-j), and each
-        term is the one reduced Fraction(w_n, E c^n).  c^n may hold more
+        term is w_n / E c^n in lowest terms, by ``_lowest_terms`` with the
+        small m = c E: every prime of the scale divides m.  c^n may hold more
         factors than the terms need (den_8 = 1/29 puts a 29 into c where s_n
         needs 29^(n/8)), so every max(2 deg den, 8) terms the window is rebuilt
         by the content strip: over E c^(n+1-d) its last d integers are
         c^(d-1), ..., c^0 times the last d terms, ``strip_content`` takes
         them to the least E that keeps them integers, and the next term goes
         over E c^d.  The floor of 8 keeps a rebuild, a few big gcds, from
-        costing more than it drops at deg den = 1.
+        costing more than it drops at deg den = 1.  The rebuilt scale divides
+        E c^n times c^d, so its primes still divide m.
         """
         d = len(den) - 1
         c = _tap_scale(den[1:])
@@ -371,18 +413,19 @@ class Rationals(Field):
         taps = [q.numerator * (c**j // q.denominator) for j, q in enumerate(den[1:], 1)]
         window = deque(maxlen=d)  # the integers w, newest first
         ints, scale = over_one_denominator(num)  # E num_n, and E c^n for the next term
+        m = c * scale
         power = 1  # c^n
         for a in ints:
             w = a * power - sum(map(mul, taps, window))
             window.appendleft(w)
-            yield Fraction(w, scale)
+            yield _lowest_terms(w, scale, m)
             scale *= c
             power *= c
         while True:
             for _ in range(max(2 * d, 8)):
                 w = -sum(map(mul, taps, window))
                 window.appendleft(w)
-                yield Fraction(w, scale)
+                yield _lowest_terms(w, scale, m)
                 scale *= c
             ints, lowest = strip_content(list(window), scale // c_d)
             window, scale = deque(ints, maxlen=d), lowest * c_d

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -90,7 +91,7 @@ def test_main_exits_1_when_a_median_is_worse_than_its_bound(monkeypatch, capsys,
 
     def run_once(tree, workload, seconds):
         metrics = {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}
-        if tree == bench_pairs.ROOT:
+        if tree.name == "change":
             metrics["jobs_per_s"] = {"value": change_jobs}
         return {"correct": True, "failed": 0, "metrics": metrics}
 
@@ -105,7 +106,7 @@ def test_main_runs_ten_alternating_pairs_of_the_benchmark_run_length(monkeypatch
     runs = []
 
     def run_once(tree, workload, seconds):
-        side = "change" if tree == bench_pairs.ROOT else "parent"
+        side = tree.name
         runs.append((side, workload, seconds))
         return {"correct": True, "failed": int(side == "change" and len(runs) == 3),
                 "metrics": {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}}
@@ -126,9 +127,53 @@ def test_alternate_exports_once_and_removes_the_tree_on_break(monkeypatch):
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: exported.append((rev, dest)))
     orders = [[side for side, _ in order] for _, order in bench_pairs.alternate("HEAD~1", 3)]
     assert orders == [["parent", "change"], ["change", "parent"], ["parent", "change"]]
-    assert len(exported) == 1 and exported[0][0] == "HEAD~1"
+    # both sides once, into sibling directories: the parent's revision, and
+    # the checkout (None)
+    assert [rev for rev, _ in exported] == ["HEAD~1", None]
+    assert [dest.name for _, dest in exported] == ["parent", "change"]
+    assert exported[0][1].parent == exported[1][1].parent
     for _, order in bench_pairs.alternate("HEAD~1", 3):
         trees = dict(order)
-        assert trees["parent"].is_dir() and trees["change"] == bench_pairs.ROOT
+        assert trees["parent"].parent.is_dir() and trees["change"] != bench_pairs.ROOT
         break
-    assert not trees["parent"].exists()
+    assert not trees["parent"].parent.exists()
+
+
+def snapshot(root):
+    """Every file under ``root`` with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_both_sides_are_exported_alike(tmp_path, monkeypatch):
+    """The parent is the revision's files; the change is the checkout's
+    tracked and unignored files as the working tree has them: edits and new
+    files in, ignored and deleted files out, and nothing written under .git."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src").mkdir()
+    for name in ("src/kept.py", "src/edited.py", "src/deleted.py"):
+        (repo / name).write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "src/edited.py").write_text("edited\n")
+    (repo / "src/deleted.py").unlink()
+    (repo / "src/new.py").write_text("new\n")
+    (repo / "src/__pycache__").mkdir()
+    (repo / "src/__pycache__/kept.pyc").write_bytes(b"built")
+    before = snapshot(repo / ".git")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    trees = {}
+    for _, order in bench_pairs.alternate("HEAD", 1):
+        trees = {side: snapshot(tree) for side, tree in order}
+    assert trees["parent"] == {".gitignore": b"__pycache__/\n", "src/kept.py": b"committed\n",
+                               "src/edited.py": b"committed\n", "src/deleted.py": b"committed\n"}
+    assert trees["change"] == {".gitignore": b"__pycache__/\n", "src/kept.py": b"committed\n",
+                               "src/edited.py": b"edited\n", "src/new.py": b"new\n"}
+    assert snapshot(repo / ".git") == before

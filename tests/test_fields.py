@@ -336,11 +336,23 @@ def test_the_integer_form_over_q_is_the_module_functions():
 # what only fields.py may know: the Q form's functions, the GF(p) box and the
 # Q class, so that no other module picks a path by the field's class
 HIDDEN = {"strip_content", "over_one_denominator", "PrimeFieldElement", "Rationals"}
+# and the trusted Fraction: its slots, and a Fraction made by object.__new__
+TRUSTED = {"_numerator", "_denominator", "object.__new__(Fraction)"}
 PACKAGE = Path(streamcalc.__file__).parent
 
 
+def is_bare_fraction(node):
+    """Whether ``node`` is ``object.__new__(Fraction)`` (or of ``fractions.Fraction``)."""
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "__new__"
+            and isinstance(func.value, ast.Name) and func.value.id == "object"
+            and any(isinstance(a, ast.Name) and a.id == "Fraction"
+                    or isinstance(a, ast.Attribute) and a.attr == "Fraction" for a in node.args))
+
+
 def knowledge_of_the_integer_form(path):
-    """The imports of ``fractions`` and the HIDDEN names in one module."""
+    """The imports of ``fractions``, the HIDDEN names and the TRUSTED
+    constructor in one module."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
@@ -351,17 +363,20 @@ def knowledge_of_the_integer_form(path):
             found.update({node.name, node.asname} & HIDDEN)
         elif isinstance(node, ast.Name) and node.id in HIDDEN:
             found.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr in HIDDEN:
+        elif isinstance(node, ast.Attribute) and node.attr in HIDDEN | TRUSTED:
             found.add(node.attr)
+        elif isinstance(node, ast.Call) and is_bare_fraction(node):
+            found.add("object.__new__(Fraction)")
     return found
 
 
 def test_only_fields_py_knows_the_integer_form():
     """Every other module reaches Q and GF(p) scalars through ``Field``'s
-    members (``integers``, ``residue``, ``shrink``, ``ratio``, ``ratios``)."""
+    members (``integers``, ``residue``, ``shrink``, ``ratio``, ``ratios``),
+    and makes no ``Fraction`` past its checked constructor."""
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) > 10
-    assert knowledge_of_the_integer_form(PACKAGE / "fields.py") == HIDDEN | {"fractions"}
+    assert knowledge_of_the_integer_form(PACKAGE / "fields.py") == HIDDEN | TRUSTED | {"fractions"}
     known = {str(path.relative_to(PACKAGE)): knowledge_of_the_integer_form(path) for path in modules}
     del known["fields.py"]
     assert {name: found for name, found in known.items() if found} == {}

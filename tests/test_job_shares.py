@@ -101,7 +101,7 @@ def tiny_trees(monkeypatch, rounds, wrong_in=""):
                             ignore=shutil.ignore_patterns("__pycache__", "out"))
 
     def tiny_pass(tree, workload, seed, repeat):
-        side = "change" if tree == job_shares.ROOT else "parent"
+        side = tree.name
         order.append((side, workload))
         wrong = "1" if side == wrong_in else ""
         return [sys.executable, "-c", TINY_PASS, str(tree), workload, str(seed), str(repeat), wrong]

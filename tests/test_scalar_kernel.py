@@ -9,7 +9,7 @@ decided at the boundary.
 
 from fractions import Fraction
 from itertools import islice
-from math import prod
+from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
@@ -215,7 +215,7 @@ def test_fraction_free_window_stays_near_the_terms_size(monkeypatch, den):
     period = max(2 * d, 8)
     c = _tap_scale(den[1:])
     kernel = []  # (w_m, E c^m) of each term
-    monkeypatch.setattr(fields, "Fraction", recorded_fractions(kernel))
+    monkeypatch.setattr(fields, "_lowest_terms", recorded_fractions(kernel))
     terms = list(islice(QQ.recurrence(num, den), n))
     for start in range(len(num) + period, n, period):
         _, lowest = over_one_denominator(c**k * terms[start - d + k] for k in range(d))
@@ -230,14 +230,15 @@ def test_fraction_free_window_stays_near_the_terms_size(monkeypatch, den):
 
 
 def recorded_fractions(log):
-    """``Fraction`` that appends each (w, scale) it is given to ``log``: in
-    ``Rationals.recurrence``, each term's integer and scale."""
+    """``_lowest_terms`` that appends each (w, scale) it is given to ``log``:
+    in ``Rationals.recurrence``, each term's integer and scale."""
+    lowest_terms = fields._lowest_terms
 
-    def fraction(w, scale):
+    def recorded(w, scale, m):
         log.append((w, scale))
-        return Fraction(w, scale)
+        return lowest_terms(w, scale, m)
 
-    return fraction
+    return recorded
 
 
 def counted_strips(rebuilds):
@@ -276,7 +277,7 @@ def test_rebuilt_window_is_the_least_window(kind, data):
     rebuilds, kernel = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fields, "strip_content", counted_strips(rebuilds))
-        patch.setattr(fields, "Fraction", recorded_fractions(kernel))
+        patch.setattr(fields, "_lowest_terms", recorded_fractions(kernel))
         terms = list(islice(QQ.recurrence(num, den), len(num) + 3 * period + 1))
     assert len(rebuilds) == 3
     for r, (window, lowest) in enumerate(rebuilds, 1):
@@ -284,6 +285,85 @@ def test_rebuilt_window_is_the_least_window(kind, data):
         least, scale = over_one_denominator(c**k * t for k, t in enumerate(terms[end - d : end]))
         assert (window[::-1], lowest) == (least, scale)
         assert kernel[end][1] == scale * c**d
+
+
+# c for every shape of tap scale, with its least prime: a prime, two primes,
+# 2^3 5^3, the eight primes of COPRIME, a 40-digit prime
+SCALES = {2: 2, 6: 2, 1000: 2, _tap_scale(COPRIME[1:]): 3, 10**39 + 3: 10**39 + 3}
+
+
+@st.composite
+def recurrence_pairs(draw):
+    """(w, E c^n, c E) as ``Rationals.recurrence`` passes them: E of every
+    kind of ``util.DENOMINATORS``, and w zero, negative, or carrying large
+    powers of the primes of c E."""
+    c = draw(st.sampled_from(sorted(SCALES)))
+    e = draw(DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))])
+    n = draw(st.integers(0, 30))
+    w = draw(st.just(0) | st.integers(-(2**200), 2**200))
+    w *= c ** draw(st.integers(0, n + 4)) * e ** draw(st.integers(0, 4)) * SCALES[c] ** draw(st.integers(0, 40))
+    return w, e * c**n, c * e
+
+
+@given(recurrence_pairs())
+def test_lowest_terms_is_the_checked_fraction(pair):
+    """The trusted box is exactly the ``Fraction`` the checked constructor
+    makes, and arithmetic on it is ``Fraction``'s."""
+    w, scale, m = pair
+    term, expected = fields._lowest_terms(w, scale, m), Fraction(w, scale)
+    assert type(term) is Fraction
+    assert (term.numerator, term.denominator) == (expected.numerator, expected.denominator)
+    assert (hash(term), repr(term)) == (hash(expected), repr(expected))
+    assert (term + 1, term * term, term - expected, term / 7) == (
+        expected + 1, expected * expected, 0, expected / 7)
+
+
+def counted_gcds(counts):
+    """``math.gcd`` that adds one to ``counts[-1]`` per call."""
+
+    def counted(*args):
+        counts[-1] += 1
+        return gcd(*args)
+
+    return counted
+
+
+def test_a_zero_term_takes_no_gcd(monkeypatch):
+    counts = [0]
+    monkeypatch.setattr(fields, "gcd", counted_gcds(counts))
+    zero = fields._lowest_terms(0, 2**300, 2)
+    assert (zero.numerator, zero.denominator, counts) == (0, 1, [0])
+
+
+def test_a_large_shared_power_takes_logarithmically_many_gcds(monkeypatch):
+    """2^200 shared by w and the scale: squaring reaches it in 8 steps, where
+    a pass per factor of m would take 200."""
+    counts = [0]
+    monkeypatch.setattr(fields, "gcd", counted_gcds(counts))
+    term = fields._lowest_terms(3 * 2**200, 2**300, 2)
+    assert (term.numerator, term.denominator) == (3, 2**100)
+    # gcd(w, m) and gcd(h, scale), then two a step: h = 2^2, 2^4, ..., 2^128,
+    # 2^200, and once more to see it stay
+    assert counts[0] <= 20
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    (((Fraction(1),), (Fraction(1), Fraction(0), Fraction(-1, 4))), ((Fraction(3), Fraction(1)), HALF_ROOT),
+     ((Fraction(3), Fraction(1)), COPRIME)),
+    ids=("1/(1-X^2/4)", "half-root", "coprime"),
+)
+def test_each_term_takes_a_bounded_number_of_gcds(monkeypatch, num, den):
+    """At most 16 gcds per term over 1600 terms, the window's rebuild
+    included (14 at most here); a term that divided out one factor per pass
+    took up to 43 on the coprime shape."""
+    counts = [0]
+    monkeypatch.setattr(fields, "gcd", counted_gcds(counts))
+    terms = QQ.recurrence(num, den)
+    for _ in range(1600):
+        next(terms)
+        counts.append(0)
+    assert max(counts) <= 16
 
 
 @st.composite

@@ -18,7 +18,9 @@ def test_every_case_runs_at_tiny_sizes():
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "ms"]
     names = [row.rsplit(None, 1)[0] for row in rows]
-    assert len(names) == 10
-    for shape in ("coprime quotient", "planted-factor quotient", "realize", "automaton", "berlekamp_massey"):
+    assert len(names) == 15
+    for shape in ("coprime quotient", "planted-factor quotient", "realize", "automaton", "berlekamp_massey",
+                  "expand 1/(1-X/1000),", "expand 1/(1-X/1000-X^2/999)", "expand 1/(1-X/7-X^2/5)",
+                  "expand 1/(1-X^2/4)", "expand 1/COPRIME"):
         assert any(name.startswith(shape) for name in names)
     assert all(float(row.split()[-1]) >= 0 for row in rows)

@@ -2,12 +2,16 @@
 
     python3 tools/bench_pairs.py --parent <rev> [--workload all]
 
-The parent revision is exported with ``git archive`` into a temporary
-directory (no worktree, nothing written under ``.git``).  For each workload,
-each of ``PAIRS`` pairs runs ``perfbench/run.py --seed 1 --trace 0`` once in
-the parent's tree and once in this checkout's working tree, alternating which
-side goes first; :func:`alternate` does the export and the alternation, for
-``tools/job_shares.py --parent`` too.  Each side runs its own ``perfbench``; ``BENCHMARK.json``
+Both sides are exported alike, into two sibling directories of one
+temporary directory (no worktree, nothing written under ``.git``): the
+parent revision with ``git archive``, and the change as a copy of this
+checkout's tracked and unignored files as its working tree has them.  So
+the two trees differ in their files only where the code differs, and no
+metric reads the checkout's own build products or place.  For each
+workload, each of ``PAIRS`` pairs runs ``perfbench/run.py --seed 1 --trace 0``
+once in each tree, alternating which side goes first; :func:`alternate`
+does the export and the alternation, for ``tools/job_shares.py --parent``
+too.  Each side runs its own ``perfbench``; ``BENCHMARK.json``
 supplies the workloads, the run length (``run_seconds``) and, for every
 end-to-end metric, its direction and bound.
 
@@ -26,6 +30,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -113,25 +119,37 @@ def format_rows(workload: str, rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
-def export(rev: str, dest: Path) -> None:
-    """The files of ``rev`` under ``dest``, through ``git archive``."""
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, **safe)
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export(rev: Optional[str], dest: Path) -> None:
+    """The files of ``rev`` under ``dest``, through ``git archive``; for
+    ``rev`` None, this checkout's tracked and unignored files, as its working
+    tree has them (a deleted file is left out)."""
+    dest.mkdir(parents=True, exist_ok=True)
+    if rev is not None:
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+            tar.extractall(dest, **safe)
+        return
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def alternate(rev: str, rounds: int) -> Iterator[Tuple[int, List[Tuple[str, Path]]]]:
-    """Export ``rev`` into a temporary directory, then yield (i, order) for
-    each of ``rounds`` rounds: ("parent", its tree) and ("change", this
-    checkout), the parent first in even rounds.  The directory is removed
-    when the caller's loop ends, by a ``return`` or ``break`` too."""
+    """Export ``rev`` and this checkout into two sibling directories of one
+    temporary directory, then yield (i, order) for each of ``rounds``
+    rounds: ("parent", its tree) and ("change", the checkout's copy), the
+    parent first in even rounds.  The directory is removed when the
+    caller's loop ends, by a ``return`` or ``break`` too."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_tree = Path(tmp)
-        export(rev, parent_tree)
-        order = [("parent", parent_tree), ("change", ROOT)]
+        order = [("parent", Path(tmp) / "parent"), ("change", Path(tmp) / "change")]
+        export(rev, order[0][1])
+        export(None, order[1][1])
         for i in range(rounds):
             yield i, order if i % 2 == 0 else order[::-1]
 

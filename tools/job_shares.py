@@ -13,8 +13,9 @@ field) and gives each sum's share of the whole pass, largest first.  The exit
 code is 1 when an output was wrong, else 0; a reader that closes stdout
 early (``| head``) ends the report quietly and leaves the exit code as it is.
 
-With ``--parent`` it compares this checkout with a parent revision, exported
-by ``bench_pairs.alternate`` (``git archive``), on every workload or on the
+With ``--parent`` it compares this checkout with a parent revision, both
+exported alike by ``bench_pairs.alternate`` (``git archive`` and a copy of
+the checkout's tracked and unignored files), on every workload or on the
 one named.  Each of ``ROUNDS`` rounds runs the pass above in a fresh process
 in each tree, by that tree's own copy of this tool, in the order
 ``bench_pairs.alternate`` gives (the parent first in even rounds).  The

@@ -15,7 +15,13 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
 - a 16-state automaton's ``behaviour``, every state read against state 0
   alone, over Q and GF(2^61-1);
 - ``berlekamp_massey`` over GF(101) on 160 recurrent prefixes (orders 3, 6,
-  10 and 16; 2n and 2n - 3 terms).
+  10 and 16; 2n and 2n - 3 terms);
+- 1600 terms of 1/q over Q, for q = 1 - X/1000, 1 - X/1000 - X^2/999,
+  1 - X/7 - X^2/5, 1 - X^2/4 and COPRIME (whose taps have the primes 3, 7,
+  11, 13, 17, 19, 23 and 29 as denominators): every term is reduced by gcds
+  with the tap scale c times the numerator's denominator.  The two-tap
+  shapes share many primes of c with the scale, and every other term of
+  1/(1 - X^2/4) is zero.
 
 ``--tiny`` runs every case at a small size, to check that the tool runs.
 """
@@ -65,6 +71,16 @@ def recurrent_prefixes(field, orders: Sequence[int], each: int) -> list:
     return prefixes
 
 
+# (name, text) of each recurrence shape
+RECURRENCES = (
+    ("1/(1-X/1000)", "1/(1-X/1000)"),
+    ("1/(1-X/1000-X^2/999)", "1/(1-X/1000-1/999*X^2)"),
+    ("1/(1-X/7-X^2/5)", "1/(1-X/7-1/5*X^2)"),
+    ("1/(1-X^2/4)", "1/(1-1/4*X^2)"),
+    ("1/COPRIME", "1/(1-2/3*X+5/7*X^2-1/11*X^3+4/13*X^4-2/17*X^5+1/19*X^6-3/23*X^7+1/29*X^8)"),
+)
+
+
 def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     """(name, run) of every case, at the small sizes for ``tiny``."""
     for k in (3, 4, 5) if tiny else (60, 100, 300):
@@ -84,6 +100,9 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     yield f"berlekamp_massey, {len(prefixes)} prefixes (gf:101)", lambda: [
         gf101.berlekamp_massey(terms) for terms in prefixes
     ]
+    n = 40 if tiny else 1600
+    for name, text in RECURRENCES:
+        yield f"expand {name}, n={n} (q)", lambda s=evaluate_text(text, QQ): s.expand(n)
 
 
 def best_ms(run: Callable[[], object]) -> float:
