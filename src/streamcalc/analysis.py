@@ -158,8 +158,6 @@ def fit_recurrence(prefix: Sequence, max_order: int) -> Optional[Tuple]:
         return ()
     field = field_of(prefix[0])
     _, order = field.berlekamp_massey(prefix)
-    if order == 0:
-        return ()
     if order > max_order or order >= len(prefix):
         return None
     window_count = len(prefix) - order

@@ -5,7 +5,7 @@ equal, rank, probe, guess, each one row of ``COMMANDS``, which
 ``build_parser`` reads.  An action prints its answer and returns nothing;
 ``main`` maps its exceptions to exit codes: 0 success, 1 domain error (for
 example an inversion of a stream with initial value 0, or a prefix too short
-for ``guess``), 2 syntax or format error.
+for ``guess``) or an answer too large for memory, 2 syntax or format error.
 """
 
 from __future__ import annotations
@@ -287,8 +287,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StreamCalcError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StreamCalcError, ZeroDivisionError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
         return 1
     finally:
         sys.set_int_max_str_digits(digit_limit)

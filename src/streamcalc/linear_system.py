@@ -205,8 +205,6 @@ def minimize(pointed: PointedLinearSystem) -> PointedLinearSystem:
     (i, c) of the dynamics is projection row i times F's pivot column c.
     """
     system = pointed.system
-    if system.dim == 0:
-        return pointed
     reduced, pivots = rref(observability_matrix(system))
     r = len(pivots)
     if r == system.dim:

@@ -233,8 +233,6 @@ def _eliminate(matrix: Matrix):
                 row[j] -= b * c
             rows[r] = shrink(row, 0)[0] if any(row) else row
         pivots.append(col)
-        if len(pivots) == len(rows):
-            break
     zero = domain.zero()
     boxed = [domain.ratios(row, row[col]) for row, col in zip(rows, pivots)]
     boxed += [[zero] * matrix.cols for _ in rows[len(pivots) :]]

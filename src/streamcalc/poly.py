@@ -109,19 +109,13 @@ class Polynomial:
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial._make(
-            self.field,
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
-        )
+        return self + -other
 
     def __neg__(self):
         return Polynomial._make(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.field)
         out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -182,8 +176,6 @@ class Polynomial:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial.zero(self.field), self
         field = self.field
         remainder = list(self.coeffs)
         divisor = other.coeffs
@@ -348,10 +340,6 @@ class Quotient:
 
     def __add__(self, other):
         self._check(other)
-        if not self:
-            return other
-        if not other:
-            return self
         # a/q + b/1 = (a + b q)/q is reduced, as gcd(a + b q, q) = gcd(a, q) = 1
         if not other.den.degree:
             b = other.num * self.den if self.den.degree else other.num
@@ -369,8 +357,6 @@ class Quotient:
 
     def __mul__(self, other):
         self._check(other)
-        if not (self and other):
-            return self.zero(self.field)
         if not (self.den.degree or other.den.degree):
             return self._make(self.num * other.num, self.den)
         return type(self)(self.num * other.num, self.den * other.den)
@@ -378,8 +364,6 @@ class Quotient:
     def __truediv__(self, other):
         self._check(other)
         self._check_divisor(other)
-        if not self:
-            return self
         return type(self)(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):

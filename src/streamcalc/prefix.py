@@ -73,7 +73,7 @@ class StreamPrefix:
 
     def __sub__(self, other):
         self._check(other)
-        return StreamPrefix(self.field, lambda i: self.at(i) - other.at(i))
+        return self + -other
 
     def __neg__(self):
         return StreamPrefix(self.field, lambda i: -self.at(i))

@@ -154,7 +154,10 @@ def test_fit_recurrence_geometric():
 
 
 def test_fit_recurrence_zero_prefix():
-    assert fit_recurrence([Fraction(0)] * 6, 3) == ()
+    # linear complexity 0: the windowed system has no unknowns
+    for field in (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)):
+        for length in (1, 2, 6):
+            assert fit_recurrence([field.zero()] * length, 3) == ()
 
 
 def test_fit_recurrence_absent():

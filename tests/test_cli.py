@@ -35,6 +35,15 @@ def test_eval_in_prime_field(capsys):
     assert out.splitlines()[0] == "1, 3, 2, 6"
 
 
+def test_exhausted_memory_is_one_line_with_exit_1(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.expr, "evaluate_text", exhausted)
+    code, out, err = run(capsys, "eval", "X^100000000", "--n", "1")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 def test_derive(capsys):
     code, out, _ = run(capsys, "derive", "1/(1-X)^2", "--k", "1")
     assert (code, out) == (0, "(2 - X)/(1 - 2*X + X^2)\n")

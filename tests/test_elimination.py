@@ -69,18 +69,27 @@ def domains(draw, kx=False):
 
 @st.composite
 def matrices(draw, kx=False, largest=6):
-    """Tall, wide and square matrices from 0 x n and n x 0 up, dense or a
+    """Tall, wide and square matrices from 0 x n and n x 0 up: dense, or a
     product through an inner dimension below both sides (rank-deficient),
-    with some rows and columns then set to zero."""
+    with some rows and columns then set to zero; or square and full rank, L U
+    for L unit lower triangular and U upper triangular with a nonzero
+    diagonal, so ``inverse`` has a pivot in each of the first n columns of
+    its n x 2n matrix, and the next n columns find none."""
     domain, scalars = draw(domains(kx))
     rows, cols = draw(st.integers(0, largest)), draw(st.integers(0, largest))
-    zero = domain.zero()
+    zero, one = domain.zero(), domain.one()
     entries = st.one_of(st.just(zero), scalars)
 
     def block(r, c):
         return Matrix(domain, draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)), cols=c)
 
-    if rows and cols and draw(st.booleans()):
+    shape = draw(st.sampled_from(["dense", "product", "full rank"]))
+    if shape == "full rank":
+        lower = [[draw(scalars) if j < i else one if j == i else zero for j in range(rows)] for i in range(rows)]
+        upper = [[draw(scalars) if j > i else draw(scalars.filter(bool)) if j == i else zero for j in range(rows)]
+                 for i in range(rows)]
+        return Matrix(domain, lower, cols=rows) * Matrix(domain, upper, cols=rows)
+    if shape == "product" and rows and cols:
         inner = draw(st.integers(0, min(rows, cols) - 1))
         matrix = block(rows, inner) * block(inner, cols)
     else:
@@ -116,6 +125,9 @@ def check_against_reference(matrix, data):
     assert all(type(e) is type(domain.zero()) for row in rows for e in row)
     for function in (rref, rank, kernel_basis, inverse):
         assert outcome(function, matrix) == with_boxed_elimination(function, matrix)
+    inverted = outcome(inverse, matrix)
+    if isinstance(inverted, Matrix):
+        assert inverted * matrix == Matrix.identity(domain, matrix.rows)
     # a consistent right-hand side M x, and an arbitrary one, which a
     # rank-deficient M mostly cannot meet
     x = [domain.coerce(v) for v in data.draw(st.lists(st.integers(-3, 3), min_size=matrix.cols, max_size=matrix.cols))]

@@ -181,8 +181,10 @@ def test_minimize_of_realized_is_identity():
 
 
 def test_minimize_zero_dimensional():
-    pointed = realize([RationalStream.zero(QQ)])
-    assert minimize(pointed).dim == 0
+    # the 0 x 0 observability matrix has rank 0 = dim: the system is minimal
+    for field in (QQ, PrimeField(2), GF101, PrimeField(2**61 - 1)):
+        pointed = realize([RationalStream.zero(field)])
+        assert pointed.dim == 0 and minimize(pointed) is pointed
 
 
 def test_minimize_preserves_behaviour_random():

@@ -1,0 +1,97 @@
+"""Zero, empty and short operands take each operation's one general path,
+and subtraction is addition of the negation.
+
+The exact results, type and field included, over Q, GF(2), GF(101) and
+GF(2^61 - 1): a product with a zero operand is the zero of its type (for a
+quotient the canonical 0/1, denominator 1), a sum with a zero quotient is
+the other operand, zero divided by a quotient is 0/1, a dividend of lower
+degree gives the quotient 0 and itself as the remainder, and a - b is
+a + (-b), which equals the coefficientwise difference.
+"""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from streamcalc import (
+    NotInvertibleAtZero,
+    Polynomial,
+    PrimeField,
+    QQ,
+    RationalFunction,
+    RationalStream,
+    StreamPrefix,
+)
+
+FIELDS = [QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)]
+KINDS = [RationalFunction, RationalStream]
+INTEGERS = st.integers(-9, 9) | st.integers(-(2**70), 2**70)
+
+
+def same(x, y) -> bool:
+    """Equal values of one type over one field."""
+    return type(x) is type(y) and x.field == y.field and x == y
+
+
+def polynomials(field, min_deg=-1, max_deg=4):
+    """A polynomial of degree min_deg..max_deg, its top coefficient made 1
+    where the field made it 0."""
+    def build(coeffs):
+        coeffs = [field.coerce(c) for c in coeffs]
+        if coeffs and not coeffs[-1]:
+            coeffs[-1] = field.one()
+        return Polynomial(field, coeffs)
+
+    return st.lists(INTEGERS, min_size=min_deg + 1, max_size=max_deg + 1).map(build)
+
+
+@st.composite
+def quotients(draw, kind, field):
+    """Zero, a constant, a polynomial over 1 or a general quotient of ``kind``."""
+    shape = draw(st.sampled_from(["zero", "constant", "polynomial", "quotient"]))
+    if shape == "zero":
+        return kind.zero(field)
+    if shape == "constant":
+        return kind.constant(field, draw(INTEGERS))
+    num = draw(polynomials(field))
+    if shape == "polynomial":
+        return kind.from_polynomial(num)
+    try:
+        return kind(num, draw(polynomials(field)))
+    except (ZeroDivisionError, NotInvertibleAtZero):
+        return kind.from_polynomial(num)
+
+
+@given(st.data(), st.sampled_from(FIELDS))
+def test_polynomial_zero_short_and_difference(data, field):
+    a, b = data.draw(polynomials(field)), data.draw(polynomials(field))
+    zero = Polynomial.zero(field)
+    assert same(a * zero, zero) and same(zero * a, zero)
+    longer = data.draw(polynomials(field, min_deg=a.degree + 1, max_deg=a.degree + 4))
+    quotient, remainder = divmod(a, longer)
+    assert same(quotient, zero) and same(remainder, a)
+    difference = [a.coefficient(i) - b.coefficient(i) for i in range(max(len(a.coeffs), len(b.coeffs)))]
+    assert same(a - b, a + -b) and same(a - b, Polynomial(field, difference))
+
+
+@given(st.data(), st.sampled_from(FIELDS), st.sampled_from(KINDS))
+def test_quotient_zero_operands_and_difference(data, field, kind):
+    a, b = data.draw(quotients(kind, field)), data.draw(quotients(kind, field))
+    zero = kind.zero(field)
+    assert zero.den == Polynomial.one(field)
+    assert same(zero + a, a) and same(a + zero, a)
+    assert same(zero * a, zero) and same(a * zero, zero)
+    if kind is RationalFunction and b or kind is RationalStream and b.num.constant_term:
+        assert same(zero / b, zero)
+    assert same(a - b, a + -b)
+
+
+@given(st.data(), st.sampled_from(FIELDS))
+def test_prefix_difference_is_the_coefficientwise_difference(data, field):
+    a = [field.coerce(c) for c in data.draw(st.lists(INTEGERS, max_size=5))]
+    b = [field.coerce(c) for c in data.draw(st.lists(INTEGERS, max_size=5))]
+    x, y = StreamPrefix.from_coefficients(field, a), StreamPrefix.from_coefficients(field, b)
+    padded = [(a[i] if i < len(a) else field.zero(), b[i] if i < len(b) else field.zero()) for i in range(6)]
+    difference = (x - y).take(6)
+    assert difference == (x + -y).take(6) == [u - v for u, v in padded]
+    assert all(type(c) is type(field.zero()) for c in difference)
+

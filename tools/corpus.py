@@ -1,0 +1,286 @@
+"""The same-answers corpus: seeded inputs and their exact answers, as text.
+
+    python3 tools/corpus.py                 # write tests/corpus/*.txt
+    python3 -m pytest tests/test_corpus.py  # compare with the written files
+
+Each line of a corpus file is one case, ``input → answer``.  A diff of two
+versions shows which answer moved.  ``tests/test_corpus.py`` builds the
+lines again over this checkout's ``src/`` and compares them with the
+committed files.  The generator runs only when a change means to change an
+answer; a regenerated file is a changed check.
+
+- ``cli.txt``: the command line, run in process through ``cli.main``, on
+  ``TEXTS`` seeded expression texts over each of ``FIELDS``.  Each text gets
+  ``eval --n 12``, ``derive --k 0``, ``--k 1`` and ``--k 5`` (the text after
+  ``--``, as it may start with a minus), ``guess`` on the
+  prefix that ``eval`` printed, and ``equal`` against the next text.  The
+  answer is the exit code, stdout and stderr, as JSON.
+- ``ops.txt``: the exact results of the arithmetic on seeded operands over
+  each field, zero operands and dividends of lower degree among them:
+  ``Polynomial`` +, -, *, divmod; ``RationalStream`` and
+  ``RationalFunction`` +, -, *, /; ``StreamPrefix`` -; ``rref``, ``rank``,
+  ``inverse`` and ``solve``; ``minimize`` (0-state systems included) and
+  ``fit_recurrence`` (all-zero prefixes included).
+
+Every random draw comes from one ``random.Random`` per file and field,
+seeded with a string, so two runs write identical files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+from typing import Iterator, List, Optional, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from streamcalc import (  # noqa: E402
+    LinearSystem,
+    Matrix,
+    PointedLinearSystem,
+    Polynomial,
+    RationalFunction,
+    RationalStream,
+    StreamPrefix,
+    field_from_spec,
+    fit_recurrence,
+    format_system,
+    inverse,
+    minimize,
+    rank,
+    rref,
+    solve,
+)
+from streamcalc.cli import main as cli_main  # noqa: E402
+from streamcalc.errors import StreamCalcError  # noqa: E402
+
+CORPUS = ROOT / "tests" / "corpus"
+FIELDS = ("q", "gf:2", "gf:101", "gf:2305843009213693951")
+TEXTS = 40
+ARROW = " → "
+
+
+# --- the command line -------------------------------------------------------
+
+
+def expression(rng: random.Random, depth: int) -> str:
+    """A random expression text of at most ``depth`` nested operators."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return "X"
+        if kind == 1:
+            return f"{rng.randint(1, 9)}/{rng.randint(2, 9)}"
+        return str(rng.randint(0, 9))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return f"-({expression(rng, depth - 1)})"
+    if kind == 1:
+        return f"{_operand(rng, depth)}^{rng.randint(0, 3)}"
+    return f"{_operand(rng, depth)}{'+-*//'[kind - 2]}{_operand(rng, depth)}"
+
+
+def _operand(rng: random.Random, depth: int) -> str:
+    # an expression one level down, in parentheses unless X or an integer
+    text = expression(rng, depth - 1)
+    return text if text == "X" or text.isdigit() else f"({text})"
+
+
+def texts() -> List[str]:
+    rng = random.Random("corpus-texts")
+    return [expression(rng, 3) for _ in range(TEXTS)]
+
+
+def run(argv: Sequence[str]) -> list:
+    """[exit code, stdout, stderr] of the command line on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def cli_lines() -> List[str]:
+    lines = []
+
+    def case(*argv: str) -> list:
+        answer = run(argv)
+        lines.append(json.dumps(list(argv), ensure_ascii=False) + ARROW + json.dumps(answer, ensure_ascii=False))
+        return answer
+
+    all_texts = texts()
+    for spec in FIELDS:
+        for i, text in enumerate(all_texts):
+            # options first, then ``--``: a text may start with a minus
+            code, out, _ = case("eval", "--n", "12", "--field", spec, "--", text)
+            for k in ("0", "1", "5"):
+                case("derive", "--k", k, "--field", spec, "--", text)
+            if code == 0:
+                case("guess", "--prefix=" + out.splitlines()[0].replace(" ", ""), "--field", spec)
+            neighbour = all_texts[(i + 1) % len(all_texts)]
+            case("equal", f"expr:{text}", f"expr:{neighbour}", "--field", spec)
+    return lines
+
+
+# --- the operations -----------------------------------------------------------
+
+
+def show(value, field) -> str:
+    """Exact text of a value over ``field``: each scalar by the field's
+    ``format``, a quotient's stored numerator and denominator with its type,
+    a pointed system as its file text on one line."""
+    if isinstance(value, Polynomial):
+        return show(list(value.coeffs), field)
+    if isinstance(value, (RationalStream, RationalFunction)):
+        return f"{type(value).__name__}({show(value.num, field)}, {show(value.den, field)})"
+    if isinstance(value, list):
+        return "[" + ", ".join(show(v, field) for v in value) + "]"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(show(v, field) for v in value) + ")"
+    if isinstance(value, Matrix):
+        return "[" + "; ".join(", ".join(field.format(e) for e in row) for row in value.entries) + "]"
+    if isinstance(value, PointedLinearSystem):
+        return format_system(value).strip().replace("\n", " | ")
+    if value is None or isinstance(value, str):
+        return str(value)
+    return field.format(value)
+
+
+def _pivots_as_text(reduced):
+    matrix, pivots = reduced
+    return matrix, f"pivots {list(pivots)}"
+
+
+def answer(compute, field) -> str:
+    try:
+        return show(compute(), field)
+    except (StreamCalcError, ZeroDivisionError) as exc:
+        return f"error {type(exc).__name__}: {exc}"
+
+
+def scalar(rng: random.Random, field):
+    if field.characteristic == 0 and rng.random() < 0.3:
+        return field.parse(f"{rng.randint(-9, 9)}/{rng.randint(2, 9)}")
+    return field.from_int(rng.randint(-9, 9))
+
+
+def polynomial(rng: random.Random, field, degree: int) -> Polynomial:
+    """A polynomial of at most ``degree`` (zero for -1), its top term nonzero
+    when the field allows."""
+    coeffs = [scalar(rng, field) for _ in range(degree + 1)]
+    if coeffs and not coeffs[-1]:
+        coeffs[-1] = field.one()
+    return Polynomial(field, coeffs)
+
+
+def polynomial_pairs(rng: random.Random, field, count: int):
+    """Pairs with a zero operand on either side, constants, and every order of
+    degrees, the lower-degree dividend among them."""
+    zero = Polynomial.zero(field)
+    for _ in range(count):
+        a = polynomial(rng, field, rng.randint(-1, 4))
+        b = polynomial(rng, field, rng.randint(-1, 4))
+        yield a, b
+    yield zero, zero
+    yield zero, polynomial(rng, field, 2)
+    yield polynomial(rng, field, 3), zero
+    yield polynomial(rng, field, 0), polynomial(rng, field, 3)
+    yield polynomial(rng, field, 1), polynomial(rng, field, 4)
+
+
+def ratstream(rng: random.Random, field, zero_chance: float) -> RationalStream:
+    if rng.random() < zero_chance:
+        return RationalStream.zero(field)
+    num = polynomial(rng, field, rng.randint(0, 3))
+    den = Polynomial(field, [field.one()] + [scalar(rng, field) for _ in range(rng.randint(0, 3))])
+    return RationalStream(num, den)
+
+
+def ratfunc(rng: random.Random, field, zero_chance: float) -> RationalFunction:
+    if rng.random() < zero_chance:
+        return RationalFunction.zero(field)
+    den = polynomial(rng, field, rng.randint(0, 3))
+    return RationalFunction(polynomial(rng, field, rng.randint(0, 3)), den or Polynomial.x(field))
+
+
+def matrix(rng: random.Random, field, rows: int, cols: int) -> Matrix:
+    return Matrix(field, [[scalar(rng, field) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def system(rng: random.Random, field, dim: int) -> PointedLinearSystem:
+    dynamics = Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)], cols=dim)
+    output = Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(dim)]], cols=dim)
+    initial = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(dim))
+    return PointedLinearSystem(LinearSystem(dynamics, output), initial)
+
+
+def prefix(rng: random.Random, field) -> list:
+    """An all-zero prefix, or the terms of a random closed form, cut short or not."""
+    length = rng.randint(0, 10)
+    if rng.random() < 0.2:
+        return [field.zero()] * length
+    return ratstream(rng, field, 0).expand(length)
+
+
+def ops_lines() -> Iterator[str]:
+    for spec in FIELDS:
+        field = field_from_spec(spec)
+        rng = random.Random(f"corpus-ops-{spec}")
+        for a, b in polynomial_pairs(rng, field, 20):
+            pair = f"{spec} poly {show(a, field)} {show(b, field)}"
+            yield f"{pair} +{ARROW}{answer(lambda: a + b, field)}"
+            yield f"{pair} -{ARROW}{answer(lambda: a - b, field)}"
+            yield f"{pair} *{ARROW}{answer(lambda: a * b, field)}"
+            yield f"{pair} divmod{ARROW}{answer(lambda: divmod(a, b), field)}"
+        for make in (ratstream, ratfunc):
+            for _ in range(20):
+                a, b = make(rng, field, 0.25), make(rng, field, 0.25)
+                pair = f"{spec} {make.__name__} {show(a, field)} {show(b, field)}"
+                yield f"{pair} +{ARROW}{answer(lambda: a + b, field)}"
+                yield f"{pair} -{ARROW}{answer(lambda: a - b, field)}"
+                yield f"{pair} *{ARROW}{answer(lambda: a * b, field)}"
+                yield f"{pair} /{ARROW}{answer(lambda: a / b, field)}"
+        for _ in range(8):
+            a, b = [scalar(rng, field) for _ in range(rng.randint(0, 4))], [scalar(rng, field) for _ in range(rng.randint(0, 4))]
+            difference = StreamPrefix.from_coefficients(field, a) - StreamPrefix.from_coefficients(field, b)
+            yield f"{spec} prefix {show(a, field)} {show(b, field)} - take 6{ARROW}{show(difference.take(6), field)}"
+        for rows, cols in ((0, 0), (1, 1), (2, 2), (3, 3), (2, 3), (3, 2), (4, 4), (3, 5)):
+            m = matrix(rng, field, rows, cols)
+            rhs = [scalar(rng, field) for _ in range(rows)]
+            yield f"{spec} rref {show(m, field)}{ARROW}{answer(lambda: _pivots_as_text(rref(m)), field)}"
+            yield f"{spec} rank {show(m, field)}{ARROW}{answer(lambda: str(rank(m)), field)}"
+            yield f"{spec} solve {show(m, field)} {show(rhs, field)}{ARROW}{answer(lambda: solve(m, rhs), field)}"
+            if rows == cols:
+                yield f"{spec} inverse {show(m, field)}{ARROW}{answer(lambda: inverse(m), field)}"
+        for dim in (0, 0, 1, 2, 3, 3, 4):
+            pointed = system(rng, field, dim)
+            yield f"{spec} minimize {show(pointed, field)}{ARROW}{answer(lambda: minimize(pointed), field)}"
+        for _ in range(12):
+            terms = prefix(rng, field)
+            yield f"{spec} fit_recurrence {show(terms, field)} 6{ARROW}{answer(lambda: fit_recurrence(terms, 6), field)}"
+
+
+# --- the files ----------------------------------------------------------------
+
+FILES = {"cli.txt": cli_lines, "ops.txt": ops_lines}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    CORPUS.mkdir(parents=True, exist_ok=True)
+    for name, lines in FILES.items():
+        text = "".join(line + "\n" for line in lines())
+        path = CORPUS / name
+        path.write_text(text, encoding="utf-8")
+        print(f"{path.relative_to(ROOT)}: {text.count(chr(10))} lines, {len(text.encode())} bytes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

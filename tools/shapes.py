@@ -16,12 +16,19 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
   alone, over Q and GF(2^61-1);
 - ``berlekamp_massey`` over GF(101) on 160 recurrent prefixes (orders 3, 6,
   10 and 16; 2n and 2n - 3 terms);
+- the powers (X^3*(1+X+X^2))^500 and (X+X^2)^3000 of ``Polynomial`` over
+  GF(101), and at ``--tiny`` the powers 5 and 150.  Both split off X^v
+  first; the second then takes the Frobenius split, as 150 and 3000 are
+  at least 101.  Without the X^v split the first takes Miller's
+  recurrence on the whole product, which ROADMAP records as slower;
 - 1600 terms of 1/q over Q, for q = 1 - X/1000, 1 - X/1000 - X^2/999,
-  1 - X/7 - X^2/5, 1 - X^2/4 and COPRIME (whose taps have the primes 3, 7,
-  11, 13, 17, 19, 23 and 29 as denominators): every term is reduced by gcds
-  with the tap scale c times the numerator's denominator.  The two-tap
-  shapes share many primes of c with the scale, and every other term of
-  1/(1 - X^2/4) is zero.
+  1 - X/7 - X^2/5, 1 - X^2/4, 1 - X^2/10201, 1 - X/7 - X^2/10201 and
+  COPRIME (whose taps have the primes 3, 7, 11, 13, 17, 19, 23 and 29 as
+  denominators): every term is reduced by gcds with the tap scale c times
+  the numerator's denominator.  The two-tap shapes share many primes of c
+  with the scale, and every other term of 1/(1 - X^2/4) is zero.  10201 is
+  101^2, whose root 101 only the perfect-power step of ``_tap_scale``
+  finds: without it c is 10201, not 101, which ROADMAP records as slower.
 
 ``--tiny`` runs every case at a small size, to check that the tool runs.
 """
@@ -77,6 +84,8 @@ RECURRENCES = (
     ("1/(1-X/1000-X^2/999)", "1/(1-X/1000-1/999*X^2)"),
     ("1/(1-X/7-X^2/5)", "1/(1-X/7-1/5*X^2)"),
     ("1/(1-X^2/4)", "1/(1-1/4*X^2)"),
+    ("1/(1-X^2/10201)", "1/(1-1/10201*X^2)"),
+    ("1/(1-X/7-X^2/10201)", "1/(1-X/7-1/10201*X^2)"),
     ("1/COPRIME", "1/(1-2/3*X+5/7*X^2-1/11*X^3+4/13*X^4-2/17*X^5+1/19*X^6-3/23*X^7+1/29*X^8)"),
 )
 
@@ -100,6 +109,9 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     yield f"berlekamp_massey, {len(prefixes)} prefixes (gf:101)", lambda: [
         gf101.berlekamp_massey(terms) for terms in prefixes
     ]
+    for name, coeffs, k in (("(X^3*(1+X+X^2))", (0, 0, 0, 1, 1, 1), 5 if tiny else 500),
+                            ("(X+X^2)", (0, 1, 1), 150 if tiny else 3000)):
+        yield f"power {name}^{k} (gf:101)", lambda f=Polynomial(gf101, coeffs), k=k: f**k
     n = 40 if tiny else 1600
     for name, text in RECURRENCES:
         yield f"expand {name}, n={n} (q)", lambda s=evaluate_text(text, QQ): s.expand(n)
