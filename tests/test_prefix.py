@@ -1,11 +1,15 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamcalc import QQ, StreamPrefix, ZeroInitialValue
+from streamcalc import CountTooLarge, Polynomial, PrimeField, QQ, StreamPrefix, ZeroInitialValue, is_prime
 from streamcalc.expr import evaluate_text
-from util import random_stream
+from streamcalc.ratstream import RationalStream
+from util import DENOMINATORS, boxed_cauchy, boxed_prefix_inverse, random_stream
 
 
 def test_head_of_x():
@@ -115,3 +119,96 @@ def test_inverse_agrees_with_symbolic_division():
 def test_long_bridge_matches_expansion():
     s = evaluate_text("(1+2*X)/(1-X-3*X^2)")
     assert StreamPrefix.from_rational(s).take(300) == s.expand(300)
+
+
+def test_huge_count_is_refused_at_once():
+    """As ``RationalStream.expand``: no coefficient is made for a count above
+    ``sys.maxsize``, which no list reaches."""
+
+    def producer(i):
+        raise AssertionError("a coefficient was made")
+
+    with pytest.raises(CountTooLarge):
+        StreamPrefix(QQ, producer).take(sys.maxsize + 1)
+    with pytest.raises(CountTooLarge):
+        StreamPrefix.constant(QQ, 1).inverse().take(10**30)
+
+
+# --- the integer form against the boxed loops ---------------------------------
+
+FIELDS = (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1))
+PRIMES = [p for p in range(3, 400) if is_prime(p)]
+TERMS = 12
+
+
+@st.composite
+def coefficients(draw, field, max_size):
+    """Up to ``max_size`` scalars, zeros among them.  Over Q each list takes
+    one kind of ``DENOMINATORS`` (40 digits among them), or distinct primes."""
+    size = draw(st.integers(0, max_size))
+    numerators = st.integers(-9, 9) | st.integers(-10**30, 10**30)
+    if field is not QQ:
+        return [field.from_int(n) for n in draw(st.lists(numerators, min_size=size, max_size=size))]
+    kind = draw(st.sampled_from(sorted(DENOMINATORS) + ["primes"]))
+    if kind == "primes":
+        denominators = draw(st.permutations(PRIMES))[:size]
+    else:
+        denominators = draw(st.lists(DENOMINATORS[kind], min_size=size, max_size=size))
+    return [Fraction(draw(numerators), d) for d in denominators]
+
+
+@st.composite
+def operands(draw, field):
+    """A maker of one prefix, made afresh by each call so that the boxed and
+    the integer side share no cache: finite coefficients (empty, short, a
+    zero head) or the terms of a closed form by ``from_rational``."""
+    numerator = draw(coefficients(field, 6))
+    if draw(st.booleans()):
+        return lambda: StreamPrefix.from_coefficients(field, numerator)
+    taps = draw(coefficients(field, 3))
+    s = RationalStream(Polynomial(field, numerator), Polynomial(field, [field.one()] + taps))
+    return lambda: StreamPrefix.from_rational(s)
+
+
+def read_out_of_order(prefix, expected):
+    """Coefficient 7 first, then the first 3, then all: each as expected and
+    an element of the field."""
+    assert prefix.at(7) == expected[7]
+    assert prefix.take(3) == expected[:3]
+    got = prefix.take(len(expected))
+    assert got == expected
+    assert all(type(x) is type(prefix.field.one()) for x in got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_matches_boxed_cauchy(field, data):
+    a, b = data.draw(operands(field)), data.draw(operands(field))
+    read_out_of_order(a() * b(), boxed_cauchy(a(), b()).take(TERMS))
+    x = a()
+    read_out_of_order(x * x, boxed_cauchy(a(), a()).take(TERMS))
+    # a nested producer rescales x's integer form between two reads of it
+    x, y = a(), b()
+    x.take(data.draw(st.integers(0, 4)))
+    expected = boxed_cauchy(a(), boxed_cauchy(a(), b()).tail()).take(TERMS)
+    read_out_of_order(x * (x * y).tail(), expected)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_boxed_inverse(field, data):
+    a, b = data.draw(operands(field)), data.draw(operands(field))
+    if not a().head():
+        with pytest.raises(ZeroInitialValue):
+            a().inverse()
+        with pytest.raises(ZeroInitialValue):
+            boxed_prefix_inverse(a())
+        return
+    read_out_of_order(a().inverse(), boxed_prefix_inverse(a()).take(TERMS))
+    x, y = a(), b()
+    expected = boxed_cauchy(b(), boxed_prefix_inverse(a())).take(TERMS)
+    read_out_of_order(y * x.inverse(), expected)
+    one = [field.one()] + [field.zero()] * (TERMS - 1)
+    assert (x * x.inverse()).take(TERMS) == one

@@ -10,6 +10,8 @@ from streamcalc import (
     PointedLinearSystem,
     Polynomial,
     QQ,
+    StreamPrefix,
+    ZeroInitialValue,
     change_basis,
     inverse,
     observability_matrix,
@@ -181,6 +183,39 @@ def boxed_product(a, b):
     columns = [[row[j] for row in b.entries] for j in range(b.cols)]
     rows = [[boxed_dot(a.domain, row, col) for col in columns] for row in a.entries]
     return Matrix(a.domain, rows, cols=b.cols)
+
+
+def boxed_cauchy(a, b):
+    """The reference for ``StreamPrefix.__mul__``: coefficient n as a boxed
+    accumulator from the field's zero, one boxed addition and multiplication
+    per pair a(i) b(n-i)."""
+
+    def produce(n):
+        acc = a.field.zero()
+        for i in range(n + 1):
+            acc = acc + a.at(i) * b.at(n - i)
+        return acc
+
+    return StreamPrefix(a.field, produce)
+
+
+def boxed_prefix_inverse(a):
+    """The reference for ``StreamPrefix.inverse``: b(0) = a(0)^-1 and
+    b(n) = -a(0)^-1 * sum_{i=1..n} a(i) b(n-i), one boxed operation at a time."""
+    if not a.at(0):
+        raise ZeroInitialValue("head coefficient is 0; no inverse exists")
+    head_inv = a.field.inv(a.at(0))
+
+    def produce(n):
+        if n == 0:
+            return head_inv
+        acc = a.field.zero()
+        for i in range(1, n + 1):
+            acc = acc + a.at(i) * result.at(n - i)
+        return -head_inv * acc
+
+    result = StreamPrefix(a.field, produce)
+    return result
 
 
 def boxed_orbit(matrix, vector, steps):

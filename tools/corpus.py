@@ -19,8 +19,10 @@ answer; a regenerated file is a changed check.
   each field, zero operands and dividends of lower degree among them:
   ``Polynomial`` +, -, *, divmod; ``RationalStream`` and
   ``RationalFunction`` +, -, *, /; ``StreamPrefix`` -; ``rref``, ``rank``,
-  ``inverse`` and ``solve``; ``minimize`` (0-state systems included) and
-  ``fit_recurrence`` (all-zero prefixes included).
+  ``inverse`` and ``solve``; ``minimize`` (0-state systems included),
+  ``fit_recurrence`` (all-zero prefixes included), and ``StreamPrefix`` *
+  and ``inverse`` on finite operands and on ``from_rational`` ones (a zero
+  head, a·a and a·(a·b).tail() among them).
 
 Every random draw comes from one ``random.Random`` per file and field,
 seeded with a string, so two runs write identical files.
@@ -264,6 +266,29 @@ def ops_lines() -> Iterator[str]:
         for _ in range(12):
             terms = prefix(rng, field)
             yield f"{spec} fit_recurrence {show(terms, field)} 6{ARROW}{answer(lambda: fit_recurrence(terms, 6), field)}"
+        yield from prefix_product_lines(spec, field)
+
+
+def prefix_product_lines(spec: str, field) -> Iterator[str]:
+    """``StreamPrefix`` products and inverses, from a random draw of their own
+    so that the lines before them keep theirs: finite operands (empty, short,
+    a zero head), then closed forms' prefixes with a·b, a·a, the inverse and
+    a·(a·b).tail()."""
+    rng = random.Random(f"corpus-prefix-{spec}")
+    for _ in range(10):
+        a, b = [scalar(rng, field) for _ in range(rng.randint(0, 4))], [scalar(rng, field) for _ in range(rng.randint(0, 4))]
+        pa, pb = StreamPrefix.from_coefficients(field, a), StreamPrefix.from_coefficients(field, b)
+        pair = f"{spec} prefix {show(a, field)} {show(b, field)}"
+        yield f"{pair} * take 8{ARROW}{answer(lambda: (pa * pb).take(8), field)}"
+        yield f"{pair} inverse take 8{ARROW}{answer(lambda: pa.inverse().take(8), field)}"
+    for _ in range(10):
+        s, t = ratstream(rng, field, 0.1), ratstream(rng, field, 0.1)
+        pa, pb = StreamPrefix.from_rational(s), StreamPrefix.from_rational(t)
+        pair = f"{spec} prefix from_rational {show(s, field)} {show(t, field)}"
+        yield f"{pair} * take 12{ARROW}{answer(lambda: (pa * pb).take(12), field)}"
+        yield f"{pair} a*a take 12{ARROW}{answer(lambda: (pa * pa).take(12), field)}"
+        yield f"{pair} inverse take 12{ARROW}{answer(lambda: pa.inverse().take(12), field)}"
+        yield f"{pair} a*(a*b).tail() take 12{ARROW}{answer(lambda: (pa * (pa * pb).tail()).take(12), field)}"
 
 
 # --- the files ----------------------------------------------------------------

@@ -28,7 +28,13 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
   the numerator's denominator.  The two-tap shapes share many primes of c
   with the scale, and every other term of 1/(1 - X^2/4) is zero.  10201 is
   101^2, whose root 101 only the perfect-power step of ``_tap_scale``
-  finds: without it c is 10201, not 101, which ROADMAP records as slower.
+  finds: without it c is 10201, not 101, which ROADMAP records as slower;
+- ``StreamPrefix`` a·b and a's inverse at 200 and 400 terms over Q and
+  GF(2^61-1), for a = (1-X/2+X^2/3)/(1-X/7-X^2/5) and b = 1/(1-2X/3) drawn
+  by ``from_rational``: the Cauchy convolution on the integer form;
+- the square of ``from_coefficients`` of 1/p over the first 300 primes p, to
+  300 terms over Q: the worst case for one shared denominator, which then
+  holds the product of all 300 primes.
 
 ``--tiny`` runs every case at a small size, to check that the tool runs.
 """
@@ -46,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from streamcalc import Matrix, Polynomial, PrimeField, QQ, RationalStream, realize  # noqa: E402
+from streamcalc import Matrix, Polynomial, PrimeField, QQ, RationalStream, StreamPrefix, is_prime, realize  # noqa: E402
 from streamcalc.automaton import WeightedAutomaton  # noqa: E402
 from streamcalc.expr import evaluate_text  # noqa: E402
 
@@ -76,6 +82,11 @@ def recurrent_prefixes(field, orders: Sequence[int], each: int) -> list:
             terms = RationalStream(num, den).expand(2 * n)
             prefixes += [terms, terms[: 2 * n - 3]]
     return prefixes
+
+
+def square_prefix(coefficients: Sequence, n: int) -> list:
+    a = StreamPrefix.from_coefficients(QQ, coefficients)
+    return (a * a).take(n)
 
 
 # (name, text) of each recurrence shape
@@ -115,6 +126,18 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     n = 40 if tiny else 1600
     for name, text in RECURRENCES:
         yield f"expand {name}, n={n} (q)", lambda s=evaluate_text(text, QQ): s.expand(n)
+    for field, name in ((QQ, "q"), (MERSENNE, "gf")):
+        a, b = evaluate_text("(1-X/2+1/3*X^2)/(1-X/7-1/5*X^2)", field), evaluate_text("1/(1-2/3*X)", field)
+        for n in (10, 20) if tiny else (200, 400):
+            # fresh prefixes on every run: a prefix caches what it made
+            yield f"prefix a*b, n={n} ({name})", lambda n=n, a=a, b=b: (
+                StreamPrefix.from_rational(a) * StreamPrefix.from_rational(b)).take(n)
+            yield f"prefix inverse of a, n={n} ({name})", lambda n=n, a=a: (
+                StreamPrefix.from_rational(a).inverse().take(n))
+    n = 12 if tiny else 300
+    primes = [p for p in range(2, 2000) if is_prime(p)][:n]
+    reciprocals = [QQ.parse(f"1/{p}") for p in primes]
+    yield f"prefix (1/primes)^2, n={n} (q)", lambda: square_prefix(reciprocals, n)
 
 
 def best_ms(run: Callable[[], object]) -> float:
