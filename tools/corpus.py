@@ -15,6 +15,14 @@ answer; a regenerated file is a changed check.
   ``--``, as it may start with a minus), ``guess`` on the
   prefix that ``eval`` printed, and ``equal`` against the next text.  The
   answer is the exit code, stdout and stderr, as JSON.
+- ``automata.txt``: ``automaton eval`` (``--method closed`` and ``--method
+  path``) on every state, and ``equal automaton:<file>@<state>`` against an
+  expression, on ``AUTOMATA`` seeded automata over each of ``FIELDS`` and on
+  the ``automaton synth`` output of the first ``SYNTHESIZED`` texts.  The
+  expressions are the state's closed form (for a synthesized automaton, the
+  text it came from) and that plus X^j for a seeded j.  Each automaton is written to a
+  temporary file; the line records the automaton's text, its lines joined by
+  `` | ``, and ``FILE`` for its path.
 - ``ops.txt``: the exact results of the arithmetic on seeded operands over
   each field, zero operands and dividends of lower degree among them:
   ``Polynomial`` +, -, *, divmod; ``RationalStream`` and
@@ -36,6 +44,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence
 
@@ -51,11 +60,14 @@ from streamcalc import (  # noqa: E402
     RationalFunction,
     RationalStream,
     StreamPrefix,
+    WeightedAutomaton,
     field_from_spec,
     fit_recurrence,
+    format_automaton,
     format_system,
     inverse,
     minimize,
+    parse_automaton,
     rank,
     rref,
     solve,
@@ -66,6 +78,8 @@ from streamcalc.errors import StreamCalcError  # noqa: E402
 CORPUS = ROOT / "tests" / "corpus"
 FIELDS = ("q", "gf:2", "gf:101", "gf:2305843009213693951")
 TEXTS = 40
+AUTOMATA = 6
+SYNTHESIZED = 4
 ARROW = " → "
 
 
@@ -127,6 +141,48 @@ def cli_lines() -> List[str]:
                 case("guess", "--prefix=" + out.splitlines()[0].replace(" ", ""), "--field", spec)
             neighbour = all_texts[(i + 1) % len(all_texts)]
             case("equal", f"expr:{text}", f"expr:{neighbour}", "--field", spec)
+    return lines
+
+
+# --- the automata -------------------------------------------------------------
+
+
+def automaton_text(rng: random.Random, field) -> str:
+    """A seeded automaton of 1 to 4 states, about half its edges absent."""
+    size = rng.randint(1, 4)
+    outputs = tuple(scalar(rng, field) for _ in range(size))
+    weights = [[scalar(rng, field) if rng.random() < 0.5 else field.zero() for _ in range(size)] for _ in range(size)]
+    return format_automaton(WeightedAutomaton(outputs, Matrix(field, weights, cols=size)))
+
+
+def automaton_lines() -> List[str]:
+    lines = []
+    all_texts = texts()
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "automaton.txt")
+
+        def case(text: str, *argv: str) -> None:
+            answer = json.dumps(run([a.replace("FILE", path) for a in argv]), ensure_ascii=False)
+            shown = text.strip().replace("\n", " | ")
+            lines.append(f"{shown} {json.dumps(list(argv), ensure_ascii=False)}{ARROW}{answer.replace(path, 'FILE')}")
+
+        for spec in FIELDS:
+            field = field_from_spec(spec)
+            rng = random.Random(f"corpus-automata-{spec}")
+            automata = [(automaton_text(rng, field), None) for _ in range(AUTOMATA)]
+            for text in all_texts[:SYNTHESIZED]:
+                code, out, _ = run(["automaton", "synth", "--field", spec, "--", text])
+                if code == 0:
+                    automata.append((out, text))
+            for automaton, source in automata:
+                Path(path).write_text(automaton, encoding="utf-8")
+                size = int(automaton.split("\n")[1].split()[1])
+                for state in range(1, size + 1):
+                    for method in ("closed", "path"):
+                        case(automaton, "automaton", "eval", "--file", "FILE", "--state", str(state), "--n", "8", "--method", method)
+                    closed = str(parse_automaton(automaton).behaviour()[state - 1])
+                    for other in (source or closed, f"{closed}+X^{rng.randint(0, 9)}"):
+                        case(automaton, "equal", f"automaton:FILE@{state}", f"expr:{other}", "--field", spec)
     return lines
 
 
@@ -293,7 +349,7 @@ def prefix_product_lines(spec: str, field) -> Iterator[str]:
 
 # --- the files ----------------------------------------------------------------
 
-FILES = {"cli.txt": cli_lines, "ops.txt": ops_lines}
+FILES = {"cli.txt": cli_lines, "automata.txt": automaton_lines, "ops.txt": ops_lines}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
