@@ -29,7 +29,7 @@ print("\nfull netlist:")
 print(format_netlist(netlist), end="")
 
 # A register in front of the output delays the stream by one tick.
-delayed = netlist.with_output_register(QQ.from_int(9))
+delayed = netlist.with_output_register(QQ.coerce(9))
 print("\nwith an extra output register seeded 9:", delayed.simulate(6))
 
 # The canonical data is literally a single-output linear system.

@@ -19,7 +19,6 @@ from streamcalc import (
     nonrationality_probe,
     realize,
 )
-from streamcalc.analysis import AutomatonState
 from streamcalc.expr import evaluate_text
 
 naturals = evaluate_text("1/(1-X)^2")
@@ -28,7 +27,7 @@ automaton = WeightedAutomaton((1, 2), Matrix(QQ, [[0, 1], [-1, 2]]))
 
 print("circuit == closed form       :", equivalent(circuit, naturals))
 print("system  == automaton state 1 :",
-      equivalent(realize([naturals]), AutomatonState(automaton, 0)))
+      equivalent(realize([naturals]), automaton.to_linear_system(0)))
 geometric, doubled = evaluate_text("1/(1-X)"), evaluate_text("1/(1-2*X)")
 print("geometric vs doubled differ at index",
       first_difference(geometric, doubled))
@@ -42,7 +41,7 @@ print("fitted recurrence:", fit_recurrence(prefix, 4))
 # The indicator of the triangular numbers keeps producing independent rows,
 # so no small rational form can generate it.
 triangles = {k * (k + 1) // 2 for k in range(10)}
-indicator = [QQ.from_int(1 if i in triangles else 0) for i in range(41)]
+indicator = [QQ.coerce(1 if i in triangles else 0) for i in range(41)]
 print("\ntriangular indicator prefix:", [int(c) for c in indicator[:20]], "...")
 report = nonrationality_probe(indicator, 10)
 print(report.render(), end="")

@@ -1,10 +1,12 @@
 """Cross-representation equivalence and the Hankel-rank rationality prober.
 
 Every finite representation (closed form, pointed linear system, canonical
-circuit, netlist, automaton state) denotes exactly one rational stream, and
-closed forms are canonical, so equality is read off them.  There is one path
-to that stream: every representation but a stream gives its pointed linear
-system (``to_linear_system``), whose single-output behaviour is the stream.
+circuit, netlist) denotes exactly one rational stream, and closed forms are
+canonical, so equality is read off them.  There is one path to that stream:
+every representation but a stream gives its pointed linear system
+(``to_linear_system``), whose single-output behaviour is the stream.  A state
+q of a weighted automaton is given by its closed form,
+``WeightedAutomaton.behaviour()[q]``.
 
 For raw coefficient prefixes, the rank of the Hankel matrix
 H[i][j] = prefix[i+j], read off the linear complexity with no elimination,
@@ -22,28 +24,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .circuit import CanonicalCircuit, Netlist
-from .errors import DimensionMismatch, FieldMismatch, InsufficientPrefix
+from .errors import DimensionMismatch, FieldMismatch, InsufficientPrefix, check_count
 from .fields import field_of
 from .linear_system import PointedLinearSystem
 from .matrix import Matrix, solve
-from .automaton import WeightedAutomaton
 from .ratstream import RationalStream
 
-
-@dataclass(frozen=True)
-class AutomatonState:
-    """A weighted automaton together with the state denoting the stream."""
-
-    automaton: WeightedAutomaton
-    state: int
-
-    def to_linear_system(self) -> PointedLinearSystem:
-        return self.automaton.to_linear_system(self.state)
-
-
-Representation = Union[
-    RationalStream, PointedLinearSystem, CanonicalCircuit, Netlist, AutomatonState
-]
+Representation = Union[RationalStream, PointedLinearSystem, CanonicalCircuit, Netlist]
 
 
 def to_rational(representation: Representation) -> RationalStream:
@@ -102,8 +89,7 @@ def hankel_rank(prefix: Sequence, size: int) -> int:
     linear complexity of those 2m - 1 terms (Iohvidov's theory of Hankel
     ranks; Heinig and Rost), and Berlekamp-Massey gives L.
     """
-    if size < 0:
-        raise ValueError("hankel size must be nonnegative")
+    check_count(size, "hankel size")
     if size == 0:
         return 0
     if len(prefix) < 2 * size - 1:
@@ -125,8 +111,7 @@ def nonrationality_probe(prefix: Sequence, bound: int) -> RankReport:
     complexity above d may still get ``RationalWitnessConsistent`` (X^2 at
     d = 1, whose first three coefficients 0, 0, 1 give a Hankel rank of 1).
     """
-    if bound < 0:
-        raise ValueError("claimed bound must be nonnegative")
+    check_count(bound, "claimed bound")
     if len(prefix) < 2 * bound + 1:
         raise InsufficientPrefix(
             f"probing bound {bound} needs at least {2 * bound + 1} coefficients, "
@@ -152,8 +137,7 @@ def fit_recurrence(prefix: Sequence, max_order: int) -> Optional[Tuple]:
     solution of the windowed system at order L, with free variables set to 0.
     Independent of the symbolic derivative chain by design.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
+    check_count(max_order, "max_order")
     if not prefix:
         return ()
     field = field_of(prefix[0])

@@ -9,9 +9,10 @@ resolvent (I - X W)^-1 applied to o; they are computed from the first 2n
 vectors W^k o, o's orbit under W (``Matrix.orbit``), through Berlekamp-Massey,
 with no arithmetic over k(X).  A linear system with a standard-basis initial
 state converts to an automaton by transposition, and back:
-``to_linear_system(q)`` is the pointed system through which one state's
-stream is found alone.  ``path_sum`` enumerates paths on an explicit stack
-and stays the independent oracle, capped at ``MAX_PATHS`` path prefixes.
+``to_linear_system(q)`` is the pointed system of state q.  State q's stream
+is ``behaviour()[q]``, which fits that state alone.  ``path_sum`` enumerates
+paths on an explicit stack and stays the independent oracle, capped at
+``MAX_PATHS`` path prefixes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     ShapeMismatch,
     StreamCalcError,
     UnsupportedInitialVector,
+    check_count,
 )
 from .fields import Field, field_from_spec
 from .linear_system import LinearSystem, PointedLinearSystem, is_first_basis_vector
@@ -73,8 +75,7 @@ class WeightedAutomaton:
         instead of running on; the closed form has the same coefficients.
         """
         self._check_state(state)
-        if length < 0:
-            raise ValueError("path length must be nonnegative")
+        check_count(length, "path length")
         total = self.field.zero()
         # (state, steps left, weight so far) of each path prefix still to extend
         pending = [(state, length, self.field.one())]

@@ -47,11 +47,12 @@ from .errors import (
     FormatError,
     IllFormedCircuit,
     ShapeMismatch,
+    check_count,
 )
 from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
 from .linear_system import LinearSystem, PointedLinearSystem
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix, parse_vector
-from .ratstream import RationalStream, _check_count
+from .ratstream import RationalStream
 from .records import MAX_DIMENSION, content_lines, read_records
 
 
@@ -236,7 +237,7 @@ class Netlist:
 
     def simulate(self, steps: int) -> List:
         """Sample the designated output for ``steps`` synchronous ticks."""
-        _check_count(steps, "number of ticks")
+        check_count(steps, "number of ticks")
         state, g, samples = self._seeds, self._seed_scale, []
         out, m_out, growth = self._output, self._scales[self._output], self._growth
         latches, ratio, shrink = self._latches, self.field.ratio, self.field.shrink

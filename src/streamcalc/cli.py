@@ -29,6 +29,7 @@ from .errors import (
     InsufficientPrefix,
     ParseError,
     StreamCalcError,
+    check_count,
 )
 from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
 from .linear_system import (
@@ -39,7 +40,7 @@ from .linear_system import (
     parse_system,
     realize,
 )
-from .ratstream import RationalStream, _check_count
+from .ratstream import RationalStream
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,10 +112,10 @@ def _automaton_eval(args):
     automaton = _read(args.file, parse_automaton)
     state = _automaton_state(automaton, args.state)
     if args.method == "path":
-        _check_count(args.n, "number of coefficients")
+        check_count(args.n, "number of coefficients")
         values = [automaton.path_sum(state, k) for k in range(args.n)]
     else:
-        values = automaton.to_linear_system(state).behaviour()[0].expand(args.n)
+        values = automaton.behaviour()[state].expand(args.n)
     print(_prefix_line(automaton.field, values))
 
 
@@ -151,9 +152,7 @@ def _load_representation(spec: str, field: Field):
         if not at or not is_ascii_digits(state_text):
             raise FormatError("automaton representation needs @<state>, 1-based")
         automaton = _read(path, parse_automaton)
-        return analysis.AutomatonState(
-            automaton, _automaton_state(automaton, parse_integer(state_text))
-        )
+        return automaton.behaviour()[_automaton_state(automaton, parse_integer(state_text))]
     raise FormatError(f"unknown representation kind {kind!r}")
 
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all streamcalc modules."""
+"""Exception hierarchy shared by all streamcalc modules, and ``check_count``,
+the one check of a count or index that every entry point taking one makes."""
+
+import sys
 
 
 class StreamCalcError(Exception):
@@ -39,6 +42,15 @@ class IllFormedCircuit(StreamCalcError):
 
 class CountTooLarge(StreamCalcError):
     """A count of terms or steps above ``sys.maxsize``, which no loop reaches."""
+
+
+def check_count(n: int, name: str) -> None:
+    """Refuse a count of terms or steps, or an index, that no loop reaches: a
+    negative one (ValueError), or one above ``sys.maxsize`` (CountTooLarge)."""
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if n > sys.maxsize:
+        raise CountTooLarge(f"{name} is above {sys.maxsize}, the largest count of terms")
 
 
 class InsufficientPrefix(StreamCalcError):

@@ -15,7 +15,7 @@ between two integer literals with no whitespace lexes as one scalar literal
 into the scalar literal written right after it (``-3``, ``-3*X``), not into
 ``-(3)``, ``--3`` or ``-3^2``; the printer parenthesizes a scalar under
 ``Neg``, so printing and reparsing are inverse.  Multiplicative inverse has
-no dedicated syntax (write ``1/e``); the AST node exists for programmatic use.
+no syntax and no node of its own: ``1/e`` is ``Div``.
 
 One table, ``_FORMS``, gives each compound node's precedence, rendering and
 meaning.  The parser's levels, ``_INFIX``, are read from it, and ``to_text``
@@ -83,12 +83,7 @@ class Pow:
             raise ValueError("power exponent must be a nonnegative literal")
 
 
-@dataclass(frozen=True)
-class Inv:
-    operand: "Expr"
-
-
-Expr = Union[Scalar, VarX, Neg, Add, Sub, Mul, Div, Pow, Inv]
+Expr = Union[Scalar, VarX, Neg, Add, Sub, Mul, Div, Pow]
 
 # Binding strength, from binary +/- up to an atom.
 _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
@@ -103,7 +98,6 @@ _FORMS = {
     Sub: _Form(_ADD, "{} - {}", (("left", _ADD), ("right", _ADD + 1)), operator.sub),
     Mul: _Form(_MUL, "{}*{}", (("left", _MUL), ("right", _MUL + 1)), operator.mul),
     Div: _Form(_MUL, "{}/{}", (("left", _MUL), ("right", _MUL + 1)), operator.truediv),
-    Inv: _Form(_MUL, "1/{}", (("operand", _MUL + 1),), RationalStream.inverse),
     Neg: _Form(_NEG, "-{}", (("operand", _NEG),), operator.neg),
     Pow: _Form(_POW, "{}^{}", (("base", _ATOM),), operator.pow),
 }
@@ -225,11 +219,11 @@ class _Parser:
         kind, payload, _ = self.peek()
         if kind == "INT":
             self.advance()
-            return Scalar(self.field.from_int(payload))
+            return Scalar(self.field.coerce(payload))
         if kind == "RAT":
             self.advance()
             # zero in the field: 3/0, and over GF(p) every multiple of p
-            numerator, denominator = map(self.field.from_int, payload)
+            numerator, denominator = map(self.field.coerce, payload)
             if not denominator:
                 raise ParseError("scalar literal with zero denominator", self.tokens[self.pos - 1][2])
             return Scalar(numerator / denominator)
@@ -281,8 +275,8 @@ def _fold(node: Expr, combine):
 
 
 def to_text(node: Expr, field: Field = QQ) -> str:
-    """Render an AST so that parsing the text gives the AST back, except
-    that ``Inv(e)`` prints as ``1/e`` and parses back as ``Div``."""
+    """Render an AST so that parsing the text gives the AST back: printer
+    and parser are exact inverses."""
 
     def combine(n, rendered):  # rendered: (text, precedence) per child
         if isinstance(n, Scalar):  # a negative one renders with a leading minus

@@ -220,16 +220,14 @@ class Field:
     """Descriptor of a scalar field: identities, coercion, text syntax.
 
     An element is zero exactly when it is falsy, as ``Fraction(0)`` is; that
-    truth value is the one zero test.
+    truth value is the one zero test.  ``coerce`` admits an element and is
+    the one way from an int to an element.
     """
 
     def zero(self):
         raise NotImplementedError
 
     def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
         raise NotImplementedError
 
     def coerce(self, value):
@@ -378,9 +376,6 @@ class Rationals(Field):
 
     def one(self):
         return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -570,9 +565,6 @@ class PrimeField(Field):
 
     def one(self):
         return PrimeFieldElement(1, self)
-
-    def from_int(self, n):
-        return PrimeFieldElement(n, self)
 
     def coerce(self, value):
         if isinstance(value, PrimeFieldElement):

@@ -31,6 +31,7 @@ from .errors import (
     FormatError,
     ShapeMismatch,
     UnsupportedInitialVector,
+    check_count,
 )
 from .fields import Field, field_from_spec
 from .matrix import (
@@ -90,6 +91,7 @@ class LinearSystem:
         """The first ``steps`` output vectors H F^t state: H on F's orbit up to
         2 * dim, past that the coefficients of ``behaviour``'s closed forms
         (exact by Cayley-Hamilton)."""
+        check_count(steps, "number of steps")
         if steps <= 2 * self.dim:
             return self.dynamics.orbit(state, steps, self.output)
         return list(zip(*(s.expand(steps) for s in self.behaviour(state))))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import FieldMismatch, FormatError, ShapeMismatch, SingularMatrix
+from .errors import FieldMismatch, FormatError, ShapeMismatch, SingularMatrix, check_count
 from .fields import Field
 from .poly import FractionField, Polynomial, RationalFunction
 from .ratstream import RationalStream
@@ -136,8 +136,7 @@ class Matrix:
             raise ShapeMismatch("an orbit needs a square matrix")
         if output is not None and output.cols != self.cols:
             raise ShapeMismatch(f"output matrix of {output.cols} columns for {self.cols}")
-        if steps < 0:
-            raise ValueError("orbit length must be nonnegative")
+        check_count(steps, "orbit length")
         field = self.domain
         if isinstance(field, FractionField):
             raise FieldMismatch("an orbit expects a matrix over the scalar field")

@@ -75,10 +75,6 @@ class Polynomial:
         """Degree, with -1 standing in for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         # falsy exactly when zero, as field elements are
         return bool(self.coeffs)
@@ -148,10 +144,10 @@ class Polynomial:
             # = sum_{i=1..min(n, d)} ((k+1) i - n) p_i out_(n-i), two dot products;
             # n * p(0) is invertible for every n <= k * d by the condition above
             dot, tail = field.dot, p[1:]
-            weighted = [field.from_int((k + 1) * i) * c for i, c in enumerate(tail, 1)]
+            weighted = [field.coerce((k + 1) * i) * c for i, c in enumerate(tail, 1)]
             out = [p[0] ** k]
             for n in range(1, k * d + 1):
-                m = field.from_int(n)
+                m = field.coerce(n)
                 acc = dot(weighted, reversed(out)) - m * dot(tail, reversed(out))
                 out.append(acc * field.inv(m * p[0]))
             return Polynomial._make(field, out)
@@ -174,7 +170,7 @@ class Polynomial:
 
     def __divmod__(self, other):
         self._check(other)
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
         remainder = list(self.coeffs)
@@ -202,7 +198,7 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero:
+        if not self:
             return self
         return self.scale(self.field.inv(self.leading))
 
@@ -213,7 +209,7 @@ class Polynomial:
 
     def shifted_down(self) -> "Polynomial":
         """Divide by X; requires a vanishing constant term."""
-        if self.is_zero:
+        if not self:
             return self
         if self.coeffs[0]:
             raise ValueError("constant term is nonzero; not divisible by X")
@@ -236,7 +232,7 @@ class Polynomial:
 
 def format_terms(p: Polynomial) -> str:
     """Canonical text: ascending terms, zero terms and unit coefficients omitted."""
-    if p.is_zero:
+    if not p:
         return "0"
     field = p.field
     one = field.one()
@@ -280,7 +276,7 @@ class Quotient:
         if num.field != den.field:
             raise FieldMismatch("numerator and denominator over different fields")
         self._check_denominator(den)
-        if num.is_zero:
+        if not num:
             den = Polynomial.one(num.field)
         else:
             # gcd is trivial when either side is constant; skip Euclid then
@@ -328,13 +324,9 @@ class Quotient:
     def one(cls, field):
         return cls.from_polynomial(Polynomial.one(field))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __bool__(self):
         # falsy exactly when zero, as field elements are
-        return not self.num.is_zero
+        return bool(self.num)
 
     _check = _same_kind
 
@@ -396,7 +388,7 @@ class RationalFunction(Quotient):
 
     @staticmethod
     def _check_denominator(den: Polynomial):
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("zero denominator in rational function")
 
     @staticmethod
@@ -420,9 +412,6 @@ class FractionField:
 
     def one(self):
         return RationalFunction.one(self.base)
-
-    def from_int(self, n):
-        return RationalFunction.constant(self.base, self.base.from_int(n))
 
     def coerce(self, value):
         if isinstance(value, RationalFunction):

@@ -18,13 +18,13 @@ once by ``Field.ratio``.  They never reach the kernels (``dot``,
 
 from __future__ import annotations
 
+import sys
 from math import lcm
 from operator import mul
 from typing import Callable, List, Sequence, Tuple
 
-from .errors import FieldMismatch, ZeroInitialValue
+from .errors import FieldMismatch, ZeroInitialValue, check_count
 from .fields import Field
-from .ratstream import _check_count
 
 
 class StreamPrefix:
@@ -37,15 +37,15 @@ class StreamPrefix:
         self._scale = 1
 
     def at(self, i: int):
-        if i < 0:
-            raise ValueError("stream index must be nonnegative")
+        if not 0 <= i <= sys.maxsize:  # the check inline: at is on every hot path
+            check_count(i, "stream index")
         # each index once, in order: producers may read back smaller indices
         while len(self._cache) <= i:
             self._cache.append(self._producer(len(self._cache)))
         return self._cache[i]
 
     def take(self, n: int) -> List:
-        _check_count(n, "number of coefficients")
+        check_count(n, "number of coefficients")
         return [self.at(i) for i in range(n)]
 
     def _integers(self, n: int) -> Tuple[List[int], int]:

@@ -27,13 +27,12 @@ itself, not of a tower of ``Fraction``s.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from collections.abc import Sequence
 from itertools import islice
 from typing import Iterator, List, Tuple
 
-from .errors import CountTooLarge, NotInvertibleAtZero
+from .errors import NotInvertibleAtZero, check_count
 from .fields import Field
 from .poly import Polynomial, Quotient, RationalFunction
 
@@ -117,7 +116,7 @@ class RationalStream(Quotient):
         """s^(k) = ((p - S_k q) / X^k) / q, read off the last deg q of k steps
         of ``_terms``: numerator coefficient j is p_(j+k) - sum_(i>j) q_i
         s_(k+j-i), and gcd(p - S_k q, q) = gcd(p, q) = 1."""
-        _check_count(k, "derivative order")
+        check_count(k, "derivative order")
         prefix = deque(islice(self._terms(), k), maxlen=self.den.degree)
         dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
         length = max(len(taps), num.degree - k + 1)
@@ -126,26 +125,17 @@ class RationalStream(Quotient):
 
     def expand(self, n: int) -> List:
         """The first ``n`` coefficients."""
-        _check_count(n, "number of coefficients")
+        check_count(n, "number of coefficients")
         return list(islice(self._terms(), n))
 
     def coefficient(self, i: int):
-        _check_count(i, "coefficient index")
+        check_count(i, "coefficient index")
         return next(islice(self._terms(), i, None))
 
     def _terms(self) -> Iterator:
         """s_0, s_1, ... by s_i = p_i - sum_{j=1..deg q} q_j s_(i-j): the one
         place a closed form's coefficients are made, by the field's kernel."""
         return self.field.recurrence(self.num.coeffs, self.den.coeffs)
-
-
-def _check_count(n: int, name: str) -> None:
-    """Refuse a count of terms that ``islice`` cannot take: a negative one
-    (ValueError), or one above ``sys.maxsize`` (CountTooLarge)."""
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    if n > sys.maxsize:
-        raise CountTooLarge(f"{name} is above {sys.maxsize}, the largest count of terms")
 
 
 class CoordinateStreams(Sequence):

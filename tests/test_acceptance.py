@@ -187,7 +187,7 @@ def test_criterion_11a_field_axioms():
         assert a + (-a) == 0
         if a != 0:
             assert a * QQ.inv(a) == 1
-        x, y, z = (GF101.from_int(rng.randrange(101)) for _ in range(3))
+        x, y, z = (GF101.coerce(rng.randrange(101)) for _ in range(3))
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z

@@ -175,7 +175,7 @@ def test_states_equivalent_iff_same_behaviour(case, data):
         # first plus a random unobservable vector: an equivalent state
         second = first
         for kernel_vector in kernel_basis(observability_matrix(system)):
-            c = field.from_int(data.draw(st.integers(-2, 2)))
+            c = field.coerce(data.draw(st.integers(-2, 2)))
             second = tuple(a + c * b for a, b in zip(second, kernel_vector))
     else:
         second = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))

@@ -70,7 +70,7 @@ def test_canonical_behaviour_scalar():
 
 def test_canonical_behaviour_zero_seeds():
     c = CanonicalCircuit(Matrix(QQ, [[0, -1], [1, 2]]), Matrix(QQ, [[1, 2]]), (0, 0))
-    assert c.behaviour().is_zero
+    assert not c.behaviour()
 
 
 def test_netlist_structure_with_zero_entry_elided():
@@ -169,7 +169,7 @@ def test_parse_circuit_file_dispatch():
 
 
 def test_dangling_input_rejected():
-    gates = {"r1": Register(QQ.from_int(1)), "m1": Multiplier(QQ.from_int(2))}
+    gates = {"r1": Register(QQ.coerce(1)), "m1": Multiplier(QQ.coerce(2))}
     wires = [(("m1", 0), ("r1", 0))]
     with pytest.raises(IllFormedCircuit):
         Netlist(QQ, gates, wires, ("r1", 0))
@@ -177,9 +177,9 @@ def test_dangling_input_rejected():
 
 def test_combinational_cycle_rejected():
     gates = {
-        "r1": Register(QQ.from_int(1)),
-        "m1": Multiplier(QQ.from_int(2)),
-        "m2": Multiplier(QQ.from_int(3)),
+        "r1": Register(QQ.coerce(1)),
+        "m1": Multiplier(QQ.coerce(2)),
+        "m2": Multiplier(QQ.coerce(3)),
         "c1": Copier(2),
     }
     # m1 -> m2 -> c1 -> m1 is a register-free loop
@@ -195,9 +195,9 @@ def test_combinational_cycle_rejected():
 
 def test_double_driven_input_rejected():
     gates = {
-        "r1": Register(QQ.from_int(1)),
-        "r2": Register(QQ.from_int(2)),
-        "m1": Multiplier(QQ.from_int(1)),
+        "r1": Register(QQ.coerce(1)),
+        "r2": Register(QQ.coerce(2)),
+        "m1": Multiplier(QQ.coerce(1)),
     }
     wires = [
         (("r1", 0), ("m1", 0)),
@@ -312,12 +312,12 @@ def test_hand_written_netlist():
     gates = {
         "sum2": Adder(2),
         "sum1": Adder(2),
-        "y": Register(QQ.from_int(2)),
+        "y": Register(QQ.coerce(2)),
         "fan": Copier(3),
-        "flip": Multiplier(QQ.from_int(-1)),
-        "twice": Multiplier(QQ.from_int(2)),
+        "flip": Multiplier(QQ.coerce(-1)),
+        "twice": Multiplier(QQ.coerce(2)),
         "yfan": Copier(2),
-        "x": Register(QQ.from_int(1)),
+        "x": Register(QQ.coerce(1)),
     }
     wires = [
         (("sum1", 0), ("sum2", 0)),
@@ -339,7 +339,7 @@ def test_hand_written_netlist():
 
 def test_gate_parameter_outside_the_field_fails_at_construction():
     gf7 = PrimeField(7)
-    gates = {"r1": Register(gf7.from_int(1)), "m1": Multiplier(gf7.from_int(3)), "c1": Copier(2)}
+    gates = {"r1": Register(gf7.coerce(1)), "m1": Multiplier(gf7.coerce(3)), "c1": Copier(2)}
     wires = [(("r1", 0), ("c1", 0)), (("c1", 0), ("m1", 0)), (("m1", 0), ("r1", 0))]
     assert Netlist(gf7, gates, wires, ("c1", 1)).simulate(3) == [1, 3, 2]
     with pytest.raises(FieldMismatch):
@@ -356,7 +356,7 @@ def netlists(draw):
     directly, loops overlap, and the output may be a register's.
     """
     field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(101))))
-    scalar = st.integers(-3, 3).map(field.from_int)
+    scalar = st.integers(-3, 3).map(field.coerce)
     r = draw(st.integers(1, 4))
     gates = {f"r{j}": Register(draw(scalar)) for j in range(r)}
     wires = []
@@ -456,8 +456,8 @@ def in_field(field, value):
     if field is QQ:
         return value
     if value.denominator % field.modulus == 0:
-        return field.from_int(value.numerator)
-    return field.from_int(value.numerator) / field.from_int(value.denominator)
+        return field.coerce(value.numerator)
+    return field.coerce(value.numerator) / field.coerce(value.denominator)
 
 
 @st.composite
@@ -615,7 +615,7 @@ def test_register_free_loop_is_a_combinational_cycle(field, data):
             port = (add(Adder(2), (fork, 0)), 0)
             wires.append(((register, 0), (port[0], 1)))
         else:
-            port = (add(Multiplier(field.from_int(data.draw(st.integers(-3, 3)))), port), 0)
+            port = (add(Multiplier(field.coerce(data.draw(st.integers(-3, 3)))), port), 0)
     exit_ = add(Copier(2), port)
     wires += [((exit_, 0), dst), ((exit_, 1), (entry, 1))]
     everything = {**net.gates, **gates}

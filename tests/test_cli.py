@@ -358,12 +358,15 @@ HUGE = "111111111111111111111111111111"  # 30 digits, above sys.maxsize
         ("derive", "X", "--k", HUGE),
         ("rank", "--expr", "X", "--m", HUGE),
         ("probe", "--expr", "X", "--d", HUGE),
+        ("rank", "--prefix", "1,2,3", "--m", HUGE),
+        ("probe", "--prefix", "1,2,3", "--d", HUGE),
         ("automaton", "eval", "--file", "{automaton}", "--state", "1", "--n", HUGE),
         ("automaton", "eval", "--file", "{automaton}", "--state", "1", "--n", HUGE,
          "--method", "path"),
         ("circuit", "sim", "--file", "{netlist}", "--n", HUGE),
     ],
-    ids=["eval", "derive", "rank", "probe", "automaton-eval", "automaton-eval-path", "circuit-sim"],
+    ids=["eval", "derive", "rank", "probe", "rank-prefix", "probe-prefix", "automaton-eval",
+         "automaton-eval-path", "circuit-sim"],
 )
 def test_counts_above_maxsize_are_one_line_domain_errors(tmp_path, capsys, argv):
     automaton = tmp_path / "a.automaton"

@@ -45,7 +45,7 @@ def q_scalars(kind):
 
 
 def gf_scalars(field):
-    return st.builds(field.from_int, st.integers(-3, 3) | st.integers(-(2**70), 2**70))
+    return st.builds(field.coerce, st.integers(-3, 3) | st.integers(-(2**70), 2**70))
 
 
 @st.composite

@@ -9,7 +9,6 @@ from streamcalc.expr import (
     _MAX_NESTING,
     Add,
     Div,
-    Inv,
     Mul,
     Neg,
     Pow,
@@ -117,17 +116,13 @@ def test_literal_denominator_zero_in_the_field_is_a_parse_error(text, field):
 def test_evaluate_examples():
     assert evaluate_text("1/(1-X)^2").expand(4) == [1, 2, 3, 4]
     assert evaluate_text("(1-X)*(1/(1-X))") == RationalStream.one(QQ)
-    assert evaluate_text("X*(2/(1-X)) - (2/(1-X))*X").is_zero
+    assert not evaluate_text("X*(2/(1-X)) - (2/(1-X))*X")
 
 
 def test_evaluate_in_prime_field():
     s = evaluate_text("1/(1-3*X)", GF7)
-    assert s.expand(4) == [GF7.from_int(v) for v in (1, 3, 2, 6)]
-    assert evaluate_text("3/4", GF7).initial_value() == GF7.from_int(3) / GF7.from_int(4)
-
-
-def test_inverse_node_evaluates():
-    assert evaluate(Inv(Pow(Sub(num(1), VarX()), 1))) == evaluate_text("1/(1-X)")
+    assert s.expand(4) == [GF7.coerce(v) for v in (1, 3, 2, 6)]
+    assert evaluate_text("3/4", GF7).initial_value() == GF7.coerce(3) / GF7.coerce(4)
 
 
 def test_printer_golden():
@@ -135,12 +130,6 @@ def test_printer_golden():
     assert to_text(parse("1/(1-3*X)")) == "1/(1 - 3*X)"
     assert to_text(Div(num(1), num(2))) == "1 / 2"
     assert to_text(Pow(num(-2), 2)) == "(-2)^2"
-
-
-def test_inverse_prints_as_one_over_its_operand():
-    assert to_text(Mul(VarX(), Inv(VarX()))) == "X*(1/X)"
-    assert to_text(Pow(Inv(VarX()), 2)) == "(1/X)^2"
-    assert parse(to_text(Inv(VarX()))) == Div(num(1), VarX())
 
 
 @pytest.mark.parametrize("node", [3, None, "X", Fraction(1, 2), Add(VarX(), 3), (VarX(), 1), Neg((VarX(),))])

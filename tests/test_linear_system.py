@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from streamcalc import (
+    CountTooLarge,
     LinearSystem,
     Matrix,
     PointedLinearSystem,
@@ -50,10 +52,13 @@ def test_step_outputs_match_closed_form():
     assert SHIFT_SUM.step_outputs((1, 0), 4) == [(1,), (1,), (1,), (1,)]
     assert NATURALS.step_outputs((1, 0), 5) == [(1,), (2,), (3,), (4,), (5,)]
     assert SHIFT_SUM.step_outputs((1, 0), 0) == []
-    with pytest.raises(ValueError, match="nonnegative"):
+    # the count is named as the caller passes it, not as the orbit it runs
+    with pytest.raises(ValueError, match="^number of steps must be nonnegative$"):
         SHIFT_SUM.step_outputs((1, 0), -1)
     with pytest.raises(ValueError, match="nonnegative"):
         PointedLinearSystem(NATURALS, (1, 0)).step_outputs(-3)
+    with pytest.raises(CountTooLarge, match="^number of steps is above"):
+        PointedLinearSystem(NATURALS, (1, 0)).step_outputs(sys.maxsize + 1)
 
 
 def test_behaviour_coefficients_are_iterated_dynamics():

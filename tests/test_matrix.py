@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from streamcalc import (
+    CountTooLarge,
     FieldMismatch,
     Matrix,
     Polynomial,
@@ -25,6 +27,7 @@ from streamcalc import (
     rref,
     solve,
 )
+from streamcalc import matrix as matrix_module
 from streamcalc.poly import FractionField
 from util import poly, random_stream, stream
 
@@ -252,6 +255,15 @@ def test_negative_orbit_length_is_refused():
     assert m.orbit((1, 0), 0) == []
     with pytest.raises(ValueError, match="nonnegative"):
         m.orbit((1, 0), -1)
+
+
+def test_huge_orbit_length_is_refused_before_a_step(monkeypatch):
+    def step(rows, w):
+        raise AssertionError("the orbit took a step")
+
+    monkeypatch.setattr(matrix_module, "_sparse_times", step)
+    with pytest.raises(CountTooLarge, match="orbit length is above"):
+        Matrix(QQ, [[1, 1], [0, 1]]).orbit((1, 0), sys.maxsize + 1)
 
 
 def test_matrix_text_round_trip():

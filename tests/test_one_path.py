@@ -7,11 +7,19 @@ quotient the canonical 0/1, denominator 1), a sum with a zero quotient is
 the other operand, zero divided by a quotient is 0/1, a dividend of lower
 degree gives the quotient 0 and itself as the remainder, and a - b is
 a + (-b), which equals the coefficientwise difference.
+
+Two guards read the source: the package exports exactly the names its
+``__init__`` imports, and the one "must be nonnegative" ``ValueError`` is
+raised in ``errors.check_count``, the one count check.
 """
+
+import ast
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import streamcalc
 from streamcalc import (
     NotInvertibleAtZero,
     Polynomial,
@@ -95,3 +103,34 @@ def test_prefix_difference_is_the_coefficientwise_difference(data, field):
     assert difference == (x + -y).take(6) == [u - v for u, v in padded]
     assert all(type(c) is type(field.zero()) for c in difference)
 
+
+
+SRC = Path(streamcalc.__file__).resolve().parent
+
+
+def test_the_package_exports_exactly_the_names_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(streamcalc.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    for name in imported:
+        assert getattr(streamcalc, name) is not None, name
+
+
+def _nonnegative_errors(node, where):
+    """Where under ``node`` a ValueError says "must be nonnegative": the
+    dotted names of the enclosing classes and functions."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = f"{where}.{node.name}"
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ValueError"
+            and "must be nonnegative" in ast.unparse(node)):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _nonnegative_errors(child, where)
+
+
+def test_one_count_check_says_must_be_nonnegative():
+    found = [where for path in sorted(SRC.glob("*.py"))
+             for where in _nonnegative_errors(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert found == ["errors.check_count"]

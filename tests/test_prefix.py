@@ -73,7 +73,7 @@ def test_memoized_purity():
 
     def producer(i):
         calls.append(i)
-        return QQ.from_int(i)
+        return QQ.coerce(i)
 
     s = StreamPrefix(QQ, producer)
     assert s.at(3) == 3
@@ -134,6 +134,23 @@ def test_huge_count_is_refused_at_once():
         StreamPrefix.constant(QQ, 1).inverse().take(10**30)
 
 
+def test_huge_index_is_refused_at_once():
+    """``at`` refuses an index above ``sys.maxsize`` before it produces a
+    coefficient; this producer would fail after 1000 of them."""
+    calls = []
+
+    def producer(i):
+        calls.append(i)
+        if len(calls) > 1000:
+            raise AssertionError("still producing coefficients")
+        return QQ.zero()
+
+    s = StreamPrefix(QQ, producer)
+    with pytest.raises(CountTooLarge, match="stream index is above"):
+        s.at(sys.maxsize + 1)
+    assert calls == []
+
+
 # --- the integer form against the boxed loops ---------------------------------
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1))
@@ -148,7 +165,7 @@ def coefficients(draw, field, max_size):
     size = draw(st.integers(0, max_size))
     numerators = st.integers(-9, 9) | st.integers(-10**30, 10**30)
     if field is not QQ:
-        return [field.from_int(n) for n in draw(st.lists(numerators, min_size=size, max_size=size))]
+        return [field.coerce(n) for n in draw(st.lists(numerators, min_size=size, max_size=size))]
     kind = draw(st.sampled_from(sorted(DENOMINATORS) + ["primes"]))
     if kind == "primes":
         denominators = draw(st.permutations(PRIMES))[:size]

@@ -78,7 +78,7 @@ def test_trusted_constructors_equal_the_checked_constructor(data, field, kind):
 def test_arithmetic_results_are_reduced_and_normalized(data, field, kind, op):
     a, b = data.draw(operands(kind, field)), data.draw(operands(kind, field))
     if kind is RationalFunction:
-        refused, error = b.is_zero, ZeroDivisionError
+        refused, error = not b, ZeroDivisionError
     else:
         refused, error = b.num.constant_term == field.zero(), NotInvertibleAtZero
     if op is operator.truediv and refused:
@@ -102,7 +102,7 @@ def test_trusted_constructors_run_no_gcd(monkeypatch):
     monkeypatch.setattr(Polynomial, "gcd", forbidden)
     assert str(RationalStream.constant(QQ, 3)) == "3"
     assert str(RationalStream.x(QQ)) == "X"
-    assert RationalStream.zero(QQ).is_zero
+    assert not RationalStream.zero(QQ)
     assert RationalStream.one(QQ).initial_value() == 1
     assert str(RationalStream.from_polynomial(Polynomial(QQ, [1, 2, 3]))) == "1 + 2*X + 3*X^2"
     assert str(evaluate_text("3")) == "3"

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcalc import (
-    AutomatonState,
     CanonicalCircuit,
     LinearSystem,
     Matrix,
@@ -50,7 +49,7 @@ def face(kind, pointed):
         if all(v == pointed.field.zero() for v in pointed.initial):
             pointed = at_least_one_state(realize(pointed.behaviour()))
         automaton = WeightedAutomaton.from_linear_system(standardize_initial_state(pointed))
-        return AutomatonState(automaton, 0)
+        return automaton.to_linear_system(0)
     circuit = CanonicalCircuit.from_linear_system(pointed)
     return circuit if kind == "canonical circuit" else circuit.to_netlist()
 
@@ -91,7 +90,7 @@ def planted_pairs(draw):
     field = draw(st.sampled_from(FIELDS))
     s = draw(streams(field))
     k = draw(st.integers(0, 12))
-    c = field.from_int(draw(st.integers(1, 6)))
+    c = field.coerce(draw(st.integers(1, 6)))
     c = c if c != field.zero() else field.one()
     planted = RationalStream(Polynomial.monomial(field, c, k), Polynomial.one(field))
     first, second = draw(st.sampled_from(KINDS)), draw(st.sampled_from(KINDS))

@@ -54,8 +54,8 @@ def element(field, value):
         return Fraction(value)
     value = Fraction(value)
     if value.denominator % field.modulus == 0:
-        return field.from_int(value.numerator)
-    return field.from_int(value.numerator) / field.from_int(value.denominator)
+        return field.coerce(value.numerator)
+    return field.coerce(value.numerator) / field.coerce(value.denominator)
 
 
 @st.composite

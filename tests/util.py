@@ -47,7 +47,7 @@ def random_stream(rng: random.Random, field=QQ, max_deg=5, bound=9, allow_zero=F
         num = [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg) + 1)]
         den = [1] + [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg))]
         s = RationalStream(Polynomial(field, num), Polynomial(field, den))
-        if allow_zero or not s.is_zero:
+        if allow_zero or s:
             return s
 
 
@@ -79,7 +79,7 @@ def triangular_prefix(field, length):
     while k * (k + 1) // 2 < length:
         triangles.add(k * (k + 1) // 2)
         k += 1
-    return [field.from_int(1 if i in triangles else 0) for i in range(length)]
+    return [field.coerce(1 if i in triangles else 0) for i in range(length)]
 
 
 def boxed_berlekamp_massey(field, terms):

@@ -20,9 +20,9 @@ answer; a regenerated file is a changed check.
   expression, on ``AUTOMATA`` seeded automata over each of ``FIELDS`` and on
   the ``automaton synth`` output of the first ``SYNTHESIZED`` texts.  The
   expressions are the state's closed form (for a synthesized automaton, the
-  text it came from) and that plus X^j for a seeded j.  Each automaton is written to a
-  temporary file; the line records the automaton's text, its lines joined by
-  `` | ``, and ``FILE`` for its path.
+  text it came from) and that plus X^j for a seeded j.  Each automaton is
+  written to a temporary file; the line records the automaton's text, its
+  lines joined by `` | ``, and ``FILE`` for its path.
 - ``ops.txt``: the exact results of the arithmetic on seeded operands over
   each field, zero operands and dividends of lower degree among them:
   ``Polynomial`` +, -, *, divmod; ``RationalStream`` and
@@ -174,15 +174,15 @@ def automaton_lines() -> List[str]:
                 code, out, _ = run(["automaton", "synth", "--field", spec, "--", text])
                 if code == 0:
                     automata.append((out, text))
-            for automaton, source in automata:
-                Path(path).write_text(automaton, encoding="utf-8")
-                size = int(automaton.split("\n")[1].split()[1])
-                for state in range(1, size + 1):
+            for text, source in automata:
+                Path(path).write_text(text, encoding="utf-8")
+                streams = parse_automaton(text).behaviour()
+                for state in range(1, len(streams) + 1):
                     for method in ("closed", "path"):
-                        case(automaton, "automaton", "eval", "--file", "FILE", "--state", str(state), "--n", "8", "--method", method)
-                    closed = str(parse_automaton(automaton).behaviour()[state - 1])
+                        case(text, "automaton", "eval", "--file", "FILE", "--state", str(state), "--n", "8", "--method", method)
+                    closed = str(streams[state - 1])
                     for other in (source or closed, f"{closed}+X^{rng.randint(0, 9)}"):
-                        case(automaton, "equal", f"automaton:FILE@{state}", f"expr:{other}", "--field", spec)
+                        case(text, "equal", f"automaton:FILE@{state}", f"expr:{other}", "--field", spec)
     return lines
 
 
@@ -225,7 +225,7 @@ def answer(compute, field) -> str:
 def scalar(rng: random.Random, field):
     if field.characteristic == 0 and rng.random() < 0.3:
         return field.parse(f"{rng.randint(-9, 9)}/{rng.randint(2, 9)}")
-    return field.from_int(rng.randint(-9, 9))
+    return field.coerce(rng.randint(-9, 9))
 
 
 def polynomial(rng: random.Random, field, degree: int) -> Polynomial:
@@ -272,9 +272,9 @@ def matrix(rng: random.Random, field, rows: int, cols: int) -> Matrix:
 
 
 def system(rng: random.Random, field, dim: int) -> PointedLinearSystem:
-    dynamics = Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)], cols=dim)
-    output = Matrix(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(dim)]], cols=dim)
-    initial = tuple(field.from_int(rng.randint(-2, 2)) for _ in range(dim))
+    dynamics = Matrix(field, [[field.coerce(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)], cols=dim)
+    output = Matrix(field, [[field.coerce(rng.randint(-2, 2)) for _ in range(dim)]], cols=dim)
+    initial = tuple(field.coerce(rng.randint(-2, 2)) for _ in range(dim))
     return PointedLinearSystem(LinearSystem(dynamics, output), initial)
 
 

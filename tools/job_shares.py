@@ -21,9 +21,10 @@ in each tree, by that tree's own copy of this tool, in the order
 ``bench_pairs.alternate`` gives (the parent first in even rounds).  The
 report gives each (workload, job kind, field) its best-of-rounds ms in both
 trees and their ratio (change / parent), and each workload's sum of those
-per field.  This resolves a change of a few percent in one job kind,
-which a whole-workload rate cannot.  The exit code is 1 when an output in
-either tree was wrong or a pass did not finish, else 0.
+per field.  Its ratios are noisy: an A/A run on a shared 2-vCPU host, both
+trees holding the same code, read 0.984-1.034 per job kind, so a per-kind
+ratio inside that spread is noise, not a change.  The exit code is 1 when
+an output in either tree was wrong or a pass did not finish, else 0.
 """
 
 from __future__ import annotations
