@@ -14,7 +14,13 @@ answer; a regenerated file is a changed check.
   ``eval --n 12``, ``derive --k 0``, ``--k 1`` and ``--k 5`` (the text after
   ``--``, as it may start with a minus), ``guess`` on the
   prefix that ``eval`` printed, and ``equal`` against the next text.  The
-  answer is the exit code, stdout and stderr, as JSON.
+  answer is the exit code, stdout and stderr, as JSON.  After them, from a
+  draw of their own: ``realize`` of one to three texts; ``circuit sim --n
+  8`` on the file that ``circuit synth`` writes for ``CIRCUITS`` texts and
+  on that circuit's netlist file (each line records the file's
+  text, its lines joined by `` | ``, and ``FILE`` for its path); and ``rank``
+  and ``probe`` on ``--expr`` and on ``--prefix``, prefixes too short for the
+  size among them.
 - ``automata.txt``: ``automaton eval`` (``--method closed`` and ``--method
   path``) on every state, and ``equal automaton:<file>@<state>`` against an
   expression, on ``AUTOMATA`` seeded automata over each of ``FIELDS`` and on
@@ -64,10 +70,12 @@ from streamcalc import (  # noqa: E402
     field_from_spec,
     fit_recurrence,
     format_automaton,
+    format_netlist,
     format_system,
     inverse,
     minimize,
     parse_automaton,
+    parse_canonical,
     rank,
     rref,
     solve,
@@ -78,6 +86,9 @@ from streamcalc.errors import StreamCalcError  # noqa: E402
 CORPUS = ROOT / "tests" / "corpus"
 FIELDS = ("q", "gf:2", "gf:101", "gf:2305843009213693951")
 TEXTS = 40
+REALIZED = 6
+CIRCUITS = 6
+PROBED = 8
 AUTOMATA = 6
 SYNTHESIZED = 4
 ARROW = " → "
@@ -141,6 +152,47 @@ def cli_lines() -> List[str]:
                 case("guess", "--prefix=" + out.splitlines()[0].replace(" ", ""), "--field", spec)
             neighbour = all_texts[(i + 1) % len(all_texts)]
             case("equal", f"expr:{text}", f"expr:{neighbour}", "--field", spec)
+    return lines + command_lines(all_texts)
+
+
+def command_lines(all_texts: List[str]) -> List[str]:
+    """``realize``, ``circuit sim``, ``rank`` and ``probe``, from one draw per
+    field of their own, so that the lines before them keep theirs."""
+    lines = []
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "circuit.txt")
+
+        def case(*argv: str, text: str = "") -> list:
+            answer = run([a.replace("FILE", path) for a in argv])
+            shown = text.strip().replace("\n", " | ") + " " if text else ""
+            case_text = json.dumps(answer, ensure_ascii=False).replace(path, "FILE")
+            lines.append(f"{shown}{json.dumps(list(argv), ensure_ascii=False)}{ARROW}{case_text}")
+            return answer
+
+        for spec in FIELDS:
+            rng = random.Random(f"corpus-commands-{spec}")
+            for _ in range(REALIZED):
+                case("realize", "--field", spec, "--", *rng.sample(all_texts, rng.randint(1, 3)))
+            for text in rng.sample(all_texts, CIRCUITS):
+                code, out, _ = run(["circuit", "synth", "--field", spec, "--", text])
+                if code != 0:
+                    continue
+                for circuit in (out, format_netlist(parse_canonical(out).to_netlist())):
+                    Path(path).write_text(circuit, encoding="utf-8")
+                    case("circuit", "sim", "--file", "FILE", "--n", "8", text=circuit)
+            field = field_from_spec(spec)
+            for _ in range(PROBED):
+                text = rng.choice(all_texts)
+                size = str(rng.randint(0, 4))
+                # a text's first terms or random scalars, 1 to 8 of them
+                code, out, _ = run(["eval", "--n", str(rng.randint(1, 8)), "--field", spec, "--", text])
+                if code == 0 and rng.random() < 0.5:
+                    terms = out.splitlines()[0].replace(" ", "")
+                else:
+                    terms = ",".join(field.format(scalar(rng, field)) for _ in range(rng.randint(1, 8)))
+                for command, option in (("rank", "--m"), ("probe", "--d")):
+                    case(command, "--expr=" + text, option, size, "--field", spec)
+                    case(command, "--prefix=" + terms, option, size, "--field", spec)
     return lines
 
 
