@@ -26,6 +26,7 @@ from .circuit import (
 )
 from .errors import (
     FormatError,
+    IllFormedCircuit,
     InsufficientPrefix,
     ParseError,
     StreamCalcError,
@@ -65,11 +66,12 @@ def _count(text: str) -> int:
 
 
 def _read(path: str, parse):
-    """Parse the file at ``path``; a format error names the file and line."""
+    """Parse the file at ``path``; a format error names the file and line,
+    an ill-formed netlist the file."""
     try:
         return parse(Path(path).read_text())
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except (FormatError, IllFormedCircuit) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _stream(args) -> RationalStream:

@@ -6,6 +6,9 @@ coercion and an integer form, and every entry operation is exact.  Rank,
 kernel, inversion and solving read one Gaussian elimination, ``_eliminate``,
 which runs fraction-free on the domain's integer form (integers over Q and
 GF(p), polynomials over k(X)) and boxes each pivot row once at the end.
+Besides its constructors (``zero``, ``identity``, ``row_vector``) a matrix
+has only the operations the package calls: the product, ``transpose``,
+``apply`` and ``orbit``; entries are read from ``entries``.
 """
 
 from __future__ import annotations
@@ -54,38 +57,12 @@ class Matrix:
         )
 
     @classmethod
-    def column(cls, domain, vector: Sequence):
-        return cls(domain, ((v,) for v in vector), cols=1)
-
-    @classmethod
     def row_vector(cls, domain, vector: Sequence):
         return cls(domain, (tuple(vector),), cols=len(tuple(vector)))
-
-    def __getitem__(self, index: Tuple[int, int]):
-        i, j = index
-        return self.entries[i][j]
 
     def _check(self, other: "Matrix"):
         if other.domain != self.domain:
             raise FieldMismatch("matrices over different domains")
-
-    def __add__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        return Matrix(
-            self.domain,
-            (
-                (a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            cols=self.cols,
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-self.domain.one())
 
     def __mul__(self, other):
         self._check(other)
@@ -98,12 +75,6 @@ class Matrix:
             self.domain,
             ((dot(row, column) for column in columns) for row in self.entries),
             cols=other.cols,
-        )
-
-    def scale(self, c):
-        c = self.domain.coerce(c)
-        return Matrix(
-            self.domain, ((c * e for e in row) for row in self.entries), cols=self.cols
         )
 
     def transpose(self) -> "Matrix":

@@ -1,15 +1,17 @@
 """Dense univariate polynomials over an exact field, and their fraction field.
 
 :class:`Polynomial` stores coefficients ascending by degree with no trailing
-zeros (the zero polynomial is the empty tuple, degree -1).
+zeros (the zero polynomial is the empty tuple, degree -1); ``coefficient(i)``
+reads any one of them, the constant term included.
 
 :class:`Quotient` is the one reduced quotient p/q: one checked constructor
-(gcd, then normalization), one trusted ``_make`` for values already reduced,
-and the field arithmetic.  Its two kinds differ in three hooks only: which
-denominators and which divisors they accept, and which coefficient of the
-denominator they scale to 1.  :class:`RationalFunction`, an element of k(X),
-takes any nonzero denominator and makes it monic; its denominator may vanish
-at 0, which is needed transiently during Gaussian elimination over k(X).
+with one path for every p/q (gcd, then normalization), one trusted ``_make``
+for values already reduced, and the field arithmetic.  Its two kinds differ
+in three hooks only: which denominators and which divisors they accept, and
+which coefficient of the denominator they scale to 1.
+:class:`RationalFunction`, an element of k(X), takes any nonzero denominator
+and makes it monic; its denominator may vanish at 0, which is needed
+transiently during Gaussian elimination over k(X).
 :class:`~streamcalc.ratstream.RationalStream` takes only denominators with
 q(0) != 0 and scales q(0) to 1.
 """
@@ -78,10 +80,6 @@ class Polynomial:
     def __bool__(self):
         # falsy exactly when zero, as field elements are
         return bool(self.coeffs)
-
-    @property
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero()
 
     @property
     def leading(self):
@@ -273,21 +271,19 @@ class Quotient:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
+        """p/q reduced by g = gcd(p, q), then scaled by the normalizer's
+        inverse.  Every p/q takes this one path: gcd(0, q) is q made monic,
+        which gives 0/1, and a nonzero constant side gives g = 1."""
         if num.field != den.field:
             raise FieldMismatch("numerator and denominator over different fields")
         self._check_denominator(den)
-        if not num:
-            den = Polynomial.one(num.field)
-        else:
-            # gcd is trivial when either side is constant; skip Euclid then
-            if num.degree > 0 and den.degree > 0:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
-            unit = self._normalizer(den)
-            if unit != num.field.one():
-                inverse = num.field.inv(unit)
-                num, den = num.scale(inverse), den.scale(inverse)
+        g = num.gcd(den)
+        if g.degree > 0:
+            num, den = num // g, den // g
+        unit = self._normalizer(den)
+        if unit != num.field.one():
+            inverse = num.field.inv(unit)
+            num, den = num.scale(inverse), den.scale(inverse)
         self.num = num
         self.den = den
 
@@ -371,7 +367,7 @@ class Quotient:
 
     def __str__(self):
         num, den = self.num, self.den
-        constant = den.constant_term
+        constant = den.coefficient(0)
         if constant and constant != self.field.one():
             # display the unit-constant-term representative when it exists
             unit = self.field.inv(constant)

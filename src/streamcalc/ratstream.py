@@ -5,7 +5,8 @@ is invertible at 0: the element of k(X) that is defined at 0.  It is the one
 reduced quotient of :class:`~streamcalc.poly.Quotient`, with the three hooks
 set for streams: a denominator must have q(0) != 0
 (:class:`NotInvertibleAtZero` otherwise), a divisor must have initial value
-p(0) != 0, and q(0) is the coefficient scaled to 1.  That normalization makes
+p(0) != 0, and q(0) is the coefficient scaled to 1; each hook reads
+coefficient 0 by ``Polynomial.coefficient``.  That normalization makes
 the representation unique, so equality is structural, the coefficient
 expansion is a direct linear recurrence, and the stream derivative has a
 closed form that keeps the denominator fixed.
@@ -44,21 +45,21 @@ class RationalStream(Quotient):
 
     @staticmethod
     def _check_denominator(den: Polynomial):
-        if not den.constant_term:
+        if not den.coefficient(0):
             raise NotInvertibleAtZero(
                 "denominator has initial value 0 and therefore no inverse"
             )
 
     @staticmethod
     def _check_divisor(divisor: "RationalStream"):
-        if not divisor.num.constant_term:
+        if not divisor.num.coefficient(0):
             raise NotInvertibleAtZero(
                 "divisor has initial value 0 and therefore no inverse"
             )
 
     @staticmethod
     def _normalizer(den: Polynomial):
-        return den.constant_term
+        return den.coefficient(0)
 
     @classmethod
     def from_sequence(cls, field: Field, terms: Sequence) -> "RationalStream":
@@ -83,12 +84,6 @@ class RationalStream(Quotient):
     def inverse(self):
         return RationalStream.one(self.field) / self
 
-    def scale(self, c):
-        # a nonzero c changes no common factor and keeps den(0) = 1
-        if not self.field.coerce(c):
-            return RationalStream.zero(self.field)
-        return RationalStream._make(self.num.scale(c), self.den)
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative stream power; use inverse() explicitly")
@@ -99,7 +94,7 @@ class RationalStream(Quotient):
 
     def initial_value(self):
         """The head coefficient; num(0) since the denominator is 1 at 0."""
-        return self.num.constant_term
+        return self.num.coefficient(0)
 
     def derivative(self) -> "RationalStream":
         """Stream derivative (tail), computed symbolically.

@@ -150,7 +150,7 @@ def test_criterion_9_three_way_oracle_agreement():
         automaton = WeightedAutomaton(outputs, weights)
         streams = automaton.behaviour()
         expansions = [s.expand(7) for s in streams]
-        column = Matrix.column(QQ, outputs)
+        column = Matrix(QQ, [[v] for v in outputs], cols=1)
         power = Matrix.identity(QQ, n)
         for k in range(7):
             applied = power * column

@@ -95,7 +95,7 @@ def test_three_way_coefficient_agreement():
     for _ in range(20):
         automaton = random_automaton(rng)
         streams = automaton.behaviour()
-        outputs = Matrix.column(automaton.field, automaton.outputs)
+        outputs = Matrix(automaton.field, [[v] for v in automaton.outputs], cols=1)
         power = Matrix.identity(automaton.field, automaton.size)
         for k in range(7):
             applied = power * outputs

@@ -63,7 +63,7 @@ def test_system_behaviour_matches_resolvent(case):
     for row in output.entries:
         acc = RationalStream.zero(field)
         for h, s in zip(row, inner):
-            acc = acc + s.scale(h)
+            acc = acc + s * RationalStream.constant(field, h)
         expected.append(acc)
     assert LinearSystem(dynamics, output).behaviour(state) == tuple(expected)
 

@@ -259,6 +259,19 @@ def test_misshaped_canonical_file_names_its_line(tmp_path, capsys):
     assert err == f"error: {bad}: line 2: N must be a 1 x 1 row\n"
 
 
+def test_ill_formed_netlist_file_names_itself(tmp_path, capsys):
+    bad = tmp_path / "bad.net"
+    bad.write_text(
+        "field q\ngate r1 register init=1\nwire r1.out0 -> r9.in0\noutput r1.out0\n"
+    )
+    expected = f"error: {bad}: wire destination references unknown gate r9\n"
+    for argv in (
+        ("circuit", "sim", "--file", str(bad), "--n", "3"),
+        ("equal", f"circuit:{bad}", "expr:1"),
+    ):
+        assert run(capsys, *argv) == (1, "", expected)
+
+
 def test_system_state_is_read_as_a_v0_line(tmp_path, capsys):
     stateless = tmp_path / "s0.txt"
     stateless.write_text("field q\nn 0\nm 1\nv0\n")

@@ -69,7 +69,7 @@ def reduced(kind, num, den):
     """num/den reduced by the boxed gcd and scaled by ``kind``'s normalizer."""
     g = boxed_gcd(num, den)
     num, den = num // g, den // g
-    unit = den.leading if kind is RationalFunction else den.constant_term
+    unit = den.leading if kind is RationalFunction else den.coefficient(0)
     inverse = num.field.inv(unit)
     return num.scale(inverse), den.scale(inverse)
 

@@ -57,8 +57,6 @@ def test_transpose_shapes():
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         Matrix(QQ, [[1, 2]]) * Matrix(QQ, [[1, 2]])
-    with pytest.raises(ShapeMismatch):
-        Matrix(QQ, [[1, 2]]) + Matrix(QQ, [[1], [2]])
 
 
 def test_domain_mismatch():
@@ -130,7 +128,7 @@ def test_resolvent_entries_are_valid_streams():
         res = resolvent(m)
         for row in res.entries:
             for entry in row:
-                assert entry.den.constant_term != 0
+                assert entry.den.coefficient(0) != 0
                 RationalStream.from_fraction(entry)
 
 

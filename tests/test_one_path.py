@@ -88,7 +88,7 @@ def test_quotient_zero_operands_and_difference(data, field, kind):
     assert zero.den == Polynomial.one(field)
     assert same(zero + a, a) and same(a + zero, a)
     assert same(zero * a, zero) and same(a * zero, zero)
-    if kind is RationalFunction and b or kind is RationalStream and b.num.constant_term:
+    if kind is RationalFunction and b or kind is RationalStream and b.num.coefficient(0):
         assert same(zero / b, zero)
     assert same(a - b, a + -b)
 

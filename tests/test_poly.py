@@ -27,9 +27,9 @@ def test_difference_of_squares():
     assert poly(QQ, 1, 1) * poly(QQ, 1, -1) == poly(QQ, 1, 0, -1)
 
 
-def test_constant_term():
-    assert poly(QQ, 3, 2).constant_term == 3
-    assert Polynomial.zero(QQ).constant_term == 0
+def test_coefficient_zero():
+    assert poly(QQ, 3, 2).coefficient(0) == 3
+    assert Polynomial.zero(QQ).coefficient(0) == 0
 
 
 def test_coefficients_outside_the_degree_are_zero():

@@ -34,7 +34,12 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
   by ``from_rational``: the Cauchy convolution on the integer form;
 - the square of ``from_coefficients`` of 1/p over the first 300 primes p, to
   300 terms over Q: the worst case for one shared denominator, which then
-  holds the product of all 300 primes.
+  holds the product of all 300 primes;
+- a register looped through a chain of d multipliers over GF(2^61-1),
+  simulated for t ticks, at (d, t) = (300, 200) and (100, 1000): every tick
+  reduces each of the d products mod p.  A deferral of the reductions to
+  every few ticks lets each product grow by 61 bits per multiplier passed,
+  so these are the cases a per-field reduction budget must not lose.
 
 ``--tiny`` runs every case at a small size, to check that the tool runs.
 """
@@ -52,7 +57,20 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from streamcalc import Matrix, Polynomial, PrimeField, QQ, RationalStream, StreamPrefix, is_prime, realize  # noqa: E402
+from streamcalc import (  # noqa: E402
+    Copier,
+    Matrix,
+    Multiplier,
+    Netlist,
+    Polynomial,
+    PrimeField,
+    QQ,
+    RationalStream,
+    Register,
+    StreamPrefix,
+    is_prime,
+    realize,
+)
 from streamcalc.automaton import WeightedAutomaton  # noqa: E402
 from streamcalc.expr import evaluate_text  # noqa: E402
 
@@ -82,6 +100,18 @@ def recurrent_prefixes(field, orders: Sequence[int], each: int) -> list:
             terms = RationalStream(num, den).expand(2 * n)
             prefixes += [terms, terms[: 2 * n - 3]]
     return prefixes
+
+
+def multiplier_chain(field, d: int) -> Netlist:
+    """Register r copied to the output and through multipliers m1..md back
+    into itself, each by a seeded nonzero scalar."""
+    rng = random.Random(d)
+    gates = {"r": Register(field.one()), "c": Copier(2)}
+    gates.update((f"m{i}", Multiplier(field.coerce(rng.randrange(1, field.modulus)))) for i in range(1, d + 1))
+    chain = [("c", 1)] + [(f"m{i}", 0) for i in range(1, d + 1)]
+    wires = [(("r", 0), ("c", 0))] + [(src, (dst, 0)) for src, (dst, _) in zip(chain, chain[1:])]
+    wires.append((chain[-1], ("r", 0)))
+    return Netlist(field, gates, wires, ("c", 0))
 
 
 def square_prefix(coefficients: Sequence, n: int) -> list:
@@ -138,6 +168,9 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     primes = [p for p in range(2, 2000) if is_prime(p)][:n]
     reciprocals = [QQ.parse(f"1/{p}") for p in primes]
     yield f"prefix (1/primes)^2, n={n} (q)", lambda: square_prefix(reciprocals, n)
+    for d, t in ((3, 5), (2, 10)) if tiny else ((300, 200), (100, 1000)):
+        chain = multiplier_chain(MERSENNE, d)
+        yield f"multiplier chain d={d}, t={t} (gf)", lambda c=chain, t=t: c.simulate(t)
 
 
 def best_ms(run: Callable[[], object]) -> float:
