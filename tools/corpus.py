@@ -76,6 +76,7 @@ from streamcalc import (  # noqa: E402
     minimize,
     parse_automaton,
     parse_canonical,
+    parse_system,
     rank,
     rref,
     solve,
@@ -88,6 +89,7 @@ FIELDS = ("q", "gf:2", "gf:101", "gf:2305843009213693951")
 TEXTS = 40
 REALIZED = 6
 CIRCUITS = 6
+SYSTEMS = 6
 PROBED = 8
 AUTOMATA = 6
 SYNTHESIZED = 4
@@ -133,6 +135,22 @@ def run(argv: Sequence[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
+def file_case(lines: List[str], path: str):
+    """A recorder of command lines that read the file at ``path``: each
+    argument's ``FILE`` becomes the path, and the line records the file's
+    text (its lines joined by `` | ``, when given), the arguments and the
+    answer, with ``FILE`` for the path."""
+
+    def case(*argv: str, text: str = "") -> list:
+        answer = run([a.replace("FILE", path) for a in argv])
+        shown = text.strip().replace("\n", " | ") + " " if text else ""
+        case_text = json.dumps(answer, ensure_ascii=False).replace(path, "FILE")
+        lines.append(f"{shown}{json.dumps(list(argv), ensure_ascii=False)}{ARROW}{case_text}")
+        return answer
+
+    return case
+
+
 def cli_lines() -> List[str]:
     lines = []
 
@@ -152,7 +170,7 @@ def cli_lines() -> List[str]:
                 case("guess", "--prefix=" + out.splitlines()[0].replace(" ", ""), "--field", spec)
             neighbour = all_texts[(i + 1) % len(all_texts)]
             case("equal", f"expr:{text}", f"expr:{neighbour}", "--field", spec)
-    return lines + command_lines(all_texts)
+    return lines + command_lines(all_texts) + representation_lines(all_texts)
 
 
 def command_lines(all_texts: List[str]) -> List[str]:
@@ -161,14 +179,7 @@ def command_lines(all_texts: List[str]) -> List[str]:
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
         path = str(Path(scratch) / "circuit.txt")
-
-        def case(*argv: str, text: str = "") -> list:
-            answer = run([a.replace("FILE", path) for a in argv])
-            shown = text.strip().replace("\n", " | ") + " " if text else ""
-            case_text = json.dumps(answer, ensure_ascii=False).replace(path, "FILE")
-            lines.append(f"{shown}{json.dumps(list(argv), ensure_ascii=False)}{ARROW}{case_text}")
-            return answer
-
+        case = file_case(lines, path)
         for spec in FIELDS:
             rng = random.Random(f"corpus-commands-{spec}")
             for _ in range(REALIZED):
@@ -194,6 +205,65 @@ def command_lines(all_texts: List[str]) -> List[str]:
                     case(command, "--expr=" + text, option, size, "--field", spec)
                     case(command, "--prefix=" + terms, option, size, "--field", spec)
     return lines
+
+
+def representation_lines(all_texts: List[str]) -> List[str]:
+    """``equal`` on the file representations, from one draw per field of
+    their own: ``system:FILE`` on the file ``realize`` writes for a text and
+    ``system:FILE@v`` on it at a seeded state; ``circuit:FILE`` on the
+    canonical file of ``circuit synth`` and on its netlist file.  Each is
+    compared with its text and with that text plus X^j.  Then, once, the
+    one-line errors of the command line and of the file readers."""
+    lines = []
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "representation.txt")
+        case = file_case(lines, path)
+        for spec in FIELDS:
+            field = field_from_spec(spec)
+            rng = random.Random(f"corpus-representations-{spec}")
+            for text in rng.sample(all_texts, SYSTEMS):
+                code, out, _ = run(["realize", "--field", spec, "--", text])
+                if code != 0:
+                    continue
+                Path(path).write_text(out, encoding="utf-8")
+                state = ",".join(field.format(scalar(rng, field)) for _ in range(parse_system(out).dim))
+                for first in ("system:FILE", f"system:FILE@{state}"):
+                    for other in (text, f"{text}+X^{rng.randint(0, 9)}"):
+                        case("equal", first, f"expr:{other}", "--field", spec, text=out)
+            for text in rng.sample(all_texts, CIRCUITS):
+                code, out, _ = run(["circuit", "synth", "--field", spec, "--", text])
+                if code != 0:
+                    continue
+                for circuit in (out, format_netlist(parse_canonical(out).to_netlist())):
+                    Path(path).write_text(circuit, encoding="utf-8")
+                    for other in (text, f"{text}+X^{rng.randint(0, 9)}"):
+                        case("equal", "circuit:FILE", f"expr:{other}", "--field", spec, text=circuit)
+        case("eval", "--n", "4", "--", "X)")
+        case("equal", "foo", "expr:X")
+        case("equal", "bogus:x", "expr:X")
+        for text, argv in FILE_ERRORS:
+            Path(path).write_text(text, encoding="utf-8")
+            case(*argv, text=text)
+    return lines
+
+
+# Files that each command reads to a one-line error: an automaton read
+# without @<state> and at a state past its end, system files without v0,
+# with a wrong H and without F, and netlist files with a duplicate gate id,
+# a wire without ->, an input driven twice and a wired designated output.
+_AUTOMATON = "field q\nstates 2\nout 1 1\nout 2 0\nedge 1 2 1\n"
+_NETLIST = "field q\ngate r1 register init=1\ngate m1 multiplier r=1/2\nwire r1.out0 -> m1.in0\n"
+FILE_ERRORS = (
+    (_AUTOMATON, ("equal", "automaton:FILE", "expr:X")),
+    (_AUTOMATON, ("automaton", "eval", "--file", "FILE", "--state", "3", "--n", "4")),
+    ("field q\nn 1\nm 1\nF 1\nH 1\n", ("equal", "system:FILE", "expr:X")),
+    ("field q\nn 2\nm 1\nF 1,0;0,1\nH 1,2,3\nv0 1,0\n", ("equal", "system:FILE", "expr:X")),
+    ("field q\nn 2\nm 1\nH 1,2\nv0 1,0\n", ("equal", "system:FILE", "expr:X")),
+    (_NETLIST + "gate m1 multiplier r=2\nwire m1.out0 -> r1.in0\noutput m1.out0\n", ("circuit", "sim", "--file", "FILE", "--n", "4")),
+    (_NETLIST + "wire m1.out0 r1.in0\noutput m1.out0\n", ("circuit", "sim", "--file", "FILE", "--n", "4")),
+    (_NETLIST + "wire m1.out0 -> r1.in0\nwire r1.out0 -> r1.in0\noutput m1.out0\n", ("circuit", "sim", "--file", "FILE", "--n", "4")),
+    (_NETLIST + "wire m1.out0 -> r1.in0\noutput m1.out0\n", ("equal", "circuit:FILE", "expr:X")),
+)
 
 
 # --- the automata -------------------------------------------------------------
@@ -375,6 +445,8 @@ def ops_lines() -> Iterator[str]:
             terms = prefix(rng, field)
             yield f"{spec} fit_recurrence {show(terms, field)} 6{ARROW}{answer(lambda: fit_recurrence(terms, 6), field)}"
         yield from prefix_product_lines(spec, field)
+        yield from gcd_lines(spec, field)
+        yield from sequence_lines(spec, field)
 
 
 def prefix_product_lines(spec: str, field) -> Iterator[str]:
@@ -397,6 +469,34 @@ def prefix_product_lines(spec: str, field) -> Iterator[str]:
         yield f"{pair} a*a take 12{ARROW}{answer(lambda: (pa * pa).take(12), field)}"
         yield f"{pair} inverse take 12{ARROW}{answer(lambda: pa.inverse().take(12), field)}"
         yield f"{pair} a*(a*b).tail() take 12{ARROW}{answer(lambda: (pa * (pa * pb).tail()).take(12), field)}"
+
+
+def gcd_lines(spec: str, field) -> Iterator[str]:
+    """``Polynomial.gcd``, from a draw of its own: zero operands, constants,
+    unequal degrees and a planted common factor.  Over Q also two pairs whose
+    leading coefficient 2^61 - 1 divides, where the coprimality certificate
+    mod that prime proves nothing, one coprime and one with a common factor."""
+    rng = random.Random(f"corpus-gcd-{spec}")
+    pairs = list(polynomial_pairs(rng, field, 10))
+    for _ in range(8):
+        common = polynomial(rng, field, rng.randint(1, 3))
+        pairs.append(tuple(common * polynomial(rng, field, rng.randint(0, 3)) for _ in range(2)))
+    if not field.characteristic:
+        unlucky = Polynomial(field, [field.one(), scalar(rng, field), field.coerce(2**61 - 1)])
+        common = polynomial(rng, field, 2)
+        pairs += [(unlucky, polynomial(rng, field, 2)), (unlucky * common, polynomial(rng, field, 1) * common)]
+    for a, b in pairs:
+        yield f"{spec} gcd {show(a, field)} {show(b, field)}{ARROW}{answer(lambda: a.gcd(b), field)}"
+
+
+def sequence_lines(spec: str, field) -> Iterator[str]:
+    """``RationalStream.from_sequence``, from a draw of its own: all-zero
+    prefixes, then the terms of closed forms, cut short or not."""
+    rng = random.Random(f"corpus-sequence-{spec}")
+    prefixes = [[field.zero()] * length for length in (0, 1, 5)]
+    prefixes += [ratstream(rng, field, 0).expand(rng.randint(1, 10)) for _ in range(12)]
+    for terms in prefixes:
+        yield f"{spec} from_sequence {show(terms, field)}{ARROW}{answer(lambda: RationalStream.from_sequence(field, terms), field)}"
 
 
 # --- the files ----------------------------------------------------------------
