@@ -130,7 +130,7 @@ class WeightedAutomaton:
         """Inverse transposition, pointed at the basis vector of ``state``."""
         self._check_state(state)
         field = self.field
-        output = Matrix.row_vector(field, self.outputs)
+        output = Matrix(field, [self.outputs], cols=self.size)
         zero, one = field.zero(), field.one()
         initial = tuple(one if i == state else zero for i in range(self.size))
         return PointedLinearSystem(

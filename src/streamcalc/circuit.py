@@ -46,7 +46,6 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     IllFormedCircuit,
-    ShapeMismatch,
     check_count,
 )
 from .fields import Field, field_from_spec, is_ascii_digits, parse_integer
@@ -306,7 +305,7 @@ class CanonicalCircuit:
         if self.registers < 1:
             raise DimensionMismatch("canonical form needs at least one register")
         if self.feedforward.rows != 1:
-            raise ShapeMismatch("feedforward must be a 1 x n row")
+            raise DimensionMismatch("canonical circuits have a single output")
         object.__setattr__(self, "initial", pointed.initial)
 
     @property
@@ -328,10 +327,6 @@ class CanonicalCircuit:
 
     @classmethod
     def from_linear_system(cls, pointed: PointedLinearSystem) -> "CanonicalCircuit":
-        if pointed.system.num_outputs != 1:
-            raise DimensionMismatch("canonical circuits have a single output")
-        if pointed.dim < 1:
-            raise DimensionMismatch("canonical form needs dimension >= 1")
         return cls(pointed.system.dynamics, pointed.system.output, pointed.initial)
 
     def to_netlist(self) -> Netlist:

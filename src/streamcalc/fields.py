@@ -16,21 +16,23 @@ its ``dot`` sums products, for ``Matrix.apply`` and matrix products.  Its
 expansion: fraction-free on integers over Q, on bare residues over GF(p).
 
 Every other integer kernel reaches a field's scalars only through the
-field's integer form, five members: ``integers`` puts elements over one
-denominator d, ``residue`` is an integer as the field sees it (its zero
-test), ``shrink`` makes integers over d smaller, and ``ratio`` and
-``ratios`` box integers over d as elements again.  ``Field.berlekamp_massey``
-(one fraction-free kernel for every field, back from coefficients to the
-shortest recurrence), ``Matrix.orbit``, ``matrix._eliminate`` (whose
+field's integer form, four members: ``integers`` puts elements over one
+denominator d, ``shrink`` makes integers over d smaller, and ``ratio`` and
+``ratios`` box integers over d as elements again; an integer v is zero in
+the field when ``v % p if p else v`` is, p the ``characteristic`` (0 on Q).
+``Field.berlekamp_massey``, ``Matrix.orbit``, ``matrix._eliminate`` (whose
 ``integers``, ``shrink`` and ``ratios`` ``FractionField`` also has, over
 k[X]) and the netlist plan are those kernels; a test guards this, and that
 no other module names ``Rationals``.
-One more kernel runs here, where the form is known: ``polynomial_gcd``,
-the one gcd of ``Polynomial.gcd``, by one Euclid loop on ints: on residues
-mod p over GF(p); over Q mod a prime, as a certificate that the gcd is 1,
-and where that proves nothing on integers, as the primitive PRS.
-Two loops keep a per-field form, as one path measured slower: the two
-``recurrence`` members, and ``Netlist._tick``'s ``% p`` on every gate.
+A field class overrides only what differs between fields: its elements, its
+integer form, and the two loops that measured slower as one path for both,
+``recurrence`` and ``dot``.  A loop that runs alike over Q and GF(p) is one
+``Field`` method that forks on ``characteristic``, as ``Netlist._tick``
+does: ``berlekamp_massey``, back from coefficients to the shortest
+recurrence, and ``polynomial_gcd``, the one gcd of ``Polynomial.gcd``, by
+one Euclid loop on ints, ``_euclid``: on residues mod p over GF(p); over Q
+mod a prime, as a certificate that the gcd is 1, and where that proves
+nothing on integers, as the primitive PRS.
 Over GF(p) the form is the residues over 1.  Over Q it is written here
 once: ``over_one_denominator`` puts ``Fraction``s over their least common
 denominator, and ``strip_content``, which is ``Rationals.shrink``, divides
@@ -259,10 +261,6 @@ class Field:
         ``over_one_denominator``, over GF(p) the residues over 1."""
         raise NotImplementedError
 
-    def residue(self, v: int) -> int:
-        """v as the field sees it, zero exactly when v / d is: v, or v mod p."""
-        raise NotImplementedError
-
     def shrink(self, ints: List[int], d: int) -> Tuple[List[int], int]:
         """(ints, d) over smaller integers: the same elements ints[i] / d for
         d > 0, or for d = 0 the same ratios of ints not all zero.  Over Q
@@ -289,11 +287,12 @@ class Field:
         elements.  With ``numerator``, (C, L, P): P = (C S) mod X^L for the
         prefix S, L coefficients, so that S agrees with P / C.
 
-        Fraction-free (Bareiss's idea on Massey's update) on the field's
-        integer form: on the terms as integers a_i over one d, it replaces
-        C <- C - (d_n / b) X^gap B by C <- b C - d_n X^gap B, which needs no
-        inversion in any integral domain, and ``shrink``s C (with d = 0, as
-        ratios) after each update.
+        One loop for every field, fraction-free (Bareiss's idea on Massey's
+        update) on the field's integer form: on the terms as integers a_i
+        over one d, it replaces C <- C - (d_n / b) X^gap B by
+        C <- b C - d_n X^gap B, which needs no inversion in any integral
+        domain, and ``shrink``s C (with d = 0, as ratios) after each update.
+        Each d_n is reduced mod the ``characteristic`` p when p > 0.
         Each integer C is then a nonzero multiple of the C of the update on
         field elements, provided b is the discrepancy of the integer B: for
         B = 1 that is d, not 1, or the C of the prefix [1/2] would be 1 - X.
@@ -302,13 +301,14 @@ class Field:
         as ((C a) mod X^L) / (C(0) d).
         """
         ints, scale = self.integers(terms)
-        residue, shrink = self.residue, self.shrink
+        p, shrink = self.characteristic, self.shrink
         current, previous = [1], [1]  # C and B, on integers
         length, gap, last = 0, 1, scale  # last: the discrepancy of B
         for n in range(len(ints)):
             # deg C <= L <= n, so the window ints[n+1-len(C) .. n] exists
             window = ints[n + 1 - len(current) : n + 1]
-            discrepancy = residue(sum(map(mul, current, reversed(window))))
+            discrepancy = sum(map(mul, current, reversed(window)))
+            discrepancy = discrepancy % p if p else discrepancy
             if not discrepancy:
                 gap += 1
                 continue
@@ -334,20 +334,27 @@ class Field:
     def polynomial_gcd(self, a: Sequence, b: Sequence) -> List:
         """The coefficients of the monic gcd of the polynomials with
         coefficients a and b (ascending, no trailing zeros; none for 0), by
-        ``_euclid``, Euclid without inversions on ints.
+        ``_euclid``, Euclid without inversions on each side's ``integers``.
 
-        Over GF(p) the loop runs on the residues mod p.  Over Q each side's
-        denominators are cleared to integer polynomials A and B.  Where the
-        prime ``CERTIFICATE_PRIME``, 2^61 - 1, divides neither leading
-        coefficient, the primitive gcd G of A and B divides both in Z[X] and
-        keeps its degree mod p, so deg gcd(A mod p, B mod p) >= deg G (the
+        Over GF(p) the loop runs on the residues mod p and returns them
+        monic.  Over Q the integers are the sides with their denominators
+        cleared, integer polynomials A and B.  Where the prime q =
+        ``CERTIFICATE_PRIME``, 2^61 - 1, divides neither leading coefficient,
+        the primitive gcd G of A and B divides both in Z[X] and keeps its
+        degree mod q, so deg gcd(A mod q, B mod q) >= deg G (the
         unlucky-prime lemma of Brown's modular gcd, Brown 1971): a residue
         gcd of degree 0 proves that the gcd is 1, as it almost always is.
-        Every other pair, a zero operand, a leading coefficient that p
+        Every other pair, a zero operand, a leading coefficient that q
         divides or a common factor, runs the loop on A and B themselves, the
         primitive PRS, and its gcd is boxed once, by ``ratios``.
         """
-        raise NotImplementedError
+        a, b = self.integers(a)[0][::-1], self.integers(b)[0][::-1]
+        p, q = self.characteristic, CERTIFICATE_PRIME
+        if not p and a and b and a[0] % q and b[0] % q:
+            if len(_euclid([c % q for c in a], [c % q for c in b], q)) == 1:
+                return [self.one()]
+        g = _euclid(a, b, p)
+        return self.ratios(g[::-1], g[0]) if g else []
 
     def is_negative(self, a) -> bool:
         """Whether ``a`` renders with a leading minus sign."""
@@ -428,24 +435,12 @@ class Rationals(Field):
     def integers(self, elements):
         return over_one_denominator(self.coerce(t) for t in elements)
 
-    def residue(self, v):
-        return v
-
     shrink = staticmethod(strip_content)
 
     def ratios(self, ints, d):
         return [Fraction(c, d) for c in ints]
 
     ratio = Fraction
-
-    def polynomial_gcd(self, a, b):
-        a, b = over_one_denominator(a)[0][::-1], over_one_denominator(b)[0][::-1]
-        p = CERTIFICATE_PRIME
-        if a and b and a[0] % p and b[0] % p:
-            if len(_euclid([c % p for c in a], [c % p for c in b], p)) == 1:
-                return [Fraction(1)]
-        g = _euclid(a, b, 0)
-        return self.ratios(g[::-1], g[0]) if g else []
 
     def is_negative(self, a):
         return a < 0
@@ -509,21 +504,18 @@ class PrimeFieldElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self.field.coerce(other).inverse()
+        return self * self.field.inv(other)
 
     def __rtruediv__(self, other):
-        return self.field.coerce(other) * self.inverse()
+        return self.field.coerce(other) * self.field.inv(self)
 
     def __neg__(self):
         return PrimeFieldElement(-self.value, self.field)
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            return self.field.inv(self) ** (-k)
         return PrimeFieldElement(pow(self.value, k, self.field.modulus), self.field)
-
-    def inverse(self):
-        return PrimeFieldElement(_invmod(self.value, self.field.modulus), self.field)
 
     def __bool__(self):
         return self.value != 0
@@ -579,7 +571,7 @@ class PrimeField(Field):
         raise FieldMismatch(f"cannot interpret {value!r} in GF({self.modulus})")
 
     def inv(self, a):
-        return self.coerce(a).inverse()
+        return PrimeFieldElement(_invmod(self.coerce(a).value, self.modulus), self)
 
     def dot(self, xs, ys):
         # the residues' products summed as ints, reduced and boxed once
@@ -597,9 +589,6 @@ class PrimeField(Field):
     def integers(self, elements):
         return [self.coerce(t).value for t in elements], 1
 
-    def residue(self, v):
-        return v % self.modulus
-
     def shrink(self, ints, d):
         p = self.modulus
         return [c % p for c in ints], d
@@ -610,10 +599,6 @@ class PrimeField(Field):
 
     def ratio(self, v, d):
         return PrimeFieldElement(v if d == 1 else v * _invmod(d, self.modulus), self)
-
-    def polynomial_gcd(self, a, b):
-        g = _euclid([c.value for c in reversed(a)], [c.value for c in reversed(b)], self.modulus)
-        return [PrimeFieldElement(c, self) for c in reversed(g)]
 
     def is_negative(self, a):
         return False

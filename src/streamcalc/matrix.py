@@ -6,9 +6,9 @@ coercion and an integer form, and every entry operation is exact.  Rank,
 kernel, inversion and solving read one Gaussian elimination, ``_eliminate``,
 which runs fraction-free on the domain's integer form (integers over Q and
 GF(p), polynomials over k(X)) and boxes each pivot row once at the end.
-Besides its constructors (``zero``, ``identity``, ``row_vector``) a matrix
-has only the operations the package calls: the product, ``transpose``,
-``apply`` and ``orbit``; entries are read from ``entries``.
+Besides its constructors (``Matrix(domain, rows)``, ``zero``, ``identity``)
+a matrix has only the operations the package calls: the product,
+``transpose``, ``apply`` and ``orbit``; entries are read from ``entries``.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class Matrix:
             ((o if i == j else z for j in range(n)) for i in range(n)),
             cols=n,
         )
-
-    @classmethod
-    def row_vector(cls, domain, vector: Sequence):
-        return cls(domain, (tuple(vector),), cols=len(tuple(vector)))
 
     def _check(self, other: "Matrix"):
         if other.domain != self.domain:

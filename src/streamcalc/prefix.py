@@ -124,10 +124,6 @@ class StreamPrefix:
 
         return StreamPrefix(self.field, produce)
 
-    def scale(self, c):
-        c = self.field.coerce(c)
-        return StreamPrefix(self.field, lambda i: c * self.at(i))
-
     def inverse(self) -> "StreamPrefix":
         """Multiplicative inverse; requires a nonzero head.
 

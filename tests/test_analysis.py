@@ -399,19 +399,21 @@ def test_integer_kernel_matches_boxed_reference(case):
 
 def test_gf_kernel_examples_hit_their_integer_cases(monkeypatch):
     """The two GF(7) examples above reach what they name: an integer
-    discrepancy 7, and an integer C with C(0) = 2 on exit."""
-    residue, ratios = PrimeField.residue, PrimeField.ratios
+    discrepancy 7, and an integer C with C(0) = 2 on exit.  The kernel
+    reduces each discrepancy d as d % p, so p's ``__rmod__`` sees d."""
+    ratios = PrimeField.ratios
     discrepancies, exits = [], []
 
-    def seen_residue(field, v):
-        discrepancies.append(v)
-        return residue(field, v)
+    class SeenModulus(int):
+        def __rmod__(self, v):
+            discrepancies.append(v)
+            return v % int(self)
 
     def seen_ratios(field, ints, d):
         exits.append((list(ints), d))
         return ratios(field, ints, d)
 
-    monkeypatch.setattr(PrimeField, "residue", seen_residue)
+    monkeypatch.setattr(PrimeField, "characteristic", property(lambda field: SeenModulus(field.modulus)))
     monkeypatch.setattr(PrimeField, "ratios", seen_ratios)
     assert GF7.berlekamp_massey([GF7.one()] * 4) == ([1, 6], 1)
     assert 7 in discrepancies

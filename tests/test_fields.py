@@ -306,7 +306,7 @@ def test_shrink_over_gf_keeps_the_elements_or_their_ratios(form):
     """Over Q ``shrink`` is ``strip_content``, tested above; over GF(p) it
     reduces mod p and keeps d."""
     field, ints, d = form
-    k = next((i for i, a in enumerate(ints) if field.residue(a)), None)
+    k = next((i for i, a in enumerate(ints) if a % field.modulus), None)
     assume(d or k is not None)  # ratios need an element that is not zero
     shrunk, e = field.shrink(list(ints), d)
     assert e == d and all(0 <= a < field.modulus for a in shrunk)
@@ -372,8 +372,9 @@ def knowledge_of_the_integer_form(path):
 
 def test_only_fields_py_knows_the_integer_form():
     """Every other module reaches Q and GF(p) scalars through ``Field``'s
-    members (``integers``, ``residue``, ``shrink``, ``ratio``, ``ratios``),
-    and makes no ``Fraction`` past its checked constructor."""
+    members (``integers``, ``shrink``, ``ratio``, ``ratios``, and
+    ``characteristic`` for a zero test mod p), and makes no ``Fraction``
+    past its checked constructor."""
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) > 10
     assert knowledge_of_the_integer_form(PACKAGE / "fields.py") == HIDDEN | TRUSTED | {"fractions"}

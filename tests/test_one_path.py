@@ -8,9 +8,10 @@ the other operand, zero divided by a quotient is 0/1, a dividend of lower
 degree gives the quotient 0 and itself as the remainder, and a - b is
 a + (-b), which equals the coefficientwise difference.
 
-Two guards read the source: the package exports exactly the names its
-``__init__`` imports, and the one "must be nonnegative" ``ValueError`` is
-raised in ``errors.check_count``, the one count check.
+Three guards read the source: the package exports exactly the names its
+``__init__`` imports, the one "must be nonnegative" ``ValueError`` is
+raised in ``errors.check_count``, the one count check, and each field
+kernel that runs alike over Q and GF(p) is one ``Field`` method.
 """
 
 import ast
@@ -134,3 +135,25 @@ def test_one_count_check_says_must_be_nonnegative():
     found = [where for path in sorted(SRC.glob("*.py"))
              for where in _nonnegative_errors(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     assert found == ["errors.check_count"]
+
+
+def _functions(node, where):
+    """The dotted names of the functions defined under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield f"{where}.{child.name}"
+            yield from _functions(child, f"{where}.{child.name}")
+
+
+def test_one_method_per_shared_field_kernel():
+    """The gcd and Berlekamp-Massey are defined once, on ``Field``; no
+    module defines a ``residue``, and a GF(p) element has no ``inverse`` of
+    its own beside ``PrimeField.inv``."""
+    functions = [name for path in sorted(SRC.glob("*.py"))
+                 for name in _functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    kernels = [name for name in functions if name.startswith("fields.")
+               and name.rsplit(".", 1)[1] in ("polynomial_gcd", "berlekamp_massey")]
+    assert sorted(kernels) == ["fields.Field.berlekamp_massey", "fields.Field.polynomial_gcd"]
+    assert [name for name in functions if name.rsplit(".", 1)[1] == "residue"] == []
+    assert "fields.PrimeFieldElement.inverse" not in functions

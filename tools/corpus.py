@@ -20,7 +20,9 @@ answer; a regenerated file is a changed check.
   on that circuit's netlist file (each line records the file's
   text, its lines joined by `` | ``, and ``FILE`` for its path); and ``rank``
   and ``probe`` on ``--expr`` and on ``--prefix``, prefixes too short for the
-  size among them.
+  size among them.  Then, from a draw of their own, ``equal`` on the file
+  representations (``representation_lines``), and last the one-line errors
+  of the command line and of the ``FILE_ERRORS`` files.
 - ``automata.txt``: ``automaton eval`` (``--method closed`` and ``--method
   path``) on every state, and ``equal automaton:<file>@<state>`` against an
   expression, on ``AUTOMATA`` seeded automata over each of ``FIELDS`` and on
@@ -36,7 +38,9 @@ answer; a regenerated file is a changed check.
   ``inverse`` and ``solve``; ``minimize`` (0-state systems included),
   ``fit_recurrence`` (all-zero prefixes included), and ``StreamPrefix`` *
   and ``inverse`` on finite operands and on ``from_rational`` ones (a zero
-  head, a·a and a·(a·b).tail() among them).
+  head, a·a and a·(a·b).tail() among them); then, from draws of their own,
+  ``Polynomial.gcd`` (``gcd_lines``) and ``RationalStream.from_sequence``
+  (``sequence_lines``).
 
 Every random draw comes from one ``random.Random`` per file and field,
 seeded with a string, so two runs write identical files.
