@@ -40,7 +40,10 @@ answer; a regenerated file is a changed check.
   and ``inverse`` on finite operands and on ``from_rational`` ones (a zero
   head, a·a and a·(a·b).tail() among them); then, from draws of their own,
   ``Polynomial.gcd`` (``gcd_lines``) and ``RationalStream.from_sequence``
-  (``sequence_lines``).
+  (``sequence_lines``); ``kernel_basis`` (``kernel_lines``); and on
+  systems with unobservable states, several outputs and fractional entries,
+  ``observability_matrix``, ``states_equivalent`` and ``minimize``
+  (``system_lines``).
 
 Every random draw comes from one ``random.Random`` per file and field,
 seeded with a string, so two runs write identical files.
@@ -69,21 +72,26 @@ from streamcalc import (  # noqa: E402
     Polynomial,
     RationalFunction,
     RationalStream,
+    SingularMatrix,
     StreamPrefix,
     WeightedAutomaton,
+    change_basis,
     field_from_spec,
     fit_recurrence,
     format_automaton,
     format_netlist,
     format_system,
     inverse,
+    kernel_basis,
     minimize,
+    observability_matrix,
     parse_automaton,
     parse_canonical,
     parse_system,
     rank,
     rref,
     solve,
+    states_equivalent,
 )
 from streamcalc.cli import main as cli_main  # noqa: E402
 from streamcalc.errors import StreamCalcError  # noqa: E402
@@ -451,6 +459,8 @@ def ops_lines() -> Iterator[str]:
         yield from prefix_product_lines(spec, field)
         yield from gcd_lines(spec, field)
         yield from sequence_lines(spec, field)
+        yield from kernel_lines(spec, field)
+        yield from system_lines(spec, field)
 
 
 def prefix_product_lines(spec: str, field) -> Iterator[str]:
@@ -501,6 +511,63 @@ def sequence_lines(spec: str, field) -> Iterator[str]:
     prefixes += [ratstream(rng, field, 0).expand(rng.randint(1, 10)) for _ in range(12)]
     for terms in prefixes:
         yield f"{spec} from_sequence {show(terms, field)}{ARROW}{answer(lambda: RationalStream.from_sequence(field, terms), field)}"
+
+
+def kernel_lines(spec: str, field) -> Iterator[str]:
+    """``kernel_basis``, from a draw of its own: no rows, full rank, more
+    columns than rows, and products of a rows x k and a k x cols matrix,
+    whose rank is at most k."""
+    rng = random.Random(f"corpus-kernel-{spec}")
+    matrices = [matrix(rng, field, rows, cols) for rows, cols in ((0, 3), (1, 1), (2, 2), (1, 3), (2, 4), (3, 3), (3, 5))]
+    for rows, k, cols in ((3, 1, 3), (3, 2, 4), (4, 2, 4), (2, 1, 5), (4, 3, 4)):
+        matrices.append(matrix(rng, field, rows, k) * matrix(rng, field, k, cols))
+    for m in matrices:
+        yield f"{spec} kernel_basis {show(m, field)}{ARROW}{answer(lambda: kernel_basis(m), field)}"
+
+
+def unobservable_system(rng: random.Random, field):
+    """(pointed, T, r): a pointed system of r + k states of which k are
+    unobservable, with one to three outputs: F = [[A, 0], [B, C]] and H =
+    [H1, 0], conjugated by a seeded invertible T (drawn again while it is
+    singular), so that T (0, z) is an unobservable state for every z."""
+    r, k, m = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+    n, zero = r + k, field.zero()
+    dynamics = [[scalar(rng, field) if i >= r or j < r else zero for j in range(n)] for i in range(n)]
+    output = [[scalar(rng, field) if j < r else zero for j in range(n)] for _ in range(m)]
+    initial = tuple(scalar(rng, field) for _ in range(n))
+    pointed = PointedLinearSystem(LinearSystem(Matrix(field, dynamics, cols=n), Matrix(field, output, cols=n)), initial)
+    while True:
+        transform = matrix(rng, field, n, n)
+        try:
+            return change_basis(pointed, transform), transform, r
+        except SingularMatrix:
+            continue
+
+
+def system_lines(spec: str, field) -> Iterator[str]:
+    """``observability_matrix``, ``states_equivalent`` and ``minimize`` on
+    ``unobservable_system``s, each from a draw of its own.  Of each two
+    ``states_equivalent`` lines the second state is the first plus T (0, z),
+    an unobservable state, and then plus a random state, so that both
+    answers occur."""
+    rng = random.Random(f"corpus-observability-{spec}")
+    for _ in range(6):
+        system = unobservable_system(rng, field)[0].system
+        case = f"{spec} observability_matrix {show(system.dynamics, field)} {show(system.output, field)}"
+        yield f"{case}{ARROW}{answer(lambda: observability_matrix(system), field)}"
+    rng = random.Random(f"corpus-equivalent-{spec}")
+    for _ in range(6):
+        pointed, transform, r = unobservable_system(rng, field)
+        system, first, n = pointed.system, pointed.initial, pointed.dim
+        hidden = transform.apply([field.zero()] * r + [scalar(rng, field) for _ in range(n - r)])
+        for offset in (hidden, [scalar(rng, field) for _ in range(n)]):
+            second = tuple(a + b for a, b in zip(first, offset))
+            case = f"{spec} states_equivalent {show(pointed, field)} {show(second, field)}"
+            yield f"{case}{ARROW}{answer(lambda: str(states_equivalent(system, first, second)), field)}"
+    rng = random.Random(f"corpus-minimize-{spec}")
+    for _ in range(8):
+        pointed = unobservable_system(rng, field)[0]
+        yield f"{spec} minimize {show(pointed, field)}{ARROW}{answer(lambda: minimize(pointed), field)}"
 
 
 # --- the files ----------------------------------------------------------------
