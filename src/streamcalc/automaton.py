@@ -6,8 +6,9 @@ the sum over all length-k transition paths of the product of the weights
 times the output of the final state, which is entry q of W^k o for the weight
 matrix W and the output vector o.  In closed form the streams are the
 resolvent (I - X W)^-1 applied to o; they are computed from the first 2n
-vectors W^k o, o's orbit under W (``Matrix.orbit``), through Berlekamp-Massey,
-with no arithmetic over k(X).  A linear system with a standard-basis initial
+vectors W^k o, o's orbit under W in its integer form
+(``Matrix.integer_orbit``), through Berlekamp-Massey on those integers, with
+no arithmetic over k(X) and no term boxed.  A linear system with a standard-basis initial
 state converts to an automaton by transposition, and back:
 ``to_linear_system(q)`` is the pointed system of state q.  State q's stream
 is ``behaviour()[q]``, which fits that state alone.  ``path_sum`` enumerates
@@ -102,11 +103,12 @@ class WeightedAutomaton:
 
         State q's stream has coefficients (W^k o)_q and linear complexity at
         most ``size``, so the first 2 * size iterates determine every state.
-        The orbit is made here; each state's closed form is fitted the first
-        time it is read (``CoordinateStreams``), so ``behaviour()[0]`` fits
-        one state, and a caller that reads every state gains nothing.
+        The orbit is made here, in its integer form; each state's closed form
+        is fitted on it the first time it is read (``CoordinateStreams``), so
+        ``behaviour()[0]`` fits one state, and a caller that reads every
+        state gains nothing.
         """
-        iterates = self.weights.orbit(self.outputs, 2 * self.size)
+        iterates = self.weights.integer_orbit(self.outputs, 2 * self.size)
         return CoordinateStreams(self.field, iterates, self.size)
 
     @classmethod

@@ -20,16 +20,18 @@ field's integer form, four members: ``integers`` puts elements over one
 denominator d, ``shrink`` makes integers over d smaller, and ``ratio`` and
 ``ratios`` box integers over d as elements again; an integer v is zero in
 the field when ``v % p if p else v`` is, p the ``characteristic`` (0 on Q).
-``Field.berlekamp_massey``, ``Matrix.orbit``, ``matrix._eliminate`` (whose
-``integers``, ``shrink`` and ``ratios`` ``FractionField`` also has, over
-k[X]) and the netlist plan are those kernels; a test guards this, and that
-no other module names ``Rationals``.
+``Field.integer_berlekamp_massey``, ``Matrix.integer_orbit``,
+``matrix._eliminate`` (whose ``integers``, ``shrink`` and ``ratios``
+``FractionField`` also has, over k[X]) and the netlist plan are those
+kernels, and the orbit hands its integers to the other two unboxed; a test
+guards this, and that no other module names ``Rationals``.
 A field class overrides only what differs between fields: its elements, its
 integer form, and the two loops that measured slower as one path for both,
 ``recurrence`` and ``dot``.  A loop that runs alike over Q and GF(p) is one
 ``Field`` method that forks on ``characteristic``, as ``Netlist._tick``
-does: ``berlekamp_massey``, back from coefficients to the shortest
-recurrence, and ``polynomial_gcd``, the one gcd of ``Polynomial.gcd``, by
+does: ``integer_berlekamp_massey``, back from coefficients to the
+shortest recurrence (``berlekamp_massey`` is ``integers`` and it), and
+``polynomial_gcd``, the one gcd of ``Polynomial.gcd``, by
 one Euclid loop on ints, ``_euclid``: on residues mod p over GF(p); over Q
 mod a prime, as a certificate that the gcd is 1, and where that proves
 nothing on integers, as the primitive PRS.
@@ -285,22 +287,29 @@ class Field:
         is the least length with that property.  When len(terms) < 2L, C is
         not unique; this kernel returns the C of Massey's update on field
         elements.  With ``numerator``, (C, L, P): P = (C S) mod X^L for the
-        prefix S, L coefficients, so that S agrees with P / C.
+        prefix S, L coefficients, so that S agrees with P / C.  The terms go
+        through ``integers`` once and the loop is ``integer_berlekamp_massey``.
+        """
+        return self.integer_berlekamp_massey(*self.integers(terms), numerator)
 
-        One loop for every field, fraction-free (Bareiss's idea on Massey's
-        update) on the field's integer form: on the terms as integers a_i
-        over one d, it replaces C <- C - (d_n / b) X^gap B by
+    def integer_berlekamp_massey(
+        self, ints: Sequence[int], scale: int, numerator: bool = False
+    ) -> Tuple:
+        """``berlekamp_massey`` of the terms ints[i] / scale, scale nonzero in
+        the field: the one loop, for every field, on the integer form.
+
+        Fraction-free (Bareiss's idea on Massey's update): on the integers
+        a_i over one d, it replaces C <- C - (d_n / b) X^gap B by
         C <- b C - d_n X^gap B, which needs no inversion in any integral
         domain, and ``shrink``s C (with d = 0, as ratios) after each update.
-        Each d_n is reduced mod the ``characteristic`` p when p > 0.
-        Each integer C is then a nonzero multiple of the C of the update on
-        field elements, provided b is the discrepancy of the integer B: for
-        B = 1 that is d, not 1, or the C of the prefix [1/2] would be 1 - X.
-        Over Q, C's integers keep the bits of C itself, with no gcd per
-        operation.  C is returned as C / C(0), and P from the same integers
-        as ((C a) mod X^L) / (C(0) d).
+        Each d_n is reduced mod the ``characteristic`` p when p > 0, so the
+        ints need not be residues.  Each integer C is then a nonzero multiple
+        of the C of the update on field elements, provided b is the
+        discrepancy of the integer B: for B = 1 that is d, not 1, or the C of
+        the prefix [1/2] would be 1 - X.  Over Q, C's integers keep the bits
+        of C itself, with no gcd per operation.  C is returned as C / C(0),
+        and P from the same integers as ((C a) mod X^L) / (C(0) d).
         """
-        ints, scale = self.integers(terms)
         p, shrink = self.characteristic, self.shrink
         current, previous = [1], [1]  # C and B, on integers
         length, gap, last = 0, 1, scale  # last: the discrepancy of B
@@ -346,8 +355,12 @@ class Field:
         gcd of degree 0 proves that the gcd is 1, as it almost always is.
         Every other pair, a zero operand, a leading coefficient that q
         divides or a common factor, runs the loop on A and B themselves, the
-        primitive PRS, and its gcd is boxed once, by ``ratios``.
+        primitive PRS, and its gcd is boxed once, by ``ratios``.  A nonzero
+        constant operand (one coefficient) is a unit, so the gcd is 1 before
+        any of this.
         """
+        if len(a) == 1 or len(b) == 1:
+            return [self.one()]
         a, b = self.integers(a)[0][::-1], self.integers(b)[0][::-1]
         p, q = self.characteristic, CERTIFICATE_PRIME
         if not p and a and b and a[0] % q and b[0] % q:

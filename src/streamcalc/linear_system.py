@@ -9,10 +9,16 @@ recurrence (``CoordinateStreams``).  Longer prefixes are those closed forms'
 coefficients, made by the one forward recurrence, ``RationalStream._terms``.
 
 Every iteration of a matrix goes through the one kernel
-:meth:`Matrix.orbit`: the outputs are H on F's orbit, read off its
-integers, the observability matrix stacks the orbits of H's rows under F
-transposed, and state equivalence checks the outputs of a difference of
-states.  Every other
+:meth:`Matrix.integer_orbit`, whose terms are integers over a denominator:
+the outputs are H on F's orbit, read off its integers, the observability
+rows are the orbits of H's rows under F transposed, and state equivalence
+tests the outputs of a difference of states for zero.  Only the public
+answers are boxed, once: ``step_outputs`` up to 2n by ``Matrix.orbit``,
+``observability_matrix`` by ``ratios``.  ``behaviour`` hands the outputs'
+integers to Berlekamp-Massey (``CoordinateStreams``), and ``minimize``
+hands the observability rows' integers to the elimination
+(``matrix._eliminate``) and boxes each row of the minimal system once.
+Every other
 finite representation reaches its stream through this module's pointed
 systems (``to_linear_system``).  This module also reads the minimal
 realization of a vector of rational streams off their closed forms, as the
@@ -24,6 +30,7 @@ by the basis completion of v, which is explicit in v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Sequence, Tuple, Union
 
 from .errors import (
@@ -36,12 +43,12 @@ from .errors import (
 from .fields import Field, field_from_spec
 from .matrix import (
     Matrix,
+    _eliminate,
     format_matrix,
     format_vector,
     inverse,
     parse_matrix,
     parse_vector,
-    rref,
 )
 from .poly import Polynomial
 from .ratstream import CoordinateStreams, RationalStream
@@ -81,10 +88,11 @@ class LinearSystem:
         """The stream vector emitted from ``state``: output o resolvent o state.
 
         Each output stream has linear complexity at most ``dim``, so its first
-        2 * dim coefficients H F^t state determine it.  Each output's closed
-        form is fitted the first time it is read (``CoordinateStreams``).
+        2 * dim coefficients H F^t state determine it.  They stay in the
+        orbit's integer form, and each output's closed form is fitted on them
+        the first time it is read (``CoordinateStreams``).
         """
-        outputs = self.step_outputs(state, 2 * self.dim)
+        outputs = self.dynamics.integer_orbit(state, 2 * self.dim, self.output)
         return CoordinateStreams(self.field, outputs, self.num_outputs)
 
     def step_outputs(self, state: Sequence, steps: int) -> List[Tuple]:
@@ -180,43 +188,66 @@ def realize(streams: Sequence[RationalStream]) -> PointedLinearSystem:
     return PointedLinearSystem(LinearSystem(transition, output), initial)
 
 
+def _observability_rows(system: LinearSystem) -> List[Tuple[List[int], int]]:
+    """The rows of the blocks H F^t for t < dim in the integer form, each
+    (ints, g): row i of block t is step t of the orbit of H's row i under F
+    transposed."""
+    n, transposed = system.dim, system.dynamics.transpose()
+    orbits = [transposed.integer_orbit(row, n) for row in system.output.entries]
+    return [orbit[t] for t in range(n) for orbit in orbits]
+
+
 def observability_matrix(system: LinearSystem) -> Matrix:
     """Blocks H F^t for t < dim, each row step t of an orbit under F transposed."""
-    n, transposed = system.dim, system.dynamics.transpose()
-    orbits = [transposed.orbit(row, n) for row in system.output.entries]
-    return Matrix(system.field, (orbit[t] for t in range(n) for orbit in orbits), cols=n)
+    ratios = system.field.ratios
+    rows = (ratios(w, g) for w, g in _observability_rows(system))
+    return Matrix(system.field, rows, cols=system.dim)
 
 
 def states_equivalent(system: LinearSystem, first: Sequence, second: Sequence) -> bool:
-    """Whether two states have the same behaviour: H F^t (a - b) = 0 for t < dim."""
-    a = tuple(system.field.coerce(v) for v in first)
-    b = tuple(system.field.coerce(v) for v in second)
+    """Whether two states have the same behaviour: H F^t (a - b) = 0 for t < dim,
+    tested on the orbit's integers."""
+    field = system.field
+    a = tuple(field.coerce(v) for v in first)
+    b = tuple(field.coerce(v) for v in second)
     if len(a) != system.dim or len(b) != system.dim:
         raise ShapeMismatch("state vectors must match the dimension")
     diff = tuple(x - y for x, y in zip(a, b))
-    return not any(v for out in system.step_outputs(diff, system.dim) for v in out)
+    p = field.characteristic
+    outputs = system.dynamics.integer_orbit(diff, system.dim, system.output)
+    return not any(v % p if p else v for ints, _ in outputs for v in ints)
 
 
 def minimize(pointed: PointedLinearSystem) -> PointedLinearSystem:
     """Quotient by unobservable states; behaviour at the mapped point is kept.
 
-    The reduced state space is the row space of the observability matrix.  A
-    matrix whose rows are the nonzero rows of its reduced echelon form
-    projects states onto it, and because the rows are in echelon form the
-    reduced dynamics and output are read off at the pivot columns: entry
-    (i, c) of the dynamics is projection row i times F's pivot column c.
+    The reduced state space is the row space of the observability matrix,
+    eliminated as the orbit's integers (a row over its denominator g spans
+    what the row of integers spans).  A matrix whose rows are the nonzero
+    rows of its reduced echelon form projects states onto it, and because
+    the rows are in echelon form the reduced dynamics and output are read
+    off at the pivot columns: entry (i, c) of the dynamics is projection
+    row i times F's pivot column c.  Row i of the projection is the
+    integer row r_i over its pivot a_i, so with dF and e v in the integer
+    form, dynamics row i is the integer dots of r_i with dF's pivot columns
+    over a_i d, and initial entry i is r_i . e v over a_i e, each boxed once.
     """
     system = pointed.system
-    reduced, pivots = rref(observability_matrix(system))
+    field, n = system.field, system.dim
+    rows, pivots = _eliminate(field, [ints for ints, _ in _observability_rows(system)], n)
     r = len(pivots)
-    if r == system.dim:
+    if r == n:
         return pointed
-    field, rows = system.field, reduced.entries[:r]
-    columns = [[row[p] for row in system.dynamics.entries] for p in pivots]
-    new_dynamics = Matrix(field, ((field.dot(row, c) for c in columns) for row in rows), cols=r)
-    new_output = Matrix(field, ((row[p] for p in pivots) for row in system.output.entries), cols=r)
-    new_initial = tuple(field.dot(row, pointed.initial) for row in rows)
-    return PointedLinearSystem(LinearSystem(new_dynamics, new_output), new_initial)
+    flat, d = field.integers(e for row in system.dynamics.entries for e in row)
+    columns = [flat[c::n] for c in pivots]
+    state, e = field.integers(pointed.initial)
+    dynamics, initial = [], []
+    for row, c in zip(rows, pivots):
+        a = row[c]
+        dynamics.append(field.ratios([sum(map(mul, row, column)) for column in columns], a * d))
+        initial.append(field.ratio(sum(map(mul, row, state)), a * e))
+    output = Matrix(field, ((row[p] for p in pivots) for row in system.output.entries), cols=r)
+    return PointedLinearSystem(LinearSystem(Matrix(field, dynamics, cols=r), output), tuple(initial))
 
 
 def change_basis(pointed: PointedLinearSystem, transform: Matrix) -> PointedLinearSystem:

@@ -2,13 +2,18 @@
 
 One :class:`Matrix` class serves both: the ``domain`` attribute (a field
 descriptor or a :class:`~streamcalc.poly.FractionField`) supplies identities,
-coercion and an integer form, and every entry operation is exact.  Rank,
-kernel, inversion and solving read one Gaussian elimination, ``_eliminate``,
-which runs fraction-free on the domain's integer form (integers over Q and
-GF(p), polynomials over k(X)) and boxes each pivot row once at the end.
-Besides its constructors (``Matrix(domain, rows)``, ``zero``, ``identity``)
-a matrix has only the operations the package calls: the product,
-``transpose``, ``apply`` and ``orbit``; entries are read from ``entries``.
+coercion and an integer form, and every entry operation is exact.  The two
+kernels run on that integer form and box nothing; each public function
+boxes once, at its edge.  ``integer_orbit`` iterates a matrix on integers
+over one denominator, and ``orbit`` boxes its terms.  ``_eliminate`` is the
+one Gaussian elimination, fraction-free on rows in the integer form
+(integers over Q and GF(p), polynomials over k(X)); ``rank`` reads its
+pivots, and ``rref``, ``kernel_basis``, ``inverse`` and ``solve`` read its
+rows through ``_reduced``, which boxes each pivot row once.  Besides its
+constructors (``Matrix(domain, rows)``, ``zero``, ``identity``) a matrix
+has only the operations the package calls: the product, ``transpose``,
+``apply``, ``orbit`` and ``integer_orbit``; entries are read from
+``entries``.
 """
 
 from __future__ import annotations
@@ -86,18 +91,27 @@ class Matrix:
         return tuple(dot(row, vec) for row in self.entries)
 
     def orbit(self, vector: Sequence, steps: int, output: Optional["Matrix"] = None) -> List[Tuple]:
-        """v, Mv, ..., M^(steps-1) v for this square M over Q or GF(p): the one
-        loop that applies a matrix to its own result, stopping at the last
-        term.  With an ``output`` matrix H of as many columns, the terms are
-        H v, H M v, ..., H M^(steps-1) v instead.
+        """v, Mv, ..., M^(steps-1) v for this square M over Q or GF(p), or with
+        an ``output`` matrix H of as many columns H v, H M v, ...,
+        H M^(steps-1) v: ``integer_orbit``'s terms, each boxed by ``ratios``."""
+        ratios = self.domain.ratios
+        return [tuple(ratios(w, g)) for w, g in self.integer_orbit(vector, steps, output)]
 
-        It runs on the field's integer form: M's entries are integers over one
-        denominator d (``integers``), so dM is kept as sparse rows of (column,
-        integer) nonzeros, and each term is integers w over one denominator g;
-        a step is w <- dM w and g <- d g, made smaller by ``shrink`` (over Q
-        the common content of w and g stripped, over GF(p) w reduced mod p),
-        and boxed by ``ratios``.  With H, over one denominator e, the outputs
-        are read off the integers, as eH w over e g, and only they are boxed.
+    def integer_orbit(
+        self, vector: Sequence, steps: int, output: Optional["Matrix"] = None
+    ) -> List[Tuple[List[int], int]]:
+        """``orbit``'s terms in the field's integer form, each (ints, g) with
+        the term ints[i] / g: the one loop that applies a matrix to its own
+        result, stopping at the last term.
+
+        M's entries are integers over one denominator d (``integers``), so dM
+        is kept as sparse rows of (column, integer) nonzeros, and each state
+        is integers w over one denominator g; a step is w <- dM w and
+        g <- d g, made smaller by ``shrink`` (over Q the common content of w
+        and g stripped, over GF(p) w reduced mod p).  So a term without H is
+        (w, g), its ints residues over GF(p).  With H, over one denominator
+        e, a term is (eH w, e g), not reduced: ``ratios`` reduces it, and a
+        zero test reads ``v % p if p else v``, p the ``characteristic``.
         A matrix over k(X) has no integer form and raises FieldMismatch."""
         if self.rows != self.cols:
             raise ShapeMismatch("an orbit needs a square matrix")
@@ -109,17 +123,14 @@ class Matrix:
             raise FieldMismatch("an orbit expects a matrix over the scalar field")
         rows, d = self._integer_rows()
         w, g = field.integers(self._vector(vector))
-        shrink, ratios = field.shrink, field.ratios
+        shrink = field.shrink
         if output is not None:
             read, e = output._integer_rows()
         terms = []
         for t in range(steps):
             if t:
                 w, g = shrink(_sparse_times(rows, w), d * g)
-            if output is None:
-                terms.append(tuple(ratios(w, g)))
-            else:
-                terms.append(tuple(ratios(_sparse_times(read, w), e * g)))
+            terms.append((w, g) if output is None else (_sparse_times(read, w), e * g))
         return terms
 
     def _integer_rows(self) -> Tuple[List[Tuple[List[int], List[int]]], int]:
@@ -163,25 +174,25 @@ def _sparse_times(rows, w: List[int]) -> List[int]:
     return [sum(map(mul, weights, [w[j] for j in columns])) for columns, weights in rows]
 
 
-def _eliminate(matrix: Matrix):
-    """Reduced row echelon form; returns (rows as lists, pivot columns).
+def _eliminate(domain, rows: List[List], cols: int) -> Tuple[List[List], List[int]]:
+    """The reduced row echelon form of ``rows`` in the integer form of
+    ``domain`` (over GF(p) residues, over k(X) polynomials; a row's
+    denominator dropped, since scaling a row leaves its reduced form alone):
+    (rows, pivot columns), the rows reordered so that row i holds pivot i and
+    updated in place, each a nonzero multiple of its reduced row; the rows
+    past the pivots are zero.
 
-    Fraction-free Gauss-Jordan (Bareiss 1968) on the domain's integer form,
-    the one loop for Q, GF(p) and k(X).  Each row is put over one
-    denominator by ``integers`` and the denominator dropped, since scaling a
-    row leaves its reduced form alone.  A pivot a at column c clears c from
-    every other row r with r[c] = b by r <- a r - b pivot, which needs no
-    division; a zero entry of the pivot row is never multiplied, nor a zero
-    entry of r scaled.  ``shrink`` then makes the row smaller (over Q its
-    content stripped, over GF(p) reduced mod p, over k(X) divided by the gcd
-    of its polynomials), unless it is all zero.  Only the rows that hold a
-    pivot are boxed, once, as ``ratios(row, row[c])``; the others are zero.
+    Fraction-free Gauss-Jordan (Bareiss 1968), the one loop for Q, GF(p) and
+    k(X).  A pivot a at column c clears c from every other row r with r[c] =
+    b by r <- a r - b pivot, which needs no division; a zero entry of the
+    pivot row is never multiplied, nor a zero entry of r scaled.  ``shrink``
+    then makes the row smaller (over Q its content stripped, over GF(p)
+    reduced mod p, over k(X) divided by the gcd of its polynomials), unless
+    it is all zero.  Reduced row i is ``ratios(rows[i], rows[i][pivots[i]])``.
     """
-    domain = matrix.domain
     shrink = domain.shrink
-    rows = [domain.integers(row)[0] for row in matrix.entries]
     pivots: List[int] = []
-    for col in range(matrix.cols):
+    for col in range(cols):
         done = len(pivots)  # the rows above hold the pivots so far
         found = next((r for r in range(done, len(rows)) if rows[r][col]), None)
         if found is None:
@@ -199,6 +210,21 @@ def _eliminate(matrix: Matrix):
                 row[j] -= b * c
             rows[r] = shrink(row, 0)[0] if any(row) else row
         pivots.append(col)
+    return rows, pivots
+
+
+def _integer_entries(matrix: Matrix) -> List[List]:
+    """Each row of ``matrix`` in its domain's integer form, its denominator
+    dropped: the rows that ``_eliminate`` takes."""
+    return [matrix.domain.integers(row)[0] for row in matrix.entries]
+
+
+def _reduced(matrix: Matrix) -> Tuple[List[List], List[int]]:
+    """(rows, pivot columns) of ``matrix``'s reduced row echelon form, boxed:
+    ``_eliminate`` on each row's ``integers``, each pivot row boxed once by
+    ``ratios`` over its pivot, the rows past the pivots zero."""
+    domain = matrix.domain
+    rows, pivots = _eliminate(domain, _integer_entries(matrix), matrix.cols)
     zero = domain.zero()
     boxed = [domain.ratios(row, row[col]) for row, col in zip(rows, pivots)]
     boxed += [[zero] * matrix.cols for _ in rows[len(pivots) :]]
@@ -206,17 +232,17 @@ def _eliminate(matrix: Matrix):
 
 
 def rref(matrix: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
-    rows, pivots = _eliminate(matrix)
+    rows, pivots = _reduced(matrix)
     return Matrix(matrix.domain, rows, cols=matrix.cols), tuple(pivots)
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_eliminate(matrix)[1])
+    return len(_eliminate(matrix.domain, _integer_entries(matrix), matrix.cols)[1])
 
 
 def kernel_basis(matrix: Matrix) -> List[Tuple]:
     """Basis of the null space in reduced echelon parametrization."""
-    rows, pivots = _eliminate(matrix)
+    rows, pivots = _reduced(matrix)
     zero, one = matrix.domain.zero(), matrix.domain.one()
     pivot_set = set(pivots)
     basis = []
@@ -242,7 +268,7 @@ def inverse(matrix: Matrix) -> Matrix:
         (tuple(matrix.entries[i]) + tuple(ident.entries[i]) for i in range(n)),
         cols=2 * n,
     )
-    rows, pivots = _eliminate(augmented)
+    rows, pivots = _reduced(augmented)
     if list(pivots) != list(range(n)):
         raise SingularMatrix("matrix has zero determinant")
     return Matrix(matrix.domain, (row[n:] for row in rows), cols=n)
@@ -258,7 +284,7 @@ def solve(matrix: Matrix, rhs: Sequence) -> Optional[Tuple]:
         (tuple(matrix.entries[i]) + (vec[i],) for i in range(matrix.rows)),
         cols=matrix.cols + 1,
     )
-    rows, pivots = _eliminate(augmented)
+    rows, pivots = _reduced(augmented)
     if matrix.cols in pivots:
         return None  # inconsistent
     zero = matrix.domain.zero()

@@ -14,11 +14,13 @@ closed form that keeps the denominator fixed.
 ``RationalStream._terms`` is the one forward recurrence, from a closed form to
 its coefficients, run by the field's kernel ``Field.recurrence``;
 ``from_sequence`` is the one way back, from enough coefficients over k to the
-closed form, through the field's kernel ``Field.berlekamp_massey``, which
-``analysis`` also calls for the linear complexity L alone.
-``CoordinateStreams`` holds the ``from_sequence`` of each coordinate of a
-run of vectors, fitted the first time it is read: the behaviours of systems
-and automata.  Both kernels are
+closed form: ``from_integers`` on the coefficients' integer form, through
+the field's kernel ``Field.integer_berlekamp_massey`` (``analysis`` calls
+``Field.berlekamp_massey`` for the linear complexity L alone).
+``CoordinateStreams`` holds the ``from_integers`` fit of each coordinate of
+a run of vectors in the integer form of ``Matrix.integer_orbit``, fitted
+the first time it is read: the behaviours of systems and automata, with no
+term boxed between the orbit and the fit.  Both kernels are
 fraction-free: the forward kernel runs on integers over Q and on residues
 over GF(p); the backward kernel is one loop for every field, on integer
 multiples of C in the field's integer form (``shrink`` strips the content
@@ -31,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from itertools import islice
+from math import lcm
 from typing import Iterator, List, Tuple
 
 from .errors import NotInvertibleAtZero, check_count
@@ -72,7 +75,13 @@ class RationalStream(Quotient):
         is exact.  Without the precondition the result merely agrees with
         ``terms``.  Either way it is reduced.
         """
-        connection, _, num = field.berlekamp_massey(terms, numerator=True)
+        return cls.from_integers(field, *field.integers(terms))
+
+    @classmethod
+    def from_integers(cls, field: Field, ints: Sequence[int], scale: int) -> "RationalStream":
+        """``from_sequence`` of the terms ints[i] / scale in the field's
+        integer form, scale nonzero in the field, with no term boxed."""
+        connection, _, num = field.integer_berlekamp_massey(ints, scale, numerator=True)
         # a common factor of num and C would give a shorter recurrence; C(0) = 1
         return cls._make(Polynomial._make(field, num), Polynomial._make(field, connection))
 
@@ -135,16 +144,21 @@ class RationalStream(Quotient):
 
 class CoordinateStreams(Sequence):
     """The closed forms of the ``width`` coordinates of ``vectors``, each by
-    ``from_sequence``: a read-only sequence that fits stream i the first time
-    it is read and keeps it.  Reading one stream of n fits one; a caller that
-    reads every stream does the same work as fitting them all at once.  It
-    equals the tuple of its streams, either way round, and hashes as that
-    tuple does."""
+    ``from_integers``: a read-only sequence that fits stream i the first time
+    it is read and keeps it.  The vectors come in the integer form of
+    ``Matrix.integer_orbit``, each (ints, g); coordinate i is fitted on the
+    ints[i] put over the lcm of the g's, so no term is boxed.  Reading one
+    stream of n fits one; a caller that reads every stream does the same
+    work as fitting them all at once.  It equals the tuple of its streams,
+    either way round, and hashes as that tuple does."""
 
-    __slots__ = ("_field", "_vectors", "_streams")
+    __slots__ = ("_field", "_vectors", "_scale", "_streams")
 
-    def __init__(self, field: Field, vectors: Sequence[Tuple], width: int):
-        self._field, self._vectors, self._streams = field, vectors, [None] * width
+    def __init__(self, field: Field, vectors: Sequence[Tuple[List[int], int]], width: int):
+        self._scale = lcm(*(g for _, g in vectors))
+        self._field, self._streams = field, [None] * width
+        # each vector's ints with the factor that puts them over the lcm
+        self._vectors = [(ints, self._scale // g) for ints, g in vectors]
 
     def __len__(self):
         return len(self._streams)
@@ -154,7 +168,8 @@ class CoordinateStreams(Sequence):
             return tuple(self[j] for j in range(len(self))[i])
         i = range(len(self))[i]  # IndexError and TypeError as a tuple raises them
         if self._streams[i] is None:
-            self._streams[i] = RationalStream.from_sequence(self._field, [v[i] for v in self._vectors])
+            ints = [v[i] * m if m != 1 else v[i] for v, m in self._vectors]
+            self._streams[i] = RationalStream.from_integers(self._field, ints, self._scale)
         return self._streams[i]
 
     def __eq__(self, other):

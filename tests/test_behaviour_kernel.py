@@ -15,6 +15,7 @@ from streamcalc import (
     ShapeMismatch,
     fit_recurrence,
     kernel_basis,
+    minimize,
     observability_matrix,
     realize,
     resolvent_streams,
@@ -184,23 +185,25 @@ def test_states_equivalent_iff_same_behaviour(case, data):
 
 
 def test_iterations_reach_the_orbit_kernel(monkeypatch):
-    """Every behaviour iterates through the orbit; a system's outputs are read
-    off it (H passed in), an automaton's states and the observability rows
-    are the plain orbit."""
+    """Every behaviour iterates through the integer orbit; a system's outputs
+    are read off it (H passed in), an automaton's states, the observability
+    rows and minimize's rows are the plain orbit."""
     calls = []
-    orbit = Matrix.orbit
+    integer_orbit = Matrix.integer_orbit
 
     def counted(self, vector, steps, output=None):
         calls.append(output)
-        return orbit(self, vector, steps, output)
+        return integer_orbit(self, vector, steps, output)
 
-    monkeypatch.setattr(Matrix, "orbit", counted)
+    monkeypatch.setattr(Matrix, "integer_orbit", counted)
     system = LinearSystem(Matrix(QQ, [[0, -1], [1, 2]]), Matrix(QQ, [[1, 2]]))
     automaton = WeightedAutomaton((1, 2), Matrix(QQ, [[0, 1], [-1, 2]]))
     runs = {
         "LinearSystem.behaviour": (lambda: system.behaviour((1, 0)), system.output),
+        "LinearSystem.step_outputs": (lambda: system.step_outputs((1, 0), 3), system.output),
         "WeightedAutomaton.behaviour": (automaton.behaviour, None),
         "observability_matrix": (lambda: observability_matrix(system), None),
+        "minimize": (lambda: minimize(PointedLinearSystem(system, (1, 0))), None),
         "states_equivalent": (lambda: states_equivalent(system, (1, 0), (0, 1)), system.output),
     }
     for name, (run, output) in runs.items():

@@ -251,6 +251,12 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_empty_matrix_row_in_a_system_file_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.system"
+    bad.write_text("field q\nn 2\nm 1\nF 1,2;;3,4\nH 1,2\nv0 1,0\n")
+    assert run(capsys, "equal", f"system:{bad}", "expr:1") == (2, "", f"error: {bad}: line 4: empty matrix row\n")
+
+
 def test_misshaped_canonical_file_names_its_line(tmp_path, capsys):
     bad = tmp_path / "c.txt"
     bad.write_text("M=1\nN=1,2\nr=1\n")

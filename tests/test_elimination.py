@@ -1,5 +1,6 @@
-"""``matrix._eliminate``, the one fraction-free Gauss-Jordan loop, and the
-five functions that read it: ``rref``, ``rank``, ``solve``, ``inverse`` and
+"""``matrix._eliminate``, the one fraction-free Gauss-Jordan loop on the
+integer form, ``matrix._reduced``, which boxes its pivot rows, and the five
+functions that read them: ``rref``, ``rank``, ``solve``, ``inverse`` and
 ``kernel_basis``.
 
 Each is checked against the same function run on ``util.boxed_eliminate``,
@@ -104,9 +105,9 @@ def matrices(draw, kx=False, largest=6):
 
 
 def with_boxed_elimination(function, *args):
-    """``function(*args)`` with ``_eliminate`` replaced by the boxed reference."""
+    """``function(*args)`` with ``_reduced`` replaced by the boxed reference."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_module, "_eliminate", boxed_eliminate)
+        patch.setattr(matrix_module, "_reduced", boxed_eliminate)
         return outcome(function, *args)
 
 
@@ -120,10 +121,17 @@ def outcome(function, *args):
 
 def check_against_reference(matrix, data):
     domain = matrix.domain
-    rows, pivots = matrix_module._eliminate(matrix)
+    rows, pivots = matrix_module._reduced(matrix)
     assert (rows, pivots) == boxed_eliminate(matrix)
     assert all(type(e) is type(domain.zero()) for row in rows for e in row)
-    for function in (rref, rank, kernel_basis, inverse):
+    # the integer core: pivot row i over its pivot is reduced row i, the
+    # rows past the pivots are zero, and rank reads the pivots alone
+    ints = [domain.integers(row)[0] for row in matrix.entries]
+    core, core_pivots = matrix_module._eliminate(domain, ints, matrix.cols)
+    assert core_pivots == pivots and rank(matrix) == len(pivots)
+    assert [domain.ratios(row, row[c]) for row, c in zip(core, pivots)] == rows[: len(pivots)]
+    assert not any(e for row in core[len(pivots) :] for e in row)
+    for function in (rref, kernel_basis, inverse):
         assert outcome(function, matrix) == with_boxed_elimination(function, matrix)
     inverted = outcome(inverse, matrix)
     if isinstance(inverted, Matrix):
@@ -216,7 +224,7 @@ def test_integer_rows_stay_within_hadamards_bound():
     field = RecordedRationals()
     matrix = Matrix(field, table)
     with time_bound(10):
-        _, pivots = matrix_module._eliminate(matrix)
+        _, pivots = matrix_module._reduced(matrix)
     assert pivots == list(range(16))
     assert len(field.rows) > 16 * 15
     widest = max(abs(a) for row in field.rows for a in row)

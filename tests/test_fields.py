@@ -66,6 +66,15 @@ def test_inversion_of_zero_fails():
         GF7.inv(GF7.zero())
 
 
+def test_negative_power_of_a_residue_inverts():
+    # 3^-1 = 5 and 5^2 = 25 = 4 mod 7
+    three = GF7.coerce(3)
+    assert three ** -1 == GF7.inv(three) == GF7.coerce(5)
+    assert three ** -2 == GF7.coerce(4) and three ** -2 * three ** 2 == GF7.one()
+    with pytest.raises(ZeroDivisionError):
+        GF7.zero() ** -1
+
+
 def test_rationals_stay_in_lowest_terms():
     x = Fraction(4, 8) + Fraction(1, 2)
     assert (x.numerator, x.denominator) == (1, 1)

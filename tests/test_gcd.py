@@ -135,6 +135,31 @@ def test_a_certified_pair_runs_no_euclid(monkeypatch):
     assert [a.gcd(b) for a, b in cases] == expected
 
 
+def test_a_constant_operand_runs_no_euclid(monkeypatch):
+    """A nonzero constant is a unit: its gcd with any polynomial is 1, given
+    before the certificate, so 1/(1 - X/1000) reduces with no ``_euclid``
+    call, and every constant pair gives the boxed Euclid's answer."""
+    from streamcalc import fields
+
+    cases = [(poly(field, c), other) for field in FIELDS
+             for c in (1, 3, Fraction(1, 1000) if field is QQ else 5)
+             for other in (Polynomial.zero(field), poly(field, 7), poly(field, 1, 2, 3))]
+    cases += [(b, a) for a, b in cases]
+    expected = [boxed_gcd(a, b) for a, b in cases]
+    calls = []
+    euclid = fields._euclid
+
+    def counted(a, b, p):
+        calls.append((a, b, p))
+        return euclid(a, b, p)
+
+    monkeypatch.setattr(fields, "_euclid", counted)
+    assert [a.gcd(b) for a, b in cases] == expected
+    s = evaluate_text("1/(1-X/1000)")
+    assert s == RationalStream(poly(QQ, 1), poly(QQ, 1, Fraction(-1, 1000)))
+    assert calls == []
+
+
 def test_a_planted_factor_quotient_is_fast():
     """((1+X+X^2)^k (1+X))/((1-X)^k (1+X)) over Q at k = 130: the gcd is
     1+X, so the certificate proves nothing.  On a 2-vCPU host Euclid on

@@ -1,10 +1,11 @@
 """``CoordinateStreams`` fits each closed form the first time it is read.
 
-Counted by patching ``RationalStream.from_sequence``: ``behaviour()[0]``
-fits one state, however often it is read, and reading every state fits
-each once.  The sequence keeps the meaning of the tuple it replaced: it
-equals that tuple and the k(X) resolvent either way round, hashes as the
-tuple does, and indexes, slices and iterates as a tuple.
+Counted by patching ``RationalStream.from_integers``, the fit on the
+orbit's integers: ``behaviour()[0]`` fits one state, however often it is
+read, and reading every state fits each once.  The sequence keeps the
+meaning of the tuple it replaced: it equals that tuple and the k(X)
+resolvent either way round, hashes as the tuple does, and indexes, slices
+and iterates as a tuple.
 """
 
 import random
@@ -23,15 +24,15 @@ FIELDS = (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1))
 
 @contextmanager
 def counted_fits():
-    """The number of terms of each ``from_sequence`` call, in order."""
+    """The number of terms of each ``from_integers`` call, in order."""
     calls = []
-    original = RationalStream.from_sequence.__func__
+    original = RationalStream.from_integers.__func__
 
-    def counted(cls, field, terms):
-        calls.append(len(terms))
-        return original(cls, field, terms)
+    def counted(cls, field, ints, scale):
+        calls.append(len(ints))
+        return original(cls, field, ints, scale)
 
-    with patch.object(RationalStream, "from_sequence", classmethod(counted)):
+    with patch.object(RationalStream, "from_integers", classmethod(counted)):
         yield calls
 
 

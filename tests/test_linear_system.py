@@ -321,9 +321,9 @@ def test_standardize_initial_state_does_not_eliminate(monkeypatch):
     calls = []
     eliminate = matrix._eliminate
 
-    def counted(m):
-        calls.append(m.rows)
-        return eliminate(m)
+    def counted(domain, rows, cols):
+        calls.append(len(rows))
+        return eliminate(domain, rows, cols)
 
     monkeypatch.setattr(matrix, "_eliminate", counted)
     for initial in ((0, 1), (2, 3), (1, 1)):

@@ -246,6 +246,9 @@ def test_empty_dimensions():
     tall = Matrix.zero(QQ, 2, 0)
     assert tall.apply(()) == (Fraction(0), Fraction(0))
     assert rank(empty) == 0
+    # no rows and no column count: a 0 x 0 matrix
+    bare = Matrix(QQ, [])
+    assert (bare.rows, bare.cols) == (0, 0) and bare == empty
 
 
 def test_negative_orbit_length_is_refused():

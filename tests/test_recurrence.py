@@ -177,15 +177,15 @@ def test_recurrence_readers_need_no_derivative_and_no_apply(monkeypatch):
         raise AssertionError("a recurrence reader took the slow path")
 
     orbit_lengths = []
-    orbit = Matrix.orbit
+    integer_orbit = Matrix.integer_orbit
 
     def recorded(matrix, vector, steps, output=None):
         orbit_lengths.append(steps)
-        return orbit(matrix, vector, steps, output)
+        return integer_orbit(matrix, vector, steps, output)
 
     monkeypatch.setattr(RationalStream, "derivative", forbidden)
     monkeypatch.setattr(Matrix, "apply", forbidden)
-    monkeypatch.setattr(Matrix, "orbit", recorded)
+    monkeypatch.setattr(Matrix, "integer_orbit", recorded)
     after = (s.iterated_derivative(9), s.coefficient(30), system.behaviour(state),
              system.step_outputs(state, 4), system.step_outputs(state, 25))
     assert after == before

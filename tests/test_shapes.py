@@ -18,8 +18,8 @@ def test_every_case_runs_at_tiny_sizes():
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "ms"]
     names = [row.rsplit(None, 1)[0] for row in rows]
-    assert len(names) == 30
-    for shape in ("coprime quotient", "planted-factor quotient", "realize", "automaton", "berlekamp_massey",
+    assert len(names) == 32
+    for shape in ("coprime quotient", "planted-factor quotient", "realize", "automaton", "minimize dense", "berlekamp_massey",
                   "power (X^3*(1+X+X^2))^", "power (X+X^2)^",
                   "expand 1/(1-X/1000),", "expand 1/(1-X/1000-X^2/999)", "expand 1/(1-X/7-X^2/5)",
                   "expand 1/(1-X^2/4)", "expand 1/(1-X^2/10201)", "expand 1/(1-X/7-X^2/10201)",

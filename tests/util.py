@@ -228,6 +228,33 @@ def boxed_orbit(matrix, vector, steps):
     return terms
 
 
+def boxed_observability(system):
+    """The reference for ``observability_matrix``: the blocks H F^t for t <
+    dim, row i of block t step t of ``boxed_orbit`` of H's row i under F
+    transposed."""
+    n, transposed = system.dim, system.dynamics.transpose()
+    orbits = [boxed_orbit(transposed, row, n) for row in system.output.entries]
+    return Matrix(system.field, [orbit[t] for t in range(n) for orbit in orbits], cols=n)
+
+
+def boxed_minimize(pointed):
+    """The reference for ``minimize``: ``boxed_eliminate`` of
+    ``boxed_observability``, then the new dynamics and initial state as
+    ``boxed_dot``s of each reduced row with F's pivot columns and with the
+    initial state, and the output at the pivot columns."""
+    system, field = pointed.system, pointed.field
+    reduced, pivots = boxed_eliminate(boxed_observability(system))
+    r = len(pivots)
+    if r == system.dim:
+        return pointed
+    rows = reduced[:r]
+    columns = [[row[p] for row in system.dynamics.entries] for p in pivots]
+    dynamics = Matrix(field, [[boxed_dot(field, row, c) for c in columns] for row in rows], cols=r)
+    output = Matrix(field, [[row[p] for p in pivots] for row in system.output.entries], cols=r)
+    initial = tuple(boxed_dot(field, row, pointed.initial) for row in rows)
+    return PointedLinearSystem(LinearSystem(dynamics, output), initial)
+
+
 def boxed_power(p, k):
     """The reference for ``Polynomial.__pow__``: k schoolbook products."""
     result = Polynomial.one(p.field)

@@ -14,6 +14,10 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
 - ``realize`` of 1/(1-X-2X^3)^60 and (1+X)/(1-3X^2)^60 over Q, dimension 300;
 - a 16-state automaton's ``behaviour``, every state read against state 0
   alone, over Q and GF(2^61-1);
+- ``minimize`` of a dense system with two outputs and unobservable states,
+  24 + 8 states over Q and 48 + 16 over GF(2^61-1) (3 + 2 at ``--tiny``):
+  an elimination of the observability rows, which come from the integer
+  orbit, and the integer dots that read the minimal system off it;
 - ``berlekamp_massey`` over GF(101) on 160 recurrent prefixes (orders 3, 6,
   10 and 16; 2n and 2n - 3 terms);
 - the powers (X^3*(1+X+X^2))^500 and (X+X^2)^3000 of ``Polynomial`` over
@@ -59,16 +63,20 @@ if str(ROOT / "src") not in sys.path:
 
 from streamcalc import (  # noqa: E402
     Copier,
+    LinearSystem,
     Matrix,
     Multiplier,
     Netlist,
+    PointedLinearSystem,
     Polynomial,
     PrimeField,
     QQ,
     RationalStream,
     Register,
     StreamPrefix,
+    change_basis,
     is_prime,
+    minimize,
     realize,
 )
 from streamcalc.automaton import WeightedAutomaton  # noqa: E402
@@ -88,6 +96,26 @@ def automaton(field, n: int) -> WeightedAutomaton:
     rng = random.Random(n)
     weights = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
     return WeightedAutomaton(tuple(rng.randint(-3, 3) for _ in range(n)), Matrix(field, weights))
+
+
+def unobservable_system(field, r: int, k: int) -> PointedLinearSystem:
+    """A dense pointed system of r + k states, k of them unobservable, with
+    two outputs: F = [[A, 0], [B, C]] and H = [H1, 0] of seeded entries in
+    -3..3, conjugated by T = L U for seeded unit triangular L and U, so that
+    F, H and the initial state are dense and minimize keeps r states."""
+    rng = random.Random(r + k)
+    n = r + k
+
+    def entry():
+        return rng.randint(-3, 3)
+
+    dynamics = [[entry() if i >= r or j < r else 0 for j in range(n)] for i in range(n)]
+    output = [[entry() if j < r else 0 for j in range(n)] for _ in range(2)]
+    lower = Matrix(field, [[entry() if j < i else int(i == j) for j in range(n)] for i in range(n)])
+    upper = Matrix(field, [[entry() if j > i else int(i == j) for j in range(n)] for i in range(n)])
+    pointed = PointedLinearSystem(LinearSystem(Matrix(field, dynamics), Matrix(field, output)),
+                                  tuple(entry() for _ in range(n)))
+    return change_basis(pointed, lower * upper)
 
 
 def recurrent_prefixes(field, orders: Sequence[int], each: int) -> list:
@@ -145,6 +173,10 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
         states = automaton(field, n)
         yield f"automaton behaviour, all {n} states ({name})", lambda a=states: tuple(a.behaviour())
         yield f"automaton behaviour, state 0 of {n} ({name})", lambda a=states: a.behaviour()[0]
+    for field, name, (r, k) in ((QQ, "q", (3, 2) if tiny else (24, 8)),
+                                (MERSENNE, "gf", (3, 2) if tiny else (48, 16))):
+        system = unobservable_system(field, r, k)
+        yield f"minimize dense, {r}+{k} states ({name})", lambda s=system: minimize(s)
     gf101 = PrimeField(101)
     prefixes = recurrent_prefixes(gf101, (3,) if tiny else (3, 6, 10, 16), 2 if tiny else 20)
     yield f"berlekamp_massey, {len(prefixes)} prefixes (gf:101)", lambda: [
