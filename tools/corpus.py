@@ -43,7 +43,10 @@ answer; a regenerated file is a changed check.
   (``sequence_lines``); ``kernel_basis`` (``kernel_lines``); and on
   systems with unobservable states, several outputs and fractional entries,
   ``observability_matrix``, ``states_equivalent`` and ``minimize``
-  (``system_lines``).
+  (``system_lines``); ``Polynomial.__pow__`` on each of its branches
+  (``power_lines``); ``scale``, ``monic`` and ``shifted_down``
+  (``unary_lines``); and ``str`` of k(X) quotients whose denominator has a
+  constant term other than 1 (``quotient_text_lines``).
 
 Every random draw comes from one ``random.Random`` per file and field,
 seeded with a string, so two runs write identical files.
@@ -461,6 +464,69 @@ def ops_lines() -> Iterator[str]:
         yield from sequence_lines(spec, field)
         yield from kernel_lines(spec, field)
         yield from system_lines(spec, field)
+        yield from power_lines(spec, field)
+        yield from unary_lines(spec, field)
+        yield from quotient_text_lines(spec, field)
+
+
+def unit_at_zero(rng: random.Random, field, degree: int) -> Polynomial:
+    """A polynomial of ``degree`` whose constant term is nonzero."""
+    f = polynomial(rng, field, degree)
+    while not f.coefficient(0):
+        f = polynomial(rng, field, degree)
+    return f
+
+
+def power_lines(spec: str, field) -> Iterator[str]:
+    """``Polynomial.__pow__`` on each of its branches, from a draw of its own:
+    0^k and f^0; X^v g with g constant and with g not; Miller's recurrence
+    (k deg f < char, every k over Q); and over GF(2) and GF(101) the
+    Frobenius split (k >= p) and square-and-multiply (k deg f >= p > k)."""
+    rng = random.Random(f"corpus-power-{spec}")
+    p, x = field.characteristic, Polynomial.x(field)
+    cases = [(Polynomial.zero(field), 0), (Polynomial.zero(field), 3), (polynomial(rng, field, 2), 0)]
+    for _ in range(3):
+        v, k = rng.randint(1, 3), rng.randint(1, 6)
+        cases.append((x ** v * unit_at_zero(rng, field, 0), k))
+        cases.append((x ** v * unit_at_zero(rng, field, rng.randint(1, 2)), k))
+    for _ in range(4):
+        f = unit_at_zero(rng, field, rng.randint(0, 3))
+        k = rng.randint(1, 6)
+        if p and k * f.degree >= p:
+            k = (p - 1) // max(f.degree, 1)
+        cases.append((f, k))
+    if p in (2, 101):
+        for _ in range(3):
+            cases.append((unit_at_zero(rng, field, rng.randint(1, 2)), p + rng.randint(0, min(p, 50))))
+        for _ in range(2):
+            degree = rng.randint(2, 3)
+            cases.append((unit_at_zero(rng, field, degree), rng.randint(-(-p // degree), p - 1)))
+    for f, k in cases:
+        yield f"{spec} pow {show(f, field)} {k}{ARROW}{answer(lambda: f ** k, field)}"
+
+
+def unary_lines(spec: str, field) -> Iterator[str]:
+    """``Polynomial.scale`` (by zero among the scalars), ``monic`` (of zero
+    among the polynomials) and ``shifted_down`` of zero and of X g, from a
+    draw of its own."""
+    rng = random.Random(f"corpus-unary-{spec}")
+    for degree in (-1, 0, 1, 2, 3, 4):
+        f, c = polynomial(rng, field, degree), scalar(rng, field)
+        yield f"{spec} scale {show(f, field)} {show(c, field)}{ARROW}{answer(lambda: f.scale(c), field)}"
+        yield f"{spec} monic {show(f, field)}{ARROW}{answer(lambda: f.monic(), field)}"
+        shifted = Polynomial.x(field) * f
+        yield f"{spec} shifted_down {show(shifted, field)}{ARROW}{answer(lambda: shifted.shifted_down(), field)}"
+
+
+def quotient_text_lines(spec: str, field) -> Iterator[str]:
+    """``str`` of k(X) quotients whose monic denominator has a constant term
+    other than 0 and 1, printed over the denominator with constant term 1,
+    from a draw of its own."""
+    rng = random.Random(f"corpus-quotient-text-{spec}")
+    for _ in range(8):
+        den = unit_at_zero(rng, field, rng.randint(1, 3))
+        q = RationalFunction(polynomial(rng, field, rng.randint(-1, 3)), den)
+        yield f"{spec} str {show(q, field)}{ARROW}{answer(lambda: str(q), field)}"
 
 
 def prefix_product_lines(spec: str, field) -> Iterator[str]:
