@@ -13,7 +13,8 @@ text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
 membership, for matrices, polynomials and a residue's operators alike, and
 its ``dot`` sums products, for ``Matrix.apply`` and matrix products.  Its
 ``recurrence`` makes the coefficients of a closed form p/q, for every
-expansion: fraction-free on integers over Q, on bare residues over GF(p).
+expansion, from the integer forms of p and q: fraction-free on integers
+over Q, on bare residues over GF(p).
 
 Every other integer kernel reaches a field's scalars only through the
 field's integer form, four members: ``integers`` puts elements over one
@@ -22,19 +23,22 @@ denominator d, ``shrink`` makes integers over d smaller, and ``ratio`` and
 the field when ``v % p if p else v`` is, p the ``characteristic`` (0 on Q).
 ``Field.integer_berlekamp_massey``, ``Matrix.integer_orbit``,
 ``matrix._eliminate`` (whose ``integers``, ``shrink`` and ``ratios``
-``FractionField`` also has, over k[X]) and the netlist plan are those
-kernels, and the orbit hands its integers to the other two unboxed; a test
-guards this, and that no other module names ``Rationals``.
+``FractionField`` also has, over k[X]), ``Polynomial``, which holds its
+coefficients in the form and runs all its arithmetic on the ints, and the
+netlist plan are those kernels.  The orbit hands its integers to
+Berlekamp-Massey and the elimination unboxed, and Berlekamp-Massey its C
+and numerator to the polynomials; a test guards this, and that no other
+module names ``Rationals``.
 A field class overrides only what differs between fields: its elements, its
 integer form, and the two loops that measured slower as one path for both,
 ``recurrence`` and ``dot``.  A loop that runs alike over Q and GF(p) is one
 ``Field`` method that forks on ``characteristic``, as ``Netlist._tick``
 does: ``integer_berlekamp_massey``, back from coefficients to the
 shortest recurrence (``berlekamp_massey`` is ``integers`` and it), and
-``polynomial_gcd``, the one gcd of ``Polynomial.gcd``, by
-one Euclid loop on ints, ``_euclid``: on residues mod p over GF(p); over Q
-mod a prime, as a certificate that the gcd is 1, and where that proves
-nothing on integers, as the primitive PRS.
+``polynomial_gcd``, the one gcd of ``Polynomial.gcd``, on the two
+polynomials' ints, by one Euclid loop on ints, ``_euclid``: on residues mod
+p over GF(p); over Q mod a prime, as a certificate that the gcd is 1, and
+where that proves nothing on integers, as the primitive PRS.
 Over GF(p) the form is the residues over 1.  Over Q it is written here
 once: ``over_one_denominator`` puts ``Fraction``s over their least common
 denominator, and ``strip_content``, which is ``Rationals.shrink``, divides
@@ -252,10 +256,12 @@ class Field:
         first = next(products, None)  # fold from it: no addition to zero
         return self.zero() if first is None else sum(products, first)
 
-    def recurrence(self, num: Sequence, den: Sequence) -> Iterator:
-        """s_0, s_1, ... of the stream num/den, from the coefficient sequences
-        of its numerator and of its denominator, which has den[0] = 1:
-        s_n = num_n - sum_(j=1..deg den) den_j s_(n-j), without end."""
+    def recurrence(self, num: Tuple[Sequence[int], int], den: Tuple[Sequence[int], int]) -> Iterator:
+        """s_0, s_1, ... of the stream num/den, from the integer forms (ints,
+        d) of its numerator and of its denominator, as ``Polynomial`` holds
+        them (coefficient i is ints[i] / d; over GF(p) residues over 1), the
+        denominator with den_0 = 1: s_n = num_n - sum_(j=1..deg den) den_j
+        s_(n-j), without end."""
         raise NotImplementedError
 
     def integers(self, elements: Iterable) -> Tuple[List[int], int]:
@@ -279,18 +285,17 @@ class Field:
         lists: ``Fraction`` itself over Q."""
         raise NotImplementedError
 
-    def berlekamp_massey(self, terms: Sequence, numerator: bool = False) -> Tuple:
+    def berlekamp_massey(self, terms: Sequence) -> Tuple:
         """(C, L): the shortest linear recurrence of ``terms`` (Massey 1969).
 
         C = [1, c_1, ..., c_k] (k <= L, no trailing zeros) satisfies
         sum_(i=0..L) c_i terms[n-i] = 0 for every L <= n < len(terms), and L
         is the least length with that property.  When len(terms) < 2L, C is
         not unique; this kernel returns the C of Massey's update on field
-        elements.  With ``numerator``, (C, L, P): P = (C S) mod X^L for the
-        prefix S, L coefficients, so that S agrees with P / C.  The terms go
-        through ``integers`` once and the loop is ``integer_berlekamp_massey``.
+        elements.  The terms go through ``integers`` once and the loop is
+        ``integer_berlekamp_massey``.
         """
-        return self.integer_berlekamp_massey(*self.integers(terms), numerator)
+        return self.integer_berlekamp_massey(*self.integers(terms))
 
     def integer_berlekamp_massey(
         self, ints: Sequence[int], scale: int, numerator: bool = False
@@ -307,8 +312,11 @@ class Field:
         of the C of the update on field elements, provided b is the
         discrepancy of the integer B: for B = 1 that is d, not 1, or the C of
         the prefix [1/2] would be 1 - X.  Over Q, C's integers keep the bits
-        of C itself, with no gcd per operation.  C is returned as C / C(0),
-        and P from the same integers as ((C a) mod X^L) / (C(0) d).
+        of C itself, with no gcd per operation.  C is returned boxed, as C /
+        C(0).  With ``numerator``, (C, L, P) with C and P = (C S) mod X^L for
+        the prefix S, L coefficients, so that S agrees with P / C, each left
+        in the integer form as a pair (ints, d), not reduced: C as (C, C(0))
+        and P as ((C a) mod X^L, C(0) d).
         """
         p, shrink = self.characteristic, self.shrink
         current, previous = [1], [1]  # C and B, on integers
@@ -335,19 +343,18 @@ class Field:
             current = updated
         if not numerator:
             return self.ratios(current, current[0]), length
-        # C and P over one denominator C(0) d: one ratios call, one inversion
         sums = [sum(map(mul, current[: k + 1], reversed(ints[: k + 1]))) for k in range(length)]
-        both = self.ratios([c * scale for c in current] + sums, current[0] * scale)
-        return both[: len(current)], length, both[len(current) :]
+        return (current, current[0]), length, (sums, current[0] * scale)
 
-    def polynomial_gcd(self, a: Sequence, b: Sequence) -> List:
-        """The coefficients of the monic gcd of the polynomials with
-        coefficients a and b (ascending, no trailing zeros; none for 0), by
-        ``_euclid``, Euclid without inversions on each side's ``integers``.
+    def polynomial_gcd(self, a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:
+        """The monic gcd of two polynomials given by the ints of their
+        integer form (ascending, no trailing zeros; none for 0; their
+        denominators do not change the gcd), in the integer form (ints, d)
+        of ``Polynomial``, by ``_euclid``, Euclid without inversions.
 
         Over GF(p) the loop runs on the residues mod p and returns them
-        monic.  Over Q the integers are the sides with their denominators
-        cleared, integer polynomials A and B.  Where the prime q =
+        monic, over 1.  Over Q the ints are the sides with their
+        denominators cleared, integer polynomials A and B.  Where the prime q =
         ``CERTIFICATE_PRIME``, 2^61 - 1, divides neither leading coefficient,
         the primitive gcd G of A and B divides both in Z[X] and keeps its
         degree mod q, so deg gcd(A mod q, B mod q) >= deg G (the
@@ -355,19 +362,23 @@ class Field:
         gcd of degree 0 proves that the gcd is 1, as it almost always is.
         Every other pair, a zero operand, a leading coefficient that q
         divides or a common factor, runs the loop on A and B themselves, the
-        primitive PRS, and its gcd is boxed once, by ``ratios``.  A nonzero
-        constant operand (one coefficient) is a unit, so the gcd is 1 before
-        any of this.
+        primitive PRS, whose gcd G is made monic as G over its leading
+        coefficient, ``shrink``ed.  A nonzero constant operand (one
+        coefficient) is a unit, so the gcd is 1 before any of this.
         """
         if len(a) == 1 or len(b) == 1:
-            return [self.one()]
-        a, b = self.integers(a)[0][::-1], self.integers(b)[0][::-1]
+            return [1], 1
+        a, b = list(a[::-1]), list(b[::-1])  # leading coefficient first
         p, q = self.characteristic, CERTIFICATE_PRIME
         if not p and a and b and a[0] % q and b[0] % q:
             if len(_euclid([c % q for c in a], [c % q for c in b], q)) == 1:
-                return [self.one()]
+                return [1], 1
         g = _euclid(a, b, p)
-        return self.ratios(g[::-1], g[0]) if g else []
+        if not g:
+            return [], 1
+        if g[0] < 0:
+            g = [-c for c in g]
+        return self.shrink(g[::-1], g[0])
 
     def is_negative(self, a) -> bool:
         """Whether ``a`` renders with a leading minus sign."""
@@ -409,7 +420,7 @@ class Rationals(Field):
 
     def recurrence(self, num, den):
         """Fraction-free: with c an integer such that every c^j den_j is an
-        integer, and E the lcm of the numerator's denominators, w_n = E c^n s_n
+        integer, and E the numerator's d (the lcm of its denominators), w_n = E c^n s_n
         is an integer, w_n = E c^n num_n - sum_j (c^j den_j) w_(n-j), and each
         term is w_n / E c^n in lowest terms, by ``_lowest_terms`` with the
         small m = c E: every prime of the scale divides m.  c^n may hold more
@@ -422,12 +433,13 @@ class Rationals(Field):
         costing more than it drops at deg den = 1.  The rebuilt scale divides
         E c^n times c^d, so its primes still divide m.
         """
-        d = len(den) - 1
-        c = _tap_scale(den[1:])
+        den_ints, den_d = den
+        d = len(den_ints) - 1
+        c = _tap_scale(self.ratios(den_ints[1:], den_d))
         c_d = c**d
-        taps = [q.numerator * (c**j // q.denominator) for j, q in enumerate(den[1:], 1)]
+        taps = [t * c**j // den_d for j, t in enumerate(den_ints[1:], 1)]
         window = deque(maxlen=d)  # the integers w, newest first
-        ints, scale = over_one_denominator(num)  # E num_n, and E c^n for the next term
+        ints, scale = num  # E num_n, and E c^n for the next term
         m = c * scale
         power = 1  # c^n
         for a in ints:
@@ -591,10 +603,10 @@ class PrimeField(Field):
         return PrimeFieldElement(sum(x.value * y.value for x, y in zip(xs, ys)), self)
 
     def recurrence(self, num, den):
-        # a window of residues; the box reduces each term once
-        taps = [q.value for q in den[1:]]
+        # a window of residues (both forms are over 1); the box reduces each term once
+        taps = den[0][1:]
         window = deque(maxlen=len(taps))  # newest first
-        for a in chain((t.value for t in num), repeat(0)):
+        for a in chain(num[0], repeat(0)):
             term = PrimeFieldElement(a - sum(map(mul, taps, window)), self)
             window.appendleft(term.value)
             yield term

@@ -167,8 +167,8 @@ def realize(streams: Sequence[RationalStream]) -> PointedLinearSystem:
         if s.field != field:
             raise FieldMismatch("streams over different fields")
     zero, one = field.zero(), field.one()
-    annihilators = (  # the padding is L - deg q
-        Polynomial._make(field, [zero] * max(0, s.num.degree + 1 - s.den.degree) + [*s.den.coeffs[::-1]])
+    annihilators = (  # the padding is L - deg q, on the ints of q's integer form
+        Polynomial._make(field, (0,) * max(0, s.num.degree + 1 - s.den.degree) + s.den.ints[::-1], s.den.d)
         for s in streams
     )
     minimal = next(annihilators)  # one stream needs no lcm

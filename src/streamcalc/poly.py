@@ -1,14 +1,24 @@
 """Dense univariate polynomials over an exact field, and their fraction field.
 
-:class:`Polynomial` stores coefficients ascending by degree with no trailing
-zeros (the zero polynomial is the empty tuple, degree -1); ``coefficient(i)``
-reads any one of them, the constant term included.
+:class:`Polynomial` holds its coefficients in the field's integer form, as
+``Matrix.integer_orbit``, ``Field.integer_berlekamp_massey`` and
+``matrix._eliminate`` hold theirs: ``ints`` and ``d``, coefficient i being
+ints[i] / d, ascending by degree with no trailing zeros (the zero
+polynomial is no ints over 1, degree -1).  Over GF(p) the ints are residues
+and d = 1; over Q, d > 0 is the lcm of the coefficients' denominators and
+gcd(d, *ints) = 1, as the field's ``shrink`` leaves them.  The form is
+unique, so equality and hashing compare it.  Every operation runs on the
+ints, and ``_reduce`` brings each result to the form; ``coeffs``, the
+coefficients as field elements, is boxed once by ``ratios`` when it is first
+read, and ``coefficient(i)`` boxes the one coefficient it reads.  The field's
+``integers``, ``shrink``, ``ratio``, ``ratios`` and ``characteristic`` are
+all this module knows of its scalars.
 
 :class:`Quotient` is the one reduced quotient p/q: one checked constructor
-with one path for every p/q (gcd, then normalization), one trusted ``_make``
-for values already reduced, and the field arithmetic.  Its two kinds differ
-in three hooks only: which denominators and which divisors they accept, and
-which coefficient of the denominator they scale to 1.
+with one path for every p/q (gcd, then normalization, both on the ints), one
+trusted ``_make`` for values already reduced, and the field arithmetic.  Its
+two kinds differ in three hooks only: which denominators and which divisors
+they accept, and which coefficient of the denominator they scale to 1.
 :class:`RationalFunction`, an element of k(X), takes any nonzero denominator
 and makes it monic; its denominator may vanish at 0, which is needed
 transiently during Gaussian elimination over k(X).
@@ -18,7 +28,9 @@ q(0) != 0 and scales q(0) to 1.
 
 from __future__ import annotations
 
-from typing import Iterable
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import FieldMismatch
 from .fields import Field
@@ -33,36 +45,55 @@ def _same_kind(a, b):
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    """A polynomial over ``field`` in its integer form: coefficient i is
+    ``ints[i] / d`` (see the module docstring)."""
+
+    __slots__ = ("field", "ints", "d", "_coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
         cs = [field.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+        ints, self.d = field.integers(cs)
+        self.field, self.ints, self._coeffs = field, tuple(ints), tuple(cs)
 
     @classmethod
-    def _make(cls, field: Field, coeffs: list) -> "Polynomial":
-        # internal fast path: coefficients are already field elements
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+    def _make(cls, field: Field, ints: tuple, d: int = 1) -> "Polynomial":
+        # internal fast path: a tuple of ints over d, already in the integer form
         p = object.__new__(cls)
-        p.field = field
-        p.coeffs = tuple(coeffs)
+        p.field, p.ints, p.d, p._coeffs = field, ints, d, None
         return p
 
     @classmethod
+    def _reduce(cls, field: Field, ints: Sequence[int], d: int = 1) -> "Polynomial":
+        """The polynomial with coefficients ints[i] / d, for d nonzero in the
+        field, brought to the integer form: over GF(p) the ints times the
+        inverse of d mod p, over 1; over Q d made positive and the pair
+        ``shrink``ed; then the trailing zeros dropped."""
+        p = field.characteristic
+        if p:
+            inverse = 1 if d == 1 else pow(d, -1, p)
+            ints, d = [c * inverse % p for c in ints], 1
+        elif d != 1:
+            if d < 0:
+                ints, d = [-c for c in ints], -d
+            ints, d = field.shrink(ints, d)
+        n = len(ints)
+        while n and not ints[n - 1]:
+            n -= 1
+        return cls._make(field, tuple(ints[:n]), d)
+
+    @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._make(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one(),))
+        return cls._make(field, (1,))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero(), field.one()))
+        return cls._make(field, (0, 1))
 
     @classmethod
     def constant(cls, field, c):
@@ -73,90 +104,117 @@ class Polynomial:
         return cls(field, (field.zero(),) * degree + (field.coerce(c),))
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field elements, boxed at the first read."""
+        if self._coeffs is None:
+            self._coeffs = tuple(self.field.ratios(self.ints, self.d))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 standing in for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def __bool__(self):
         # falsy exactly when zero, as field elements are
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(len(self.ints) - 1)
 
     def coefficient(self, i: int):
-        """The coefficient of X^i; zero for every i outside 0..degree."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+        """The coefficient of X^i; zero for every i outside 0..degree.  Only
+        this one is boxed, unless ``coeffs`` already is."""
+        if not 0 <= i < len(self.ints):
+            return self.field.zero()
+        if self._coeffs is not None:
+            return self._coeffs[i]
+        return self.field.ratio(self.ints[i], self.d)
 
     _check = _same_kind
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial._make(
-            self.field,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        a, b, d = self.ints, other.ints, self.d
+        if other.d != d:  # over Q: both over the lcm of the denominators
+            d = lcm(d, other.d)
+            a, b = [c * (d // self.d) for c in a], [c * (d // other.d) for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        return Polynomial._reduce(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b) :]), d)
 
     def __sub__(self, other):
         self._check(other)
         return self + -other
 
     def __neg__(self):
-        return Polynomial._make(self.field, [-c for c in self.coeffs])
+        p = self.field.characteristic
+        return Polynomial._make(self.field, tuple([-c % p if p else -c for c in self.ints]), self.d)
 
     def __mul__(self, other):
         self._check(other)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial._make(self.field, out)
+        a, b = self.ints, other.ints
+        width, out = len(b), [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:  # a zero coefficient adds nothing: the sparse factor goes first
+                out[i : i + width] = [o + x * y for o, y in zip(out[i : i + width], b)]
+        return Polynomial._reduce(self.field, out, self.d * other.d)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        return Polynomial._make(self.field, [c * a for a in self.coeffs])
+        (v,), e = self.field.integers([c])
+        return self._times(v, e)
+
+    def _times(self, v: int, e: int) -> "Polynomial":
+        # self times the scalar v / e, e nonzero in the field
+        return Polynomial._reduce(self.field, [v * c for c in self.ints], self.d * e)
 
     def __pow__(self, k: int):
         """f^k, by the first branch that applies: 0^k; X^(vk) g^k for f =
-        X^v g with v > 0 and g(0) != 0; Miller's recurrence for k deg f <
-        char (always over Q, and for every power of a constant); the
-        Frobenius split for k >= char; else square-and-multiply."""
+        X^v g with v > 0 and g(0) != 0, the ints shifted; Miller's recurrence
+        for k deg f < char (always over Q, and for every power of a constant,
+        which is one integer power); the Frobenius split for k >= char; else
+        square-and-multiply."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        field, p, d = self.field, self.coeffs, self.degree
-        char = field.characteristic
-        if d < 0:
+        field, a, d = self.field, self.ints, self.d
+        char, degree = field.characteristic, len(a) - 1
+        if degree < 0:
             return self if k else Polynomial.one(field)
-        if not p[0]:
-            v = next(i for i, c in enumerate(p) if c)
-            shifted = Polynomial._make(field, list(p[v:])) ** k
-            return Polynomial._make(field, [field.zero()] * (v * k) + list(shifted.coeffs))
-        if char == 0 or k * d < char:
+        if not a[0]:
+            v = next(i for i, c in enumerate(a) if c)
+            g = Polynomial._make(field, a[v:], d) ** k
+            return Polynomial._make(field, (0,) * (v * k) + g.ints, g.d)
+        if char == 0 or k * degree < char:
             # J.C.P. Miller's recurrence, from f' p = k p' f for f = p^k: n p_0 out_n
-            # = sum_{i=1..min(n, d)} ((k+1) i - n) p_i out_(n-i), two dot products;
-            # n * p(0) is invertible for every n <= k * d by the condition above
-            dot, tail = field.dot, p[1:]
-            weighted = [field.coerce((k + 1) * i) * c for i, c in enumerate(tail, 1)]
-            out = [p[0] ** k]
-            for n in range(1, k * d + 1):
-                m = field.coerce(n)
-                acc = dot(weighted, reversed(out)) - m * dot(tail, reversed(out))
-                out.append(acc * field.inv(m * p[0]))
-            return Polynomial._make(field, out)
+            # = sum_{i=1..min(n, deg)} ((k+1) i - n) p_i out_(n-i), two dot products.
+            # Over Q on the ints A of f = A / d: A^k has integer coefficients, so each
+            # division by n A_0 is exact, and f^k = A^k / d^k.  Over GF(p) n < p for
+            # every n <= k deg f, and 1/n mod p = -(p div n) / (p mod n) from a table.
+            tail = a[1:]
+            weighted = [(k + 1) * i * c for i, c in enumerate(tail, 1)]
+            out = [pow(a[0], k, char) if char else a[0] ** k]
+            if char:
+                inverses, unit = [0, 1], pow(a[0], -1, char)
+            for n in range(1, k * degree + 1):
+                acc = sum(map(mul, weighted, reversed(out))) - n * sum(map(mul, tail, reversed(out)))
+                if char:
+                    if n > 1:
+                        inverses.append((char - char // n) * inverses[char % n] % char)
+                    out.append(acc * inverses[n] % char * unit % char)
+                else:
+                    out.append(acc // (n * a[0]))
+            return Polynomial._make(field, tuple(out), d**k)
         if k >= char:
             # Frobenius: f^char = f(X^char) in characteristic char, so
             # f^k = f^(k mod char) * (f^(k div char))(X^char)
-            high = (self ** (k // char)).coeffs
-            spread = [field.zero()] * (char * (len(high) - 1) + 1)
+            high = (self ** (k // char)).ints
+            spread = [0] * (char * (len(high) - 1) + 1)
             spread[::char] = high
             # the sparse factor goes first: ``*`` skips its zero coefficients
-            return Polynomial._make(field, spread) * self ** (k % char)
+            return Polynomial._make(field, tuple(spread)) * self ** (k % char)
         result, base = Polynomial.one(field), self
         while k:  # square-and-multiply
             if k & 1:
@@ -167,26 +225,42 @@ class Polynomial:
         return result
 
     def __divmod__(self, other):
+        """Long division on the ints.  Over GF(p) each quotient term is the
+        remainder's top residue times the inverse of the divisor's.  Over Q
+        it is fraction-free: the top term c of the remainder is cancelled by
+        m r - f X^s B, for the divisor's ints B with leading b and f / m =
+        c / b in lowest terms, so only an m != 1 scales the work done, and
+        scale * A = quotient * B + remainder over Z; the quotient then is
+        (quotient * e) / (scale * d) and the remainder remainder / (scale *
+        d), for self = A / d and other = B / e."""
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        remainder = list(self.coeffs)
-        divisor = other.coeffs
-        lead_inv = field.inv(other.leading)
-        shift = len(divisor) - 1
-        quotient = [field.zero()] * (len(remainder) - shift)
+        field, p = self.field, self.field.characteristic
+        remainder, divisor = list(self.ints), other.ints
+        shift, lead, below = len(divisor) - 1, divisor[-1], divisor[:-1]
+        if p:
+            lead_inverse = pow(lead, -1, p)
+        quotient, scale = [0] * max(len(remainder) - shift, 0), 1
         for i in range(len(remainder) - 1, shift - 1, -1):
-            c = remainder[i]
+            c = remainder[i] % p if p else remainder[i]
             if not c:
                 continue
-            factor = c * lead_inv
-            quotient[i - shift] = factor
-            for j in range(shift + 1):
-                remainder[i - shift + j] = remainder[i - shift + j] - factor * divisor[j]
+            if p:
+                factor = c * lead_inverse % p
+            else:
+                g = gcd(c, lead)
+                factor, m = c // g, lead // g
+                if m != 1:
+                    scale *= m
+                    remainder[:i] = [r * m for r in remainder[:i]]
+                    quotient = [q * m for q in quotient]
+            start = i - shift
+            quotient[start] = factor
+            remainder[start:i] = [r - factor * y for r, y in zip(remainder[start:i], below)]
         return (
-            Polynomial._make(field, quotient),
-            Polynomial._make(field, remainder[:shift]),
+            Polynomial._reduce(field, [q * other.d for q in quotient], scale * self.d),
+            Polynomial._reduce(field, remainder[:shift], scale * self.d),
         )
 
     def __floordiv__(self, other):
@@ -198,28 +272,30 @@ class Polynomial:
     def monic(self):
         if not self:
             return self
-        return self.scale(self.field.inv(self.leading))
+        return self._times(self.d, self.ints[-1])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor, by the field's ``polynomial_gcd``."""
+        """Monic greatest common divisor, by the field's ``polynomial_gcd`` on
+        the two sides' ints."""
         self._check(other)
-        return Polynomial._make(self.field, self.field.polynomial_gcd(self.coeffs, other.coeffs))
+        ints, d = self.field.polynomial_gcd(self.ints, other.ints)
+        return Polynomial._make(self.field, tuple(ints), d)
 
     def shifted_down(self) -> "Polynomial":
         """Divide by X; requires a vanishing constant term."""
         if not self:
             return self
-        if self.coeffs[0]:
+        if self.ints[0]:
             raise ValueError("constant term is nonzero; not divisible by X")
-        return Polynomial._make(self.field, list(self.coeffs[1:]))
+        return Polynomial._make(self.field, self.ints[1:], self.d)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.ints == other.ints and self.d == other.d
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.ints, self.d))
 
     def __repr__(self):
         return f"Polynomial({self.field!r}, {list(self.coeffs)!r})"
@@ -258,7 +334,7 @@ class Quotient:
     The arithmetic shared by :class:`RationalFunction` and
     :class:`~streamcalc.ratstream.RationalStream`.  A subclass supplies three
     hooks: ``_check_denominator`` rejects the denominators it does not accept,
-    ``_check_divisor`` the divisors, and ``_normalizer`` picks the coefficient
+    ``_check_divisor`` the divisors, and ``_unit_index`` picks the coefficient
     of den that is scaled to 1.  Results are built with ``type(self)``, and
     only objects of the same type compare equal, since the two normalizations
     differ.
@@ -271,21 +347,17 @@ class Quotient:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
-        """p/q reduced by g = gcd(p, q), then scaled by the normalizer's
-        inverse.  Every p/q takes this one path: gcd(0, q) is q made monic,
-        which gives 0/1, and a nonzero constant side gives g = 1."""
+        """p/q reduced by g = gcd(p, q), then scaled so that the coefficient
+        of q at ``_unit_index`` is 1, both on the ints.  Every p/q takes this
+        one path: gcd(0, q) is q made monic, which gives 0/1, and a nonzero
+        constant side gives g = 1."""
         if num.field != den.field:
             raise FieldMismatch("numerator and denominator over different fields")
         self._check_denominator(den)
         g = num.gcd(den)
         if g.degree > 0:
             num, den = num // g, den // g
-        unit = self._normalizer(den)
-        if unit != num.field.one():
-            inverse = num.field.inv(unit)
-            num, den = num.scale(inverse), den.scale(inverse)
-        self.num = num
-        self.den = den
+        self.num, self.den = _scaled_to_one(num, den, self._unit_index(den))
 
     @classmethod
     def _make(cls, num: Polynomial, den: Polynomial):
@@ -367,14 +439,21 @@ class Quotient:
 
     def __str__(self):
         num, den = self.num, self.den
-        constant = den.coefficient(0)
-        if constant and constant != self.field.one():
+        if den.ints[0]:
             # display the unit-constant-term representative when it exists
-            unit = self.field.inv(constant)
-            num, den = num.scale(unit), den.scale(unit)
+            num, den = _scaled_to_one(num, den, 0)
         if den == Polynomial.one(self.field):
             return format_terms(num)
         return f"({format_terms(num)})/({format_terms(den)})"
+
+
+def _scaled_to_one(num: Polynomial, den: Polynomial, i: int):
+    """num/den with both sides scaled so that den's coefficient i, u / d in
+    den's integer form, is 1: num times d / u, and den's ints over u."""
+    unit, d = den.ints[i], den.d
+    if unit == d:
+        return num, den
+    return num._times(d, unit), Polynomial._reduce(den.field, den.ints, unit)
 
 
 class RationalFunction(Quotient):
@@ -393,8 +472,8 @@ class RationalFunction(Quotient):
             raise ZeroDivisionError("division by the zero rational function")
 
     @staticmethod
-    def _normalizer(den: Polynomial):
-        return den.leading
+    def _unit_index(den: Polynomial):
+        return den.degree
 
 
 class FractionField:

@@ -6,17 +6,20 @@ reduced quotient of :class:`~streamcalc.poly.Quotient`, with the three hooks
 set for streams: a denominator must have q(0) != 0
 (:class:`NotInvertibleAtZero` otherwise), a divisor must have initial value
 p(0) != 0, and q(0) is the coefficient scaled to 1; each hook reads
-coefficient 0 by ``Polynomial.coefficient``.  That normalization makes
+coefficient 0 off the polynomial's ints, unboxed.  That normalization makes
 the representation unique, so equality is structural, the coefficient
 expansion is a direct linear recurrence, and the stream derivative has a
 closed form that keeps the denominator fixed.
 
 ``RationalStream._terms`` is the one forward recurrence, from a closed form to
-its coefficients, run by the field's kernel ``Field.recurrence``;
+its coefficients, run by the field's kernel ``Field.recurrence`` on the
+integer forms in which ``Polynomial`` holds p and q; ``iterated_derivative``
+reads its numerator off them and the last terms' integers too.
 ``from_sequence`` is the one way back, from enough coefficients over k to the
 closed form: ``from_integers`` on the coefficients' integer form, through
-the field's kernel ``Field.integer_berlekamp_massey`` (``analysis`` calls
-``Field.berlekamp_massey`` for the linear complexity L alone).
+the field's kernel ``Field.integer_berlekamp_massey``, whose integer C and
+numerator become the polynomials with no coefficient boxed (``analysis``
+calls ``Field.berlekamp_massey`` for the linear complexity L alone).
 ``CoordinateStreams`` holds the ``from_integers`` fit of each coordinate of
 a run of vectors in the integer form of ``Matrix.integer_orbit``, fitted
 the first time it is read: the behaviours of systems and automata, with no
@@ -34,6 +37,7 @@ from collections import deque
 from collections.abc import Sequence
 from itertools import islice
 from math import lcm
+from operator import mul
 from typing import Iterator, List, Tuple
 
 from .errors import NotInvertibleAtZero, check_count
@@ -48,21 +52,21 @@ class RationalStream(Quotient):
 
     @staticmethod
     def _check_denominator(den: Polynomial):
-        if not den.coefficient(0):
+        if not (den.ints and den.ints[0]):
             raise NotInvertibleAtZero(
                 "denominator has initial value 0 and therefore no inverse"
             )
 
     @staticmethod
     def _check_divisor(divisor: "RationalStream"):
-        if not divisor.num.coefficient(0):
+        if not (divisor.num.ints and divisor.num.ints[0]):
             raise NotInvertibleAtZero(
                 "divisor has initial value 0 and therefore no inverse"
             )
 
     @staticmethod
-    def _normalizer(den: Polynomial):
-        return den.coefficient(0)
+    def _unit_index(den: Polynomial):
+        return 0
 
     @classmethod
     def from_sequence(cls, field: Field, terms: Sequence) -> "RationalStream":
@@ -80,10 +84,11 @@ class RationalStream(Quotient):
     @classmethod
     def from_integers(cls, field: Field, ints: Sequence[int], scale: int) -> "RationalStream":
         """``from_sequence`` of the terms ints[i] / scale in the field's
-        integer form, scale nonzero in the field, with no term boxed."""
+        integer form, scale nonzero in the field, with no term boxed: the
+        kernel's integer C and P go to the polynomials as they are."""
         connection, _, num = field.integer_berlekamp_massey(ints, scale, numerator=True)
         # a common factor of num and C would give a shorter recurrence; C(0) = 1
-        return cls._make(Polynomial._make(field, num), Polynomial._make(field, connection))
+        return cls._make(Polynomial._reduce(field, *num), Polynomial._reduce(field, *connection))
 
     @classmethod
     def from_fraction(cls, rf: RationalFunction):
@@ -119,13 +124,18 @@ class RationalStream(Quotient):
     def iterated_derivative(self, k: int) -> "RationalStream":
         """s^(k) = ((p - S_k q) / X^k) / q, read off the last deg q of k steps
         of ``_terms``: numerator coefficient j is p_(j+k) - sum_(i>j) q_i
-        s_(k+j-i), and gcd(p - S_k q, q) = gcd(p, q) = 1."""
+        s_(k+j-i), and gcd(p - S_k q, q) = gcd(p, q) = 1.  On the integer
+        forms, p = P / a, q = Q / b and those terms S / e: coefficient j is
+        (P_(j+k) b e - a sum_(i>j) Q_i S_(k+j-i)) / (a b e)."""
         check_count(k, "derivative order")
-        prefix = deque(islice(self._terms(), k), maxlen=self.den.degree)
-        dot, num, taps = self.field.dot, self.num, self.den.coeffs[1:]
-        length = max(len(taps), num.degree - k + 1)
-        shifted = [num.coefficient(j + k) - dot(taps[j:], reversed(prefix)) for j in range(length)]
-        return RationalStream._make(Polynomial._make(self.field, shifted), self.den)
+        field, num, den = self.field, self.num, self.den
+        prefix = deque(islice(self._terms(), k), maxlen=den.degree)
+        terms, e = field.integers(reversed(prefix))  # newest first
+        top, taps, bottom = num.ints[k:], den.ints[1:], num.d * den.d * e
+        shifted = [-num.d * sum(map(mul, taps[j:], terms)) for j in range(max(len(taps), len(top)))]
+        for j, c in enumerate(top):
+            shifted[j] += c * den.d * e
+        return RationalStream._make(Polynomial._reduce(field, shifted, bottom), den)
 
     def expand(self, n: int) -> List:
         """The first ``n`` coefficients."""
@@ -139,7 +149,8 @@ class RationalStream(Quotient):
     def _terms(self) -> Iterator:
         """s_0, s_1, ... by s_i = p_i - sum_{j=1..deg q} q_j s_(i-j): the one
         place a closed form's coefficients are made, by the field's kernel."""
-        return self.field.recurrence(self.num.coeffs, self.den.coeffs)
+        num, den = self.num, self.den
+        return self.field.recurrence((num.ints, num.d), (den.ints, den.d))
 
 
 class CoordinateStreams(Sequence):
@@ -189,4 +200,4 @@ def valuation(s: RationalStream) -> int:
 
     Equals the X-adic valuation of the numerator because den(0) = 1.
     """
-    return next((i for i, c in enumerate(s.num.coeffs) if c), -1)
+    return next((i for i, c in enumerate(s.num.ints) if c), -1)

@@ -89,7 +89,7 @@ def test_main_exits_1_when_a_median_is_worse_than_its_bound(monkeypatch, capsys,
     # jobs_per_s is bounded at 15%; every other metric ties
     benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
 
-    def run_once(tree, workload, seconds):
+    def run_once(tree, workload, seconds, seed):
         metrics = {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}
         if tree.name == "change":
             metrics["jobs_per_s"] = {"value": change_jobs}
@@ -105,9 +105,10 @@ def test_main_runs_ten_alternating_pairs_of_the_benchmark_run_length(monkeypatch
     benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     runs = []
 
-    def run_once(tree, workload, seconds):
+    def run_once(tree, workload, seconds, seed):
         side = tree.name
         runs.append((side, workload, seconds))
+        assert seed == 1
         return {"correct": True, "failed": int(side == "change" and len(runs) == 3),
                 "metrics": {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}}
 
@@ -119,7 +120,30 @@ def test_main_runs_ten_alternating_pairs_of_the_benchmark_run_length(monkeypatch
     firsts = [side for side, _, _ in runs[::2]]
     assert firsts == ["parent", "change"] * (bench_pairs.PAIRS // 2)
     out = capsys.readouterr()
-    assert "workload expand: 10 pairs" in out.out and "failed 1" in out.err
+    assert "workload expand (seed 1): 10 pairs" in out.out and "failed 1" in out.err
+
+
+def test_seed_reaches_every_run_and_the_report(monkeypatch, capsys):
+    """``--seed N`` runs every pair at ``perfbench/run.py --seed N``; without
+    it the seed is 1."""
+    benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    result = {"correct": True, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}}
+    commands = []
+
+    def fake_run(command, cwd, capture_output, text):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "convert", "--seed", "2"]) == 0
+    assert len(commands) == 2 * bench_pairs.PAIRS
+    assert all(command[command.index("--seed") + 1] == "2" for command in commands)
+    assert "workload convert (seed 2): 10 pairs" in capsys.readouterr().out
+    commands.clear()
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "convert"]) == 0
+    assert {command[command.index("--seed") + 1] for command in commands} == {"1"}
 
 
 def test_alternate_exports_once_and_removes_the_tree_on_break(monkeypatch):

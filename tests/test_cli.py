@@ -278,6 +278,28 @@ def test_ill_formed_netlist_file_names_itself(tmp_path, capsys):
         assert run(capsys, *argv) == (1, "", expected)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("field q\ngate r1 register\nwire r1.out0 -> r1.in0\noutput r1.out0\n",
+         (2, "line 2: bad gate line: gate r1 register")),
+        ("field q\ngate r1 resistor ohms=1\noutput r1.out0\n",
+         (2, "line 2: unknown gate kind: 'resistor'")),
+        ("field q\ngate r1 register init=1\nwire r1.out0 -> r1.in0\noutput r1.out5\n",
+         (1, "gate r1 has no output port 5")),
+    ],
+    ids=["gate-without-parameter", "unknown-gate-kind", "missing-output-port"],
+)
+def test_defective_netlist_file_lines(tmp_path, capsys, text, expected):
+    """A gate line without three fields and an unknown gate kind are format
+    errors of the line (exit 2); a designated output port that its gate
+    lacks is an ill-formed circuit (exit 1)."""
+    bad = tmp_path / "bad.net"
+    bad.write_text(text)
+    code, message = expected
+    assert run(capsys, "circuit", "sim", "--file", str(bad), "--n", "3") == (code, "", f"error: {bad}: {message}\n")
+
+
 def test_system_state_is_read_as_a_v0_line(tmp_path, capsys):
     stateless = tmp_path / "s0.txt"
     stateless.write_text("field q\nn 0\nm 1\nv0\n")

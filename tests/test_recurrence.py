@@ -69,8 +69,9 @@ def counted_kernel(monkeypatch, field):
 
 
 def test_iterated_derivative_reads_k_terms_and_fits_nothing(monkeypatch):
-    """k kernel terms, then one dot per numerator coefficient: no
-    Berlekamp-Massey, so no field inversions, whatever k is."""
+    """k kernel terms, then one integer dot per numerator coefficient, the
+    numerator reduced once: no Berlekamp-Massey, so no field inversions,
+    whatever k is."""
     s = evaluate_text("(1 + X^4)/(1 - X - X^2)")  # deg q = 2, deg p = 4
     expected = [s]
     for _ in range(12):
@@ -79,23 +80,23 @@ def test_iterated_derivative_reads_k_terms_and_fits_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("iterated_derivative fitted a recurrence")
 
-    original, dots = type(QQ).dot, []
+    reduce, numerators = Polynomial._reduce.__func__, []
 
-    def counted(field, xs, ys):
-        dots.append(None)
-        return original(field, xs, ys)
+    def counted(cls, field, ints, d=1):
+        numerators.append(len(ints))
+        return reduce(cls, field, ints, d)
 
     monkeypatch.setattr(type(QQ), "berlekamp_massey", forbidden)
     monkeypatch.setattr(type(QQ), "inv", forbidden)
-    monkeypatch.setattr(type(QQ), "dot", counted)
+    monkeypatch.setattr(Polynomial, "_reduce", classmethod(counted))
     terms = counted_kernel(monkeypatch, QQ)
     for k in range(13):
         terms.clear()
-        dots.clear()
+        numerators.clear()
         assert s.iterated_derivative(k) == expected[k]
         assert len(terms) == k
-        # L = max(deg q, deg p - k + 1) numerator coefficients
-        assert len(dots) == max(2, 5 - k)
+        # L = max(deg q, deg p - k + 1) numerator coefficients, one reduction
+        assert numerators == [max(2, 5 - k)]
 
 
 @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 40))

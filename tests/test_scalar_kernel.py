@@ -110,7 +110,7 @@ def test_recurrence_matches_boxed_recurrence(field, kind, data, n):
     coefficients = st.builds(Fraction, st.integers(-9, 9), DENOMINATORS[kind])
     num = [element(field, c) for c in data.draw(st.lists(coefficients, max_size=12))]
     den = [field.one()] + [element(field, c) for c in data.draw(st.lists(coefficients, max_size=8))]
-    terms = list(islice(field.recurrence(num, den), n))
+    terms = list(islice(field.recurrence(field.integers(num), field.integers(den)), n))
     quotient = SimpleNamespace(num=Polynomial(field, num), den=Polynomial(field, den))
     assert terms == boxed_expand(quotient, n)
     assert all(type(t) is type(field.one()) for t in terms)
@@ -118,7 +118,7 @@ def test_recurrence_matches_boxed_recurrence(field, kind, data, n):
 
 def test_base_field_has_no_recurrence():
     with pytest.raises(NotImplementedError):
-        Field().recurrence([], [1])
+        Field().recurrence(([], 1), ([1], 1))
 
 
 HALF_ROOT = (Polynomial(QQ, [1, Fraction(-1, 2)]) ** 8).coeffs  # (1 - X/2)^8
@@ -145,7 +145,7 @@ def test_tap_scale_takes_the_least_exponent_per_base_element():
 def test_recurrence_terms_are_the_boxed_terms_at_the_least_scale(taps):
     num, den = (Fraction(3), Fraction(-1, 7)), (Fraction(1),) + tuple(taps)
     quotient = SimpleNamespace(num=Polynomial(QQ, num), den=Polynomial(QQ, den))
-    assert list(islice(QQ.recurrence(num, den), 60)) == boxed_expand(quotient, 60)
+    assert list(islice(QQ.recurrence(QQ.integers(num), QQ.integers(den)), 60)) == boxed_expand(quotient, 60)
 
 
 @given(st.sampled_from((101, 127, 10**39 + 3)), st.lists(st.just(0) | st.integers(0, 12), max_size=8))
@@ -216,7 +216,7 @@ def test_fraction_free_window_stays_near_the_terms_size(monkeypatch, den):
     c = _tap_scale(den[1:])
     kernel = []  # (w_m, E c^m) of each term
     monkeypatch.setattr(fields, "_lowest_terms", recorded_fractions(kernel))
-    terms = list(islice(QQ.recurrence(num, den), n))
+    terms = list(islice(QQ.recurrence(QQ.integers(num), QQ.integers(den)), n))
     for start in range(len(num) + period, n, period):
         _, lowest = over_one_denominator(c**k * terms[start - d + k] for k in range(d))
         block = range(start - d, min(start + period, n))
@@ -258,7 +258,7 @@ def test_window_is_rebuilt_every_max_2d_8_terms(monkeypatch, d):
     monkeypatch.setattr(fields, "strip_content", counted_strips(rebuilds))
     num, den = (Fraction(3), Fraction(1)), (Fraction(1),) + (Fraction(-1, 7),) * d
     # the numerator's 2 terms, then a rebuild before each period's next term
-    list(islice(QQ.recurrence(num, den), 2 + 200 + 1))
+    list(islice(QQ.recurrence(QQ.integers(num), QQ.integers(den)), 2 + 200 + 1))
     assert len(rebuilds) == 200 // max(2 * d, 8)
 
 
@@ -278,7 +278,7 @@ def test_rebuilt_window_is_the_least_window(kind, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fields, "strip_content", counted_strips(rebuilds))
         patch.setattr(fields, "_lowest_terms", recorded_fractions(kernel))
-        terms = list(islice(QQ.recurrence(num, den), len(num) + 3 * period + 1))
+        terms = list(islice(QQ.recurrence(QQ.integers(num), QQ.integers(den)), len(num) + 3 * period + 1))
     assert len(rebuilds) == 3
     for r, (window, lowest) in enumerate(rebuilds, 1):
         end = len(num) + r * period  # the index of the next term
@@ -359,7 +359,7 @@ def test_each_term_takes_a_bounded_number_of_gcds(monkeypatch, num, den):
     took up to 43 on the coprime shape."""
     counts = [0]
     monkeypatch.setattr(fields, "gcd", counted_gcds(counts))
-    terms = QQ.recurrence(num, den)
+    terms = QQ.recurrence(QQ.integers(num), QQ.integers(den))
     for _ in range(1600):
         next(terms)
         counts.append(0)

@@ -155,14 +155,88 @@ def boxed_eliminate(matrix):
     return rows, pivots
 
 
+# The boxed polynomial arithmetic: the references for ``Polynomial``, which
+# runs on the field's integer form.  Each works on ``coeffs``, one field
+# element at a time, and builds its answer with the checked constructor.
+
+
+def _padded(p, n):
+    return list(p.coeffs) + [p.field.zero()] * (n - len(p.coeffs))
+
+
+def boxed_add(a, b):
+    """The reference for ``Polynomial.__add__``: coefficientwise sums."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Polynomial(a.field, [x + y for x, y in zip(_padded(a, n), _padded(b, n))])
+
+
+def boxed_neg(a):
+    """The reference for ``Polynomial.__neg__``."""
+    return Polynomial(a.field, [-x for x in a.coeffs])
+
+
+def boxed_mul(a, b):
+    """The reference for ``Polynomial.__mul__``: the schoolbook product, one
+    boxed addition and multiplication per pair of coefficients."""
+    field = a.field
+    out = [field.zero()] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Polynomial(field, out)
+
+
+def boxed_scale(a, c):
+    """The reference for ``Polynomial.scale``."""
+    c = a.field.coerce(c)
+    return Polynomial(a.field, [c * x for x in a.coeffs])
+
+
+def boxed_divmod(a, b):
+    """The reference for ``Polynomial.__divmod__``: long division, each
+    quotient term the remainder's top coefficient over the divisor's."""
+    field = a.field
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    remainder, divisor = list(a.coeffs), list(b.coeffs)
+    shift, lead = len(divisor) - 1, divisor[-1]
+    quotient = [field.zero()] * max(len(remainder) - shift, 0)
+    for i in range(len(remainder) - 1, shift - 1, -1):
+        factor = remainder[i] / lead
+        quotient[i - shift] = factor
+        for j in range(shift + 1):
+            remainder[i - shift + j] = remainder[i - shift + j] - factor * divisor[j]
+    return Polynomial(field, quotient), Polynomial(field, remainder[:shift])
+
+
+def boxed_monic(a):
+    """The reference for ``Polynomial.monic``."""
+    return boxed_scale(a, a.field.inv(a.coeffs[-1])) if a else a
+
+
+def boxed_shifted_down(a):
+    """The reference for ``Polynomial.shifted_down`` of a polynomial that X divides."""
+    return Polynomial(a.field, a.coeffs[1:])
+
+
 def boxed_gcd(a, b):
     """The reference for ``Polynomial.gcd``: Euclid on field elements, each
     remainder made monic, the gcd made monic at the end."""
     while b:
-        a, b = b, a % b
+        a, b = b, boxed_divmod(a, b)[1]
         if b:
-            b = b.monic()
-    return a.monic()
+            b = boxed_monic(b)
+    return boxed_monic(a)
+
+
+def boxed_reduction(num, den, unit_index):
+    """The reference for the ``Quotient`` constructor: num/den divided by
+    ``boxed_gcd``, then both scaled by the inverse of den's coefficient at
+    ``unit_index(den)``."""
+    g = boxed_gcd(num, den)
+    num, den = boxed_divmod(num, g)[0], boxed_divmod(den, g)[0]
+    inverse = num.field.inv(den.coeffs[unit_index(den)])
+    return boxed_scale(num, inverse), boxed_scale(den, inverse)
 
 
 def boxed_expand(s, n):
@@ -256,10 +330,10 @@ def boxed_minimize(pointed):
 
 
 def boxed_power(p, k):
-    """The reference for ``Polynomial.__pow__``: k schoolbook products."""
+    """The reference for ``Polynomial.__pow__``: k boxed schoolbook products."""
     result = Polynomial.one(p.field)
     for _ in range(k):
-        result = result * p
+        result = boxed_mul(result, p)
     return result
 
 

@@ -1,6 +1,6 @@
 """Compare this checkout with a parent revision on the benchmark, in pairs.
 
-    python3 tools/bench_pairs.py --parent <rev> [--workload all]
+    python3 tools/bench_pairs.py --parent <rev> [--workload all] [--seed 1]
 
 Both sides are exported alike, into two sibling directories of one
 temporary directory (no worktree, nothing written under ``.git``): the
@@ -8,8 +8,8 @@ parent revision with ``git archive``, and the change as a copy of this
 checkout's tracked and unignored files as its working tree has them.  So
 the two trees differ in their files only where the code differs, and no
 metric reads the checkout's own build products or place.  For each
-workload, each of ``PAIRS`` pairs runs ``perfbench/run.py --seed 1 --trace 0``
-once in each tree, alternating which side goes first; :func:`alternate`
+workload, each of ``PAIRS`` pairs runs ``perfbench/run.py --seed N --trace 0``
+(N from ``--seed``, 1 by default) once in each tree, alternating which side goes first; :func:`alternate`
 does the export and the alternation, for ``tools/job_shares.py --parent``
 too.  Each side runs its own ``perfbench``; ``BENCHMARK.json``
 supplies the workloads, the run length (``run_seconds``) and, for every
@@ -154,9 +154,9 @@ def alternate(rev: str, rounds: int) -> Iterator[Tuple[int, List[Tuple[str, Path
             yield i, order if i % 2 == 0 else order[::-1]
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{tree}: exit {done.returncode}: {done.stderr.strip()[-500:]}")
@@ -169,6 +169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", default="all", choices=names + ["all"])
+    parser.add_argument("--seed", type=int, default=1, help="the benchmark's input seed")
     args = parser.parse_args(argv)
     workloads = names if args.workload == "all" else [args.workload]
 
@@ -179,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sides: Dict[str, dict] = {}
             for side, tree in order:
                 try:
-                    sides[side] = result = run_once(tree, workload, benchmark["run_seconds"])
+                    sides[side] = result = run_once(tree, workload, benchmark["run_seconds"], args.seed)
                 except (RuntimeError, ValueError) as exc:
                     print(f"{workload} pair {i + 1} {side}: {exc}", file=sys.stderr)
                     return 1
@@ -190,7 +191,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       f"{result['metrics']['jobs_per_s']['value']:.5g}", file=sys.stderr)
             pairs.append((sides["parent"], sides["change"]))
         rows = compare(pairs, benchmark["end_to_end"])
-        print(format_rows(workload, rows), flush=True)
+        print(format_rows(f"{workload} (seed {args.seed})", rows), flush=True)
         if any(row.worse for row in rows):
             status = 1
     return status

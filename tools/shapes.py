@@ -20,6 +20,11 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
   orbit, and the integer dots that read the minimal system off it;
 - ``berlekamp_massey`` over GF(101) on 160 recurrent prefixes (orders 3, 6,
   10 and 16; 2n and 2n - 3 terms);
+- ``Polynomial`` products a*b of two seeded polynomials of degree n, and
+  powers f^(n/4) of a seeded f of degree 4 with f(0) != 0 (Miller's
+  recurrence), at n = 64 and 256 (8 and 16 at ``--tiny``) over Q (each
+  coefficient over a denominator in 1..9) and GF(2^61-1): the schoolbook
+  product and the recurrence on the integer form;
 - the powers (X^3*(1+X+X^2))^500 and (X+X^2)^3000 of ``Polynomial`` over
   GF(101), and at ``--tiny`` the powers 5 and 150.  Both split off X^v
   first; the second then takes the Frobenius split, as 150 and 3000 are
@@ -45,12 +50,14 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
   every few ticks lets each product grow by 61 bits per multiplier passed,
   so these are the cases a per-field reduction budget must not lose.
 
-``--tiny`` runs every case at a small size, to check that the tool runs.
+``--tiny`` runs every case at a small size, to check that the tool runs.  A
+reader that closes stdout early (``| head``) ends the report quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -142,6 +149,17 @@ def multiplier_chain(field, d: int) -> Netlist:
     return Netlist(field, gates, wires, ("c", 0))
 
 
+def seeded_polynomial(field, degree: int, seed: int) -> Polynomial:
+    """A polynomial of ``degree`` with seeded coefficients in -9..9, each over
+    a denominator in 1..9 over Q, and nonzero constant and top terms."""
+    rng = random.Random(seed)
+    coeffs = []
+    for i in range(degree + 1):
+        c = rng.choice([c for c in range(-9, 10) if c or 0 < i < degree])
+        coeffs.append(field.parse(f"{c}/{rng.randint(1, 9)}") if field is QQ else field.coerce(c))
+    return Polynomial(field, coeffs)
+
+
 def square_prefix(coefficients: Sequence, n: int) -> list:
     a = StreamPrefix.from_coefficients(QQ, coefficients)
     return (a * a).take(n)
@@ -182,6 +200,12 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     yield f"berlekamp_massey, {len(prefixes)} prefixes (gf:101)", lambda: [
         gf101.berlekamp_massey(terms) for terms in prefixes
     ]
+    for field, name in ((QQ, "q"), (MERSENNE, "gf")):
+        for n in (8, 16) if tiny else (64, 256):
+            a, b = seeded_polynomial(field, n, n), seeded_polynomial(field, n, n + 1)
+            yield f"poly product, degree {n} ({name})", lambda a=a, b=b: a * b
+            f = seeded_polynomial(field, 4, n + 2)
+            yield f"poly power f^{n // 4}, degree {n} ({name})", lambda f=f, k=n // 4: f**k
     for name, coeffs, k in (("(X^3*(1+X+X^2))", (0, 0, 0, 1, 1, 1), 5 if tiny else 500),
                             ("(X+X^2)", (0, 1, 1), 150 if tiny else 3000)):
         yield f"power {name}^{k} (gf:101)", lambda f=Polynomial(gf101, coeffs), k=k: f**k
@@ -218,9 +242,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="every case at a small size")
     args = parser.parse_args(argv)
-    print(f"{'case':<46}{'ms':>10}   (best of {REPEAT})", flush=True)
-    for name, run in cases(args.tiny):
-        print(f"{name:<46}{best_ms(run):>10.2f}", flush=True)
+    try:
+        print(f"{'case':<46}{'ms':>10}   (best of {REPEAT})", flush=True)
+        for name, run in cases(args.tiny):
+            print(f"{name:<46}{best_ms(run):>10.2f}", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does); the interpreter flushes
+        # it again on exit, so point it at devnull to end without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 
