@@ -196,8 +196,8 @@ class Polynomial:
             tail = a[1:]
             weighted = [(k + 1) * i * c for i, c in enumerate(tail, 1)]
             out = [pow(a[0], k, char) if char else a[0] ** k]
-            if char:
-                inverses, unit = [0, 1], pow(a[0], -1, char)
+            if char:  # a constant's power is out[0] alone, with no inversion
+                inverses, unit = [0, 1], pow(a[0], -1, char) if degree else 1
             for n in range(1, k * degree + 1):
                 acc = sum(map(mul, weighted, reversed(out))) - n * sum(map(mul, tail, reversed(out)))
                 if char:
