@@ -45,8 +45,11 @@ answer; a regenerated file is a changed check.
   ``observability_matrix``, ``states_equivalent`` and ``minimize``
   (``system_lines``); ``Polynomial.__pow__`` on each of its branches
   (``power_lines``); ``scale``, ``monic`` and ``shifted_down``
-  (``unary_lines``); and ``str`` of k(X) quotients whose denominator has a
-  constant term other than 1 (``quotient_text_lines``).
+  (``unary_lines``); ``str`` of k(X) quotients whose denominator has a
+  constant term other than 1 (``quotient_text_lines``); and
+  ``Field.berlekamp_massey``'s (C, L) on all-zero prefixes, free terms and
+  prefixes of closed forms, of 2L terms and shorter, where C is not unique
+  (``berlekamp_massey_lines``).
 
 Every random draw comes from one ``random.Random`` per file and field,
 seeded with a string, so two runs write identical files.
@@ -467,6 +470,7 @@ def ops_lines() -> Iterator[str]:
         yield from power_lines(spec, field)
         yield from unary_lines(spec, field)
         yield from quotient_text_lines(spec, field)
+        yield from berlekamp_massey_lines(spec, field)
 
 
 def unit_at_zero(rng: random.Random, field, degree: int) -> Polynomial:
@@ -527,6 +531,30 @@ def quotient_text_lines(spec: str, field) -> Iterator[str]:
         den = unit_at_zero(rng, field, rng.randint(1, 3))
         q = RationalFunction(polynomial(rng, field, rng.randint(-1, 3)), den)
         yield f"{spec} str {show(q, field)}{ARROW}{answer(lambda: str(q), field)}"
+
+
+def berlekamp_massey_lines(spec: str, field) -> Iterator[str]:
+    """``Field.berlekamp_massey``, from a draw of its own: all-zero prefixes
+    (a run of zeros ahead of the first nonzero term too), free terms, and
+    the prefixes of closed forms p/q of linear complexity L, 2L terms long
+    (C is q) and shorter than 2L (C is not unique).  L is printed as a
+    number, not as a field element."""
+    rng = random.Random(f"corpus-berlekamp-massey-{spec}")
+    prefixes = [[field.zero()] * length for length in (0, 1, 4)]
+    prefixes += [[field.zero()] * rng.randint(1, 4) + [scalar(rng, field) for _ in range(rng.randint(1, 5))] for _ in range(3)]
+    prefixes += [[scalar(rng, field) for _ in range(rng.randint(1, 8))] for _ in range(3)]
+    for _ in range(6):
+        s = ratstream(rng, field, 0)
+        length = max(s.den.degree, s.num.degree + 1) if s else 0
+        prefixes.append(s.expand(2 * length))
+        prefixes.append(s.expand(rng.randint(1, max(2 * length - 1, 1))))
+
+    def fit(terms):
+        connection, length = field.berlekamp_massey(terms)
+        return connection, str(length)
+
+    for terms in prefixes:
+        yield f"{spec} berlekamp_massey {show(terms, field)}{ARROW}{answer(lambda: fit(terms), field)}"
 
 
 def prefix_product_lines(spec: str, field) -> Iterator[str]:
