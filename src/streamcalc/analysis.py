@@ -87,7 +87,7 @@ def hankel_rank(prefix: Sequence, size: int) -> int:
     the size is large enough.  The matrix is never built: for the m x m
     Hankel matrix of s_0..s_{2m-2}, rank = min(L, 2m - L), where L is the
     linear complexity of those 2m - 1 terms (Iohvidov's theory of Hankel
-    ranks; Heinig and Rost), and Berlekamp-Massey gives L.
+    ranks; Heinig and Rost), and Berlekamp-Massey's integer kernel gives L.
     """
     check_count(size, "hankel size")
     if size == 0:
@@ -97,7 +97,8 @@ def hankel_rank(prefix: Sequence, size: int) -> int:
             f"hankel size {size} needs at least {2 * size - 1} coefficients, "
             f"got {len(prefix)}"
         )
-    _, length = field_of(prefix[0]).berlekamp_massey(prefix[: 2 * size - 1])
+    field = field_of(prefix[0])
+    _, length = field.integer_berlekamp_massey(*field.integers(prefix[: 2 * size - 1]))
     return min(length, 2 * size - length)
 
 
@@ -141,7 +142,7 @@ def fit_recurrence(prefix: Sequence, max_order: int) -> Optional[Tuple]:
     if not prefix:
         return ()
     field = field_of(prefix[0])
-    _, order = field.berlekamp_massey(prefix)
+    _, order = field.integer_berlekamp_massey(*field.integers(prefix))
     if order > max_order or order >= len(prefix):
         return None
     window_count = len(prefix) - order

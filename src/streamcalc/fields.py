@@ -11,10 +11,11 @@ the one trusted constructor, boxes it; a test keeps every other module off
 (:data:`QQ` or a :class:`PrimeField`) supplies identities, inversion and the
 text syntax used by matrices, files and the CLI.  Its ``coerce`` decides
 membership, for matrices, polynomials and a residue's operators alike, and
-its ``dot`` sums products, for ``Matrix.apply`` and matrix products.  Its
-``recurrence`` makes the coefficients of a closed form p/q, for every
-expansion, from the integer forms of p and q: fraction-free on integers
-over Q, on bare residues over GF(p).
+its ``dot``, one boxed fold for every field, sums products, for
+``Matrix.apply`` and matrix products.  Its ``recurrence`` makes the
+coefficients of a closed form p/q, for every expansion, from the integer
+forms of p and q: fraction-free on integers over Q, on bare residues over
+GF(p).
 
 Every other integer kernel reaches a field's scalars only through the
 field's integer form, four members: ``integers`` puts elements over one
@@ -27,18 +28,21 @@ the field when ``v % p if p else v`` is, p the ``characteristic`` (0 on Q).
 coefficients in the form and runs all its arithmetic on the ints, and the
 netlist plan are those kernels.  The orbit hands its integers to
 Berlekamp-Massey and the elimination unboxed, and Berlekamp-Massey its C
-and numerator to the polynomials; a test guards this, and that no other
-module names ``Rationals``.
+to the polynomials; a test guards this, and that no other module names
+``Rationals``.
 A field class overrides only what differs between fields: its elements, its
-integer form, and the two loops that measured slower as one path for both,
-``recurrence`` and ``dot``.  A loop that runs alike over Q and GF(p) is one
-``Field`` method that forks on ``characteristic``, as ``Netlist._tick``
-does: ``integer_berlekamp_massey``, back from coefficients to the
-shortest recurrence (``berlekamp_massey`` is ``integers`` and it), and
-``polynomial_gcd``, the one gcd of ``Polynomial.gcd``, on the two
+integer form, and ``recurrence``, the loop that measured slower as one path
+for both.  A loop that runs alike over Q and GF(p) is one ``Field`` method
+that forks on ``characteristic``, as ``Netlist._tick`` does:
+``integer_berlekamp_massey``, back from coefficients to the shortest
+recurrence (``berlekamp_massey`` is ``integers``, it and one ``ratios``),
+and ``polynomial_gcd``, the one gcd of ``Polynomial.gcd``, on the two
 polynomials' ints, by one Euclid loop on ints, ``_euclid``: on residues mod
 p over GF(p); over Q mod a prime, as a certificate that the gcd is 1, and
-where that proves nothing on integers, as the primitive PRS.
+where that proves nothing on integers, as the primitive PRS.  Both kernels
+return raw integer forms, a C and a gcd as their loops leave them, not
+normalized: ``Polynomial._reduce`` is the one normalization that makes them
+canonical, as it makes every other polynomial result.
 Over GF(p) the form is the residues over 1.  Over Q it is written here
 once: ``over_one_denominator`` puts ``Fraction``s over their least common
 denominator, and ``strip_content``, which is ``Rationals.shrink``, divides
@@ -132,18 +136,18 @@ CERTIFICATE_PRIME = 2**61 - 1
 
 
 def _euclid(a: List[int], b: List[int], p: int) -> List[int]:
-    """The gcd of two polynomials given by int lists, leading coefficient
-    first and nonzero (the empty list for 0), in the same form: for a prime
-    p the monic gcd over GF(p), its residues; for p = 0 a primitive gcd over
-    Z.  Euclid without inversions, as in ``Field.berlekamp_massey``: the
-    leading term c of a is cancelled by a <- lead(b) a - c X^s b (mod p), so
-    each remainder is a mod b times a unit mod p, or times a power of lead(b)
-    over Z, where it is then divided by its content: the primitive PRS
-    (Collins 1967, Brown 1971).  The update runs on the deg b terms below c;
-    the factors lead(b) of the terms further down are kept in ``scale`` and
-    applied as each term enters that window.  Mod p one inversion at the end
-    makes the gcd monic; over GF(2^61 - 1) an inversion costs about 20 term
-    updates."""
+    """A gcd of two polynomials given by int lists, leading coefficient
+    first and nonzero (the empty list for 0), in the same form and as the
+    loop finds it, with no inversion, sign fix or content strip: for a prime
+    p residues, a unit multiple of the monic gcd over GF(p); for p = 0
+    integers, a nonzero multiple of the primitive gcd over Z; [1] for a
+    nonzero constant remainder.  Euclid without inversions, as in
+    ``Field.integer_berlekamp_massey``: the leading term c of a is cancelled
+    by a <- lead(b) a - c X^s b (mod p), so each remainder is a mod b times a
+    unit mod p, or times a power of lead(b) over Z, where it is then divided
+    by its content: the primitive PRS (Collins 1967, Brown 1971).  The update
+    runs on the deg b terms below c; the factors lead(b) of the terms further
+    down are kept in ``scale`` and applied as each term enters that window."""
     a = list(a)
     while len(b) > 1:
         lead, tail = b[0], b[1:]
@@ -163,12 +167,7 @@ def _euclid(a: List[int], b: List[int], p: int) -> List[int]:
         rest = a[max(len(a) - k, 0) :]
         rest = rest[next((i for i, c in enumerate(rest) if c), len(rest)) :]
         a, b = b, rest if p or not rest else strip_content(rest, 0)[0]
-    if b:  # a nonzero constant
-        return [1]
-    if not (p and a):
-        return a
-    inverse = _invmod(a[0], p)
-    return [c * inverse % p for c in a]
+    return [1] if b else a  # b: a nonzero constant
 
 
 def over_one_denominator(fractions: Iterable[Fraction]) -> Tuple[List[int], int]:
@@ -285,23 +284,25 @@ class Field:
         lists: ``Fraction`` itself over Q."""
         raise NotImplementedError
 
-    def berlekamp_massey(self, terms: Sequence) -> Tuple:
+    def berlekamp_massey(self, terms: Sequence) -> Tuple[List, int]:
         """(C, L): the shortest linear recurrence of ``terms`` (Massey 1969).
 
         C = [1, c_1, ..., c_k] (k <= L, no trailing zeros) satisfies
         sum_(i=0..L) c_i terms[n-i] = 0 for every L <= n < len(terms), and L
         is the least length with that property.  When len(terms) < 2L, C is
         not unique; this kernel returns the C of Massey's update on field
-        elements.  The terms go through ``integers`` once and the loop is
-        ``integer_berlekamp_massey``.
+        elements.  The terms go through ``integers`` once, the loop is
+        ``integer_berlekamp_massey``, and its C is boxed once, over C(0).
         """
-        return self.integer_berlekamp_massey(*self.integers(terms))
+        connection, length = self.integer_berlekamp_massey(*self.integers(terms))
+        return self.ratios(connection, connection[0]), length
 
-    def integer_berlekamp_massey(
-        self, ints: Sequence[int], scale: int, numerator: bool = False
-    ) -> Tuple:
-        """``berlekamp_massey`` of the terms ints[i] / scale, scale nonzero in
-        the field: the one loop, for every field, on the integer form.
+    def integer_berlekamp_massey(self, ints: Sequence[int], scale: int) -> Tuple[List[int], int]:
+        """(C, L) of ``berlekamp_massey`` for the terms ints[i] / scale, scale
+        nonzero in the field: the one loop, for every field, on the integer
+        form, with C returned as the loop leaves it, integers whose ratios
+        are C's coefficients, C[0] nonzero in the field and no trailing
+        zeros.  ``Polynomial._reduce(field, C, C[0])`` is its canonical form.
 
         Fraction-free (Bareiss's idea on Massey's update): on the integers
         a_i over one d, it replaces C <- C - (d_n / b) X^gap B by
@@ -312,11 +313,7 @@ class Field:
         of the C of the update on field elements, provided b is the
         discrepancy of the integer B: for B = 1 that is d, not 1, or the C of
         the prefix [1/2] would be 1 - X.  Over Q, C's integers keep the bits
-        of C itself, with no gcd per operation.  C is returned boxed, as C /
-        C(0).  With ``numerator``, (C, L, P) with C and P = (C S) mod X^L for
-        the prefix S, L coefficients, so that S agrees with P / C, each left
-        in the integer form as a pair (ints, d), not reduced: C as (C, C(0))
-        and P as ((C a) mod X^L, C(0) d).
+        of C itself, with no gcd per operation.
         """
         p, shrink = self.characteristic, self.shrink
         current, previous = [1], [1]  # C and B, on integers
@@ -341,29 +338,26 @@ class Field:
             else:
                 gap += 1
             current = updated
-        if not numerator:
-            return self.ratios(current, current[0]), length
-        sums = [sum(map(mul, current[: k + 1], reversed(ints[: k + 1]))) for k in range(length)]
-        return (current, current[0]), length, (sums, current[0] * scale)
+        return current, length
 
     def polynomial_gcd(self, a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:
-        """The monic gcd of two polynomials given by the ints of their
-        integer form (ascending, no trailing zeros; none for 0; their
-        denominators do not change the gcd), in the integer form (ints, d)
-        of ``Polynomial``, by ``_euclid``, Euclid without inversions.
+        """A gcd of two polynomials given by the ints of their integer form
+        (ascending, no trailing zeros; none for 0; their denominators do not
+        change the gcd), as (ints, lead): ``_euclid``'s gcd G, Euclid without
+        inversions, ascending, and its leading coefficient, so that
+        ``Polynomial._reduce(field, ints, lead)`` is the monic gcd; for two
+        zero operands ([], 1), the zero polynomial.
 
-        Over GF(p) the loop runs on the residues mod p and returns them
-        monic, over 1.  Over Q the ints are the sides with their
-        denominators cleared, integer polynomials A and B.  Where the prime q =
-        ``CERTIFICATE_PRIME``, 2^61 - 1, divides neither leading coefficient,
-        the primitive gcd G of A and B divides both in Z[X] and keeps its
-        degree mod q, so deg gcd(A mod q, B mod q) >= deg G (the
-        unlucky-prime lemma of Brown's modular gcd, Brown 1971): a residue
-        gcd of degree 0 proves that the gcd is 1, as it almost always is.
-        Every other pair, a zero operand, a leading coefficient that q
-        divides or a common factor, runs the loop on A and B themselves, the
-        primitive PRS, whose gcd G is made monic as G over its leading
-        coefficient, ``shrink``ed.  A nonzero constant operand (one
+        Over GF(p) the loop runs on the residues mod p.  Over Q the ints are
+        the sides with their denominators cleared, integer polynomials A and
+        B.  Where the prime q = ``CERTIFICATE_PRIME``, 2^61 - 1, divides
+        neither leading coefficient, the primitive gcd G of A and B divides
+        both in Z[X] and keeps its degree mod q, so deg gcd(A mod q, B mod q)
+        >= deg G (the unlucky-prime lemma of Brown's modular gcd, Brown
+        1971): a residue gcd of degree 0 proves that the gcd is 1, as it
+        almost always is.  Every other pair, a zero operand, a leading
+        coefficient that q divides or a common factor, runs the loop on A and
+        B themselves, the primitive PRS.  A nonzero constant operand (one
         coefficient) is a unit, so the gcd is 1 before any of this.
         """
         if len(a) == 1 or len(b) == 1:
@@ -374,11 +368,7 @@ class Field:
             if len(_euclid([c % q for c in a], [c % q for c in b], q)) == 1:
                 return [1], 1
         g = _euclid(a, b, p)
-        if not g:
-            return [], 1
-        if g[0] < 0:
-            g = [-c for c in g]
-        return self.shrink(g[::-1], g[0])
+        return g[::-1], g[0] if g else 1
 
     def is_negative(self, a) -> bool:
         """Whether ``a`` renders with a leading minus sign."""
@@ -597,10 +587,6 @@ class PrimeField(Field):
 
     def inv(self, a):
         return PrimeFieldElement(_invmod(self.coerce(a).value, self.modulus), self)
-
-    def dot(self, xs, ys):
-        # the residues' products summed as ints, reduced and boxed once
-        return PrimeFieldElement(sum(x.value * y.value for x, y in zip(xs, ys)), self)
 
     def recurrence(self, num, den):
         # a window of residues (both forms are over 1); the box reduces each term once

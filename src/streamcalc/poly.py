@@ -8,7 +8,8 @@ polynomial is no ints over 1, degree -1).  Over GF(p) the ints are residues
 and d = 1; over Q, d > 0 is the lcm of the coefficients' denominators and
 gcd(d, *ints) = 1, as the field's ``shrink`` leaves them.  The form is
 unique, so equality and hashing compare it.  Every operation runs on the
-ints, and ``_reduce`` brings each result to the form; ``coeffs``, the
+ints, and ``_reduce``, the one normalization, brings each result to the
+form, the field kernels' raw gcd and C included; ``coeffs``, the
 coefficients as field elements, is boxed once by ``ratios`` when it is first
 read, and ``coefficient(i)`` boxes the one coefficient it reads.  The field's
 ``integers``, ``shrink``, ``ratio``, ``ratios`` and ``characteristic`` are
@@ -275,11 +276,10 @@ class Polynomial:
         return self._times(self.d, self.ints[-1])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor, by the field's ``polynomial_gcd`` on
-        the two sides' ints."""
+        """Monic greatest common divisor: the field's ``polynomial_gcd`` on
+        the two sides' ints, made monic by ``_reduce``."""
         self._check(other)
-        ints, d = self.field.polynomial_gcd(self.ints, other.ints)
-        return Polynomial._make(self.field, tuple(ints), d)
+        return Polynomial._reduce(self.field, *self.field.polynomial_gcd(self.ints, other.ints))
 
     def shifted_down(self) -> "Polynomial":
         """Divide by X; requires a vanishing constant term."""

@@ -17,9 +17,9 @@ integer forms in which ``Polynomial`` holds p and q; ``iterated_derivative``
 reads its numerator off them and the last terms' integers too.
 ``from_sequence`` is the one way back, from enough coefficients over k to the
 closed form: ``from_integers`` on the coefficients' integer form, through
-the field's kernel ``Field.integer_berlekamp_massey``, whose integer C and
-numerator become the polynomials with no coefficient boxed (``analysis``
-calls ``Field.berlekamp_massey`` for the linear complexity L alone).
+the field's kernel ``Field.integer_berlekamp_massey``, whose raw C
+``Polynomial._reduce`` makes the denominator, with no coefficient boxed
+(``analysis`` calls the kernel for the linear complexity L alone).
 ``CoordinateStreams`` holds the ``from_integers`` fit of each coordinate of
 a run of vectors in the integer form of ``Matrix.integer_orbit``, fitted
 the first time it is read: the behaviours of systems and automata, with no
@@ -85,10 +85,12 @@ class RationalStream(Quotient):
     def from_integers(cls, field: Field, ints: Sequence[int], scale: int) -> "RationalStream":
         """``from_sequence`` of the terms ints[i] / scale in the field's
         integer form, scale nonzero in the field, with no term boxed: the
-        kernel's integer C and P go to the polynomials as they are."""
-        connection, _, num = field.integer_berlekamp_massey(ints, scale, numerator=True)
-        # a common factor of num and C would give a shorter recurrence; C(0) = 1
-        return cls._make(Polynomial._reduce(field, *num), Polynomial._reduce(field, *connection))
+        kernel's raw C reduced once, and (C S) mod X^L summed on its ints."""
+        connection, length = field.integer_berlekamp_massey(ints, scale)
+        den = Polynomial._reduce(field, connection, connection[0])
+        sums = [sum(map(mul, den.ints[: k + 1], reversed(ints[: k + 1]))) for k in range(length)]
+        # a common factor of num and C would give a shorter recurrence; den(0) = 1
+        return cls._make(Polynomial._reduce(field, sums, den.d * scale), den)
 
     @classmethod
     def from_fraction(cls, rf: RationalFunction):
@@ -117,7 +119,7 @@ class RationalStream(Quotient):
         the difference is X times a polynomial; dividing that X out yields the
         derivative over the *same* denominator.
         """
-        shifted = self.num - self.den.scale(self.initial_value())
+        shifted = self.num - self.den._times(self.num.ints[0] if self.num else 0, self.num.d)
         # gcd(p - p0 q, q) = gcd(p, q) = 1 and X does not divide q
         return RationalStream._make(shifted.shifted_down(), self.den)
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -426,3 +427,52 @@ def test_one_berlekamp_massey_kernel_for_every_field():
     """Q and GF(p) run the same loop; each field supplies only its integer
     form (``is``: other tests monkeypatch the field classes)."""
     assert type(QQ).berlekamp_massey is PrimeField.berlekamp_massey is Field.berlekamp_massey
+
+
+@settings(max_examples=300)
+@given(integer_kernel_cases())
+@example((GF7, [GF7.coerce(2), GF7.one()], None))  # the integer C is [2, 6]
+def test_integer_kernel_returns_raw_c_that_boxes_to_the_public_c(case):
+    """``integer_berlekamp_massey`` returns (C, L) with C the loop's
+    integers, C(0) nonzero in the field and no trailing zeros; boxed over
+    C(0) it is ``berlekamp_massey``'s C, and reduced by ``_reduce`` it is
+    the boxed reference's."""
+    field, terms, _ = case
+    connection, length = field.integer_berlekamp_massey(*field.integers(terms))
+    p = field.characteristic
+    assert all(type(c) is int for c in connection)
+    assert (connection[0] % p if p else connection[0]) and connection[-1]
+    public, public_length = field.berlekamp_massey(terms)
+    assert field.ratios(connection, connection[0]) == public
+    expected, expected_length = boxed_berlekamp_massey(field, terms)
+    assert Polynomial._reduce(field, connection, connection[0]) == Polynomial(field, public) == expected
+    assert length == public_length == expected_length
+
+
+def test_the_integer_kernel_has_one_result_shape():
+    """No option changes what the kernel returns: (C, L) on integers."""
+    assert list(inspect.signature(Field.integer_berlekamp_massey).parameters) == ["self", "ints", "scale"]
+    assert GF7.integer_berlekamp_massey([2, 1], 1) == ([2, 6], 1)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)), ids=repr)
+def test_linear_complexity_reads_boxes_no_connection_polynomial(field, monkeypatch):
+    """``hankel_rank`` and ``fit_recurrence`` read L off the integer kernel
+    and box no C: ``hankel_rank`` calls no ``ratios``, and
+    ``fit_recurrence`` only the L pivot rows of its ``solve``."""
+    s = RationalStream(Polynomial(field, [1, 2]), Polynomial(field, [1, 3, 1]))  # L = 2
+    prefix = s.expand(8)
+    ratios, boxed = type(field).ratios, []
+
+    def counted(self, ints, d):
+        boxed.append(list(ints))
+        return ratios(self, ints, d)
+
+    monkeypatch.setattr(type(field), "ratios", counted)
+    assert hankel_rank(prefix, 4) == 2
+    assert nonrationality_probe(prefix, 3).rank == 2
+    assert fit_recurrence(prefix, 1) is None
+    assert boxed == []
+    solution = fit_recurrence(prefix, 4)
+    assert solution == (-s.den.coefficient(2), -s.den.coefficient(1))
+    assert len(boxed) == 2

@@ -60,9 +60,34 @@ def pairs(draw):
 @settings(max_examples=300)
 @given(pairs())
 def test_gcd_is_the_boxed_euclid(pair):
+    """Also the kernel's raw pair: ``polynomial_gcd`` returns (ints, lead),
+    the gcd as the loop leaves it, with no trailing zeros, and its leading
+    coefficient; ``_reduce``, the one normalization, makes it the monic
+    gcd."""
     a, b = pair
-    assert a.gcd(b) == boxed_gcd(a, b)
-    assert b.gcd(a) == boxed_gcd(b, a)
+    for x, y in ((a, b), (b, a)):
+        assert x.gcd(y) == boxed_gcd(x, y)
+        ints, lead = x.field.polynomial_gcd(x.ints, y.ints)
+        assert all(type(c) is int for c in ints)
+        assert (ints[-1] == lead) if ints else (lead == 1)
+        assert Polynomial._reduce(x.field, ints, lead) == boxed_gcd(x, y)
+
+
+def test_the_kernel_leaves_the_gcd_as_it_finds_it():
+    """No sign fix, no content strip and no inversion in the kernel: over Q
+    a gcd with a negative leading coefficient and a gcd with content 2 come
+    back as they are, over GF(p) a gcd that is not monic does, and each is
+    the monic gcd once ``_reduce`` has made it canonical."""
+    gf101, mersenne = PrimeField(101), PrimeField(MERSENNE)
+    cases = [
+        (QQ, poly(QQ, 2, 5, 3), poly(QQ, 1, 0, -1), ([-1, -1], -1)),
+        (QQ, poly(QQ, 2, 2), Polynomial.zero(QQ), ([2, 2], 2)),
+        (gf101, poly(gf101, 2, 5, 3), poly(gf101, 1, 0, -1), ([96, 96], 96)),
+        (mersenne, poly(mersenne, 2, 5, 3), poly(mersenne, 1, 0, -1), ([MERSENNE - 5] * 2, MERSENNE - 5)),
+    ]
+    for field, a, b, raw in cases:
+        assert field.polynomial_gcd(a.ints, b.ints) == raw
+        assert a.gcd(b) == Polynomial._reduce(field, *raw) == poly(field, 1, 1) == boxed_gcd(a, b)
 
 
 def reduced(kind, num, den):
@@ -96,7 +121,7 @@ def test_a_prime_that_divides_a_leading_coefficient_is_passed_over():
     for lead in (MERSENNE, 3 * MERSENNE, MERSENNE**2):
         a = poly(QQ, Fraction(1, lead), 1)
         b = a * poly(QQ, 5, 1)
-        assert QQ.polynomial_gcd(a.ints, b.ints) == (list(boxed_gcd(a, b).ints), boxed_gcd(a, b).d)
+        assert Polynomial._reduce(QQ, *QQ.polynomial_gcd(a.ints, b.ints)) == boxed_gcd(a, b)
         assert a.gcd(b) == b.gcd(a) == a == boxed_gcd(a, b)
 
 
@@ -104,7 +129,7 @@ def test_pairs_equal_mod_the_prime_are_not_certified():
     """X + 1 and X + 1 + P are coprime over Q and equal mod P, so the residue
     gcd has degree 1: the certificate proves nothing, and the gcd is 1."""
     a, b = poly(QQ, 1, 1), poly(QQ, 1 + MERSENNE, 1)
-    assert QQ.polynomial_gcd(a.ints, b.ints) == (list(boxed_gcd(a, b).ints), boxed_gcd(a, b).d)
+    assert Polynomial._reduce(QQ, *QQ.polynomial_gcd(a.ints, b.ints)) == boxed_gcd(a, b)
     assert a.gcd(b) == b.gcd(a) == Polynomial.one(QQ) == boxed_gcd(a, b)
 
 

@@ -249,3 +249,40 @@ def test_negation_and_scaling_are_already_reduced(field, num, den, c):
     assert -s == RationalStream(-s.num, s.den)
     assert scaled == RationalStream(s.num.scale(c), s.den)
     assert s.initial_value() == s.expand(1)[0]
+
+
+def test_a_gf_fit_makes_one_inversion(monkeypatch):
+    """``from_integers`` over GF(2^61 - 1) reduces the kernel's raw C once,
+    over C(0), and sums the numerator on that denominator, over 1: one
+    modular inversion per fit, C(0)'s."""
+    from streamcalc import poly as poly_module
+
+    field = PrimeField(2**61 - 1)
+    s = RationalStream(Polynomial(field, [3, 1, 4]), Polynomial(field, [1, 5, 9, 2]))
+    ints, scale = field.integers(s.expand(6))
+    connection, _ = field.integer_berlekamp_massey(ints, scale)
+    assert connection[0] != 1  # so the reduction of C inverts
+    inversions = []
+
+    def counted(base, exp, mod=None):
+        if exp == -1:
+            inversions.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(poly_module, "pow", counted, raising=False)
+    assert RationalStream.from_integers(field, ints, scale) == s
+    assert inversions == [connection[0]]
+
+
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), max_size=5),
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), max_size=4))
+def test_derivative_of_fractional_closed_forms_is_the_tail(num, den):
+    """The head p(0) = num.ints[0] / num.d is taken on the ints: over Q with
+    fractional coefficients the derivative is the tail of the expansion and
+    keeps the denominator; the zero stream's is zero."""
+    s = RationalStream(Polynomial(QQ, num), Polynomial(QQ, [1] + den))
+    d = s.derivative()
+    assert d.den == s.den
+    assert d.expand(8) == s.expand(9)[1:]
+    assert d == RationalStream(d.num, d.den)
+    assert RationalStream.zero(QQ).derivative() == RationalStream.zero(QQ)

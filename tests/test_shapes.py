@@ -24,8 +24,9 @@ def test_every_case_runs_at_tiny_sizes():
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "ms"]
     names = [row.rsplit(None, 1)[0] for row in rows]
-    assert len(names) == 40
+    assert len(names) == 42
     for shape in ("coprime quotient", "planted-factor quotient", "realize", "automaton", "minimize dense", "berlekamp_massey",
+                  "from_sequence, 16 terms, L=8 (q)", "from_sequence, 16 terms, L=8 (gf)",
                   "poly product, degree 8 (q)", "poly product, degree 16 (gf)",
                   "poly power f^2, degree 8 (q)", "poly power f^4, degree 16 (gf)",
                   "power (X^3*(1+X+X^2))^", "power (X+X^2)^",

@@ -20,6 +20,10 @@ the best of 3 runs (``time.perf_counter``), in ms.  The cases:
   orbit, and the integer dots that read the minimal system off it;
 - ``berlekamp_massey`` over GF(101) on 160 recurrent prefixes (orders 3, 6,
   10 and 16; 2n and 2n - 3 terms);
+- ``RationalStream.from_sequence`` on the 2n terms of a seeded closed form
+  p/q with deg q = n and deg p = n - 1, at n = 64 (8 at ``--tiny``) over Q
+  and GF(2^61-1): the integer Berlekamp-Massey kernel, the one reduction of
+  its C and the numerator summed on the reduced denominator;
 - ``Polynomial`` products a*b of two seeded polynomials of degree n, and
   powers f^(n/4) of a seeded f of degree 4 with f(0) != 0 (Miller's
   recurrence), at n = 64 and 256 (8 and 16 at ``--tiny``) over Q (each
@@ -200,6 +204,11 @@ def cases(tiny: bool) -> Iterator[Tuple[str, Callable[[], object]]]:
     yield f"berlekamp_massey, {len(prefixes)} prefixes (gf:101)", lambda: [
         gf101.berlekamp_massey(terms) for terms in prefixes
     ]
+    n = 8 if tiny else 64
+    for field, name in ((QQ, "q"), (MERSENNE, "gf")):
+        s = RationalStream(seeded_polynomial(field, n - 1, 2 * n), seeded_polynomial(field, n, 2 * n + 1))
+        yield f"from_sequence, {2 * n} terms, L={n} ({name})", lambda f=field, t=s.expand(2 * n): (
+            RationalStream.from_sequence(f, t))
     for field, name in ((QQ, "q"), (MERSENNE, "gf")):
         for n in (8, 16) if tiny else (64, 256):
             a, b = seeded_polynomial(field, n, n), seeded_polynomial(field, n, n + 1)
