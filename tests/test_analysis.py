@@ -456,7 +456,7 @@ def test_the_integer_kernel_has_one_result_shape():
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1)), ids=repr)
-def test_linear_complexity_reads_boxes_no_connection_polynomial(field, monkeypatch):
+def test_linear_complexity_boxes_no_connection_polynomial(field, monkeypatch):
     """``hankel_rank`` and ``fit_recurrence`` read L off the integer kernel
     and box no C: ``hankel_rank`` calls no ``ratios``, and
     ``fit_recurrence`` only the L pivot rows of its ``solve``."""
